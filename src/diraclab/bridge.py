@@ -110,18 +110,13 @@ class GronwallSeries:
                 f"m_first={self.m_first:.3e}, m_max={self.m_max:.3e})")
 
 
-def _require_psi_run(trajectory, model, who):
-    if len(trajectory) < 3:
-        raise ValueError(f"{who} needs at least 3 samples")
+def _require_psi_run(trajectory, who):
+    dt_s = trajectory.sample_step(who)
     st = trajectory.states[0]
     if not isinstance(st, SpinorState1D) or st.kind != "spinor_psi":
         raise ValueError(
             f"{who} works on spinor-frame 1D trajectories; map frames first")
-    times = np.asarray(trajectory.times, dtype=float)
-    steps = np.diff(times)
-    if np.max(np.abs(steps - steps[0])) > 1e-9 * max(1.0, abs(steps[0])):
-        raise ValueError("trajectory samples must be uniformly spaced")
-    return float(steps[0])
+    return dt_s
 
 
 def _require_harmonic(model, who):
@@ -175,7 +170,7 @@ def bridge_residual(trajectory, k, model, m=1.0):
     anything else is refused because the second-order lines are only
     equivalent to the first-order system under them.
     """
-    dt_s = _require_psi_run(trajectory, model, "bridge_residual")
+    dt_s = _require_psi_run(trajectory, "bridge_residual")
     _require_harmonic(model, "bridge_residual")
     if not 1 <= k <= len(trajectory) - 2:
         raise IndexError(
@@ -191,7 +186,7 @@ def gronwall_monitor(trajectory, model, m=1.0):
     from the system (corrupted data, wrong model or mass) shows up as
     a jump of M above that floor.
     """
-    dt_s = _require_psi_run(trajectory, model, "gronwall_monitor")
+    dt_s = _require_psi_run(trajectory, "gronwall_monitor")
     _require_harmonic(model, "gronwall_monitor")
     m = float(m)
     states = trajectory.states
@@ -215,7 +210,7 @@ def chain_rule_dW(trajectory, k, model, eps=1e-5):
     order in the sample spacing is a consistency check on the slot
     bookkeeping (conjugate slots move with their partners).
     """
-    dt_s = _require_psi_run(trajectory, model, "chain_rule_dW")
+    dt_s = _require_psi_run(trajectory, "chain_rule_dW")
     if not 1 <= k <= len(trajectory) - 2:
         raise IndexError(
             f"sample {k} has no two neighbours in 0..{len(trajectory) - 1}")

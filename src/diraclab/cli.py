@@ -3,7 +3,7 @@
 Subcommands map one-to-one onto the library's entry points: scenario
 runs, the bundled experiments, the algebra and nonlinearity checkers,
 identity verification along a trajectory, the second-order residual
-monitor, exact-solution tables, and plot-script emission.
+monitor, and exact-solution tables.
 
 Exit codes: 0 when everything requested passed, 1 when a run completed
 but a check failed, 2 when the request itself was malformed (unknown
@@ -23,9 +23,9 @@ from .exact import SolitonParams, thirring_soliton
 from .grids import Grid1D
 from .scenarios import (EXPERIMENT_IDS, ConfigError, ScenarioConfig,
                         _IDENTITIES_BY_SYSTEM, _ensure_dir, _run,
-                        _write_csv, bundled_config_path, emit_plots,
+                        _verify_and_write, _write_csv, bundled_config_path,
                         experiment, run_scenario)
-from .virials import identity_ids, verify_identity
+from .virials import identity_ids
 
 __all__ = ["main"]
 
@@ -117,12 +117,8 @@ def _cmd_verify_virial(args):
             f"identity {args.identity!r} is not defined on "
             f"{config.system!r}")
     _, traj, out_dir = _run(config, args.out)
-    rep = verify_identity(traj, args.identity, m=config.mass,
-                          model=config.build_model())
-    fname = f"virial_{args.identity}.csv"
-    _write_csv(os.path.join(out_dir, fname),
-               ["t", "F", "FD", "RHS", "defect"],
-               [rep.times, rep.values, rep.fd, rep.rhs, rep.defect])
+    rep, fname = _verify_and_write(traj, args.identity, config,
+                                   config.build_model(), out_dir)
     payload = rep.to_dict()
     payload["csv"] = os.path.join(out_dir, fname)
     _print(json.dumps(payload, indent=2, sort_keys=True))
@@ -175,18 +171,6 @@ def _cmd_emit_exact(args):
     _write_csv(path, ["x", "u_re", "u_im", "v_re", "v_im"],
                [grid.x, u.real, u.imag, v.real, v.imag])
     _print(path)
-    return 0
-
-
-def _cmd_emit_plots(args):
-    wrote = []
-    for root, _dirs, files in os.walk(args.dir):
-        if any(f.endswith(".csv") for f in files):
-            wrote.append(emit_plots(root))
-    if not wrote:
-        raise ConfigError(f"no tables found under {args.dir!r}")
-    for path in wrote:
-        _print(path)
     return 0
 
 
@@ -255,11 +239,6 @@ def _build_parser():
     p.add_argument("--file", default="exact_thirring.csv")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_emit_exact)
-
-    p = sub.add_parser("emit-plots",
-                       help="write plotting scripts for existing tables")
-    p.add_argument("--dir", required=True)
-    p.set_defaults(func=_cmd_emit_plots)
 
     return parser
 

@@ -174,6 +174,19 @@ class Trajectory:
     def final(self):
         return self.states[-1]
 
+    def sample_step(self, who):
+        """The uniform sample spacing that centered time differences need.
+
+        Raises ValueError, naming the caller ``who``, when there are fewer
+        than 3 samples or the spacing is not uniform.
+        """
+        if len(self.states) < 3:
+            raise ValueError(f"{who} needs at least 3 samples")
+        steps = np.diff(self.times)
+        if np.max(np.abs(steps - steps[0])) > 1e-9 * max(1.0, abs(steps[0])):
+            raise ValueError("trajectory samples must be uniformly spaced")
+        return float(steps[0])
+
 
 def _require_arity(model, allowed, rhs_name):
     if model.arity not in allowed:
@@ -255,6 +268,7 @@ def _rhs_radial_arrays(fields, grid, model, m):
 
 _PIN = 4      # hard-zeroed nodes at an outflow edge
 _SPONGE = 8   # monitored nodes just inside the pinned block
+_BOUNDARY_TOL = 1e-8  # sponge-zone mass allowed, relative to Q(0)
 
 
 def _select_rhs(initial, model):
@@ -291,16 +305,16 @@ def _zone_mass(fields, grid):
     return grid.h * float(np.sum(left) + np.sum(right))
 
 
-def integrate(initial, model, t_end, dt, m=1.0, sample_stride=1,
-              cfl_fraction=0.5, boundary_tol=1e-8):
+def integrate(initial, model, t_end, dt, m=1.0, sample_stride=1):
     """March the semi-discrete system with the classical 4-stage scheme.
 
-    The outermost 4 nodes of each outflow edge are re-zeroed after every
+    ``dt`` may not exceed h/2, the transport stability bound. The
+    outermost 4 nodes of each outflow edge are re-zeroed after every
     step (the radial origin is not an edge; parity handles it).  The run
     aborts with RuntimeError if any field stops being finite or if the
-    mass in the monitoring zone next to the pinned nodes exceeds
-    ``boundary_tol`` times the initial charge, so results are only ever
-    produced for effectively compactly supported evolutions.
+    mass in the monitoring zone next to the pinned nodes exceeds 1e-8
+    times the initial charge, so results are only ever produced for
+    effectively compactly supported evolutions.
 
     Returns a :class:`Trajectory` sampled every ``sample_stride`` steps
     (first and last steps always included).
@@ -310,10 +324,9 @@ def integrate(initial, model, t_end, dt, m=1.0, sample_stride=1,
     t_end = float(t_end)
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    if dt > cfl_fraction * grid.h + 1e-14:
+    if dt > 0.5 * grid.h + 1e-14:
         raise ValueError(
-            f"dt = {dt:g} exceeds {cfl_fraction:g} * h = "
-            f"{cfl_fraction * grid.h:g}; refusing to step")
+            f"dt = {dt:g} exceeds h/2 = {0.5 * grid.h:g}; refusing to step")
     n_steps = int(round(t_end / dt))
     if n_steps < 1 or abs(n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
         raise ValueError("t_end must be a positive integer multiple of dt")
@@ -325,12 +338,9 @@ def integrate(initial, model, t_end, dt, m=1.0, sample_stride=1,
     y = initial.fields.copy()
     t0 = initial.t
 
-    if isinstance(grid, RadialGrid):
-        dens0 = np.sum(np.abs(y) ** 2, axis=0).real
-        q0 = 4.0 * np.pi * grid.h * float(np.sum(grid.r ** 2 * dens0))
-    else:
-        q0 = float(quad(np.sum(np.abs(y) ** 2, axis=0).real, grid))
-    mass_cap = boundary_tol * q0 if q0 > 0.0 else np.inf
+    measure = "spherical" if isinstance(grid, RadialGrid) else "line"
+    q0 = float(quad(initial.density(), grid, measure))
+    mass_cap = _BOUNDARY_TOL * q0 if q0 > 0.0 else np.inf
 
     times = [t0]
     states = [_wrap(initial, y.copy(), t0)]
@@ -359,7 +369,7 @@ def integrate(initial, model, t_end, dt, m=1.0, sample_stride=1,
             if zm > mass_cap:
                 raise RuntimeError(
                     f"boundary zone mass {zm:.3e} exceeds "
-                    f"{boundary_tol:g} * Q(0) = {mass_cap:.3e} at t = {t:g}; "
+                    f"{_BOUNDARY_TOL:g} * Q(0) = {mass_cap:.3e} at t = {t:g}; "
                     "enlarge the domain or stop earlier")
             times.append(t)
             states.append(_wrap(initial, y.copy(), t))

@@ -13,13 +13,9 @@ from .algebra import alpha_beta, pauli, split_alpha
 __all__ = [
     "Grid1D",
     "RadialGrid",
-    "RealField",
-    "ComplexField",
-    "check_health",
     "deriv1",
     "quad",
     "discrete_ibp_defect",
-    "save_fields_csv",
 ]
 
 
@@ -73,47 +69,19 @@ class RadialGrid:
         return f"RadialGrid((0,{self.r_max:g}], n={self.n_cells}, h={self.h:g})"
 
 
-def check_health(values):
-    """Reject NaN/Inf; returns the array unchanged."""
-    values = np.asarray(values)
-    if not np.all(np.isfinite(values)):
-        raise FloatingPointError("field contains non-finite values")
-    return values
-
-
-class RealField:
-    def __init__(self, grid, values):
-        self.grid = grid
-        self.values = check_health(np.asarray(values, dtype=float))
-        if self.values.shape[-1] != len(grid.nodes):
-            raise ValueError("value count does not match node count")
-
-
-class ComplexField:
-    def __init__(self, grid, values):
-        self.grid = grid
-        self.values = check_health(np.asarray(values, dtype=complex))
-        if self.values.shape[-1] != len(grid.nodes):
-            raise ValueError("value count does not match node count")
-
-
-def _values(f):
-    return f.values if hasattr(f, "values") else np.asarray(f)
-
-
 def deriv1(f, grid, parity="none"):
     """First derivative, 4th-order central in the interior.
 
     Parameters
     ----------
-    f : ndarray or field
+    f : ndarray
     grid : Grid1D or RadialGrid
     parity : {"none", "even", "odd"}
         Grid1D accepts only "none". RadialGrid requires "even" or "odd";
         ghost values across r = 0 are the parity reflection
         f(-r) = +f(r) (even) or f(-r) = -f(r) (odd).
     """
-    v = _values(f)
+    v = np.asarray(f)
     n = v.shape[-1]
     if n < 8:
         raise ValueError("need at least 8 nodes")
@@ -153,7 +121,7 @@ def quad(f, grid, measure="line"):
     RadialGrid: midpoint rule h*sum; "line" integrates f dr (the virial
     bookkeeping measure), "spherical" integrates 4 pi r^2 f dr.
     """
-    v = _values(f)
+    v = np.asarray(f)
     if isinstance(grid, RadialGrid):
         if measure == "line":
             return grid.h * np.sum(v, axis=-1)
@@ -187,8 +155,8 @@ def discrete_ibp_defect(f, g, phi, part, grid, split=None):
     to override. Returns |LHS - RHS|, which must vanish at 3rd order or
     better under grid refinement for smooth decaying fields.
     """
-    fv = np.asarray(_values(f), dtype=float)
-    gv = np.asarray(_values(g), dtype=float)
+    fv = np.asarray(f, dtype=float)
+    gv = np.asarray(g, dtype=float)
     if fv.shape != gv.shape or fv.ndim != 2 or fv.shape[0] != 2:
         raise ValueError("expected two real 2-component fields of equal shape")
 
@@ -217,19 +185,3 @@ def discrete_ibp_defect(f, g, phi, part, grid, split=None):
     else:
         raise ValueError("part must be 'real_part' or 'imag_part'")
     return float(abs(lhs - rhs))
-
-
-def save_fields_csv(path, grid, components):
-    """Write a field snapshot: first column x (or r), one column per component.
-
-    components : dict of name -> real ndarray
-    """
-    coord = "r" if isinstance(grid, RadialGrid) else "x"
-    names = list(components)
-    cols = [np.asarray(grid.nodes, dtype=float)]
-    cols += [np.asarray(components[k], dtype=float) for k in names]
-    with open(path, "w") as fh:
-        fh.write(",".join([coord] + names) + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    return path

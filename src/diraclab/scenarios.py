@@ -42,7 +42,6 @@ __all__ = [
     "ExperimentSummary",
     "run_scenario",
     "experiment",
-    "emit_plots",
     "EXPERIMENT_IDS",
     "bundled_config_path",
 ]
@@ -98,7 +97,6 @@ _SCHEMA = {
     "identities": (str, ""),
     "regions": (str, ""),
     "out_dir": (str, None),
-    "seed": (int, 0),
 }
 
 _GRID_KEYS_1D = ("x_min", "x_max", "n_points")
@@ -110,8 +108,7 @@ _SOLITON_KEYS = ("omega", "phase", "center")
 _IDENTITIES_BY_SYSTEM = {
     "lab_1d": ("I_weighted_charge", "J_chiral_balance", "K_window_charge"),
     "spinor_1d": ("H_sech_1d", "I_weighted_charge", "J1", "J2", "J3", "J4",
-                  "J_chiral_balance", "J_quartet_combined",
-                  "K_window_charge"),
+                  "J_quartet_combined"),
     "radial_3d": ("H_radial_r2", "K1_3d", "K2_3d", "K_combined_3d",
                   "tK1_3d", "tK2_3d"),
 }
@@ -693,6 +690,17 @@ def _conservation(series):
     return out
 
 
+def _verify_and_write(traj, ident, config, model, out_dir):
+    """Verify one identity along ``traj`` and write virial_<ident>.csv;
+    returns the report and the file name."""
+    rep = verify_identity(traj, ident, m=config.mass, model=model)
+    fname = f"virial_{ident}.csv"
+    _write_csv(os.path.join(out_dir, fname),
+               ["t", "F", "FD", "RHS", "defect"],
+               [rep.times, rep.values, rep.fd, rep.rhs, rep.defect])
+    return rep, fname
+
+
 def _run(config, out_root=None):
     """Integrate one scenario and write its tables; returns
     (summary, trajectory) so experiments can post-process samples."""
@@ -712,12 +720,8 @@ def _run(config, out_root=None):
 
     virials = {}
     for ident in config.identity_list:
-        rep = verify_identity(traj, ident, m=config.mass, model=model)
+        rep, fname = _verify_and_write(traj, ident, config, model, out_dir)
         virials[ident] = rep.to_dict()
-        fname = f"virial_{ident}.csv"
-        _write_csv(os.path.join(out_dir, fname),
-                   ["t", "F", "FD", "RHS", "defect"],
-                   [rep.times, rep.values, rep.fd, rep.rhs, rep.defect])
         files.append(fname)
 
     decay = {}
@@ -739,7 +743,6 @@ def _run(config, out_root=None):
         files=files,
         wall_time=time.perf_counter() - t_start,
     )
-    summary.out_dir_rel = config.out_dir
     return summary, traj, out_dir
 
 
@@ -929,7 +932,7 @@ def _experiment_t3(out_root):
     flux = np.array([origin_flux_radial(st) for st in traj.states])
     cum = cumulative_trapezoid(flux, traj.times, initial=0.0)
     _write_csv(os.path.join(out_dir, "k_series.csv"),
-               ["t", "K1", "K2", "tK1", "tK2", "origin_flux",
+               ["t", "K1", "tK1", "K2", "tK2", "origin_flux",
                 "cumulative"],
                [traj.times, k_rows[:, 0], k_rows[:, 1], k_rows[:, 2],
                 k_rows[:, 3], flux, cum])
@@ -953,8 +956,8 @@ def _experiment_t3(out_root):
         "ball1_mass_ratio": ratio,
     })
     summary.checks.update({
-        "k_functionals_bounded": k_sup_final <= max(k_sup, 1e-12)
-        and np.isfinite(k_rows).all(),
+        "k_functionals_bounded": bool(k_sup_final <= max(k_sup, 1e-12)
+                                      and np.isfinite(k_rows).all()),
         "cumulative_growth_below_5pct": growth < 0.05,
         "ball1_mass_ratio_below_half": ratio is not None and ratio < 0.5,
     })
@@ -1026,7 +1029,6 @@ def _experiment_t5(out_root):
         metrics=metrics, checks=checks,
         files=[f"m{m}/" + f for m in (0, 1) for f in sub[f"m{m}"].files],
         wall_time=time.perf_counter() - t_start)
-    summary.out_dir_rel = "T5_exterior"
     summary.write(out_dir)
     return summary
 
@@ -1062,95 +1064,4 @@ def bundled_config_path(name):
             if f.endswith(".cfg"))
         raise ConfigError(f"no bundled config {name!r}; "
                           f"have: {', '.join(listing)}")
-    return path
-
-
-# ---------------------------------------------------------------------------
-# plotting scripts
-
-_PLOT_PREAMBLE = '''\
-"""Plots for the tables in this directory; run from the directory."""
-import numpy as np
-import matplotlib
-matplotlib.use("Agg")
-import matplotlib.pyplot as plt
-
-
-def load(name):
-    return np.genfromtxt(name, delimiter=",", names=True)
-'''
-
-_PLOT_MASS = '''
-
-data = load("trajectory.csv")
-mass_cols = [n for n in data.dtype.names if n.startswith("mass_")]
-if mass_cols:
-    fig, ax = plt.subplots()
-    for name in mass_cols:
-        keep = np.isfinite(data[name]) & (data[name] > 0)
-        ax.loglog(data["t"][keep], data[name][keep], label=name)
-    ax.set_xlabel("t")
-    ax.set_ylabel("windowed mass")
-    ax.legend()
-    fig.savefig("mass_windows.png", dpi=150)
-    plt.close(fig)
-'''
-
-_PLOT_VIRIAL = '''
-
-for name in {virial_files!r}:
-    rep = load(name)
-    fig, ax = plt.subplots()
-    ax.semilogy(rep["t"], np.maximum(rep["defect"], 1e-300), label="defect")
-    ax.set_xlabel("t")
-    ax.set_ylabel("|FD - RHS|")
-    ax.set_title(name)
-    ax.legend()
-    fig.savefig(name.replace(".csv", ".png"), dpi=150)
-    plt.close(fig)
-'''
-
-_PLOT_CUMULATIVE = '''
-
-series = load({series_file!r})
-fig, ax = plt.subplots()
-ax.plot(series["t"], series["cumulative"], label="cumulative")
-ax.set_xlabel("t")
-ax.set_ylabel("integrated flux")
-ax.legend()
-fig.savefig("cumulative.png", dpi=150)
-plt.close(fig)
-'''
-
-
-def emit_plots(summary_or_dir, out_root=None):
-    """Write a matplotlib script next to a summary's tables.
-
-    Accepts an :class:`ExperimentSummary` (uses its recorded files) or
-    a directory path. Returns the script path. The script is plain
-    text; nothing is rendered here.
-    """
-    if isinstance(summary_or_dir, ExperimentSummary):
-        root = out_root if out_root is not None else \
-            os.environ.get(OUT_ROOT_ENV, ".")
-        rel = getattr(summary_or_dir, "out_dir_rel", summary_or_dir.name)
-        directory = os.path.join(root, rel)
-        names = summary_or_dir.files
-    else:
-        directory = str(summary_or_dir)
-        names = sorted(os.listdir(directory))
-    script = _PLOT_PREAMBLE
-    if "trajectory.csv" in names:
-        script += _PLOT_MASS
-    virial_files = sorted(n for n in names
-                          if n.startswith("virial_") and n.endswith(".csv"))
-    if virial_files:
-        script += _PLOT_VIRIAL.format(virial_files=virial_files)
-    for candidate in ("cumulative.csv", "k_series.csv"):
-        if candidate in names:
-            script += _PLOT_CUMULATIVE.format(series_file=candidate)
-            break
-    path = os.path.join(directory, "plots.py")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(script)
     return path

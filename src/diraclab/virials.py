@@ -46,7 +46,6 @@ __all__ = [
     "functionals_K_3d",
     "rhs_K_3d",
     "rhs_K_combined_closed",
-    "weight_closed_forms",
     "functional_H",
     "rhs_H",
     "verify_identity",
@@ -392,6 +391,11 @@ def rhs_J_1d(state, weight, lam=1.0, m=1.0, lam_dot=0.0, model=None):
 # ---------------------------------------------------------------------------
 # first-derivative quartet on the line (spinor frame, real components)
 
+def _bk(phi, dphi, f, df):
+    """Transport bracket phi f' + phi'/2 f of the quartet pairings."""
+    return phi * df + 0.5 * dphi * f
+
+
 def _components_1d(state):
     p = state.fields if state.kind == "real4" else state.to_real4().fields
     return p[0], p[1], p[2], p[3]
@@ -417,15 +421,11 @@ def functionals_J1_to_J4(state, weight, m=1.0):
     dphi = weight.dphi(g.x)
     d11, d12 = deriv1(p11, g), deriv1(p12, g)
     d21, d22 = deriv1(p21, g), deriv1(p22, g)
-
-    def bk(f, df):
-        return phi * df + 0.5 * dphi * f
-
     return np.array([
-        quad(bk(p11, d11) * (d22 + m * p12), g),
-        quad(bk(p12, d12) * (d21 + m * p11), g),
-        quad(bk(p22, d22) * (d11 + m * p21), g),
-        quad(bk(p21, d21) * (d12 + m * p22), g),
+        quad(_bk(phi, dphi, p11, d11) * (d22 + m * p12), g),
+        quad(_bk(phi, dphi, p12, d12) * (d21 + m * p11), g),
+        quad(_bk(phi, dphi, p22, d22) * (d11 + m * p21), g),
+        quad(_bk(phi, dphi, p21, d21) * (d12 + m * p22), g),
     ])
 
 
@@ -451,24 +451,21 @@ def rhs_J1_to_J4(state, weight, m=1.0, model=None):
     e11, e12 = deriv1(w11, g), deriv1(w12, g)
     e21, e22 = deriv1(w21, g), deriv1(w22, g)
 
-    def bk(f, df):
-        return phi * df + 0.5 * dphi * f
-
     def core(f, df):
         return quad(dphi * df * df - 0.25 * d3phi * f * f, g)
 
     dj1 = (-core(p11, d11)
-           - quad(bk(w12, e12) * (d22 + m * p12), g)
-           + quad(bk(p11, d11) * (m * w11 - e21), g))
+           - quad(_bk(phi, dphi, w12, e12) * (d22 + m * p12), g)
+           + quad(_bk(phi, dphi, p11, d11) * (m * w11 - e21), g))
     dj2 = (core(p12, d12)
-           + quad(bk(w11, e11) * (d21 + m * p11), g)
-           + quad(bk(p12, d12) * (e22 - m * w12), g))
+           + quad(_bk(phi, dphi, w11, e11) * (d21 + m * p11), g)
+           + quad(_bk(phi, dphi, p12, d12) * (e22 - m * w12), g))
     dj3 = (-core(p22, d22)
-           - quad(bk(w21, e21) * (d11 + m * p21), g)
-           + quad(bk(p22, d22) * (m * w22 - e12), g))
+           - quad(_bk(phi, dphi, w21, e21) * (d11 + m * p21), g)
+           + quad(_bk(phi, dphi, p22, d22) * (m * w22 - e12), g))
     dj4 = (core(p21, d21)
-           + quad(bk(w22, e22) * (d12 + m * p22), g)
-           + quad(bk(p21, d21) * (e11 - m * w21), g))
+           + quad(_bk(phi, dphi, w22, e22) * (d12 + m * p22), g)
+           + quad(_bk(phi, dphi, p21, d21) * (e11 - m * w21), g))
     return np.array([dj1, dj2, dj3, dj4])
 
 
@@ -563,15 +560,12 @@ def functionals_K_3d(state, weight, m=1.0):
     phi = weight.phi(r)
     dphi = weight.dphi(r)
 
-    def bk(f, df):
-        return phi * df + 0.5 * dphi * f
-
-    k1 = quad(bk(p11, d11) * (d22 + 2.0 * p22 / r + m * p12), g,
+    k1 = quad(_bk(phi, dphi, p11, d11) * (d22 + 2.0 * p22 / r + m * p12), g,
               measure="line")
-    tk1 = quad(bk(p22, d22) * (d11 + m * p21), g, measure="line")
-    k2 = quad(bk(p12, d12) * (d21 + 2.0 * p21 / r + m * p11), g,
+    tk1 = quad(_bk(phi, dphi, p22, d22) * (d11 + m * p21), g, measure="line")
+    k2 = quad(_bk(phi, dphi, p12, d12) * (d21 + 2.0 * p21 / r + m * p11), g,
               measure="line")
-    tk2 = quad(bk(p21, d21) * (d12 + m * p22), g, measure="line")
+    tk2 = quad(_bk(phi, dphi, p21, d21) * (d12 + m * p22), g, measure="line")
     return np.array([k1, tk1, k2, tk2])
 
 
@@ -609,24 +603,21 @@ def rhs_K_3d(state, weight, m=1.0, model=None):
     phi = weight.phi(r)
     dphi = weight.dphi(r)
 
-    def bk(f, df):
-        return phi * df + 0.5 * dphi * f
-
     def line(f):
         return quad(f, g, measure="line")
 
     dk1 = (_quadratic_R1(weight, r, p11, d11, g)
-           - line(bk(w12, e12) * (d22 + 2.0 * p22 / r + m * p12))
-           - line(bk(p11, d11) * (e21 + 2.0 * w21 / r - m * w11)))
+           - line(_bk(phi, dphi, w12, e12) * (d22 + 2.0 * p22 / r + m * p12))
+           - line(_bk(phi, dphi, p11, d11) * (e21 + 2.0 * w21 / r - m * w11)))
     dtk1 = (_quadratic_R2(weight, r, p22, d22, g)
-            - line(bk(w21, e21) * (d11 + m * p21))
-            - line(bk(p22, d22) * (e12 - m * w22)))
+            - line(_bk(phi, dphi, w21, e21) * (d11 + m * p21))
+            - line(_bk(phi, dphi, p22, d22) * (e12 - m * w22)))
     dk2 = (-_quadratic_R1(weight, r, p12, d12, g)
-           + line(bk(w11, e11) * (d21 + 2.0 * p21 / r + m * p11))
-           + line(bk(p12, d12) * (e22 + 2.0 * w22 / r - m * w12)))
+           + line(_bk(phi, dphi, w11, e11) * (d21 + 2.0 * p21 / r + m * p11))
+           + line(_bk(phi, dphi, p12, d12) * (e22 + 2.0 * w22 / r - m * w12)))
     dtk2 = (-_quadratic_R2(weight, r, p21, d21, g)
-            + line(bk(w22, e22) * (d12 + m * p22))
-            + line(bk(p21, d21) * (e11 - m * w21)))
+            + line(_bk(phi, dphi, w22, e22) * (d12 + m * p22))
+            + line(_bk(phi, dphi, p21, d21) * (e11 - m * w21)))
     return np.array([dk1, dtk1, dk2, dtk2])
 
 
@@ -682,56 +673,6 @@ def rhs_K_combined_closed(state, weight, m=1.0, model=None):
                      * (w11 * p21 + w12 * p22))
               - line((0.5 * d2phi - dphi_r) * (w21 * p11 + w22 * p12)))
     return out + m * a_term - b_term
-
-
-def weight_closed_forms(name="r32_over_1pr"):
-    """Closed-form coefficient maps for the radial virial weight.
-
-    Returns the seven combinations of phi(r) = r^{3/2}/(1+r) and its
-    derivatives that appear in the radial rates, each as a rational
-    expression safe to evaluate on the open half line. Keys follow the
-    role: 'phi_prime' and 'advect' (2 phi/r - phi') multiply squared
-    gradients, 'phi_over_r' the geometric term, the two 'zero_order_*'
-    maps the squared components, the two 'cross_*' maps the mixed W
-    pairings.
-    """
-    if name != "r32_over_1pr":
-        raise ValueError(f"no closed-form table for weight {name!r}")
-
-    def phi_prime(r):
-        return np.sqrt(r) * (r + 3.0) / (2.0 * (1.0 + r) ** 2)
-
-    def advect(r):
-        return np.sqrt(r) * (1.0 + 3.0 * r) / (2.0 * (1.0 + r) ** 2)
-
-    def phi_over_r(r):
-        return np.sqrt(r) / (1.0 + r)
-
-    def zero_order_even(r):
-        return (15.0 * r ** 3 + 95.0 * r ** 2 + 41.0 * r + 9.0) \
-            / (32.0 * r ** 1.5 * (1.0 + r) ** 4)
-
-    def zero_order_odd(r):
-        return (47.0 * r ** 3 + 191.0 * r ** 2 + 137.0 * r + 41.0) \
-            / (32.0 * r ** 1.5 * (1.0 + r) ** 4)
-
-    def cross_even_w(r):
-        return (13.0 * r ** 2 + 22.0 * r + 1.0) \
-            / (8.0 * np.sqrt(r) * (1.0 + r) ** 3)
-
-    def cross_odd_w(r):
-        return (5.0 * r ** 2 + 22.0 * r + 9.0) \
-            / (8.0 * np.sqrt(r) * (1.0 + r) ** 3)
-
-    return {
-        "phi_prime": phi_prime,
-        "advect": advect,
-        "phi_over_r": phi_over_r,
-        "zero_order_even": zero_order_even,
-        "zero_order_odd": zero_order_odd,
-        "cross_even_w": cross_even_w,
-        "cross_odd_w": cross_odd_w,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -932,13 +873,9 @@ def verify_identity(trajectory, identity, weight=None, scaling=None,
     if identity not in _REGISTRY:
         known = ", ".join(identity_ids())
         raise KeyError(f"unknown identity {identity!r}; known: {known}")
-    times = np.asarray(trajectory.times, dtype=float)
+    trajectory.sample_step("verify_identity")
+    times = trajectory.times
     states = trajectory.states
-    if len(states) < 3:
-        raise ValueError("need at least 3 samples for centered differences")
-    steps = np.diff(times)
-    if np.max(np.abs(steps - steps[0])) > 1e-9 * max(1.0, abs(steps[0])):
-        raise ValueError("trajectory samples must be uniformly spaced")
     ctx = {
         "weight": weight,
         "scaling": ScalingTriple.constant() if scaling is None else scaling,

@@ -12,7 +12,6 @@ import numpy as np
 __all__ = [
     "WeightSpec",
     "tanh_1d",
-    "scaled_tanh",
     "half_tanh",
     "sech_1d",
     "r32_weight",
@@ -46,11 +45,6 @@ class WeightSpec:
         self.singular = dict(singular) if singular else {}
         self.zero_at_origin = zero_at_origin
 
-    def has_singular(self):
-        keys = {"phi_over_r", "phi_over_r2", "phi_over_r3",
-                "dphi_over_r", "dphi_over_r2", "d2phi_over_r"}
-        return keys.issubset(self.singular)
-
     def sing(self, key, r):
         if key not in self.singular:
             raise KeyError(
@@ -79,30 +73,6 @@ def tanh_1d():
         return 4.0 * c * t * t - 2.0 * c * c
 
     return WeightSpec("tanh", phi, dphi, d2phi, d3phi, zero_at_origin=True)
-
-
-def scaled_tanh(L):
-    """phi_L(x) = L*tanh(x/L); phi_L' = sech^2(x/L)."""
-    L = float(L)
-
-    def phi(x):
-        return L * np.tanh(x / L)
-
-    def dphi(x):
-        return 1.0 / np.cosh(x / L) ** 2
-
-    def d2phi(x):
-        y = x / L
-        return -2.0 / L * np.tanh(y) / np.cosh(y) ** 2
-
-    def d3phi(x):
-        y = x / L
-        c = 1.0 / np.cosh(y) ** 2
-        t = np.tanh(y)
-        return (4.0 * c * t * t - 2.0 * c * c) / L ** 2
-
-    return WeightSpec(f"scaled_tanh(L={L:g})", phi, dphi, d2phi, d3phi,
-                      zero_at_origin=True)
 
 
 def half_tanh(side=+1):

@@ -2,15 +2,11 @@ import numpy as np
 import pytest
 
 from diraclab.grids import (
-    ComplexField,
     Grid1D,
     RadialGrid,
-    RealField,
-    check_health,
     deriv1,
     discrete_ibp_defect,
     quad,
-    save_fields_csv,
 )
 from diraclab.weights import tanh_1d
 
@@ -110,22 +106,6 @@ def test_quad_radial_measures():
         quad(np.exp(-g.r), g, measure="volume")
 
 
-def test_check_health():
-    check_health(np.ones(4))
-    with pytest.raises(FloatingPointError):
-        check_health(np.array([1.0, np.nan]))
-    with pytest.raises(FloatingPointError):
-        check_health(np.array([1.0, np.inf]))
-
-
-def test_field_shape_validation():
-    g = Grid1D(-1.0, 1.0, 32)
-    RealField(g, np.zeros(32))
-    ComplexField(g, np.zeros((2, 32), dtype=complex))
-    with pytest.raises(ValueError):
-        RealField(g, np.zeros(31))
-
-
 def _smooth_pair(rng, x):
     def mk():
         a = rng.normal(size=3)
@@ -156,22 +136,3 @@ def test_ibp_defect_input_validation():
         discrete_ibp_defect(f, np.zeros((3, 256)), tanh_1d(), "real_part", g)
     with pytest.raises(ValueError):
         discrete_ibp_defect(f, f, tanh_1d(), "both", g)
-
-
-def test_save_fields_csv_roundtrip(tmp_path):
-    g = Grid1D(-1.0, 1.0, 16)
-    u = np.sin(g.x) * 1e-7
-    v = np.cos(g.x)
-    path = save_fields_csv(tmp_path / "snap.csv", g, {"re_u": u, "im_v": v})
-    with open(path) as fh:
-        header = fh.readline().strip()
-    assert header == "x,re_u,im_v"
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert np.array_equal(data[:, 0], g.x)
-    assert np.array_equal(data[:, 1], u)  # %.17g is lossless for doubles
-    assert np.array_equal(data[:, 2], v)
-
-    gr = RadialGrid(2.0, 16)
-    path2 = save_fields_csv(tmp_path / "snap_r.csv", gr, {"f": np.ones(16)})
-    with open(path2) as fh:
-        assert fh.readline().startswith("r,")

@@ -1,0 +1,100 @@
+import json
+
+import numpy as np
+import pytest
+
+from diraclab import scenarios
+from diraclab.scenarios import (ConfigError, ScenarioConfig, _write_csv,
+                                bundled_config_path, experiment)
+
+_LAB = {
+    "system": "lab_1d",
+    "model": "thirring",
+    "mass": "1.0",
+    "initial": "bump",
+    "amplitude": "0.1",
+    "width": "1.0",
+    "x_min": "-20",
+    "x_max": "20",
+    "n_points": "201",
+    "dt": "0.1",
+    "t_end": "1",
+}
+
+_SPINOR = dict(_LAB, system="spinor_1d", model="quartic_harmonic")
+
+_SOLITON = {
+    "system": "lab_1d",
+    "model": "thirring",
+    "coupling": "1.0",
+    "initial": "soliton",
+    "x_min": "-40",
+    "x_max": "40",
+    "n_points": "1601",
+    "dt": "0.02",
+    "t_end": "1",
+}
+
+
+def _text(base, **changes):
+    fields = dict(base, **changes)
+    return "".join(f"{k} = {v}\n" for k, v in fields.items())
+
+
+def test_base_configs_parse():
+    for base in (_LAB, _SPINOR):
+        ScenarioConfig.from_text(_text(base))
+    ScenarioConfig.from_text(_text(_SOLITON, coupling="2.0"))
+
+
+@pytest.mark.parametrize("text, match", [
+    (_text(_LAB, colour="red"), "unknown keys: colour"),
+    (_text(_LAB, seed="0"), "unknown keys: seed"),
+    (_text(_LAB, n_cells="100"), "n_cells: not used on a line grid"),
+    (_text(_LAB, omega="0.3"), "omega: not used by the bump"),
+    (_text(_LAB, dt="0.125"), "exceeds the transport stability bound"),
+    (_text(_LAB, t_end="20"), "boundary buffer"),
+    (_text(_SOLITON), "initial = soliton requires"),
+    (_text(_SPINOR, identities="J_chiral_balance"),
+     "not defined on system 'spinor_1d': J_chiral_balance"),
+    (_text(_SPINOR, identities="K_window_charge"),
+     "not defined on system 'spinor_1d': K_window_charge"),
+], ids=["unknown_key", "seed", "radial_key_on_line", "omega_on_bump",
+        "dt_over_half_h", "buffer", "soliton_coupling",
+        "chiral_balance_on_spinor", "window_charge_on_spinor"])
+def test_config_rejections(text, match):
+    with pytest.raises(ConfigError, match=match):
+        ScenarioConfig.from_text(text)
+
+
+def test_bundled_config_hash_is_pinned():
+    cfg = ScenarioConfig.from_file(bundled_config_path("massless_thirring"))
+    assert cfg.hash == "659ce2f432fb079e"
+
+
+def test_write_csv_roundtrip_is_lossless(tmp_path):
+    x = np.linspace(-1.0, 1.0, 16)
+    u = np.sin(x) * 1e-7
+    path = tmp_path / "table.csv"
+    _write_csv(path, ["x", "u", "v"], [x, u, np.cos(x)])
+    with open(path) as fh:
+        assert fh.readline().strip() == "x,u,v"
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert np.array_equal(data[:, 0], x)
+    assert np.array_equal(data[:, 1], u)  # %.17g is lossless for doubles
+    assert np.array_equal(data[:, 2], np.cos(x))
+
+
+def test_t3_summary_is_json_with_boolean_checks(tmp_path, monkeypatch):
+    # 80 steps instead of 3200: drives the post-processing and writers
+    short = scenarios._T3_TEXT.replace("t_end = 40", "t_end = 1")
+    assert short != scenarios._T3_TEXT
+    monkeypatch.setattr(scenarios, "_T3_TEXT", short)
+    experiment("T3_radial", out_root=tmp_path)
+    out = tmp_path / "T3_radial"
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["checks"]
+    assert all(type(v) is bool for v in summary["checks"].values())
+    with open(out / "k_series.csv") as fh:
+        header = fh.readline().strip()
+    assert header == "t,K1,tK1,K2,tK2,origin_flux,cumulative"

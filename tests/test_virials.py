@@ -26,7 +26,6 @@ from diraclab.virials import (
     rhs_K_3d,
     rhs_K_combined_closed,
     verify_identity,
-    weight_closed_forms,
     window_flux_1d,
 )
 
@@ -123,64 +122,6 @@ def stream_traj(t_lo, t_hi, n_samp, grid):
     sts = [exact.massless_free(u0, v0, t, grid) for t in ts]
     zeros = [0.0] * n_samp
     return Trajectory(ts, sts, zeros, zeros)
-
-
-# ---------------------------------------------------------------------------
-# weight closed forms
-
-def test_weight_closed_forms_match_composition():
-    w = weights.r32_weight()
-    forms = weight_closed_forms()
-    r = np.linspace(0.01, 50.0, 20000)
-    composed = {
-        "phi_prime": w.dphi(r),
-        "advect": 2.0 * w.sing("phi_over_r", r) - w.dphi(r),
-        "phi_over_r": w.sing("phi_over_r", r),
-        "zero_order_even": 0.5 * (w.sing("dphi_over_r2", r)
-                                  + 0.5 * w.d3phi(r)
-                                  - w.sing("d2phi_over_r", r)),
-        "zero_order_odd": 0.5 * (2.0 * w.sing("phi_over_r3", r)
-                                 + w.sing("dphi_over_r2", r)
-                                 + 0.5 * w.d3phi(r)
-                                 - w.sing("d2phi_over_r", r)),
-        "cross_even_w": 2.0 * w.sing("phi_over_r2", r)
-            - 0.5 * w.d2phi(r) - w.sing("dphi_over_r", r),
-        "cross_odd_w": -0.5 * (w.d2phi(r) - 2.0 * w.sing("dphi_over_r", r)),
-    }
-    assert set(forms) == set(composed)
-    for key, f in forms.items():
-        got = f(r)
-        ref = composed[key]
-        rel = np.max(np.abs(got - ref) / np.abs(ref))
-        assert rel <= 1e-10, key
-
-
-def test_weight_closed_forms_spot_values_at_one():
-    forms = weight_closed_forms()
-    one = np.array([1.0])
-    expected = {
-        "phi_prime": 0.5,
-        "advect": 0.5,
-        "phi_over_r": 0.5,
-        "zero_order_even": 0.3125,
-        "zero_order_odd": 0.8125,
-        "cross_even_w": 0.5625,
-        "cross_odd_w": 0.5625,
-    }
-    for key, val in expected.items():
-        assert float(forms[key](one)[0]) == pytest.approx(val, rel=1e-12)
-
-
-def test_weight_closed_forms_positive_on_half_line():
-    forms = weight_closed_forms()
-    r = np.linspace(0.01, 50.0, 20000)
-    for key, f in forms.items():
-        assert np.min(f(r)) > 0.0, key
-
-
-def test_weight_closed_forms_unknown_name():
-    with pytest.raises(ValueError, match="closed-form"):
-        weight_closed_forms("no_such_weight")
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,7 @@ def _fd(fun, x, k, h):
     return g(x)
 
 
-LINE_WEIGHTS = [W.tanh_1d(), W.scaled_tanh(3.0), W.scaled_tanh(0.5),
-                W.half_tanh(+1), W.half_tanh(-1), W.sech_1d()]
+LINE_WEIGHTS = [W.tanh_1d(), W.half_tanh(+1), W.half_tanh(-1), W.sech_1d()]
 
 
 @pytest.mark.parametrize("spec", LINE_WEIGHTS, ids=lambda s: s.name)
@@ -53,7 +52,7 @@ def test_singular_combos_match_direct_quotients(spec):
         "dphi_over_r2": spec.dphi(r) / r ** 2,
         "d2phi_over_r": spec.d2phi(r) / r,
     }
-    assert spec.has_singular()
+    assert set(spec.singular) == set(direct)
     for key, ref in direct.items():
         rel = np.max(np.abs(spec.sing(key, r) - ref) / (1.0 + np.abs(ref)))
         assert rel < 1e-12, (spec.name, key, rel)
@@ -69,7 +68,7 @@ def test_singular_combos_finite_at_small_r():
 
 def test_missing_singular_key_raises():
     sp = W.tanh_1d()
-    assert not sp.has_singular()
+    assert not sp.singular
     with pytest.raises(KeyError):
         sp.sing("phi_over_r", np.array([1.0]))
 
@@ -80,14 +79,6 @@ def test_zero_at_origin_flags():
     assert W.r2_over_1pr4_weight().zero_at_origin
     assert not W.sech_1d().zero_at_origin
     assert not W.half_tanh(+1).zero_at_origin
-
-
-def test_scaled_tanh_scaling_identity():
-    L = 7.0
-    base, scaled = W.tanh_1d(), W.scaled_tanh(L)
-    x = np.linspace(-20.0, 20.0, 41)
-    assert np.allclose(scaled.phi(x), L * base.phi(x / L), atol=1e-15)
-    assert np.allclose(scaled.dphi(x), 1.0 / np.cosh(x / L) ** 2, atol=1e-15)
 
 
 def test_half_tanh_partition_of_unity():
