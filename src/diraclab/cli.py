@@ -116,6 +116,7 @@ def _cmd_verify_virial(args):
         raise ConfigError(
             f"identity {args.identity!r} is not defined on "
             f"{config.system!r}")
+    config.require_identity_samples()
     _, traj, out_dir = _run(config, args.out)
     rep, fname = _verify_and_write(traj, args.identity, config,
                                    config.build_model(), out_dir)

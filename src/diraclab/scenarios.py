@@ -339,6 +339,9 @@ class ScenarioConfig:
             raise ConfigError(
                 f"identities not defined on system {self.system!r}: "
                 f"{', '.join(out_of_place)}")
+        self.n_samples = n_steps // self.sample_stride + 1
+        if idents:
+            self.require_identity_samples()
         self.identity_list = tuple(idents)
 
         specs = _split_list(self.regions)
@@ -347,6 +350,15 @@ class ScenarioConfig:
 
         if self.out_dir is None:
             self.out_dir = self.name
+
+    def require_identity_samples(self):
+        """Refuse a run too short for the centered time differences
+        that verify an identity."""
+        if self.n_samples < 3:
+            raise ConfigError(
+                f"identities need at least 3 samples for centered "
+                f"differences; t_end / (dt * sample_stride) + 1 = "
+                f"{self.n_samples}")
 
     def _applicable_observables(self, model, grid):
         out = ["charge"]

@@ -396,16 +396,22 @@ def _bk(phi, dphi, f, df):
     return phi * df + 0.5 * dphi * f
 
 
-def _components_1d(state):
+def _quartet_fields(state, model=None):
+    """Derived fields of the quartet, each a (4, n) real block.
+
+    Returns (p, d, w, e): the components (p11, p12, p21, p22), their
+    derivatives, the coupling's W rows and the derivatives of those.
+    Each derivative block comes from one stacked ``deriv1`` pass, whose
+    rows equal per-row calls bitwise (the stencil is elementwise along
+    the last axis). w and e are None without a model.
+    """
+    g = state.grid
     p = state.fields if state.kind == "real4" else state.to_real4().fields
-    return p[0], p[1], p[2], p[3]
-
-
-def _w_components(model, p11, p12, p21, p22, n):
+    d = deriv1(p, g)
     if model is None:
-        z = np.zeros(n)
-        return z, z, z, z
-    return model.w_fields(p11 + 1j * p12, p21 + 1j * p22)
+        return p, d, None, None
+    w = np.array(model.w_fields(p[0] + 1j * p[1], p[2] + 1j * p[3]))
+    return p, d, w, deriv1(w, g)
 
 
 def functionals_J1_to_J4(state, weight, m=1.0):
@@ -416,11 +422,9 @@ def functionals_J1_to_J4(state, weight, m=1.0):
     """
     _require_spinor(state, "functionals_J1_to_J4")
     g = state.grid
-    p11, p12, p21, p22 = _components_1d(state)
+    (p11, p12, p21, p22), (d11, d12, d21, d22), _, _ = _quartet_fields(state)
     phi = weight.phi(g.x)
     dphi = weight.dphi(g.x)
-    d11, d12 = deriv1(p11, g), deriv1(p12, g)
-    d21, d22 = deriv1(p21, g), deriv1(p22, g)
     return np.array([
         quad(_bk(phi, dphi, p11, d11) * (d22 + m * p12), g),
         quad(_bk(phi, dphi, p12, d12) * (d21 + m * p11), g),
@@ -440,16 +444,16 @@ def rhs_J1_to_J4(state, weight, m=1.0, model=None):
     _require_spinor(state, "rhs_J1_to_J4")
     _require_model(model, state, "rhs_J1_to_J4")
     g = state.grid
-    p11, p12, p21, p22 = _components_1d(state)
+    p, d, w, e = _quartet_fields(state, model)
+    if model is None:
+        w = e = np.zeros_like(p)
+    p11, p12, p21, p22 = p
+    d11, d12, d21, d22 = d
+    w11, w12, w21, w22 = w
+    e11, e12, e21, e22 = e
     phi = weight.phi(g.x)
     dphi = weight.dphi(g.x)
     d3phi = weight.d3phi(g.x)
-    d11, d12 = deriv1(p11, g), deriv1(p12, g)
-    d21, d22 = deriv1(p21, g), deriv1(p22, g)
-    w11, w12, w21, w22 = _w_components(model, p11, p12, p21, p22,
-                                       g.n_points)
-    e11, e12 = deriv1(w11, g), deriv1(w12, g)
-    e21, e22 = deriv1(w21, g), deriv1(w22, g)
 
     def core(f, df):
         return quad(dphi * df * df - 0.25 * d3phi * f * f, g)
@@ -482,21 +486,19 @@ def rhs_J_combined_1d(state, weight, m=1.0, model=None):
     _require_spinor(state, "rhs_J_combined_1d")
     _require_model(model, state, "rhs_J_combined_1d")
     g = state.grid
-    p11, p12, p21, p22 = _components_1d(state)
+    p, d, w, e = _quartet_fields(state, model)
+    p11, p12, p21, p22 = p
+    d11, d12, d21, d22 = d
     phi = weight.phi(g.x)
     dphi = weight.dphi(g.x)
     d3phi = weight.d3phi(g.x)
-    d11, d12 = deriv1(p11, g), deriv1(p12, g)
-    d21, d22 = deriv1(p21, g), deriv1(p22, g)
     grad_sq = d11 ** 2 + d12 ** 2 + d21 ** 2 + d22 ** 2
     abs_sq = p11 ** 2 + p12 ** 2 + p21 ** 2 + p22 ** 2
     out = -quad(dphi * grad_sq, g) + 0.25 * quad(d3phi * abs_sq, g)
     if model is None:
         return out
-    w11, w12, w21, w22 = _w_components(model, p11, p12, p21, p22,
-                                       g.n_points)
-    e11, e12 = deriv1(w11, g), deriv1(w12, g)
-    e21, e22 = deriv1(w21, g), deriv1(w22, g)
+    w11, w12, w21, w22 = w
+    e11, e12, e21, e22 = e
     d2phi = weight.d2phi(g.x)
     a_term = (2.0 * quad(phi * (w11 * d11 + w12 * d12
                                 + w21 * d21 + w22 * d22), g)
@@ -754,86 +756,97 @@ def _lam_pair(ctx, t):
 
 
 def _make_registry():
-    def i_f(st, t, ctx):
+    def i_f(st, t, ctx, k):
         return functional_I(st, _ctx_weight(ctx, tanh_1d), ctx["scaling"], t)
 
-    def i_r(st, t, ctx):
+    def i_r(st, t, ctx, k):
         return rhs_I(st, _ctx_weight(ctx, tanh_1d), ctx["scaling"], t,
                      split=ctx["split"], model=ctx["model"])
 
-    def k_f(st, t, ctx):
+    def k_f(st, t, ctx, k):
         lam, _ = _lam_pair(ctx, t)
         return functional_K_1d(st, _ctx_weight(ctx, tanh_1d), lam)
 
-    def k_r(st, t, ctx):
+    def k_r(st, t, ctx, k):
         lam, lam_dot = _lam_pair(ctx, t)
         return rhs_K_1d(st, _ctx_weight(ctx, tanh_1d), lam, lam_dot,
                         model=ctx["model"])
 
-    def j_f(st, t, ctx):
+    def j_f(st, t, ctx, k):
         lam, _ = _lam_pair(ctx, t)
         return functional_J_1d(st, _ctx_weight(ctx, tanh_1d), lam)
 
-    def j_r(st, t, ctx):
+    def j_r(st, t, ctx, k):
         lam, lam_dot = _lam_pair(ctx, t)
         return rhs_J_1d(st, _ctx_weight(ctx, tanh_1d), lam, ctx["m"],
                         lam_dot, model=ctx["model"])
 
+    def quartet(st, ctx, k, rates):
+        # J1..J4 functionals (or their rates) at sample k: four scalars,
+        # computed once per trajectory and (weight, mass, model), then
+        # reused by every quartet identity verified on that trajectory
+        key = (rates, k, ctx["weight"], ctx["m"], ctx["model"])
+        vals = ctx["memo"].get(key)
+        if vals is None:
+            weight = _ctx_weight(ctx, tanh_1d)
+            if rates:
+                vals = rhs_J1_to_J4(st, weight, ctx["m"], ctx["model"])
+            else:
+                vals = functionals_J1_to_J4(st, weight, ctx["m"])
+            ctx["memo"][key] = vals
+        return vals
+
     def quartet_f(idx):
-        def f(st, t, ctx):
-            vals = functionals_J1_to_J4(st, _ctx_weight(ctx, tanh_1d),
-                                        ctx["m"])
-            return vals[idx]
+        def f(st, t, ctx, k):
+            return quartet(st, ctx, k, False)[idx]
         return f
 
     def quartet_r(idx):
-        def f(st, t, ctx):
-            vals = rhs_J1_to_J4(st, _ctx_weight(ctx, tanh_1d), ctx["m"],
-                                ctx["model"])
-            return vals[idx]
+        def f(st, t, ctx, k):
+            return quartet(st, ctx, k, True)[idx]
         return f
 
-    def quartet_comb_f(st, t, ctx):
-        j = functionals_J1_to_J4(st, _ctx_weight(ctx, tanh_1d), ctx["m"])
+    def quartet_comb_f(st, t, ctx, k):
+        j = quartet(st, ctx, k, False)
         return j[0] - j[1] + j[2] - j[3]
 
-    def quartet_comb_r(st, t, ctx):
+    def quartet_comb_r(st, t, ctx, k):
         return rhs_J_combined_1d(st, _ctx_weight(ctx, tanh_1d), ctx["m"],
                                  ctx["model"])
 
     def radial_f(idx):
-        def f(st, t, ctx):
+        def f(st, t, ctx, k):
             vals = functionals_K_3d(st, _ctx_weight(ctx, r32_weight),
                                     ctx["m"])
             return vals[idx]
         return f
 
     def radial_r(idx):
-        def f(st, t, ctx):
+        def f(st, t, ctx, k):
             vals = rhs_K_3d(st, _ctx_weight(ctx, r32_weight), ctx["m"],
                             ctx["model"])
             return vals[idx]
         return f
 
-    def radial_comb_f(st, t, ctx):
-        k = functionals_K_3d(st, _ctx_weight(ctx, r32_weight), ctx["m"])
-        return k[0] + k[1] - k[2] - k[3]
+    def radial_comb_f(st, t, ctx, k):
+        kv = functionals_K_3d(st, _ctx_weight(ctx, r32_weight), ctx["m"])
+        return kv[0] + kv[1] - kv[2] - kv[3]
 
-    def radial_comb_r(st, t, ctx):
+    def radial_comb_r(st, t, ctx, k):
         dk = rhs_K_3d(st, _ctx_weight(ctx, r32_weight), ctx["m"],
                       ctx["model"])
         return dk[0] + dk[1] - dk[2] - dk[3]
 
-    def h_line_f(st, t, ctx):
+    def h_line_f(st, t, ctx, k):
         return functional_H(st, "sech_1d")
 
-    def h_line_r(st, t, ctx):
+    def h_line_r(st, t, ctx, k):
         return rhs_H(st, "sech_1d", model=ctx["model"])
 
-    def h_rad_f(st, t, ctx):
+    def h_rad_f(st, t, ctx, k):
         return functional_H(st, "radial_r2")
 
-    def h_rad_r(st, t, ctx):
+    def h_rad_r(st, t, ctx, k):
         return rhs_H(st, "radial_r2", model=ctx["model"])
 
     reg = {
@@ -869,6 +882,12 @@ def verify_identity(trajectory, identity, weight=None, scaling=None,
     uniformly sampled with at least three samples; the model and mass
     must be the ones the trajectory was generated with, or the defect
     measures exactly that mismatch.
+
+    The J1..J4 functionals and rates are memoized on the trajectory,
+    per sample and per (weight, mass, model), so J1, J2, J3, J4 and
+    J_quartet_combined evaluate each sample's quartet once between
+    them. Mutating a sampled state in place after it was verified is
+    unsupported: later quartet checks would reuse the stale values.
     """
     if identity not in _REGISTRY:
         known = ", ".join(identity_ids())
@@ -882,12 +901,13 @@ def verify_identity(trajectory, identity, weight=None, scaling=None,
         "m": float(m),
         "model": model,
         "split": split,
+        "memo": trajectory._memo,
     }
     f_eval, rhs_eval = _REGISTRY[identity]
-    f_vals = np.array([f_eval(states[k], times[k], ctx)
+    f_vals = np.array([f_eval(states[k], times[k], ctx, k)
                        for k in range(len(states))])
     fd = (f_vals[2:] - f_vals[:-2]) / (times[2:] - times[:-2])
-    rhs = np.array([rhs_eval(states[k], times[k], ctx)
+    rhs = np.array([rhs_eval(states[k], times[k], ctx, k)
                     for k in range(1, len(states) - 1)])
     return VirialReport(identity, times[1:-1], f_vals[1:-1], fd, rhs,
                         rtol=rtol, atol=atol)
@@ -927,11 +947,17 @@ def coercivity_estimate(L, grid=None):
 
     Discretizes both quadratic forms on the right half line with the
     odd boundary condition z(0)=0 (odd functions are determined there)
-    and solves the dense generalized eigenproblem. A positive return
-    certifies coercivity at this resolution; the quotient is bounded
-    by 1 from above since the reference form dominates the Hessian.
+    as tridiagonal sparse matrices A (Hessian) and B (reference). Since
+    A = B - D with D = diag(well + bump) >= 0, the minimal eigenvalue of
+    the pencil (A, B) is 1 - mu_max, where mu_max is the largest
+    eigenvalue of (D, B), found by a sparse Lanczos solve. (A shift-invert
+    solve at 0 would return the eigenvalue nearest 0, which is not the
+    minimum once the pencil turns negative.) A positive return certifies
+    coercivity at this resolution; the quotient is bounded by 1 from
+    above since the reference form dominates the Hessian.
     """
-    from scipy.linalg import eigh
+    from scipy.sparse import diags
+    from scipy.sparse.linalg import eigsh
 
     L = float(L)
     if L <= 0.0:
@@ -950,15 +976,13 @@ def coercivity_estimate(L, grid=None):
     # cancels in the quotient
     main = np.full(n, 2.0 / h)
     main[-1] = 1.0 / h
-    kin = np.diag(main)
     off = np.full(n - 1, -1.0 / h)
-    kin += np.diag(off, 1) + np.diag(off, -1)
     well = h / np.cosh(xr / L) ** 2 / (2.0 * L * L)
     bump = h / np.cosh(xr / L) ** 4 / L
-    a_mat = kin - np.diag(well)
-    b_mat = kin + np.diag(bump)
-    vals = eigh(a_mat, b_mat, eigvals_only=True)
-    return float(vals[0])
+    b_mat = diags([off, main + bump, off], [-1, 0, 1], format="csc")
+    mu_max = eigsh(diags(well + bump, format="csc"), k=1, M=b_mat,
+                   which="LA", return_eigenvectors=False)[0]
+    return float(1.0 - mu_max)
 
 
 # ---------------------------------------------------------------------------

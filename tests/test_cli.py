@@ -1,4 +1,5 @@
 import importlib
+import json
 import pkgutil
 
 import pytest
@@ -16,15 +17,17 @@ width = 1.0
 x_min = -20
 x_max = 20
 n_points = 201
-dt = 0.1
-t_end = 1
-out_dir = tiny
+dt = {dt}
+t_end = {t_end}
+out_dir = {name}
 """
 
 
-def _scenario(tmp_path, system="lab_1d", model="thirring", extra=""):
-    path = tmp_path / "tiny.cfg"
-    path.write_text(_TINY.format(system=system, model=model) + extra)
+def _scenario(tmp_path, system="lab_1d", model="thirring", extra="",
+              name="tiny", dt="0.1", t_end="1"):
+    path = tmp_path / f"{name}.cfg"
+    path.write_text(_TINY.format(system=system, model=model, name=name,
+                                 dt=dt, t_end=t_end) + extra)
     return str(path)
 
 
@@ -45,6 +48,52 @@ def test_malformed_scenario_exits_two(tmp_path, capsys):
     out = str(tmp_path / "out")
     assert cli.main(["run", "--scenario", path, "--out", out]) == 2
     assert "unknown keys: seed" in capsys.readouterr().err
+
+
+def test_identities_on_too_few_samples_exit_two(tmp_path, capsys):
+    # 2 steps sampled every 2nd: 2 samples, no centered difference
+    def short(name, extra=""):
+        return _scenario(tmp_path, system="spinor_1d",
+                         model="quartic_harmonic", name=name, dt="0.02",
+                         t_end="0.04", extra="sample_stride = 2\n" + extra)
+
+    out = str(tmp_path / "out")
+    for argv in (["run", "--scenario", short("run", "identities = J1\n")],
+                 ["verify-virial", "--system", "spinor", "--identity", "J1",
+                  "--scenario", short("verify")]):
+        assert cli.main(argv + ["--out", out]) == 2
+        assert "identities need at least 3 samples" in \
+            capsys.readouterr().err
+
+
+def test_run_jobs_does_not_change_outputs(tmp_path):
+    paths = [_scenario(tmp_path, name="lab"),
+             _scenario(tmp_path, system="spinor_1d", model="quartic_harmonic",
+                       name="spinor",
+                       extra="identities = J1, J_quartet_combined\n")]
+    roots, codes = {}, {}
+    for jobs in ("1", "2"):
+        roots[jobs] = tmp_path / f"jobs{jobs}"
+        argv = ["run", "--out", str(roots[jobs]), "--jobs", jobs]
+        for path in paths:
+            argv += ["--scenario", path]
+        codes[jobs] = cli.main(argv)
+    # the coarse spinor run fails its identity checks; the verdict, like
+    # every output byte, must not depend on --jobs
+    assert codes["1"] == codes["2"] == 1
+    for name in ("lab", "spinor"):
+        one, two = roots["1"] / name, roots["2"] / name
+        csvs = sorted(p.name for p in one.glob("*.csv"))
+        assert csvs == sorted(p.name for p in two.glob("*.csv"))
+        assert "trajectory.csv" in csvs
+        for fname in csvs:
+            assert (one / fname).read_bytes() == (two / fname).read_bytes()
+        summaries = [json.loads((d / "summary.json").read_text())
+                     for d in (one, two)]
+        for summary in summaries:
+            del summary["wall_time"]
+        assert summaries[0] == summaries[1]
+    assert (roots["2"] / "spinor" / "virial_J1.csv").exists()
 
 
 def test_verify_virial_with_identity_the_system_lacks_exits_two(

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from diraclab import exact, nonlinearity, weights
+from diraclab import exact, nonlinearity, virials, weights
 from diraclab.dynamics import (
     RadialSpinorState,
     SpinorState1D,
     Trajectory,
     integrate,
 )
-from diraclab.grids import Grid1D, RadialGrid, quad
+from diraclab.grids import Grid1D, RadialGrid, deriv1, quad
 from diraclab.virials import (
     ScalingTriple,
     coercivity_estimate,
@@ -295,6 +295,101 @@ def test_combined_quartet_rhs_equals_alternating_sum(soler_psi_traj):
 
 
 # ---------------------------------------------------------------------------
+# the per-trajectory quartet memo
+
+QUARTET_IDS = ("J1", "J2", "J3", "J4", "J_quartet_combined")
+
+
+def short_psi_traj():
+    # fresh each call, so no memo is shared with another test
+    return integrate(psi_state(0.6), nonlinearity.soler(), t_end=0.2,
+                     dt=0.01, m=1.0, sample_stride=2)
+
+
+def fresh_copy(tr):
+    return Trajectory(tr.times, [st.copy() for st in tr.states],
+                      tr.boundary_mass, tr.max_abs)
+
+
+def quartet_reference(tr, weight, m, model):
+    """(values, fd, rhs) per quartet identity from the public functions,
+    called on every sample with the verifier's arithmetic."""
+    t = tr.times
+    inner = tr.states[1:-1]
+    f = np.array([functionals_J1_to_J4(st, weight, m) for st in tr.states])
+    f = np.column_stack([f, f[:, 0] - f[:, 1] + f[:, 2] - f[:, 3]])
+    r = np.array([rhs_J1_to_J4(st, weight, m, model) for st in inner])
+    r = np.column_stack(
+        [r, [rhs_J_combined_1d(st, weight, m, model) for st in inner]])
+    fd = (f[2:] - f[:-2]) / (t[2:] - t[:-2])[:, None]
+    return {ident: (f[1:-1, i], fd[:, i], r[:, i])
+            for i, ident in enumerate(QUARTET_IDS)}
+
+
+def assert_same_report(rep, values, fd, rhs):
+    assert np.array_equal(rep.values, values), rep.identity
+    assert np.array_equal(rep.fd, fd), rep.identity
+    assert np.array_equal(rep.rhs, rhs), rep.identity
+
+
+def test_memoized_quartet_is_bitwise_the_public_functions():
+    tr = short_psi_traj()
+    model = nonlinearity.soler()
+    ref = quartet_reference(tr, weights.tanh_1d(), 1.0, model)
+    for ident in QUARTET_IDS:
+        rep = verify_identity(tr, ident, m=1.0, model=model)
+        assert_same_report(rep, *ref[ident])
+
+
+def test_quartet_memo_is_keyed_by_weight_mass_and_model():
+    tr = short_psi_traj()
+    soler = nonlinearity.soler()
+    for ident in QUARTET_IDS:
+        verify_identity(tr, ident, m=1.0, model=soler)
+    for kw in (dict(m=-1.0, model=soler), dict(m=1.0, model=None),
+               dict(m=1.0, model=soler, weight=weights.sech_1d())):
+        for ident in QUARTET_IDS:
+            rep = verify_identity(tr, ident, **kw)
+            want = verify_identity(fresh_copy(tr), ident, **kw)
+            assert_same_report(rep, want.values, want.fd, want.rhs)
+
+
+def test_quartet_is_evaluated_once_per_sample(monkeypatch):
+    calls = {"functionals_J1_to_J4": 0, "rhs_J1_to_J4": 0}
+
+    def counting(name):
+        fn = getattr(virials, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(virials, name, counting(name))
+    tr = short_psi_traj()
+    model = nonlinearity.soler()
+    for ident in QUARTET_IDS:
+        verify_identity(tr, ident, m=1.0, model=model)
+    n = len(tr)
+    assert calls == {"functionals_J1_to_J4": n, "rhs_J1_to_J4": n - 2}
+
+
+def test_stacked_deriv1_rows_equal_per_row_calls():
+    rng = np.random.default_rng(5)
+    block = rng.standard_normal((4, G_PSI.n_points))
+    stacked = deriv1(block, G_PSI)
+    for row, out in zip(block, stacked):
+        assert np.array_equal(out, deriv1(row, G_PSI))
+    rg = RadialGrid(10.0, 64)
+    radial = rng.standard_normal((4, rg.n_cells))
+    for parity in ("even", "odd"):
+        stacked = deriv1(radial, rg, parity=parity)
+        for row, out in zip(radial, stacked):
+            assert np.array_equal(out, deriv1(row, rg, parity=parity))
+
+
+# ---------------------------------------------------------------------------
 # radial identities
 
 RADIAL_IDS = ("K1_3d", "tK1_3d", "K2_3d", "tK2_3d", "K_combined_3d",
@@ -415,6 +510,24 @@ def test_coercivity_estimate_positive():
     for L, lo in [(1.0, 0.6), (5.0, 0.35), (20.0, 0.14)]:
         c = coercivity_estimate(L)
         assert lo <= c < 1.0, L
+
+
+def test_coercivity_estimate_matches_dense_pencil():
+    from scipy.linalg import eigh
+
+    # the dense generalized eigensolve of the same tridiagonal pencil
+    for L in (1.0, 3.0):
+        g = Grid1D(-25.0 * L, 25.0 * L, 401)
+        h = g.h
+        xr = g.x[g.x > 0.5 * h]
+        n = xr.size
+        kin = (np.diag(np.r_[np.full(n - 1, 2.0), 1.0])
+               - np.eye(n, k=1) - np.eye(n, k=-1)) / h
+        well = h / np.cosh(xr / L) ** 2 / (2.0 * L * L)
+        bump = h / np.cosh(xr / L) ** 4 / L
+        dense = eigh(kin - np.diag(well), kin + np.diag(bump),
+                     eigvals_only=True)[0]
+        assert coercivity_estimate(L, g) == pytest.approx(dense, abs=1e-10)
 
 
 def test_coercivity_fails_without_odd_symmetry():
