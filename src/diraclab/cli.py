@@ -158,8 +158,6 @@ def _cmd_nlkg_check(args):
 
 
 def _cmd_emit_exact(args):
-    if args.solution != "thirring":
-        raise ConfigError(f"unknown solution family {args.solution!r}")
     try:
         grid = Grid1D(args.x_min, args.x_max, args.n_points)
         params = SolitonParams(args.omega, t=args.time)
@@ -230,8 +228,7 @@ def _build_parser():
     p.set_defaults(func=_cmd_nlkg_check)
 
     p = sub.add_parser("emit-exact",
-                       help="tabulate an exact solution on a grid")
-    p.add_argument("--solution", default="thirring")
+                       help="tabulate the exact Thirring soliton on a grid")
     p.add_argument("--omega", type=float, required=True)
     p.add_argument("--time", type=float, default=0.0)
     p.add_argument("--x-min", type=float, default=-40.0)

@@ -167,8 +167,9 @@ class Trajectory:
         self.states = list(states)
         self.boundary_mass = np.asarray(boundary_mass, dtype=float)
         self.max_abs = np.asarray(max_abs, dtype=float)
-        # per-sample scalars that virials.verify_identity derives once
-        # and shares between identities; see its docstring
+        # per-sample quartet scalars (J1..J4 on the line, K1..tK2
+        # radially) that virials.verify_identity derives once and shares
+        # between the identities of each family; see its docstring
         self._memo = {}
 
     def __len__(self):

@@ -389,7 +389,7 @@ def rhs_J_1d(state, weight, lam=1.0, m=1.0, lam_dot=0.0, model=None):
 
 
 # ---------------------------------------------------------------------------
-# first-derivative quartet on the line (spinor frame, real components)
+# derived fields shared by the line and the radial quartet
 
 def _bk(phi, dphi, f, df):
     """Transport bracket phi f' + phi'/2 f of the quartet pairings."""
@@ -397,22 +397,38 @@ def _bk(phi, dphi, f, df):
 
 
 def _quartet_fields(state, model=None):
-    """Derived fields of the quartet, each a (4, n) real block.
+    """Derived fields of a quartet, each a (4, n) real block.
 
     Returns (p, d, w, e): the components (p11, p12, p21, p22), their
     derivatives, the coupling's W rows and the derivatives of those.
-    Each derivative block comes from one stacked ``deriv1`` pass, whose
-    rows equal per-row calls bitwise (the stencil is elementwise along
-    the last axis). w and e are None without a model.
+    On the line each derivative block comes from one stacked ``deriv1``
+    pass. Radially the even pair (rows 0-1) and the odd pair (rows 2-3)
+    take one pass each; the W rows inherit that parity, because diagonal
+    couplings preserve component parity. Stacked rows equal per-row
+    calls bitwise (the stencil is elementwise along the last axis).
+    w and e are None without a model.
     """
     g = state.grid
-    p = state.fields if state.kind == "real4" else state.to_real4().fields
-    d = deriv1(p, g)
+    if isinstance(state, RadialSpinorState):
+        p = state.fields
+
+        def diff(f):
+            return np.concatenate([deriv1(f[:2], g, parity="even"),
+                                   deriv1(f[2:], g, parity="odd")])
+    else:
+        p = state.fields if state.kind == "real4" else state.to_real4().fields
+
+        def diff(f):
+            return deriv1(f, g)
+    d = diff(p)
     if model is None:
         return p, d, None, None
     w = np.array(model.w_fields(p[0] + 1j * p[1], p[2] + 1j * p[3]))
-    return p, d, w, deriv1(w, g)
+    return p, d, w, diff(w)
 
+
+# ---------------------------------------------------------------------------
+# first-derivative quartet on the line (spinor frame, real components)
 
 def functionals_J1_to_J4(state, weight, m=1.0):
     """Four pairings [phi f' + phi'/2 f](g' + m h) over the components.
@@ -514,38 +530,12 @@ def rhs_J_combined_1d(state, weight, m=1.0, model=None):
 # ---------------------------------------------------------------------------
 # radial quartet on the half line
 
-_RADIAL_PARITY = ("even", "even", "odd", "odd")
-
-
 def _require_radial_weight(weight, who):
     for key in ("phi_over_r", "phi_over_r3", "dphi_over_r"):
         if weight.singular is None or key not in weight.singular:
             raise ValueError(
                 f"{who} needs weight {weight.name!r} to carry the "
                 f"closed-form quotient {key!r}")
-
-
-def _radial_fields(state, grid):
-    p11, p12, p21, p22 = state.fields
-    d11 = deriv1(p11, grid, parity="even")
-    d12 = deriv1(p12, grid, parity="even")
-    d21 = deriv1(p21, grid, parity="odd")
-    d22 = deriv1(p22, grid, parity="odd")
-    return (p11, p12, p21, p22), (d11, d12, d21, d22)
-
-
-def _radial_w(model, p, grid):
-    if model is None:
-        z = np.zeros(grid.n_cells)
-        return (z, z, z, z), (z, z, z, z)
-    w11, w12, w21, w22 = model.w_fields(p[0] + 1j * p[1], p[2] + 1j * p[3])
-    # diagonal couplings preserve component parity, so the W rows
-    # inherit (even, even, odd, odd) from the fields
-    e11 = deriv1(w11, grid, parity="even")
-    e12 = deriv1(w12, grid, parity="even")
-    e21 = deriv1(w21, grid, parity="odd")
-    e22 = deriv1(w22, grid, parity="odd")
-    return (w11, w12, w21, w22), (e11, e12, e21, e22)
 
 
 def functionals_K_3d(state, weight, m=1.0):
@@ -558,7 +548,7 @@ def functionals_K_3d(state, weight, m=1.0):
     _require_radial_weight(weight, "functionals_K_3d")
     g = state.grid
     r = g.r
-    (p11, p12, p21, p22), (d11, d12, d21, d22) = _radial_fields(state, g)
+    (p11, p12, p21, p22), (d11, d12, d21, d22), _, _ = _quartet_fields(state)
     phi = weight.phi(r)
     dphi = weight.dphi(r)
 
@@ -599,9 +589,13 @@ def rhs_K_3d(state, weight, m=1.0, model=None):
     _require_model(model, state, "rhs_K_3d")
     g = state.grid
     r = g.r
-    (p11, p12, p21, p22), (d11, d12, d21, d22) = _radial_fields(state, g)
-    (w11, w12, w21, w22), (e11, e12, e21, e22) = _radial_w(
-        model, (p11, p12, p21, p22), g)
+    p, d, w, e = _quartet_fields(state, model)
+    if model is None:
+        w = e = np.zeros_like(p)
+    p11, p12, p21, p22 = p
+    d11, d12, d21, d22 = d
+    w11, w12, w21, w22 = w
+    e11, e12, e21, e22 = e
     phi = weight.phi(r)
     dphi = weight.dphi(r)
 
@@ -637,7 +631,9 @@ def rhs_K_combined_closed(state, weight, m=1.0, model=None):
     _require_model(model, state, "rhs_K_combined_closed")
     g = state.grid
     r = g.r
-    (p11, p12, p21, p22), (d11, d12, d21, d22) = _radial_fields(state, g)
+    p, d, w, e = _quartet_fields(state, model)
+    p11, p12, p21, p22 = p
+    d11, d12, d21, d22 = d
     phi = weight.phi(r)
     dphi = weight.dphi(r)
     d2phi = weight.d2phi(r)
@@ -661,8 +657,8 @@ def rhs_K_combined_closed(state, weight, m=1.0, model=None):
            + line(zero_even * even_sq) + line(zero_odd * odd_sq))
     if model is None:
         return out
-    (w11, w12, w21, w22), (e11, e12, e21, e22) = _radial_w(
-        model, (p11, p12, p21, p22), g)
+    w11, w12, w21, w22 = w
+    e11, e12, e21, e22 = e
     a_term = (2.0 * line(phi * (w11 * d11 + w12 * d12
                                 + w21 * d21 + w22 * d22))
               + line(dphi * (w11 * p11 + w12 * p12
@@ -699,14 +695,12 @@ def functional_H(state, variant="sech_1d"):
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def rhs_H(state, variant="sech_1d", model=None, m=1.0):
+def rhs_H(state, variant="sech_1d", model=None):
     """Analytic d/dt of ``functional_H``.
 
     The mass term cancels in both variants; what is left is the
     weighted transport current and, with a model, the coupling flux.
-    The parameter m is accepted for interface symmetry and unused.
     """
-    del m
     if variant == "sech_1d":
         _require_spinor(state, "rhs_H")
         _require_model(model, state, "rhs_H")
@@ -781,61 +775,52 @@ def _make_registry():
         return rhs_J_1d(st, _ctx_weight(ctx, tanh_1d), lam, ctx["m"],
                         lam_dot, model=ctx["model"])
 
-    def quartet(st, ctx, k, rates):
-        # J1..J4 functionals (or their rates) at sample k: four scalars,
-        # computed once per trajectory and (weight, mass, model), then
-        # reused by every quartet identity verified on that trajectory
-        key = (rates, k, ctx["weight"], ctx["m"], ctx["model"])
+    # family -> (default weight, functionals, rates); the lambdas look the
+    # quartet functions up as module globals at call time, so a patched
+    # module attribute sees every evaluation
+    families = {
+        "J": (tanh_1d,
+              lambda st, w, m: functionals_J1_to_J4(st, w, m),
+              lambda st, w, m, model: rhs_J1_to_J4(st, w, m, model)),
+        "K": (r32_weight,
+              lambda st, w, m: functionals_K_3d(st, w, m),
+              lambda st, w, m, model: rhs_K_3d(st, w, m, model)),
+    }
+
+    def quartet(st, ctx, k, family, rates):
+        # the family's four functionals (or rates) at sample k, computed
+        # once per trajectory and (weight, mass, model), then reused by
+        # every identity of that family verified on the trajectory
+        key = (family, rates, k, ctx["weight"], ctx["m"], ctx["model"])
         vals = ctx["memo"].get(key)
         if vals is None:
-            weight = _ctx_weight(ctx, tanh_1d)
+            default, functionals, rhs = families[family]
+            weight = _ctx_weight(ctx, default)
             if rates:
-                vals = rhs_J1_to_J4(st, weight, ctx["m"], ctx["model"])
+                vals = rhs(st, weight, ctx["m"], ctx["model"])
             else:
-                vals = functionals_J1_to_J4(st, weight, ctx["m"])
+                vals = functionals(st, weight, ctx["m"])
             ctx["memo"][key] = vals
         return vals
 
-    def quartet_f(idx):
+    def slot(family, idx, rates):
         def f(st, t, ctx, k):
-            return quartet(st, ctx, k, False)[idx]
+            return quartet(st, ctx, k, family, rates)[idx]
         return f
 
-    def quartet_r(idx):
-        def f(st, t, ctx, k):
-            return quartet(st, ctx, k, True)[idx]
-        return f
-
-    def quartet_comb_f(st, t, ctx, k):
-        j = quartet(st, ctx, k, False)
+    def j_comb_f(st, t, ctx, k):
+        j = quartet(st, ctx, k, "J", False)
         return j[0] - j[1] + j[2] - j[3]
 
-    def quartet_comb_r(st, t, ctx, k):
+    def j_comb_r(st, t, ctx, k):
         return rhs_J_combined_1d(st, _ctx_weight(ctx, tanh_1d), ctx["m"],
                                  ctx["model"])
 
-    def radial_f(idx):
+    def k_comb(rates):
         def f(st, t, ctx, k):
-            vals = functionals_K_3d(st, _ctx_weight(ctx, r32_weight),
-                                    ctx["m"])
-            return vals[idx]
+            kv = quartet(st, ctx, k, "K", rates)
+            return kv[0] + kv[1] - kv[2] - kv[3]
         return f
-
-    def radial_r(idx):
-        def f(st, t, ctx, k):
-            vals = rhs_K_3d(st, _ctx_weight(ctx, r32_weight), ctx["m"],
-                            ctx["model"])
-            return vals[idx]
-        return f
-
-    def radial_comb_f(st, t, ctx, k):
-        kv = functionals_K_3d(st, _ctx_weight(ctx, r32_weight), ctx["m"])
-        return kv[0] + kv[1] - kv[2] - kv[3]
-
-    def radial_comb_r(st, t, ctx, k):
-        dk = rhs_K_3d(st, _ctx_weight(ctx, r32_weight), ctx["m"],
-                      ctx["model"])
-        return dk[0] + dk[1] - dk[2] - dk[3]
 
     def h_line_f(st, t, ctx, k):
         return functional_H(st, "sech_1d")
@@ -853,15 +838,15 @@ def _make_registry():
         "I_weighted_charge": (i_f, i_r),
         "K_window_charge": (k_f, k_r),
         "J_chiral_balance": (j_f, j_r),
-        "J_quartet_combined": (quartet_comb_f, quartet_comb_r),
-        "K_combined_3d": (radial_comb_f, radial_comb_r),
+        "J_quartet_combined": (j_comb_f, j_comb_r),
+        "K_combined_3d": (k_comb(False), k_comb(True)),
         "H_sech_1d": (h_line_f, h_line_r),
         "H_radial_r2": (h_rad_f, h_rad_r),
     }
-    for idx, name in enumerate(("J1", "J2", "J3", "J4")):
-        reg[name] = (quartet_f(idx), quartet_r(idx))
-    for idx, name in enumerate(("K1_3d", "tK1_3d", "K2_3d", "tK2_3d")):
-        reg[name] = (radial_f(idx), radial_r(idx))
+    for family, names in (("J", ("J1", "J2", "J3", "J4")),
+                          ("K", ("K1_3d", "tK1_3d", "K2_3d", "tK2_3d"))):
+        for idx, name in enumerate(names):
+            reg[name] = (slot(family, idx, False), slot(family, idx, True))
     return reg
 
 
@@ -883,11 +868,13 @@ def verify_identity(trajectory, identity, weight=None, scaling=None,
     must be the ones the trajectory was generated with, or the defect
     measures exactly that mismatch.
 
-    The J1..J4 functionals and rates are memoized on the trajectory,
-    per sample and per (weight, mass, model), so J1, J2, J3, J4 and
-    J_quartet_combined evaluate each sample's quartet once between
-    them. Mutating a sampled state in place after it was verified is
-    unsupported: later quartet checks would reuse the stale values.
+    Both quartet families are memoized on the trajectory, per sample
+    and per (weight, mass, model): J1, J2, J3, J4 and J_quartet_combined
+    evaluate each sample's J1..J4 functionals and rates once between
+    them, and K1_3d, tK1_3d, K2_3d, tK2_3d and K_combined_3d do the
+    same for the radial quartet. Mutating a sampled state in place
+    after it was verified is unsupported: later quartet checks would
+    reuse the stale values.
     """
     if identity not in _REGISTRY:
         known = ", ".join(identity_ids())
@@ -1009,7 +996,7 @@ def origin_flux_radial(state):
     _require_radial(state, "origin_flux_radial")
     g = state.grid
     r = g.r
-    _, (d11, d12, d21, d22) = _radial_fields(state, g)
+    d11, d12, d21, d22 = _quartet_fields(state)[1]
     grad_sq = d11 ** 2 + d12 ** 2 + d21 ** 2 + d22 ** 2
     dens = np.sum(state.fields ** 2, axis=0)
     return quad(np.sqrt(r) * grad_sq / (1.0 + r), g, measure="line") \

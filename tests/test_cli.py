@@ -2,10 +2,14 @@ import importlib
 import json
 import pkgutil
 
+import numpy as np
 import pytest
 
 import diraclab
 from diraclab import cli
+from diraclab.dynamics import integrate
+from diraclab.scenarios import ScenarioConfig
+from diraclab.virials import verify_identity
 
 _TINY = """\
 system = {system}
@@ -20,6 +24,24 @@ n_points = 201
 dt = {dt}
 t_end = {t_end}
 out_dir = {name}
+"""
+
+
+# an annular Soler bump whose K identities all pass at this sampling
+_RADIAL = """\
+system = radial_3d
+model = soler
+mass = 1.0
+initial = bump
+amplitude = 0.05
+width = 1.5
+center = 6.0
+r_max = 40
+n_cells = 1600
+dt = 0.0125
+t_end = 0.25
+sample_stride = 1
+out_dir = radial
 """
 
 
@@ -109,6 +131,39 @@ def test_verify_virial_with_identity_the_system_lacks_exits_two(
 def test_removed_subcommand_is_an_argparse_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["emit-plots", "--dir", str(tmp_path)])
+    assert exc.value.code == 2
+
+
+def test_verify_virial_radial_rows_equal_verify_identity(tmp_path):
+    path = tmp_path / "radial.cfg"
+    path.write_text(_RADIAL)
+    out = tmp_path / "out"
+    argv = ["verify-virial", "--system", "radial", "--identity",
+            "K_combined_3d", "--scenario", str(path), "--out", str(out)]
+    assert cli.main(argv) == 0
+    config = ScenarioConfig.from_file(str(path))
+    model = config.build_model()
+    traj = integrate(config.build_initial(config.build_grid()), model,
+                     t_end=config.t_end, dt=config.dt, m=config.mass,
+                     sample_stride=config.sample_stride)
+    rep = verify_identity(traj, "K_combined_3d", m=config.mass, model=model)
+    rows = np.loadtxt(out / "radial" / "virial_K_combined_3d.csv",
+                      delimiter=",", skiprows=1)
+    assert np.array_equal(rows, np.column_stack(
+        [rep.times, rep.values, rep.fd, rep.rhs, rep.defect]))
+
+
+def test_emit_exact_writes_the_soliton_table(tmp_path):
+    assert cli.main(["emit-exact", "--omega", "0.5",
+                     "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "exact_thirring.csv", encoding="utf-8") as fh:
+        assert fh.readline() == "x,u_re,u_im,v_re,v_im\n"
+
+
+def test_emit_exact_solution_option_is_an_argparse_error(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["emit-exact", "--solution", "thirring", "--omega", "0.5",
+                  "--out", str(tmp_path)])
     assert exc.value.code == 2
 
 

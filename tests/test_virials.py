@@ -1,3 +1,5 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
@@ -297,13 +299,49 @@ def test_combined_quartet_rhs_equals_alternating_sum(soler_psi_traj):
 # ---------------------------------------------------------------------------
 # the per-trajectory quartet memo
 
-QUARTET_IDS = ("J1", "J2", "J3", "J4", "J_quartet_combined")
-
-
 def short_psi_traj():
     # fresh each call, so no memo is shared with another test
     return integrate(psi_state(0.6), nonlinearity.soler(), t_end=0.2,
                      dt=0.01, m=1.0, sample_stride=2)
+
+
+def short_radial_traj():
+    return integrate(annular_state(RadialGrid(40.0, 1600), 0.6),
+                     nonlinearity.soler(), t_end=0.1, dt=0.01, m=1.0,
+                     sample_stride=1)
+
+
+def _j_combine(v):
+    return v[0] - v[1] + v[2] - v[3]
+
+
+def _k_combine(v):
+    return v[0] + v[1] - v[2] - v[3]
+
+
+def _k_combined_rate(st, weight, m, model):
+    return _k_combine(rhs_K_3d(st, weight, m, model))
+
+
+# one quartet family per case: its five identities, a short trajectory,
+# the default and an alternate weight, the names of its public
+# functionals and rates, the combined identity's alternating sum and the
+# combined identity's rate
+Quartet = namedtuple("Quartet", "ids traj weight alt_weight functionals "
+                                "rates combine combined_rate")
+
+QUARTETS = {
+    "J": Quartet(("J1", "J2", "J3", "J4", "J_quartet_combined"),
+                 short_psi_traj, weights.tanh_1d, weights.sech_1d,
+                 "functionals_J1_to_J4", "rhs_J1_to_J4", _j_combine,
+                 rhs_J_combined_1d),
+    # the alternate weight also carries the closed-form quotients
+    # (phi/r, phi/r^3, phi'/r, ...) that the K functions require
+    "K": Quartet(("K1_3d", "tK1_3d", "K2_3d", "tK2_3d", "K_combined_3d"),
+                 short_radial_traj, weights.r32_weight,
+                 weights.r2_over_1pr4_weight, "functionals_K_3d",
+                 "rhs_K_3d", _k_combine, _k_combined_rate),
+}
 
 
 def fresh_copy(tr):
@@ -311,19 +349,21 @@ def fresh_copy(tr):
                       tr.boundary_mass, tr.max_abs)
 
 
-def quartet_reference(tr, weight, m, model):
-    """(values, fd, rhs) per quartet identity from the public functions,
-    called on every sample with the verifier's arithmetic."""
+def quartet_reference(q, tr, weight, m, model):
+    """(values, fd, rhs) per identity of quartet ``q`` from the public
+    functions, called on every sample with the verifier's arithmetic."""
+    functionals = getattr(virials, q.functionals)
+    rates = getattr(virials, q.rates)
     t = tr.times
     inner = tr.states[1:-1]
-    f = np.array([functionals_J1_to_J4(st, weight, m) for st in tr.states])
-    f = np.column_stack([f, f[:, 0] - f[:, 1] + f[:, 2] - f[:, 3]])
-    r = np.array([rhs_J1_to_J4(st, weight, m, model) for st in inner])
+    f = np.array([functionals(st, weight, m) for st in tr.states])
+    f = np.column_stack([f, q.combine(f.T)])
+    r = np.array([rates(st, weight, m, model) for st in inner])
     r = np.column_stack(
-        [r, [rhs_J_combined_1d(st, weight, m, model) for st in inner]])
+        [r, [q.combined_rate(st, weight, m, model) for st in inner]])
     fd = (f[2:] - f[:-2]) / (t[2:] - t[:-2])[:, None]
     return {ident: (f[1:-1, i], fd[:, i], r[:, i])
-            for i, ident in enumerate(QUARTET_IDS)}
+            for i, ident in enumerate(q.ids)}
 
 
 def assert_same_report(rep, values, fd, rhs):
@@ -332,30 +372,36 @@ def assert_same_report(rep, values, fd, rhs):
     assert np.array_equal(rep.rhs, rhs), rep.identity
 
 
-def test_memoized_quartet_is_bitwise_the_public_functions():
-    tr = short_psi_traj()
+@pytest.mark.parametrize("family", sorted(QUARTETS))
+def test_memoized_quartet_is_bitwise_the_public_functions(family):
+    q = QUARTETS[family]
+    tr = q.traj()
     model = nonlinearity.soler()
-    ref = quartet_reference(tr, weights.tanh_1d(), 1.0, model)
-    for ident in QUARTET_IDS:
+    ref = quartet_reference(q, tr, q.weight(), 1.0, model)
+    for ident in q.ids:
         rep = verify_identity(tr, ident, m=1.0, model=model)
         assert_same_report(rep, *ref[ident])
 
 
-def test_quartet_memo_is_keyed_by_weight_mass_and_model():
-    tr = short_psi_traj()
+@pytest.mark.parametrize("family", sorted(QUARTETS))
+def test_quartet_memo_is_keyed_by_weight_mass_and_model(family):
+    q = QUARTETS[family]
+    tr = q.traj()
     soler = nonlinearity.soler()
-    for ident in QUARTET_IDS:
+    for ident in q.ids:
         verify_identity(tr, ident, m=1.0, model=soler)
     for kw in (dict(m=-1.0, model=soler), dict(m=1.0, model=None),
-               dict(m=1.0, model=soler, weight=weights.sech_1d())):
-        for ident in QUARTET_IDS:
+               dict(m=1.0, model=soler, weight=q.alt_weight())):
+        for ident in q.ids:
             rep = verify_identity(tr, ident, **kw)
             want = verify_identity(fresh_copy(tr), ident, **kw)
             assert_same_report(rep, want.values, want.fd, want.rhs)
 
 
-def test_quartet_is_evaluated_once_per_sample(monkeypatch):
-    calls = {"functionals_J1_to_J4": 0, "rhs_J1_to_J4": 0}
+@pytest.mark.parametrize("family", sorted(QUARTETS))
+def test_quartet_is_evaluated_once_per_sample(family, monkeypatch):
+    q = QUARTETS[family]
+    calls = {q.functionals: 0, q.rates: 0}
 
     def counting(name):
         fn = getattr(virials, name)
@@ -367,12 +413,12 @@ def test_quartet_is_evaluated_once_per_sample(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(virials, name, counting(name))
-    tr = short_psi_traj()
+    tr = q.traj()
     model = nonlinearity.soler()
-    for ident in QUARTET_IDS:
+    for ident in q.ids:
         verify_identity(tr, ident, m=1.0, model=model)
     n = len(tr)
-    assert calls == {"functionals_J1_to_J4": n, "rhs_J1_to_J4": n - 2}
+    assert calls == {q.functionals: n, q.rates: n - 2}
 
 
 def test_stacked_deriv1_rows_equal_per_row_calls():
@@ -387,6 +433,18 @@ def test_stacked_deriv1_rows_equal_per_row_calls():
         stacked = deriv1(radial, rg, parity=parity)
         for row, out in zip(radial, stacked):
             assert np.array_equal(out, deriv1(row, rg, parity=parity))
+
+
+def test_radial_quartet_fields_take_component_parity():
+    # origin-active data, so the reflection across r = 0 shows in the
+    # first two nodes; the W rows of a diagonal coupling keep the
+    # (even, even, odd, odd) parity of the components
+    rg = RadialGrid(10.0, 64)
+    p, d, w, e = virials._quartet_fields(origin_state(rg, 0.4),
+                                         nonlinearity.soler())
+    for rows, parity in ((slice(0, 2), "even"), (slice(2, 4), "odd")):
+        assert np.array_equal(d[rows], deriv1(p[rows], rg, parity=parity))
+        assert np.array_equal(e[rows], deriv1(w[rows], rg, parity=parity))
 
 
 # ---------------------------------------------------------------------------
