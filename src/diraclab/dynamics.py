@@ -1,18 +1,20 @@
 """Semi-discrete time evolution for the 1D and radial-3D systems.
 
 States are thin containers around node-value arrays on a grid from
-:mod:`diraclab.grids`.  Three equivalent representations exist in 1D:
+:mod:`diraclab.grids`. Each state names its frame in ``kind``, and a
+model must be written in the same frame (see
+:func:`diraclab.nonlinearity.require_frame`). A line state is a complex
+pair in one of two frames:
 
 ``lab_uv``
-    complex pair (u, v) solving  i u_t = -i u_x + m v - W1(u, v),
+    (u, v) solving  i u_t = -i u_x + m v - W1(u, v),
     i v_t = +i v_x + m u - W2(u, v).
 ``spinor_psi``
-    complex pair (psi1, psi2), the image of (u, v) under the constant
-    unitary change of frame (see :func:`diraclab.exact.t_transform`).
-``real4``
-    four real fields (p11, p12, p21, p22) with psi_j = p_j1 + i p_j2.
+    (psi1, psi2), the image of (u, v) under the constant unitary change
+    of frame (see :func:`diraclab.exact.t_transform`).
 
-The radial container holds the same four real fields on a cell-centered
+The radial container is in the spinor frame. It holds the four real
+fields (p11, p12, p21, p22), psi_j = p_j1 + i p_j2, on a cell-centered
 grid in r > 0, with (p11, p12) even-extendable and (p21, p22)
 odd-extendable through the origin.
 """
@@ -20,12 +22,13 @@ odd-extendable through the origin.
 import numpy as np
 
 from .grids import Grid1D, RadialGrid, deriv1, quad
+from .nonlinearity import require_frame
 
-_KINDS_1D = ("lab_uv", "spinor_psi", "real4")
+_KINDS_1D = ("lab_uv", "spinor_psi")
 
 
 class SpinorState1D:
-    """Two-component field on a line grid, in one of three representations."""
+    """Complex two-component field on a line grid, in one of two frames."""
 
     def __init__(self, grid, kind, fields, t=0.0):
         if not isinstance(grid, Grid1D):
@@ -33,23 +36,16 @@ class SpinorState1D:
         if kind not in _KINDS_1D:
             raise ValueError(f"unknown kind {kind!r}, expected one of {_KINDS_1D}")
         fields = np.asarray(fields)
-        rows = 4 if kind == "real4" else 2
-        if fields.shape != (rows, grid.n_points):
+        if fields.shape != (2, grid.n_points):
             raise ValueError(
                 f"fields shape {fields.shape} does not match "
-                f"({rows}, {grid.n_points}) for kind {kind!r}")
-        if kind == "real4":
-            if np.iscomplexobj(fields):
-                raise TypeError("real4 fields must be real arrays")
-            fields = fields.astype(float)
-        else:
-            fields = fields.astype(complex)
+                f"(2, {grid.n_points}) for kind {kind!r}")
         self.grid = grid
         self.kind = kind
-        self.fields = fields
+        self.fields = fields.astype(complex)
         self.t = float(t)
 
-    # component views; names follow the representation
+    # component views; names follow the frame
     @property
     def u(self):
         if self.kind != "lab_uv":
@@ -64,45 +60,19 @@ class SpinorState1D:
 
     @property
     def psi1(self):
-        if self.kind == "spinor_psi":
-            return self.fields[0]
-        if self.kind == "real4":
-            return self.fields[0] + 1j * self.fields[1]
-        raise AttributeError("psi1 is only defined for spinor kinds")
+        if self.kind != "spinor_psi":
+            raise AttributeError("psi1 is only defined for kind 'spinor_psi'")
+        return self.fields[0]
 
     @property
     def psi2(self):
-        if self.kind == "spinor_psi":
-            return self.fields[1]
-        if self.kind == "real4":
-            return self.fields[2] + 1j * self.fields[3]
-        raise AttributeError("psi2 is only defined for spinor kinds")
+        if self.kind != "spinor_psi":
+            raise AttributeError("psi2 is only defined for kind 'spinor_psi'")
+        return self.fields[1]
 
     def density(self):
-        """Pointwise |state|^2, identical in all three representations."""
-        if self.kind == "real4":
-            return np.sum(self.fields ** 2, axis=0)
+        """Pointwise |state|^2, identical in both frames."""
         return np.sum(np.abs(self.fields) ** 2, axis=0)
-
-    def to_real4(self):
-        """Exact repacking spinor_psi -> real4 (bitwise, no arithmetic)."""
-        if self.kind == "real4":
-            return self.copy()
-        if self.kind != "spinor_psi":
-            raise ValueError("convert lab_uv to spinor_psi first")
-        p = np.vstack([self.fields[0].real, self.fields[0].imag,
-                       self.fields[1].real, self.fields[1].imag])
-        return SpinorState1D(self.grid, "real4", p, self.t)
-
-    def to_spinor(self):
-        """Exact repacking real4 -> spinor_psi (bitwise, no arithmetic)."""
-        if self.kind == "spinor_psi":
-            return self.copy()
-        if self.kind != "real4":
-            raise ValueError("convert lab_uv via the frame map instead")
-        psi = np.vstack([self.fields[0] + 1j * self.fields[1],
-                         self.fields[2] + 1j * self.fields[3]])
-        return SpinorState1D(self.grid, "spinor_psi", psi, self.t)
 
     def copy(self):
         return SpinorState1D(self.grid, self.kind, self.fields.copy(), self.t)
@@ -116,6 +86,8 @@ class RadialSpinorState:
     value sits at the innermost cell cannot be odd-extendable; that is
     rejected here rather than silently differentiated wrong.
     """
+
+    kind = "spinor_psi"
 
     def __init__(self, grid, fields, t=0.0):
         if not isinstance(grid, RadialGrid):
@@ -192,15 +164,9 @@ class Trajectory:
         return float(steps[0])
 
 
-def _require_arity(model, allowed, rhs_name):
-    if model.arity not in allowed:
-        raise ValueError(
-            f"{rhs_name} does not accept a model of arity {model.arity!r}")
-
-
 def rhs_lab(state, model, m=1.0):
     """du/dt, dv/dt for the lab-frame pair, as a (2, n) complex array."""
-    _require_arity(model, ("lab_uv",), "rhs_lab")
+    require_frame(model, "lab_uv", "rhs_lab")
     return _rhs_lab_arrays(state.fields, state.grid, model, m)
 
 
@@ -214,17 +180,11 @@ def _rhs_lab_arrays(fields, grid, model, m):
 
 
 def rhs_spinor(state, model, m=1.0):
-    """Time derivative in the psi frame.
-
-    Accepts kind 'spinor_psi' (complex pair) or 'real4' (four real
-    fields); the two code paths are algebraically identical.
-    """
-    _require_arity(model, ("spinor_psi", "radial_phi"), "rhs_spinor")
-    if state.kind == "spinor_psi":
-        return _rhs_spinor_arrays(state.fields, state.grid, model, m)
-    if state.kind == "real4":
-        return _rhs_real4_arrays(state.fields, state.grid, model, m)
-    raise ValueError("rhs_spinor needs kind 'spinor_psi' or 'real4'")
+    """Time derivative in the psi frame, as a (2, n) complex array."""
+    require_frame(model, "spinor_psi", "rhs_spinor")
+    if state.kind != "spinor_psi":
+        raise ValueError("rhs_spinor needs kind 'spinor_psi'")
+    return _rhs_spinor_arrays(state.fields, state.grid, model, m)
 
 
 def _rhs_spinor_arrays(fields, grid, model, m):
@@ -236,6 +196,9 @@ def _rhs_spinor_arrays(fields, grid, model, m):
                       1j * (d1 + m * p2 - w2)])
 
 
+# The real-split form of _rhs_spinor_arrays on the repacked fields
+# (Re psi1, Im psi1, Re psi2, Im psi2). integrate does not use it; it is
+# the reference the tests check the complex kernel against.
 def _rhs_real4_arrays(fields, grid, model, m):
     p11, p12, p21, p22 = fields
     w11, w12, w21, w22 = model.w_fields(p11 + 1j * p12, p21 + 1j * p22)
@@ -251,7 +214,7 @@ def _rhs_real4_arrays(fields, grid, model, m):
 
 def rhs_radial(state, model, m=1.0):
     """Time derivative of the four radial fields, shape (4, n)."""
-    _require_arity(model, ("radial_phi", "spinor_psi"), "rhs_radial")
+    require_frame(model, "spinor_psi", "rhs_radial")
     return _rhs_radial_arrays(state.fields, state.grid, model, m)
 
 
@@ -276,16 +239,12 @@ _BOUNDARY_TOL = 1e-8  # sponge-zone mass allowed, relative to Q(0)
 
 
 def _select_rhs(initial, model):
+    require_frame(model, initial.kind, "integrate")
     if isinstance(initial, RadialSpinorState):
-        _require_arity(model, ("radial_phi", "spinor_psi"), "integrate")
         return _rhs_radial_arrays
     if initial.kind == "lab_uv":
-        _require_arity(model, ("lab_uv",), "integrate")
         return _rhs_lab_arrays
-    _require_arity(model, ("spinor_psi", "radial_phi"), "integrate")
-    if initial.kind == "spinor_psi":
-        return _rhs_spinor_arrays
-    return _rhs_real4_arrays
+    return _rhs_spinor_arrays
 
 
 def _wrap(template, fields, t):

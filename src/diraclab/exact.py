@@ -42,8 +42,6 @@ def to_spinor_frame(state):
 
 def to_lab_frame(state):
     """SpinorState1D in the psi frame -> same instant in the lab frame."""
-    if state.kind == "real4":
-        state = state.to_spinor()
     if state.kind != "spinor_psi":
         raise ValueError("to_lab_frame expects a psi-frame state")
     u, v = inverse_t_transform(state.fields[0], state.fields[1])

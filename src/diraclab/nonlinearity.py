@@ -26,6 +26,7 @@ __all__ = [
     "isotropic_pair",
     "cubic_conjugate_pair",
     "zero_model",
+    "require_frame",
     "sample_states",
     "check_gauge_symmetry",
     "check_harmonic",
@@ -38,14 +39,30 @@ __all__ = [
 ]
 
 
+_FRAMES = ("lab_uv", "spinor_psi")
+
+
+def require_frame(model, kind, who):
+    """Raise ValueError unless ``model`` is written in the frame ``kind``.
+
+    ``kind`` is a state's frame (its ``kind`` attribute); ``who`` names
+    the caller in the message.
+    """
+    if model.arity != kind:
+        raise ValueError(
+            f"{who}: model {model.name!r} has arity {model.arity!r}, "
+            f"the state is in the {kind!r} frame")
+
+
 class NonlinearityModel:
     """A nonlinearity (W1, W2) with optional scalar potential.
 
     Parameters
     ----------
     name : str
-    arity : {"lab_uv", "spinor_psi", "radial_phi"}
-        Which variable set the model is written in.
+    arity : {"lab_uv", "spinor_psi"}
+        The frame the model is written in: the lab pair (u, v) or the
+        spinor pair (psi1, psi2), which radial states share.
     p : int
         Gradient growth power: |W1|+|W2| <= C|state|^p near zero, p >= 1.
     eval_grad : callable
@@ -57,7 +74,7 @@ class NonlinearityModel:
     """
 
     def __init__(self, name, arity, p, eval_grad, eval_W=None, coupling=1.0):
-        if arity not in ("lab_uv", "spinor_psi", "radial_phi"):
+        if arity not in _FRAMES:
             raise ValueError(f"unknown arity {arity!r}")
         self.name = name
         self.arity = arity
@@ -199,7 +216,7 @@ def power_diag(A, g_coeffs=(1.0,), coupling=1.0, name=None):
         return gs * a, gs * c
 
     label = name or f"power_diag({a11:g},{a21:g},{a12:g},{a22:g})"
-    model = NonlinearityModel(label, "radial_phi", 2 * k_min + 1, grad,
+    model = NonlinearityModel(label, "spinor_psi", 2 * k_min + 1, grad,
                               None, co)
     model.A = (a11, a21, a12, a22)
     model.g_coeffs = g

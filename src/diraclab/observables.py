@@ -26,9 +26,8 @@ def momentum_1d(state):
     """
     if not isinstance(state, SpinorState1D):
         raise TypeError("momentum_1d needs a SpinorState1D")
-    s = state.to_spinor() if state.kind == "real4" else state
     total = np.zeros(state.grid.n_points)
-    for row in s.fields:
+    for row in state.fields:
         total = total + (row * np.conj(deriv1(row, state.grid))).imag
     return float(quad(total, state.grid))
 
@@ -80,8 +79,7 @@ def energy_psi(state, model, m=1.0):
     if not isinstance(state, SpinorState1D) or state.kind == "lab_uv":
         raise ValueError("energy_psi needs a psi-frame state")
     big_g = _soler_antiderivative(model)
-    s = state.to_spinor() if state.kind == "real4" else state
-    p1, p2 = s.fields
+    p1, p2 = state.fields
     d1 = deriv1(p1, state.grid)
     d2 = deriv1(p2, state.grid)
     diff = np.abs(p1) ** 2 - np.abs(p2) ** 2

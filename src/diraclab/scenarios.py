@@ -281,15 +281,10 @@ class ScenarioConfig:
         # model must exist and match the system's frame
         try:
             model = self.build_model()
+            nonlinearity.require_frame(model, self.frame,
+                                       f"system {self.system!r}")
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from None
-        wants = {"lab_1d": ("lab_uv",),
-                 "spinor_1d": ("spinor_psi", "radial_phi"),
-                 "radial_3d": ("spinor_psi", "radial_phi")}[self.system]
-        if model.arity not in wants:
-            raise ConfigError(
-                f"model {self.model!r} has arity {model.arity!r}; "
-                f"system {self.system!r} needs one of {wants}")
 
         grid = self.build_grid()
         if self.dt <= 0.0 or not np.isfinite(self.dt):
@@ -424,6 +419,11 @@ class ScenarioConfig:
         return "\n".join(lines) + "\n"
 
     @property
+    def frame(self):
+        """The frame (a state ``kind``) the system's states are in."""
+        return "lab_uv" if self.system == "lab_1d" else "spinor_psi"
+
+    @property
     def hash(self):
         digest = hashlib.sha256(self.canonical().encode("utf-8"))
         return digest.hexdigest()[:16]
@@ -438,8 +438,7 @@ class ScenarioConfig:
     def build_model(self):
         name = self.model
         if name == "zero":
-            arity = "lab_uv" if self.system == "lab_1d" else "spinor_psi"
-            return nonlinearity.zero_model(arity)
+            return nonlinearity.zero_model(self.frame)
         return nonlinearity.builtin(name, coupling=self.coupling)
 
     def build_initial(self, grid=None):
@@ -456,8 +455,7 @@ class ScenarioConfig:
         if isinstance(grid, RadialGrid):
             return _radial_bump(grid, self.amplitude, self.width,
                                 self.center)
-        kind = "lab_uv" if self.system == "lab_1d" else "spinor_psi"
-        return _line_bump(grid, kind, self.amplitude, self.width,
+        return _line_bump(grid, self.frame, self.amplitude, self.width,
                           self.center, self.parity)
 
     def __repr__(self):

@@ -28,6 +28,7 @@ import numpy as np
 from .algebra import split_alpha
 from .dynamics import RadialSpinorState, SpinorState1D
 from .grids import Grid1D, deriv1, quad
+from .nonlinearity import require_frame
 from .weights import r2_over_1pr4_weight, r32_weight, sech_1d, tanh_1d
 
 __all__ = [
@@ -201,7 +202,7 @@ def default_alpha(kind):
     """
     if kind == "lab_uv":
         return split_alpha(_SIGMA3)
-    if kind in ("spinor_psi", "real4"):
+    if kind == "spinor_psi":
         return split_alpha(_ALPHA_PSI)
     raise ValueError(f"no transport matrix for kind {kind!r}")
 
@@ -229,25 +230,12 @@ def _require_radial(state, who):
 
 
 def _require_model(model, state, who):
-    if model is None:
-        return
-    # diagonal couplings share one functional form across geometries,
-    # so spinor-frame states accept either spinor tag
-    if isinstance(state, RadialSpinorState) or state.kind != "lab_uv":
-        wanted = ("spinor_psi", "radial_phi")
-    else:
-        wanted = ("lab_uv",)
-    if model.arity not in wanted:
-        raise ValueError(
-            f"{who}: model {model.name!r} has arity {model.arity!r}, "
-            f"state wants one of {wanted!r}")
+    if model is not None:
+        require_frame(model, state.kind, who)
 
 
 def _real_pair(state):
     """Real and imaginary component stacks (2, n) of a 1D state."""
-    if state.kind == "real4":
-        f = state.fields
-        return np.vstack([f[0], f[2]]), np.vstack([f[1], f[3]])
     f = state.fields
     return np.ascontiguousarray(f.real), np.ascontiguousarray(f.imag)
 
@@ -416,7 +404,8 @@ def _quartet_fields(state, model=None):
             return np.concatenate([deriv1(f[:2], g, parity="even"),
                                    deriv1(f[2:], g, parity="odd")])
     else:
-        p = state.fields if state.kind == "real4" else state.to_real4().fields
+        psi = state.fields
+        p = np.vstack([psi[0].real, psi[0].imag, psi[1].real, psi[1].imag])
 
         def diff(f):
             return deriv1(f, g)
@@ -690,8 +679,8 @@ def functional_H(state, variant="sech_1d"):
     if variant == "radial_r2":
         _require_radial(state, "functional_H")
         w = r2_over_1pr4_weight()
-        dens = np.sum(state.fields ** 2, axis=0)
-        return quad(w.phi(state.grid.r) * dens, state.grid, measure="line")
+        return quad(w.phi(state.grid.r) * state.density(), state.grid,
+                    measure="line")
     raise ValueError(f"unknown variant {variant!r}")
 
 
@@ -723,9 +712,7 @@ def rhs_H(state, variant="sech_1d", model=None):
         w = r2_over_1pr4_weight()
         phi = w.phi(r)
         advect = 2.0 * w.sing("phi_over_r", r) - w.dphi(r)
-        p = state.fields
-        p1 = p[0] + 1j * p[1]
-        p2 = p[2] + 1j * p[3]
+        p1, p2 = state.psi1, state.psi2
         out = 2.0 * quad(advect * (np.conj(p1) * p2).imag, g,
                          measure="line")
         if model is not None:
@@ -998,6 +985,5 @@ def origin_flux_radial(state):
     r = g.r
     d11, d12, d21, d22 = _quartet_fields(state)[1]
     grad_sq = d11 ** 2 + d12 ** 2 + d21 ** 2 + d22 ** 2
-    dens = np.sum(state.fields ** 2, axis=0)
     return quad(np.sqrt(r) * grad_sq / (1.0 + r), g, measure="line") \
-        + quad(dens / (r ** 1.5 * (1.0 + r)), g, measure="line")
+        + quad(state.density() / (r ** 1.5 * (1.0 + r)), g, measure="line")

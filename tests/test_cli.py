@@ -128,6 +128,40 @@ def test_verify_virial_with_identity_the_system_lacks_exits_two(
     assert "not defined on 'spinor_1d'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["--model", "quartic_harmonic"], 0),
+    (["--model", "zero"], 0),
+    (["--model", "thirring", "--expected-power", "4"], 1),
+    (["--model", "cubic_focusing"], 2),
+])
+def test_check_nonlinearity_exit_codes(argv, code, capsys):
+    assert cli.main(["check-nonlinearity"] + argv) == code
+    if code != 2:
+        report = json.loads(capsys.readouterr().out)
+        assert report["polynomial_ok"]
+        assert report["growth_ok"] is (code == 0)
+
+
+@pytest.mark.parametrize("system, model, code", [
+    ("spinor_1d", "quartic_harmonic", 0),
+    ("lab_1d", "thirring", 2),
+    ("spinor_1d", "soler", 2),
+])
+def test_nlkg_check_exit_codes(tmp_path, capsys, system, model, code):
+    path = _scenario(tmp_path, system=system, model=model)
+    argv = ["nlkg-check", "--scenario", path, "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == code
+    if code == 0:
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["passed"] and payload["quotient"] <= 10.0
+
+
+def test_experiment_t5_exits_zero(tmp_path, capsys):
+    argv = ["experiment", "--id", "T5_exterior", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 def test_removed_subcommand_is_an_argparse_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["emit-plots", "--dir", str(tmp_path)])

@@ -5,6 +5,7 @@ from diraclab.dynamics import (
     RadialSpinorState,
     SpinorState1D,
     Trajectory,
+    _rhs_real4_arrays,
     integrate,
     rhs_lab,
     rhs_radial,
@@ -36,22 +37,14 @@ def test_state_kind_and_shape_validation():
         SpinorState1D(g, "real4", np.zeros((2, g.n_points)))
 
 
-def test_real4_repack_is_exact():
-    g = Grid1D(-10.0, 10.0, 401)
-    sp = SpinorState1D(g, "spinor_psi", _smooth_pair(g))
-    r4 = sp.to_real4()
-    assert r4.kind == "real4"
-    assert r4.fields.dtype == np.float64
-    back = r4.to_spinor()
-    assert np.array_equal(back.fields, sp.fields)
-
-
 def test_rhs_complex_vs_real_split_agree():
     g = Grid1D(-30.0, 30.0, 1201)
     sp = SpinorState1D(g, "spinor_psi", _smooth_pair(g))
     model = soler(g_coeffs=(1.0,), coupling=1.0)
     rc = rhs_spinor(sp, model, m=1.0)
-    rr = rhs_spinor(sp.to_real4(), model, m=1.0)
+    p1, p2 = sp.fields
+    real4 = np.vstack([p1.real, p1.imag, p2.real, p2.imag])
+    rr = _rhs_real4_arrays(real4, g, model, 1.0)
     rc_split = np.vstack([rc[0].real, rc[0].imag, rc[1].real, rc[1].imag])
     assert np.max(np.abs(rc_split - rr)) <= 1e-14
 

@@ -190,8 +190,10 @@ def test_builtin_unknown_name():
 
 
 def test_arity_validation():
-    with pytest.raises(ValueError):
-        NonlinearityModel("bad", "matrix", 3, lambda a, b, c, d: (a, c))
+    # the frames are lab_uv and spinor_psi; radial states are spinor_psi
+    for arity in ("matrix", "radial_phi"):
+        with pytest.raises(ValueError):
+            NonlinearityModel("bad", arity, 3, lambda a, b, c, d: (a, c))
 
 
 def test_w_fields_decomposition():

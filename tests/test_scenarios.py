@@ -61,10 +61,11 @@ def test_base_configs_parse():
      "not defined on system 'spinor_1d': K_window_charge"),
     (_text(_SPINOR, dt="0.02", t_end="0.04", sample_stride="2",
            identities="J1"), "identities need at least 3 samples"),
+    (_text(_SPINOR, model="thirring"), "arity"),
 ], ids=["unknown_key", "seed", "radial_key_on_line", "omega_on_bump",
         "dt_over_half_h", "buffer", "soliton_coupling",
         "chiral_balance_on_spinor", "window_charge_on_spinor",
-        "identities_on_two_samples"])
+        "identities_on_two_samples", "lab_model_on_spinor"])
 def test_config_rejections(text, match):
     with pytest.raises(ConfigError, match=match):
         ScenarioConfig.from_text(text)
