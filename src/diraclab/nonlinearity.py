@@ -274,7 +274,7 @@ def zero_model(arity="lab_uv"):
         return z, z.copy()
 
     def W(z1, z2):
-        return np.zeros_like(np.asarray(z1, dtype=float))
+        return np.zeros(np.shape(z1))
 
     return NonlinearityModel("zero", arity, 3, grad, W, 0.0)
 

@@ -23,7 +23,6 @@ import os
 import time
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from . import nonlinearity, weights
 from .dynamics import SpinorState1D, RadialSpinorState, integrate
@@ -439,7 +438,11 @@ class ScenarioConfig:
         name = self.model
         if name == "zero":
             return nonlinearity.zero_model(self.frame)
-        return nonlinearity.builtin(name, coupling=self.coupling)
+        # isotropic_pair takes no coupling; every other factory defaults
+        # it to the schema's 1.0
+        params = ({"coupling": self.coupling}
+                  if "coupling" in self._explicit else {})
+        return nonlinearity.builtin(name, **params)
 
     def build_initial(self, grid=None):
         if grid is None:
@@ -849,6 +852,16 @@ out_dir = T5_exterior/m{mass}
 """
 
 
+def _cumulative_trapezoid(y, x):
+    """Running trapezoid integral of y over x, starting at 0.
+
+    Same arithmetic as ``scipy.integrate.cumulative_trapezoid(y, x,
+    initial=0.0)``; kept local so importing this module loads no scipy.
+    """
+    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1])
+                                            / 2.0)))
+
+
 def _growth_final_quarter(t, cumulative):
     """Relative growth of a cumulative integral over its last quarter."""
     t = np.asarray(t, dtype=float)
@@ -881,7 +894,7 @@ def _experiment_t1(out_root):
     t_flux = traj.times[keep]
     flux = np.array([window_flux_1d(st, log_sc.lam(st.t))
                      for st, k in zip(traj.states, keep) if k])
-    cum = cumulative_trapezoid(flux, t_flux, initial=0.0)
+    cum = _cumulative_trapezoid(flux, t_flux)
     growth = _growth_final_quarter(t_flux, cum)
     _write_csv(os.path.join(out_dir, "cumulative.csv"),
                ["t", "flux", "cumulative"], [t_flux, flux, cum])
@@ -940,7 +953,7 @@ def _experiment_t3(out_root):
     k_rows = np.array([functionals_K_3d(st, w, m=cfg.mass)
                        for st in traj.states])
     flux = np.array([origin_flux_radial(st) for st in traj.states])
-    cum = cumulative_trapezoid(flux, traj.times, initial=0.0)
+    cum = _cumulative_trapezoid(flux, traj.times)
     _write_csv(os.path.join(out_dir, "k_series.csv"),
                ["t", "K1", "tK1", "K2", "tK2", "origin_flux",
                 "cumulative"],

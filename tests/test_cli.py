@@ -1,6 +1,10 @@
 import importlib
 import json
+import os
 import pkgutil
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -142,6 +146,21 @@ def test_check_nonlinearity_exit_codes(argv, code, capsys):
         assert report["growth_ok"] is (code == 0)
 
 
+def test_check_nonlinearity_zero_model_emits_no_warning(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["check-nonlinearity", "--model", "zero"]) == 0
+    assert json.loads(capsys.readouterr().out)["growth_ok"]
+
+
+@pytest.mark.parametrize("extra, code", [("", 0), ("coupling = 2\n", 2)])
+def test_isotropic_pair_scenario_takes_no_coupling(tmp_path, extra, code):
+    path = _scenario(tmp_path, system="spinor_1d", model="isotropic_pair",
+                     extra=extra)
+    argv = ["run", "--scenario", path, "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == code
+
+
 @pytest.mark.parametrize("system, model, code", [
     ("spinor_1d", "quartic_harmonic", 0),
     ("lab_1d", "thirring", 2),
@@ -208,3 +227,15 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(f"diraclab.{name}")
         for export in getattr(module, "__all__", ()):
             assert hasattr(module, export), f"diraclab.{name}.{export}"
+
+
+def test_import_loads_no_scipy():
+    # scipy stays a lazy import: loading it costs every run ~0.5 s of setup
+    src = os.path.dirname(os.path.dirname(diraclab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, diraclab.cli, diraclab.scenarios; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 from diraclab import scenarios
 from diraclab.scenarios import (ConfigError, ScenarioConfig, _write_csv,
@@ -102,3 +103,30 @@ def test_t3_summary_is_json_with_boolean_checks(tmp_path, monkeypatch):
     with open(out / "k_series.csv") as fh:
         header = fh.readline().strip()
     assert header == "t,K1,tK1,K2,tK2,origin_flux,cumulative"
+    rows = np.loadtxt(out / "k_series.csv", delimiter=",", skiprows=1)
+    expected = cumulative_trapezoid(rows[:, 5], rows[:, 0], initial=0.0)
+    assert np.array_equal(rows[:, 6], expected)
+
+
+def test_t2_summary_is_json_with_boolean_checks(tmp_path, monkeypatch):
+    # 50 steps sampled every 25th: 3 samples instead of 81
+    short = scenarios._T2_TEXT.replace("t_end = 40", "t_end = 1")
+    assert short != scenarios._T2_TEXT
+    monkeypatch.setattr(scenarios, "_T2_TEXT", short)
+    experiment("T2_massive_odd", out_root=tmp_path)
+    out = tmp_path / "T2_massive_odd"
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["checks"]
+    assert all(type(v) is bool for v in summary["checks"].values())
+    with open(out / "h_series.csv") as fh:
+        assert fh.readline().strip() == "t,H_window,sech_mass,parity_defect"
+        assert len(fh.readlines()) == 3
+
+
+@pytest.mark.parametrize("n", [2, 5, 100, 1001])
+def test_cumulative_trapezoid_matches_scipy_bitwise(n):
+    rng = np.random.default_rng(n)
+    x = np.cumsum(rng.uniform(0.01, 1.0, n))
+    y = rng.normal(size=n)
+    assert np.array_equal(scenarios._cumulative_trapezoid(y, x),
+                          cumulative_trapezoid(y, x, initial=0.0))
