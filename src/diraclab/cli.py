@@ -22,9 +22,8 @@ from .dynamics import integrate
 from .exact import SolitonParams, thirring_soliton
 from .grids import Grid1D
 from .scenarios import (EXPERIMENT_IDS, ConfigError, ScenarioConfig,
-                        _IDENTITIES_BY_SYSTEM, _ensure_dir, _run,
-                        _verify_and_write, _write_csv, bundled_config_path,
-                        experiment, run_scenario)
+                        _ensure_dir, _run, _verify_and_write, _write_csv,
+                        bundled_config_path, experiment, run_scenario)
 from .virials import identity_ids
 
 __all__ = ["main"]
@@ -109,11 +108,7 @@ def _cmd_verify_virial(args):
     if config.system != wanted:
         raise ConfigError(f"scenario is {config.system!r}, "
                           f"--system asked for {wanted!r}")
-    if args.identity not in _IDENTITIES_BY_SYSTEM[config.system]:
-        raise ConfigError(
-            f"identity {args.identity!r} is not defined on "
-            f"{config.system!r}")
-    config.require_identity_samples()
+    config.require_identities([args.identity])
     _, traj, out_dir = _run(config, args.out)
     rep, fname = _verify_and_write(traj, args.identity, config,
                                    config.build_model(), out_dir)

@@ -6,10 +6,11 @@ flow. The pairing of the two is checked by ``verify_identity``, which
 compares centered finite differences of F against the analytic rate on
 a sampled trajectory and reports pointwise defects.
 
-Functionals on the line come in two frames. The lab-frame pair
-(``functional_K_1d``, ``functional_J_1d``) weighs the charge density and
-the chiral balance; the frame-agnostic ``functional_I`` carries a full
-scaling triple (amplitude, width, center) and covers moving windows.
+Functionals on the line come in two frames. The frame-agnostic
+``functional_I`` is the window charge: it carries a full scaling triple
+(amplitude, width, center), and the triple (1, lam, 0) gives the plain
+window of width lam. The lab-frame ``functional_J_1d`` weighs the chiral
+balance.
 The quartet functionals pair first derivatives of the four real field
 components against transport brackets; their radial counterparts do the
 same on the half line with the geometric 2/r terms and singular weight
@@ -34,11 +35,8 @@ from .weights import r2_over_1pr4_weight, r32_weight, sech_1d, tanh_1d
 __all__ = [
     "ScalingTriple",
     "VirialReport",
-    "default_alpha",
     "functional_I",
     "rhs_I",
-    "functional_K_1d",
-    "rhs_K_1d",
     "functional_J_1d",
     "rhs_J_1d",
     "functionals_J1_to_J4",
@@ -143,35 +141,28 @@ class VirialReport:
 
     Stores, per interior sample: time, functional value, centered
     finite difference, analytic right-hand side, and their absolute
-    difference. Passes iff max defect <= max(atol, rtol * max|RHS|).
-    The default atol is 1e-9 times the functional's own scale so that
-    identically-zero runs pass without a relative reference.
+    difference. Passes iff max defect <= max(atol, rtol * max|RHS|),
+    with rtol = 1e-3 and atol = 1e-9 times the functional's own scale
+    (at least 1), so that identically-zero runs pass without a relative
+    reference.
     """
 
-    def __init__(self, identity, times, values, fd, rhs,
-                 rtol=1e-3, atol=None):
+    def __init__(self, identity, times, values, fd, rhs):
         self.identity = str(identity)
         self.times = np.asarray(times, dtype=float)
         self.values = np.asarray(values, dtype=float)
         self.fd = np.asarray(fd, dtype=float)
         self.rhs = np.asarray(rhs, dtype=float)
         self.defect = np.abs(self.fd - self.rhs)
-        self.rtol = float(rtol)
-        if atol is None:
-            scale = 1.0
-            if self.values.size:
-                scale = max(1.0, float(np.max(np.abs(self.values))))
-            atol = 1e-9 * scale
-        self.atol = float(atol)
+        self.rtol = 1e-3
+        scale = 1.0
+        if self.values.size:
+            scale = max(1.0, float(np.max(np.abs(self.values))))
+        self.atol = 1e-9 * scale
         rhs_scale = float(np.max(np.abs(self.rhs))) if self.rhs.size else 0.0
         self.threshold = max(self.atol, self.rtol * rhs_scale)
         self.max_defect = float(np.max(self.defect)) if self.defect.size else 0.0
         self.passed = self.max_defect <= self.threshold
-
-    def rows(self):
-        """(t, F, FD, RHS, defect) tuples, one per interior sample."""
-        return list(zip(self.times, self.values, self.fd,
-                        self.rhs, self.defect))
 
     def to_dict(self):
         return {
@@ -193,7 +184,7 @@ class VirialReport:
                 f"threshold={self.threshold:.3e})")
 
 
-def default_alpha(kind):
+def _default_alpha(kind):
     """Transport matrix split for a 1D representation.
 
     The lab frame advects the two components in opposite directions
@@ -266,7 +257,7 @@ def functional_I(state, weight, scaling, t=None):
     return quad(weight.phi(s) * state.density(), state.grid) / mu
 
 
-def rhs_I(state, weight, scaling, t=None, split=None, model=None):
+def rhs_I(state, weight, scaling, t=None, model=None):
     """Analytic d/dt of ``functional_I`` along the flow.
 
     Four groups: amplitude drift, center drift, width drift, and the
@@ -285,8 +276,7 @@ def rhs_I(state, weight, scaling, t=None, split=None, model=None):
     phi = weight.phi(s)
     dphi = weight.dphi(s)
     dens = state.density()
-    if split is None:
-        split = default_alpha(state.kind)
+    split = _default_alpha(state.kind)
     u1, u2 = _real_pair(state)
     a_r, a_i = split.alpha_r, split.alpha_i
     bracket = (np.einsum("ab,ax,bx->x", a_r, u1, u1)
@@ -302,40 +292,7 @@ def rhs_I(state, weight, scaling, t=None, split=None, model=None):
 
 
 # ---------------------------------------------------------------------------
-# lab-frame window functionals
-
-def functional_K_1d(state, weight, lam=1.0):
-    """Window charge: integral of phi(x/lam) (|u|^2 + |v|^2)."""
-    _require_lab(state, "functional_K_1d")
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
-    s = state.grid.x / lam
-    return quad(weight.phi(s) * state.density(), state.grid)
-
-
-def rhs_K_1d(state, weight, lam=1.0, lam_dot=0.0, model=None):
-    """d/dt of the window charge.
-
-    The transport part advects the chiral imbalance through phi'; a
-    shrinking or growing window adds the lam_dot drift. The nonlinear
-    flux cancels pointwise for phase-invariant couplings, so passing
-    the model only matters outside that family.
-    """
-    _require_lab(state, "rhs_K_1d")
-    _require_model(model, state, "rhs_K_1d")
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
-    g = state.grid
-    s = g.x / lam
-    dphi = weight.dphi(s)
-    dens = state.density()
-    chi = np.abs(state.u) ** 2 - np.abs(state.v) ** 2
-    out = quad(dphi * chi, g) / lam \
-        - lam_dot / lam * quad(s * dphi * dens, g)
-    if model is not None:
-        out += 2.0 * quad(weight.phi(s) * _charge_flux(state, model), g)
-    return out
-
+# lab-frame window chiral balance
 
 def functional_J_1d(state, weight, lam=1.0):
     """Window chiral balance: integral of phi(x/lam) (|u|^2 - |v|^2)."""
@@ -742,16 +699,7 @@ def _make_registry():
 
     def i_r(st, t, ctx, k):
         return rhs_I(st, _ctx_weight(ctx, tanh_1d), ctx["scaling"], t,
-                     split=ctx["split"], model=ctx["model"])
-
-    def k_f(st, t, ctx, k):
-        lam, _ = _lam_pair(ctx, t)
-        return functional_K_1d(st, _ctx_weight(ctx, tanh_1d), lam)
-
-    def k_r(st, t, ctx, k):
-        lam, lam_dot = _lam_pair(ctx, t)
-        return rhs_K_1d(st, _ctx_weight(ctx, tanh_1d), lam, lam_dot,
-                        model=ctx["model"])
+                     model=ctx["model"])
 
     def j_f(st, t, ctx, k):
         lam, _ = _lam_pair(ctx, t)
@@ -823,7 +771,6 @@ def _make_registry():
 
     reg = {
         "I_weighted_charge": (i_f, i_r),
-        "K_window_charge": (k_f, k_r),
         "J_chiral_balance": (j_f, j_r),
         "J_quartet_combined": (j_comb_f, j_comb_r),
         "K_combined_3d": (k_comb(False), k_comb(True)),
@@ -846,14 +793,18 @@ def identity_ids():
 
 
 def verify_identity(trajectory, identity, weight=None, scaling=None,
-                    m=1.0, model=None, split=None, rtol=1e-3, atol=None):
+                    m=1.0, model=None):
     """Check one registered identity along a sampled trajectory.
 
     Compares centered finite differences of the functional against the
-    analytic rate at every interior sample. The trajectory must be
-    uniformly sampled with at least three samples; the model and mass
-    must be the ones the trajectory was generated with, or the defect
-    measures exactly that mismatch.
+    analytic rate at every interior sample and returns a
+    :class:`VirialReport`, whose tolerances are fixed there. The
+    trajectory must be uniformly sampled with at least three samples;
+    the model and mass must be the ones the trajectory was generated
+    with, or the defect measures exactly that mismatch. ``weight``
+    replaces the identity's default weight, and ``scaling`` (default
+    ``ScalingTriple.constant()``) sets the window of the line window
+    charge ``I_weighted_charge`` and the width of ``J_chiral_balance``.
 
     Both quartet families are memoized on the trajectory, per sample
     and per (weight, mass, model): J1, J2, J3, J4 and J_quartet_combined
@@ -874,7 +825,6 @@ def verify_identity(trajectory, identity, weight=None, scaling=None,
         "scaling": ScalingTriple.constant() if scaling is None else scaling,
         "m": float(m),
         "model": model,
-        "split": split,
         "memo": trajectory._memo,
     }
     f_eval, rhs_eval = _REGISTRY[identity]
@@ -883,8 +833,7 @@ def verify_identity(trajectory, identity, weight=None, scaling=None,
     fd = (f_vals[2:] - f_vals[:-2]) / (times[2:] - times[:-2])
     rhs = np.array([rhs_eval(states[k], times[k], ctx, k)
                     for k in range(1, len(states) - 1)])
-    return VirialReport(identity, times[1:-1], f_vals[1:-1], fd, rhs,
-                        rtol=rtol, atol=atol)
+    return VirialReport(identity, times[1:-1], f_vals[1:-1], fd, rhs)
 
 
 # ---------------------------------------------------------------------------

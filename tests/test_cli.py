@@ -49,6 +49,24 @@ out_dir = radial
 """
 
 
+# a massive Thirring bump on the lab grid; I_weighted_charge is exact
+# along the flow, so its time-difference defect is pure sampling error
+_LAB_BUMP = """\
+system = lab_1d
+model = thirring
+mass = 1.0
+initial = bump
+amplitude = 0.3
+x_min = -30
+x_max = 30
+n_points = 1201
+dt = 0.02
+t_end = 4
+sample_stride = {stride}
+out_dir = lab_bump
+"""
+
+
 def _scenario(tmp_path, system="lab_1d", model="thirring", extra="",
               name="tiny", dt="0.1", t_end="1"):
     path = tmp_path / f"{name}.cfg"
@@ -129,7 +147,34 @@ def test_verify_virial_with_identity_the_system_lacks_exits_two(
             "J_chiral_balance", "--scenario", path,
             "--out", str(tmp_path / "out")]
     assert cli.main(argv) == 2
-    assert "not defined on 'spinor_1d'" in capsys.readouterr().err
+    assert "identities not defined on system 'spinor_1d': " \
+        "J_chiral_balance" in capsys.readouterr().err
+
+
+def test_verify_virial_removed_identity_is_an_argparse_error(tmp_path):
+    path = _scenario(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify-virial", "--system", "lab", "--identity",
+                  "K_window_charge", "--scenario", path,
+                  "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("stride, code", [(5, 1), (1, 0)])
+def test_verify_virial_exit_code_follows_the_verdict(tmp_path, capsys,
+                                                      stride, code):
+    # at stride 5 the O(dt^2) error of the centered time difference
+    # (defect 9.6e-4) exceeds the threshold (1.2e-4); at stride 1 it
+    # does not. A sample-free verdict (ROADMAP direction 1) will pass
+    # both, so this test will change with it.
+    path = tmp_path / "lab_bump.cfg"
+    path.write_text(_LAB_BUMP.format(stride=stride))
+    argv = ["verify-virial", "--system", "lab", "--identity",
+            "I_weighted_charge", "--scenario", str(path),
+            "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == code
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["passed"] is (code == 0)
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -7,6 +7,7 @@ from scipy.integrate import cumulative_trapezoid
 from diraclab import scenarios
 from diraclab.scenarios import (ConfigError, ScenarioConfig, _write_csv,
                                 bundled_config_path, experiment)
+from diraclab.virials import identity_ids
 
 _LAB = {
     "system": "lab_1d",
@@ -59,7 +60,7 @@ def test_base_configs_parse():
     (_text(_SPINOR, identities="J_chiral_balance"),
      "not defined on system 'spinor_1d': J_chiral_balance"),
     (_text(_SPINOR, identities="K_window_charge"),
-     "not defined on system 'spinor_1d': K_window_charge"),
+     "unknown identities: K_window_charge"),
     (_text(_SPINOR, dt="0.02", t_end="0.04", sample_stride="2",
            identities="J1"), "identities need at least 3 samples"),
     (_text(_SPINOR, model="thirring"), "arity"),
@@ -75,6 +76,8 @@ def test_config_rejections(text, match):
 def test_bundled_config_hash_is_pinned():
     cfg = ScenarioConfig.from_file(bundled_config_path("massless_thirring"))
     assert cfg.hash == "659ce2f432fb079e"
+    t1 = ScenarioConfig.from_text(scenarios._T1_TEXT, name="T1_massless")
+    assert t1.hash == "549c57dee8a71d83"
 
 
 def test_write_csv_roundtrip_is_lossless(tmp_path):
@@ -123,6 +126,21 @@ def test_t2_summary_is_json_with_boolean_checks(tmp_path, monkeypatch):
         assert len(fh.readlines()) == 3
 
 
+def test_t1_probes_are_resolved_and_decreasing(tmp_path, monkeypatch):
+    # a 10x coarser grid at the stability bound: 360 steps instead of
+    # 4500, with the probes at t = 10, 20, 40, 80 still sampled
+    short = (scenarios._T1_TEXT.replace("n_points = 8001", "n_points = 801")
+             .replace("dt = 0.02", "dt = 0.25")
+             .replace("sample_stride = 25", "sample_stride = 4"))
+    monkeypatch.setattr(scenarios, "_T1_TEXT", short)
+    summary = experiment("T1_massless", out_root=tmp_path)
+    assert summary.checks == {"window_mass_strictly_decreasing": True,
+                              "window_mass_resolved": True,
+                              "cumulative_growth_below_5pct": True}
+    with open(tmp_path / "T1_massless" / "cumulative.csv") as fh:
+        assert fh.readline().strip() == "t,flux,cumulative"
+
+
 @pytest.mark.parametrize("n", [2, 5, 100, 1001])
 def test_cumulative_trapezoid_matches_scipy_bitwise(n):
     rng = np.random.default_rng(n)
@@ -130,3 +148,8 @@ def test_cumulative_trapezoid_matches_scipy_bitwise(n):
     y = rng.normal(size=n)
     assert np.array_equal(scenarios._cumulative_trapezoid(y, x),
                           cumulative_trapezoid(y, x, initial=0.0))
+
+
+def test_every_identity_is_reachable_from_a_scenario():
+    reachable = set().union(*scenarios._IDENTITIES_BY_SYSTEM.values())
+    assert set(identity_ids()) == reachable

@@ -15,7 +15,6 @@ from diraclab.virials import (
     ScalingTriple,
     coercivity_estimate,
     coercivity_forms,
-    default_alpha,
     functional_H,
     functional_I,
     functionals_J1_to_J4,
@@ -171,14 +170,14 @@ def test_scaling_rejects_bad_parameters():
 
 
 def test_default_alpha_split():
-    split = default_alpha("lab_uv")
+    split = virials._default_alpha("lab_uv")
     assert np.array_equal(split.alpha_r, np.diag([1.0, -1.0]))
     assert np.allclose(split.alpha_i, 0.0)
-    full = default_alpha("spinor_psi").matrix
+    full = virials._default_alpha("spinor_psi").matrix
     assert np.allclose(full, np.array([[0.0, 1j], [-1j, 0.0]]))
     assert np.allclose(full, full.conj().T)
     with pytest.raises(ValueError):
-        default_alpha("unknown_frame")
+        virials._default_alpha("unknown_frame")
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +186,7 @@ def test_default_alpha_split():
 def test_stream_identities_at_fd_floor():
     g = Grid1D(-80.0, 80.0, 3201)
     tr = stream_traj(0.0, 2.0, 401, g)
-    for ident, kw in [("K_window_charge", {}),
-                      ("J_chiral_balance", {"m": 0.0}),
+    for ident, kw in [("J_chiral_balance", {"m": 0.0}),
                       ("I_weighted_charge", {})]:
         rep = verify_identity(tr, ident, **kw)
         assert rep.passed, ident
@@ -232,13 +230,12 @@ def test_exterior_window_is_monotone_with_nonpositive_rate():
 # identities along integrated 1D runs
 
 def test_lab_identities_thirring(thirring_traj):
-    for ident in ("K_window_charge", "J_chiral_balance",
-                  "I_weighted_charge"):
-        rep = verify_identity(thirring_traj, ident, m=1.0,
-                              model=nonlinearity.thirring())
-        assert rep.passed, ident
-    rep = verify_identity(thirring_traj, "K_window_charge", m=1.0,
-                          model=nonlinearity.thirring())
+    model = nonlinearity.thirring()
+    assert verify_identity(thirring_traj, "J_chiral_balance", m=1.0,
+                           model=model).passed
+    rep = verify_identity(thirring_traj, "I_weighted_charge", m=1.0,
+                          model=model)
+    assert rep.passed
     assert rep.max_defect <= 2e-4
 
 
@@ -246,8 +243,7 @@ def test_lab_identities_bec():
     model = nonlinearity.bec_resonance()
     tr = integrate(lab_state(), model, t_end=2.0, dt=0.01, m=0.5,
                    sample_stride=2)
-    for ident in ("K_window_charge", "J_chiral_balance",
-                  "I_weighted_charge"):
+    for ident in ("J_chiral_balance", "I_weighted_charge"):
         rep = verify_identity(tr, ident, m=0.5, model=model)
         assert rep.passed, ident
 
@@ -528,7 +524,7 @@ def test_soliton_stream_identities_exact():
             for t in ts]
     tr = Trajectory(ts, sols, [0.0] * 101, [0.0] * 101)
     model = nonlinearity.thirring()
-    for ident in ("K_window_charge", "J_chiral_balance"):
+    for ident in ("I_weighted_charge", "J_chiral_balance"):
         rep = verify_identity(tr, ident, m=1.0, model=model)
         assert rep.passed, ident
         assert rep.max_defect <= 1e-12, ident
@@ -547,7 +543,7 @@ def test_wrong_mass_is_detected():
 # defect refinement under simultaneous (dt, h) halving
 
 def test_defect_shrinks_under_refinement():
-    cases = [("K_window_charge", "lab", nonlinearity.thirring(), 1.0),
+    cases = [("I_weighted_charge", "lab", nonlinearity.thirring(), 1.0),
              ("J_quartet_combined", "psi", nonlinearity.soler(), 1.0)]
     for ident, kind, model, m in cases:
         defects = []
@@ -641,20 +637,21 @@ def test_identity_registry_names():
     assert identity_ids() == (
         "H_radial_r2", "H_sech_1d", "I_weighted_charge", "J1", "J2", "J3",
         "J4", "J_chiral_balance", "J_quartet_combined", "K1_3d",
-        "K2_3d", "K_combined_3d", "K_window_charge", "tK1_3d", "tK2_3d")
+        "K2_3d", "K_combined_3d", "tK1_3d", "tK2_3d")
 
 
-def test_report_rows_and_dict(thirring_traj):
-    rep = verify_identity(thirring_traj, "K_window_charge", m=1.0,
+def test_report_dict(thirring_traj):
+    rep = verify_identity(thirring_traj, "I_weighted_charge", m=1.0,
                           model=nonlinearity.thirring())
-    rows = rep.rows()
-    assert len(rows) == len(thirring_traj.times) - 2
-    t, f, fd, rhs, defect = rows[0]
-    assert defect == pytest.approx(abs(fd - rhs))
+    n = len(thirring_traj.times) - 2
+    assert rep.times.shape == rep.defect.shape == (n,)
+    assert np.array_equal(rep.defect, np.abs(rep.fd - rep.rhs))
     d = rep.to_dict()
-    assert d["identity"] == "K_window_charge"
+    assert d["identity"] == "I_weighted_charge"
     assert d["passed"] is True
-    assert d["n_samples"] == len(rows)
+    assert d["n_samples"] == n
+    assert d["rtol"] == 1e-3
+    assert d["threshold"] == max(d["atol"], 1e-3 * np.max(np.abs(rep.rhs)))
     assert "pass" in repr(rep)
 
 
@@ -662,22 +659,22 @@ def test_zero_trajectory_passes_via_atol():
     z = np.zeros((2, G_LAB.n_points), dtype=complex)
     sts = [SpinorState1D(G_LAB, "lab_uv", z, t=t) for t in (0.0, 0.1, 0.2)]
     tr = Trajectory([0.0, 0.1, 0.2], sts, [0.0] * 3, [0.0] * 3)
-    rep = verify_identity(tr, "K_window_charge")
+    rep = verify_identity(tr, "I_weighted_charge")
     assert rep.passed
     assert rep.max_defect == 0.0
 
 
 def test_verify_identity_error_paths(thirring_traj):
-    with pytest.raises(KeyError, match="K_window_charge"):
+    with pytest.raises(KeyError, match="I_weighted_charge"):
         verify_identity(thirring_traj, "no_such_identity")
     two = Trajectory([0.0, 1.0], [lab_state(), lab_state()],
                      [0.0] * 2, [0.0] * 2)
     with pytest.raises(ValueError, match="3 samples"):
-        verify_identity(two, "K_window_charge")
+        verify_identity(two, "I_weighted_charge")
     sts = [lab_state() for _ in range(3)]
     uneven = Trajectory([0.0, 0.1, 0.3], sts, [0.0] * 3, [0.0] * 3)
     with pytest.raises(ValueError, match="uniformly"):
-        verify_identity(uneven, "K_window_charge")
+        verify_identity(uneven, "I_weighted_charge")
 
 
 def test_model_arity_is_checked_against_state_frame(thirring_traj):
