@@ -4,7 +4,7 @@ Submodules
 ----------
 algebra       Dirac/Pauli matrices, real-imaginary splitting, relation checks
 weights       analytic weight functions with derivatives and singular combos
-grids         1D and radial grids, derivatives, quadrature, summation by parts
+grids         1D and radial grids, derivatives, quadrature
 nonlinearity  nonlinearity catalog, Wirtinger gradients, admissibility checks
 exact         closed-form solitary waves and the lab/spinor change of frame
 dynamics      semi-discrete right-hand sides and the RK4 evolution loop

@@ -8,14 +8,11 @@ uses one-sided closures and the radial origin uses parity ghosts.
 
 import numpy as np
 
-from .algebra import alpha_beta, pauli, split_alpha
-
 __all__ = [
     "Grid1D",
     "RadialGrid",
     "deriv1",
     "quad",
-    "discrete_ibp_defect",
 ]
 
 
@@ -32,10 +29,6 @@ class Grid1D:
         self.n_points = int(n_points)
         self.h = (self.x_max - self.x_min) / (self.n_points - 1)
         self.x = np.linspace(self.x_min, self.x_max, self.n_points)
-
-    @property
-    def nodes(self):
-        return self.x
 
     def is_symmetric(self):
         return abs(self.x_min + self.x_max) < 1e-12 * max(1.0, abs(self.x_max))
@@ -60,10 +53,6 @@ class RadialGrid:
         self.n_cells = int(n_cells)
         self.h = self.r_max / self.n_cells
         self.r = (np.arange(self.n_cells) + 0.5) * self.h
-
-    @property
-    def nodes(self):
-        return self.r
 
     def __repr__(self):
         return f"RadialGrid((0,{self.r_max:g}], n={self.n_cells}, h={self.h:g})"
@@ -132,56 +121,3 @@ def quad(f, grid, measure="line"):
         raise ValueError("Grid1D supports only the line measure")
     return grid.h * (np.sum(v, axis=-1) - 0.5 * (v[..., 0] + v[..., -1]))
 
-
-def _pair_form(a, mat, b):
-    # pointwise a^T mat b for 2-component real fields, shape (2, n)
-    return (mat[0, 0] * a[0] * b[0] + mat[0, 1] * a[0] * b[1]
-            + mat[1, 0] * a[1] * b[0] + mat[1, 1] * a[1] * b[1])
-
-
-def discrete_ibp_defect(f, g, phi, part, grid, split=None):
-    """Defect of the weighted integration-by-parts identities.
-
-    For real two-component fields f, g and a scalar weight phi:
-
-      part="real_part":
-        int phi f.a_r dg  =  -int phi' f.a_r g  -  int phi g.a_r df
-      part="imag_part":
-        int phi f.a_i dg  =  -int phi' f.a_i g  +  int phi g.a_i df
-
-    where a_r/a_i come from the alpha split. The built-in n=1 alpha is
-    purely imaginary, so the real branch defaults to the synthetic
-    sigma^1 split (the real branch of the same algebra); pass `split`
-    to override. Returns |LHS - RHS|, which must vanish at 3rd order or
-    better under grid refinement for smooth decaying fields.
-    """
-    fv = np.asarray(f, dtype=float)
-    gv = np.asarray(g, dtype=float)
-    if fv.shape != gv.shape or fv.ndim != 2 or fv.shape[0] != 2:
-        raise ValueError("expected two real 2-component fields of equal shape")
-
-    if split is None:
-        if part == "real_part":
-            split = split_alpha(pauli(1))
-        else:
-            split = split_alpha(alpha_beta(1)[0][0])
-
-    x = grid.nodes
-    w = phi.phi(x)
-    dw = phi.dphi(x)
-    df = deriv1(fv, grid)
-    dg = deriv1(gv, grid)
-
-    if part == "real_part":
-        m = split.alpha_r
-        lhs = quad(w * _pair_form(fv, m, dg), grid)
-        rhs = (-quad(dw * _pair_form(fv, m, gv), grid)
-               - quad(w * _pair_form(gv, m, df), grid))
-    elif part == "imag_part":
-        m = split.alpha_i
-        lhs = quad(w * _pair_form(fv, m, dg), grid)
-        rhs = (-quad(dw * _pair_form(fv, m, gv), grid)
-               + quad(w * _pair_form(gv, m, df), grid))
-    else:
-        raise ValueError("part must be 'real_part' or 'imag_part'")
-    return float(abs(lhs - rhs))

@@ -34,7 +34,6 @@ __all__ = [
     "check_growth",
     "check_polynomial",
     "check_phase_separable",
-    "realness_defect",
     "check_all",
 ]
 
@@ -286,7 +285,6 @@ _BUILTINS = {
     "thirring_psi": thirring_psi,
     "quartic_harmonic": quartic_harmonic,
     "soler": soler,
-    "power_diag": power_diag,
     "isotropic_pair": isotropic_pair,
     "cubic_conjugate_pair": cubic_conjugate_pair,
     "zero": zero_model,
@@ -496,8 +494,9 @@ def check_polynomial(model, degree_cap=12, seed=0, tol=1e-8):
 def check_phase_separable(model, n_samples=100, seed=0, tol=1e-12):
     """W invariant under independent phase rotations of u and v.
 
-    Holds exactly when W is a polynomial in (|u|^2, |v|^2) alone; the
-    chiral-balance identity requires it.
+    Holds exactly when W depends on (|u|^2, |v|^2) alone. For such W the
+    massless lab flow transports |u|^2 right and |v|^2 left with no
+    exchange between them.
     """
     if model.eval_W is None:
         raise ValueError(f"model {model.name!r} has no potential to check")
@@ -513,25 +512,18 @@ def check_phase_separable(model, n_samples=100, seed=0, tol=1e-12):
     return CheckResult(defect <= tol, defect)
 
 
-def realness_defect(model, n_samples=200, seed=0):
-    """Worst Im(u conj(W1) + v conj(W2)) over samples, relative to scale."""
-    z1, z2 = sample_states(n_samples, seed)
-    w1, w2 = model.grad(z1, z2)
-    q = z1 * np.conj(w1) + z2 * np.conj(w2)
-    return float(np.max(np.abs(q.imag) / (1.0 + np.abs(q))))
-
-
 class AdmissibilityReport:
     """Aggregated checker verdicts for one model."""
 
-    def __init__(self, model, gauge_ok, symmetry_ok, polynomial_ok,
-                 harmonic_ok, bd_dependence_ok, growth_ok, defects,
-                 n_samples):
+    def __init__(self, model, gauge_ok, symmetry_ok, phase_separable_ok,
+                 polynomial_ok, harmonic_ok, bd_dependence_ok, growth_ok,
+                 defects, n_samples):
         self.name = model.name
         self.arity = model.arity
         self.p = model.p
         self.gauge_ok = gauge_ok
         self.symmetry_ok = symmetry_ok
+        self.phase_separable_ok = phase_separable_ok
         self.polynomial_ok = polynomial_ok
         self.harmonic_ok = harmonic_ok
         self.bd_dependence_ok = bd_dependence_ok
@@ -546,6 +538,7 @@ class AdmissibilityReport:
             "p": self.p,
             "gauge_ok": self.gauge_ok,
             "symmetry_ok": self.symmetry_ok,
+            "phase_separable_ok": self.phase_separable_ok,
             "polynomial_ok": self.polynomial_ok,
             "harmonic_ok": self.harmonic_ok,
             "bd_dependence_ok": self.bd_dependence_ok,
@@ -556,21 +549,26 @@ class AdmissibilityReport:
 
     def __repr__(self):
         flags = {k: getattr(self, k) for k in
-                 ("gauge_ok", "symmetry_ok", "polynomial_ok", "harmonic_ok",
-                  "bd_dependence_ok", "growth_ok")}
+                 ("gauge_ok", "symmetry_ok", "phase_separable_ok",
+                  "polynomial_ok", "harmonic_ok", "bd_dependence_ok",
+                  "growth_ok")}
         return f"AdmissibilityReport({self.name!r}, {flags})"
 
 
 def check_all(model, p_expected=None, n_samples=200, seed=0):
-    """Run every checker; gauge/symmetry are None when no potential exists."""
+    """Run every checker; gauge, symmetry and phase separability are None
+    when no potential exists."""
     defects = {}
     if model.eval_W is not None:
         g = check_gauge_symmetry(model, n_samples, seed)
         gauge_ok, symmetry_ok = g.gauge_ok, g.symmetry_ok
         defects["gauge"] = g.gauge_defect
         defects["symmetry"] = g.symmetry_defect
+        sep = check_phase_separable(model, n_samples, seed)
+        phase_separable_ok = sep.ok
+        defects["phase_separable"] = sep.defect
     else:
-        gauge_ok = symmetry_ok = None
+        gauge_ok = symmetry_ok = phase_separable_ok = None
     har = check_harmonic(model, n_samples, seed)
     defects["harmonic"] = har.worst_defect
     bd = check_bd_dependence(model, n_samples, seed)
@@ -579,5 +577,6 @@ def check_all(model, p_expected=None, n_samples=200, seed=0):
     defects["polynomial"] = poly.defect
     gr = check_growth(model, p_expected, seed=seed)
     defects["growth_slope"] = gr.slope
-    return AdmissibilityReport(model, gauge_ok, symmetry_ok, poly.ok, har.ok,
-                               bd.ok, gr.ok, defects, n_samples)
+    return AdmissibilityReport(model, gauge_ok, symmetry_ok,
+                               phase_separable_ok, poly.ok, har.ok, bd.ok,
+                               gr.ok, defects, n_samples)

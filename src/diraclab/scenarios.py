@@ -31,14 +31,15 @@ from .exact import (CALIBRATED_THIRRING_COUPLING, SolitonParams,
 from .grids import Grid1D, RadialGrid, quad
 from .observables import (Region, charge, energy_psi, hamiltonian_1d,
                           momentum_1d, parity_defect, region_mass)
-from .virials import (ScalingTriple, functional_H, functional_I,
-                      functionals_K_3d, identity_ids, origin_flux_radial,
-                      verify_identity, window_flux_1d)
+from .virials import (ScalingTriple, coercivity_estimate, functional_H,
+                      functional_I, functionals_K_3d, identity_ids,
+                      origin_flux_radial, verify_identity, window_flux_1d)
 
 __all__ = [
     "ConfigError",
     "ScenarioConfig",
     "ExperimentSummary",
+    "integrate_scenario",
     "run_scenario",
     "experiment",
     "EXPERIMENT_IDS",
@@ -713,18 +714,26 @@ def _verify_and_write(traj, ident, config, model, out_dir):
     return rep, fname
 
 
-def _run(config, out_root=None):
-    """Integrate one scenario and write its tables; returns
-    (summary, trajectory) so experiments can post-process samples."""
-    if isinstance(config, (str, os.PathLike)):
-        config = ScenarioConfig.from_file(config)
-    t_start = time.perf_counter()
-    out_dir = _ensure_dir(out_root, config.out_dir)
+def integrate_scenario(config):
+    """Build one scenario's model and initial data and integrate them;
+    returns (model, trajectory) without writing anything."""
     grid = config.build_grid()
     model = config.build_model()
     state = config.build_initial(grid)
     traj = integrate(state, model, t_end=config.t_end, dt=config.dt,
                      m=config.mass, sample_stride=config.sample_stride)
+    return model, traj
+
+
+def _run(config, out_root=None):
+    """Integrate one scenario and write its tables; returns
+    (summary, trajectory, out_dir) so experiments can post-process
+    samples."""
+    if isinstance(config, (str, os.PathLike)):
+        config = ScenarioConfig.from_file(config)
+    t_start = time.perf_counter()
+    out_dir = _ensure_dir(out_root, config.out_dir)
+    model, traj = integrate_scenario(config)
 
     header, columns, series = _observable_columns(config, traj, model)
     files = ["trajectory.csv"]
@@ -933,6 +942,9 @@ def _experiment_t2(out_root):
     summary.files.append("h_series.csv")
 
     ratio = float(sech_mass[-1] / sech_mass[0])
+    # odd-sector coercivity of the window Hessian at the unit scale of
+    # the sech and tanh windows above: the positivity the decay rests on
+    coercivity = coercivity_estimate(1.0)
     summary.metrics.update({
         "h_window": dict(zip(("initial", "final"),
                              (float(h_series[0]), float(h_series[-1])))),
@@ -940,9 +952,11 @@ def _experiment_t2(out_root):
         "sech_mass_final": float(sech_mass[-1]),
         "sech_mass_ratio": ratio,
         "parity_defect_max": float(par.max()),
+        "window_hessian_coercivity": coercivity,
     })
     summary.checks.update({
         "sech_mass_ratio_below_half": ratio < 0.5,
+        "window_hessian_coercive": coercivity > 0.0,
     })
     summary.write(out_dir)
     return summary

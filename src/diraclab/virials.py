@@ -50,7 +50,6 @@ __all__ = [
     "verify_identity",
     "identity_ids",
     "coercivity_estimate",
-    "coercivity_forms",
     "window_flux_1d",
     "origin_flux_radial",
 ]
@@ -839,38 +838,14 @@ def verify_identity(trajectory, identity, weight=None, scaling=None,
 # ---------------------------------------------------------------------------
 # coercivity of the window Hessian
 
-def coercivity_forms(L):
-    """The window Hessian and its reference norm as grid functionals.
-
-    Returns (b0, ref); each maps (z, grid) to a scalar. b0 weighs the
-    kinetic term against a sech^2 well of depth 1/(2 L^2); ref adds a
-    sech^4 bump instead. Positivity of b0/ref over odd z is the
-    coercivity statement.
-    """
-    L = float(L)
-    if L <= 0.0:
-        raise ValueError("L must be positive")
-
-    def b0(z, grid):
-        dz = deriv1(z, grid)
-        well = 1.0 / np.cosh(grid.x / L) ** 2
-        return quad(dz * dz, grid) \
-            - quad(well * z * z, grid) / (2.0 * L * L)
-
-    def ref(z, grid):
-        dz = deriv1(z, grid)
-        bump = 1.0 / np.cosh(grid.x / L) ** 4
-        return quad(dz * dz, grid) + quad(bump * z * z, grid) / L
-
-    return b0, ref
-
-
 def coercivity_estimate(L, grid=None):
     """Minimal odd-sector Rayleigh quotient of the window Hessian.
 
-    Discretizes both quadratic forms on the right half line with the
-    odd boundary condition z(0)=0 (odd functions are determined there)
-    as tridiagonal sparse matrices A (Hessian) and B (reference). Since
+    The Hessian form is int z'^2 - int sech^2(x/L) z^2 / (2 L^2); the
+    reference form is int z'^2 + int sech^4(x/L) z^2 / L. Discretizes
+    both quadratic forms on the right half line with the odd boundary
+    condition z(0)=0 (odd functions are determined there) as
+    tridiagonal sparse matrices A (Hessian) and B (reference). Since
     A = B - D with D = diag(well + bump) >= 0, the minimal eigenvalue of
     the pencil (A, B) is 1 - mu_max, where mu_max is the largest
     eigenvalue of (D, B), found by a sparse Lanczos solve. (A shift-invert
@@ -903,8 +878,11 @@ def coercivity_estimate(L, grid=None):
     well = h / np.cosh(xr / L) ** 2 / (2.0 * L * L)
     bump = h / np.cosh(xr / L) ** 4 / L
     b_mat = diags([off, main + bump, off], [-1, 0, 1], format="csc")
+    # a fixed start vector: the default random one moves the result in
+    # its last digits from call to call
     mu_max = eigsh(diags(well + bump, format="csc"), k=1, M=b_mat,
-                   which="LA", return_eigenvectors=False)[0]
+                   which="LA", v0=np.ones(n),
+                   return_eigenvectors=False)[0]
     return float(1.0 - mu_max)
 
 

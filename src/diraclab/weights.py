@@ -30,20 +30,15 @@ class WeightSpec:
         Closed-form maps for radial quotients. Recognized keys:
         phi_over_r, phi_over_r2, phi_over_r3, dphi_over_r,
         dphi_over_r2, d2phi_over_r.
-    zero_at_origin : bool
-        Declares phi(0) = 0; required of every weight used in the
-        radial identities.
     """
 
-    def __init__(self, name, phi, dphi, d2phi, d3phi, singular=None,
-                 zero_at_origin=False):
+    def __init__(self, name, phi, dphi, d2phi, d3phi, singular=None):
         self.name = name
         self.phi = phi
         self.dphi = dphi
         self.d2phi = d2phi
         self.d3phi = d3phi
         self.singular = dict(singular) if singular else {}
-        self.zero_at_origin = zero_at_origin
 
     def sing(self, key, r):
         if key not in self.singular:
@@ -72,7 +67,7 @@ def tanh_1d():
         t = np.tanh(x)
         return 4.0 * c * t * t - 2.0 * c * c
 
-    return WeightSpec("tanh", phi, dphi, d2phi, d3phi, zero_at_origin=True)
+    return WeightSpec("tanh", phi, dphi, d2phi, d3phi)
 
 
 def half_tanh(side=+1):
@@ -151,7 +146,7 @@ def r32_weight():
             - (r + 3.0) / (np.sqrt(r) * (1.0 + r) ** 3),
     }
     return WeightSpec("r32_over_1pr", phi, dphi, d2phi, d3phi,
-                      singular=singular, zero_at_origin=True)
+                      singular=singular)
 
 
 def r2_over_1pr4_weight():
@@ -178,4 +173,4 @@ def r2_over_1pr4_weight():
             / (r * (1.0 + r) ** 6),
     }
     return WeightSpec("r2_over_1pr4", phi, dphi, d2phi, d3phi,
-                      singular=singular, zero_at_origin=True)
+                      singular=singular)

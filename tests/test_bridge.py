@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from diraclab import nonlinearity
-from diraclab.bridge import (
-    BridgeResidual,
-    GronwallSeries,
-    bridge_residual,
-    chain_rule_dW,
-    gronwall_monitor,
-)
+from diraclab.bridge import GronwallSeries, gronwall_monitor
 from diraclab.dynamics import SpinorState1D, Trajectory, integrate
 from diraclab.grids import Grid1D
 
@@ -32,54 +26,55 @@ def quartic_traj():
                      t_end=10.0, dt=0.01, m=1.0, sample_stride=2)
 
 
-def test_residuals_sit_at_time_sampling_floor(quartic_traj):
-    model = nonlinearity.quartic_harmonic()
-    res = bridge_residual(quartic_traj, 250, model, m=1.0)
-    # dt_s = 0.02; the floor is quadratic in it
-    assert res.u0_max <= 5e-5
-    assert res.v0_max <= 5e-5
-    assert res.nlkg_defect_1 <= 5e-5
-    assert res.nlkg_defect_2 <= 5e-5
+@pytest.fixture(scope="module")
+def quartic_series(quartic_traj):
+    return gronwall_monitor(quartic_traj, nonlinearity.quartic_harmonic(),
+                            m=1.0)
+
+
+def test_residuals_sit_at_time_sampling_floor(quartic_series):
+    # interior sample 250 is series index 249; dt_s = 0.02 and the
+    # floor is quadratic in it
+    assert quartic_series.values[249] <= 1e-8
+    assert quartic_series.nlkg_1[249] <= 5e-5
+    assert quartic_series.nlkg_2[249] <= 5e-5
 
 
 def test_residual_order_in_sample_spacing(quartic_traj):
     model = nonlinearity.quartic_harmonic()
-    u0 = {}
-    nlkg = {}
+    m_vals, nlkg_1, nlkg_2 = {}, {}, {}
     for step, k in [(8, 30), (4, 60), (2, 120)]:  # all at t = 4.8
-        res = bridge_residual(substride(quartic_traj, step), k, model, m=1.0)
-        u0[step] = res.u0_max
-        nlkg[step] = res.nlkg_defect_1
-    assert np.log2(u0[8] / u0[4]) >= 1.8
-    assert np.log2(u0[4] / u0[2]) >= 1.8
-    assert np.log2(nlkg[8] / nlkg[4]) >= 1.8
-    assert np.log2(nlkg[4] / nlkg[2]) >= 1.8
+        series = gronwall_monitor(substride(quartic_traj, step), model,
+                                  m=1.0)
+        assert series.times[k - 1] == pytest.approx(4.8)
+        m_vals[step] = series.values[k - 1]
+        nlkg_1[step] = series.nlkg_1[k - 1]
+        nlkg_2[step] = series.nlkg_2[k - 1]
+    for nlkg in (nlkg_1, nlkg_2):
+        assert np.log2(nlkg[8] / nlkg[4]) >= 1.8
+        assert np.log2(nlkg[4] / nlkg[2]) >= 1.8
+    # M is quadratic in the compatibility fields, so twice their order
+    assert np.log2(m_vals[8] / m_vals[4]) >= 3.6
+    assert np.log2(m_vals[4] / m_vals[2]) >= 3.6
 
 
-def test_gronwall_quantity_stays_at_floor(quartic_traj):
-    model = nonlinearity.quartic_harmonic()
-    gw = gronwall_monitor(quartic_traj, model, m=1.0)
+def test_gronwall_quantity_stays_at_floor(quartic_series):
+    gw = quartic_series
     assert gw.m_max <= 10.0 * gw.m_first
     assert gw.m_max <= 1e-8
     assert gw.times[0] == pytest.approx(0.02)
     assert gw.times[-1] == pytest.approx(9.98)
-    # the quotient series exists where M is above its own floor
-    assert gw.ratio.size > 0
-    d = gw.to_dict()
-    assert len(d["M"]) == len(gw.times)
-    assert "m_first" in repr(gw) or "GronwallSeries" in repr(gw)
 
 
-def test_corrupted_sample_is_detected(quartic_traj):
+def test_corrupted_sample_is_detected(quartic_traj, quartic_series):
     model = nonlinearity.quartic_harmonic()
-    clean = gronwall_monitor(quartic_traj, model, m=1.0)
     states = [SpinorState1D(G, "spinor_psi", st.fields.copy(), t=st.t)
               for st in quartic_traj.states]
     states[250].fields[0] += 1e-3 * np.exp(-G.x ** 2 / 4.0)
     tr = Trajectory(quartic_traj.times, states,
                     quartic_traj.boundary_mass, quartic_traj.max_abs)
     corrupted = gronwall_monitor(tr, model, m=1.0)
-    jump = np.max(np.abs(corrupted.values - clean.values))
+    jump = np.max(np.abs(corrupted.values - quartic_series.values))
     assert jump >= 1e-6
 
 
@@ -89,19 +84,16 @@ def test_zero_trajectory_gives_exact_zeros():
                             np.zeros((2, G.n_points), dtype=complex), t=t)
               for t in (0.0, 0.1, 0.2)]
     tr = Trajectory([0.0, 0.1, 0.2], states, [0.0] * 3, [0.0] * 3)
-    res = bridge_residual(tr, 1, model, m=1.0)
-    assert res.u0_max == 0.0
-    assert res.v0_max == 0.0
-    assert res.nlkg_defect_1 == 0.0
-    assert res.nlkg_defect_2 == 0.0
     gw = gronwall_monitor(tr, model, m=1.0)
-    assert np.all(gw.values == 0.0)
+    for arr in (gw.values, gw.nlkg_1, gw.nlkg_2):
+        assert arr.shape == (1,)
+        assert np.all(arr == 0.0)
 
 
 def test_non_harmonic_models_are_refused(quartic_traj):
     for bad in (nonlinearity.soler(), nonlinearity.thirring_psi()):
         with pytest.raises(ValueError, match="mixed-gradient"):
-            bridge_residual(quartic_traj, 10, bad, m=1.0)
+            gronwall_monitor(quartic_traj, bad, m=1.0)
         with pytest.raises(ValueError, match="defect"):
             gronwall_monitor(quartic_traj, bad, m=1.0)
 
@@ -110,49 +102,36 @@ def test_linear_run_floor():
     model = nonlinearity.zero_model("spinor_psi")
     tr = integrate(psi_state(), model, t_end=4.0, dt=0.01, m=1.0,
                    sample_stride=2)
-    res = bridge_residual(tr, 100, model, m=1.0)
-    assert res.u0_max <= 5e-5
-    assert res.nlkg_defect_1 <= 5e-5
     gw = gronwall_monitor(tr, model, m=1.0)
+    assert gw.values[99] <= 1e-8
+    assert gw.nlkg_1[99] <= 5e-5
+    assert gw.nlkg_2[99] <= 5e-5
     assert gw.m_max <= 10.0 * gw.m_first
-
-
-def test_chain_rule_matches_direct_differencing(quartic_traj):
-    model = nonlinearity.quartic_harmonic()
-    c1, c2, d1, d2 = chain_rule_dW(quartic_traj, 250, model)
-    scale = max(np.max(np.abs(d1)), np.max(np.abs(d2)))
-    assert np.max(np.abs(c1 - d1)) <= 5e-5
-    assert np.max(np.abs(c2 - d2)) <= 5e-5
-    assert scale > 1e-3  # the comparison is not vacuous
 
 
 def test_bridge_input_validation(quartic_traj):
     model = nonlinearity.quartic_harmonic()
-    with pytest.raises(IndexError):
-        bridge_residual(quartic_traj, 0, model, m=1.0)
-    with pytest.raises(IndexError):
-        bridge_residual(quartic_traj, len(quartic_traj) - 1, model, m=1.0)
     with pytest.raises(ValueError, match="model"):
-        bridge_residual(quartic_traj, 10, None, m=1.0)
+        gronwall_monitor(quartic_traj, None, m=1.0)
     u = np.exp(-G.x ** 2).astype(complex)
     lab_states = [SpinorState1D(G, "lab_uv", np.vstack([u, u]), t=t)
                   for t in (0.0, 0.1, 0.2)]
     lab_tr = Trajectory([0.0, 0.1, 0.2], lab_states, [0.0] * 3, [0.0] * 3)
     with pytest.raises(ValueError, match="spinor-frame"):
-        bridge_residual(lab_tr, 1, model, m=1.0)
+        gronwall_monitor(lab_tr, model, m=1.0)
     sts = [psi_state() for _ in range(3)]
     uneven = Trajectory([0.0, 0.1, 0.3], sts, [0.0] * 3, [0.0] * 3)
     with pytest.raises(ValueError, match="uniformly"):
         gronwall_monitor(uneven, model, m=1.0)
 
 
-def test_residual_report_plumbing(quartic_traj):
-    model = nonlinearity.quartic_harmonic()
-    res = bridge_residual(quartic_traj, 250, model, m=1.0)
-    assert isinstance(res, BridgeResidual)
-    assert res.t == pytest.approx(5.0)
-    assert res.u0.shape == (G.n_points,)
-    d = res.to_dict()
-    assert set(d) == {"t", "u0_max", "v0_max", "nlkg_defect_1",
-                      "nlkg_defect_2"}
-    assert "BridgeResidual" in repr(res)
+def test_residual_report_plumbing(quartic_traj, quartic_series):
+    gw = quartic_series
+    assert isinstance(gw, GronwallSeries)
+    n = len(quartic_traj) - 2
+    for arr in (gw.times, gw.values, gw.nlkg_1, gw.nlkg_2):
+        assert arr.shape == (n,)
+    assert gw.times[249] == pytest.approx(5.0)
+    assert gw.m_first == gw.values[0]
+    assert gw.m_max == np.max(gw.values)
+    assert np.all(gw.nlkg_1 > 0.0) and np.all(gw.nlkg_2 > 0.0)

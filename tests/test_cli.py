@@ -177,11 +177,31 @@ def test_verify_virial_exit_code_follows_the_verdict(tmp_path, capsys,
     assert payload["passed"] is (code == 0)
 
 
+def test_verify_virial_writes_only_the_requested_identity(tmp_path,
+                                                          capsys):
+    # the scenario's own identities = list is not verified or written,
+    # and neither is the trajectory table
+    path = tmp_path / "lab_bump.cfg"
+    path.write_text(_LAB_BUMP.format(stride=5)
+                    + "identities = I_weighted_charge\n")
+    out = tmp_path / "out"
+    argv = ["verify-virial", "--system", "lab", "--identity",
+            "J_chiral_balance", "--scenario", str(path), "--out", str(out)]
+    code = cli.main(argv)
+    payload = json.loads(capsys.readouterr().out)
+    assert code == (0 if payload["passed"] else 1)
+    assert payload["csv"] == str(out / "lab_bump" /
+                                 "virial_J_chiral_balance.csv")
+    assert [p.name for p in out.rglob("*") if p.is_file()] == \
+        ["virial_J_chiral_balance.csv"]
+
+
 @pytest.mark.parametrize("argv, code", [
     (["--model", "quartic_harmonic"], 0),
     (["--model", "zero"], 0),
     (["--model", "thirring", "--expected-power", "4"], 1),
     (["--model", "cubic_focusing"], 2),
+    (["--model", "power_diag"], 2),
 ])
 def test_check_nonlinearity_exit_codes(argv, code, capsys):
     assert cli.main(["check-nonlinearity"] + argv) == code
@@ -189,6 +209,8 @@ def test_check_nonlinearity_exit_codes(argv, code, capsys):
         report = json.loads(capsys.readouterr().out)
         assert report["polynomial_ok"]
         assert report["growth_ok"] is (code == 0)
+    else:
+        assert "unknown nonlinearity" in capsys.readouterr().err
 
 
 def test_check_nonlinearity_zero_model_emits_no_warning(capsys):
@@ -218,6 +240,9 @@ def test_nlkg_check_exit_codes(tmp_path, capsys, system, model, code):
     if code == 0:
         payload = json.loads(capsys.readouterr().out)
         assert payload["passed"] and payload["quotient"] <= 10.0
+        assert np.isfinite(payload["nlkg_defect_max"])
+        with open(payload["csv"], encoding="utf-8") as fh:
+            assert fh.readline() == "t,M,nlkg_1,nlkg_2\n"
 
 
 def test_experiment_t5_exits_zero(tmp_path, capsys):

@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from diraclab.grids import (
-    Grid1D,
-    RadialGrid,
-    deriv1,
-    discrete_ibp_defect,
-    quad,
-)
-from diraclab.weights import tanh_1d
+from diraclab.grids import Grid1D, RadialGrid, deriv1, quad
 
 
 def test_grid1d_basics():
@@ -104,35 +97,3 @@ def test_quad_radial_measures():
         np.sqrt(np.pi) / 2.0, rel=1e-6)
     with pytest.raises(ValueError):
         quad(np.exp(-g.r), g, measure="volume")
-
-
-def _smooth_pair(rng, x):
-    def mk():
-        a = rng.normal(size=3)
-        s = 0.6 + rng.random()
-        return (a[0] * np.sin(a[1] * x) + np.cos(a[2] * x)) \
-            * np.exp(-(x / (2.5 * s)) ** 2)
-    return np.stack([mk(), mk()]), np.stack([mk(), mk()])
-
-
-def test_ibp_defect_third_order_or_better():
-    w = tanh_1d()
-    for part in ("real_part", "imag_part"):
-        for seed in range(5):
-            defects = []
-            for n in (256, 512, 1024):
-                g = Grid1D(-12.0, 12.0, n)
-                rng = np.random.default_rng(seed)
-                f, q = _smooth_pair(rng, g.x)
-                defects.append(discrete_ibp_defect(f, q, w, part, g))
-            assert np.log2(defects[0] / defects[1]) >= 3.0, (part, seed)
-            assert np.log2(defects[1] / defects[2]) >= 3.0, (part, seed)
-
-
-def test_ibp_defect_input_validation():
-    g = Grid1D(-12.0, 12.0, 256)
-    f = np.zeros((2, 256))
-    with pytest.raises(ValueError):
-        discrete_ibp_defect(f, np.zeros((3, 256)), tanh_1d(), "real_part", g)
-    with pytest.raises(ValueError):
-        discrete_ibp_defect(f, f, tanh_1d(), "both", g)

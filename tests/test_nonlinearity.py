@@ -12,7 +12,6 @@ from diraclab.nonlinearity import (
     check_harmonic,
     check_phase_separable,
     check_polynomial,
-    realness_defect,
     sample_states,
 )
 
@@ -154,11 +153,17 @@ def test_phase_separability():
     assert check_phase_separable(builtin("bec_resonance"))
     res = check_phase_separable(builtin("gross_neveu"))
     assert not res.ok and res.defect > 1e-3
-
-
-def test_realness_invariant():
-    for name in ("thirring", "gross_neveu", "bec_resonance", "thirring_psi"):
-        assert realness_defect(builtin(name)) < 1e-12, name
+    # check_all classifies every model with a potential, and reports
+    # None where there is none
+    for name in ("thirring", "bec_resonance", "zero"):
+        assert check_all(builtin(name)).phase_separable_ok is True, name
+    for name in ("gross_neveu", "quartic_harmonic", "thirring_psi"):
+        rep = check_all(builtin(name))
+        assert rep.phase_separable_ok is False, name
+        assert rep.defects["phase_separable"] > 1.0, name
+    rep = check_all(builtin("soler"))
+    assert rep.phase_separable_ok is None
+    assert "phase_separable" not in rep.defects
 
 
 def test_soler_equals_diagonal_form():

@@ -73,14 +73,6 @@ def test_missing_singular_key_raises():
         sp.sing("phi_over_r", np.array([1.0]))
 
 
-def test_zero_at_origin_flags():
-    assert W.tanh_1d().zero_at_origin
-    assert W.r32_weight().zero_at_origin
-    assert W.r2_over_1pr4_weight().zero_at_origin
-    assert not W.sech_1d().zero_at_origin
-    assert not W.half_tanh(+1).zero_at_origin
-
-
 def test_half_tanh_partition_of_unity():
     x = np.linspace(-6.0, 6.0, 25)
     right, left = W.half_tanh(+1), W.half_tanh(-1)
