@@ -584,10 +584,17 @@ def test_coercivity_estimate_matches_dense_pencil():
                      eigvals_only=True)[0]
         assert coercivity_estimate(L, g) == pytest.approx(dense, abs=1e-10)
 
-        # negative control: the even sector keeps the x = 0 node, with a
-        # free end and half quadrature weight there. sech(x/L) is the
-        # kernel direction and flatter even profiles push the form
-        # negative, so oddness is essential to coercivity
+
+def test_coercivity_fails_without_odd_symmetry():
+    from scipy.linalg import eigh
+
+    # the even sector keeps the x = 0 node, with a free end and half
+    # quadrature weight there. sech(x/L) is the kernel direction and
+    # flatter even profiles push the form negative, so oddness is
+    # essential to coercivity
+    for L in (1.0, 3.0):
+        g = Grid1D(-25.0 * L, 25.0 * L, 401)
+        h = g.h
         xe = g.x[g.x > -0.5 * h]
         n = xe.size
         kin = (np.diag(np.r_[1.0, np.full(n - 2, 2.0), 1.0])
@@ -595,8 +602,16 @@ def test_coercivity_estimate_matches_dense_pencil():
         wq = np.r_[0.5 * h, np.full(n - 1, h)]
         well = wq / np.cosh(xe / L) ** 2 / (2.0 * L * L)
         bump = wq / np.cosh(xe / L) ** 4 / L
-        even = eigh(kin - np.diag(well), kin + np.diag(bump),
-                    eigvals_only=True)[0]
+        form = kin - np.diag(well)
+        ref = kin + np.diag(bump)
+
+        def quotient(z):
+            return (z @ form @ z) / (z @ ref @ z)
+
+        kappa = (np.sqrt(3.0) - 1.0) / 2.0
+        assert abs(quotient(1.0 / np.cosh(xe / L))) <= 1e-3
+        assert quotient(np.cosh(xe / L) ** (-kappa)) < -0.1
+        even = eigh(form, ref, eigvals_only=True)[0]
         assert even < -0.2
 
 
