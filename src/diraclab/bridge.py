@@ -108,7 +108,7 @@ def gronwall_monitor(trajectory, model, m=1.0):
         raise ValueError(
             f"gronwall_monitor: model {model.name!r} fails the "
             f"mixed-gradient cancellation conditions (defect "
-            f"{report.worst_defect:.3e}); the second-order reformulation "
+            f"{report.defect:.3e}); the second-order reformulation "
             "only closes when they hold")
     m = float(m)
     states = trajectory.states

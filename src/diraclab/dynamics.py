@@ -10,8 +10,9 @@ pair in one of two frames:
     (u, v) solving  i u_t = -i u_x + m v - W1(u, v),
     i v_t = +i v_x + m u - W2(u, v).
 ``spinor_psi``
-    (psi1, psi2), the image of (u, v) under the constant unitary change
-    of frame (see :func:`diraclab.exact.t_transform`).
+    (psi1, psi2), the image of (u, v) under a constant change of frame,
+    sqrt(2) times a unitary map (see :func:`diraclab.exact.t_transform`),
+    so the spinor-frame charge is twice the lab-frame charge.
 
 The radial container is in the spinor frame. It holds the four real
 fields (p11, p12, p21, p22), psi_j = p_j1 + i p_j2, on a cell-centered
@@ -71,7 +72,8 @@ class SpinorState1D:
         return self.fields[1]
 
     def density(self):
-        """Pointwise |state|^2, identical in both frames."""
+        """Pointwise |state|^2; the same formula in both frames, whose
+        value doubles under the map to the spinor frame."""
         return np.sum(np.abs(self.fields) ** 2, axis=0)
 
     def copy(self):

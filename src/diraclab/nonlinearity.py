@@ -11,10 +11,7 @@ import numpy as np
 
 __all__ = [
     "NonlinearityModel",
-    "AdmissibilityReport",
     "CheckResult",
-    "GaugeCheck",
-    "HarmonicCheck",
     "builtin",
     "thirring",
     "gross_neveu",
@@ -22,7 +19,6 @@ __all__ = [
     "thirring_psi",
     "quartic_harmonic",
     "soler",
-    "power_diag",
     "isotropic_pair",
     "cubic_conjugate_pair",
     "zero_model",
@@ -68,13 +64,16 @@ class NonlinearityModel:
         (a, b, c, d) -> (W1, W2), slots independent, vectorized.
     eval_W : callable or None
         On-shell potential (z1, z2) -> W. None when the pair (W1, W2)
-        is not a joint Wirtinger gradient (soler / power_diag).
+        is not a joint Wirtinger gradient (soler).
     coupling : float
+        Must be finite.
     """
 
     def __init__(self, name, arity, p, eval_grad, eval_W=None, coupling=1.0):
         if arity not in _FRAMES:
             raise ValueError(f"unknown arity {arity!r}")
+        if not np.isfinite(coupling):
+            raise ValueError(f"coupling must be finite, got {coupling!r}")
         self.name = name
         self.arity = arity
         self.p = int(p)
@@ -184,17 +183,13 @@ def quartic_harmonic(coupling=1.0):
     return NonlinearityModel("quartic_harmonic", "spinor_psi", 3, grad, W, co)
 
 
-def power_diag(A, g_coeffs=(1.0,), coupling=1.0, name=None):
-    """(W1, W2) = g(X^T A X) (psi1, psi2) with A = diag over (Re/Im parts).
+def soler(g_coeffs=(1.0,), coupling=1.0):
+    """(W1, W2) = g(|psi1|^2 - |psi2|^2) (psi1, psi2).
 
-    A : 4 reals, ordered (a11, a21, a12, a22) against
-        X = (Re psi1, Re psi2, Im psi1, Im psi2).
     g_coeffs : coefficients (g1, g2, ...) of g(s) = sum_k g_k s^k, g(0)=0.
 
-    The pair is not a joint Wirtinger gradient unless a11 = a12 and
-    a21 = a22, so no eval_W is attached.
+    The pair is not a joint Wirtinger gradient, so no eval_W is attached.
     """
-    a11, a21, a12, a22 = (float(v) for v in A)
     g = tuple(float(c) for c in g_coeffs)
     if not any(g):
         raise ValueError("g must have a nonzero coefficient")
@@ -209,23 +204,14 @@ def power_diag(A, g_coeffs=(1.0,), coupling=1.0, name=None):
 
     def grad(a, b, c, d):
         # Re/Im parts continued off-shell: x1=(a+b)/2, y1=(a-b)/(2i), ...
-        s = (a11 * (a + b) ** 2 - a12 * (a - b) ** 2
-             + a21 * (c + d) ** 2 - a22 * (c - d) ** 2) / 4.0
+        s = ((a + b) ** 2 - (a - b) ** 2 - (c + d) ** 2 + (c - d) ** 2) / 4.0
         gs = co * g_of(s)
         return gs * a, gs * c
 
-    label = name or f"power_diag({a11:g},{a21:g},{a12:g},{a22:g})"
-    model = NonlinearityModel(label, "spinor_psi", 2 * k_min + 1, grad,
+    model = NonlinearityModel("soler", "spinor_psi", 2 * k_min + 1, grad,
                               None, co)
-    model.A = (a11, a21, a12, a22)
     model.g_coeffs = g
     return model
-
-
-def soler(g_coeffs=(1.0,), coupling=1.0):
-    """(W1, W2) = g(|psi1|^2 - |psi2|^2) (psi1, psi2)."""
-    m = power_diag((1.0, -1.0, 1.0, -1.0), g_coeffs, coupling, name="soler")
-    return m
 
 
 def isotropic_pair(m=3, n=3, a=(1.0, 1j), b=(1.0, 1j)):
@@ -299,11 +285,18 @@ def builtin(name, **params):
     return _BUILTINS[name](**params)
 
 
-def sample_states(n_samples, seed, amplitude=1.5):
+# Every checker draws from the same fixed sample, so a direct call, the
+# check-nonlinearity report and the nlkg-check gate agree on each verdict.
+_N_SAMPLES = 200
+_SEED = 0
+_AMPLITUDE = 1.5
+
+
+def sample_states(n_samples, seed):
     """Deterministic complex sample pairs shared by checkers and tests."""
     rng = np.random.default_rng(seed)
-    z = amplitude * (rng.normal(size=(4, n_samples))
-                     + 1j * rng.normal(size=(4, n_samples))) / np.sqrt(2.0)
+    z = _AMPLITUDE * (rng.normal(size=(4, n_samples))
+                      + 1j * rng.normal(size=(4, n_samples))) / np.sqrt(2.0)
     return z[0], z[1]
 
 
@@ -323,67 +316,30 @@ class CheckResult:
         return f"CheckResult(ok={self.ok}, defect={self.defect:.3e})"
 
 
-class GaugeCheck:
-    """Unpacks as (gauge_ok, symmetry_ok); keeps the worst defects."""
+def check_gauge_symmetry(model):
+    """Phase invariance W(e^{i theta}u, e^{i theta}v) = W(u,v) and swap symmetry.
 
-    def __init__(self, gauge_ok, symmetry_ok, gauge_defect, symmetry_defect,
-                 n_samples):
-        self.gauge_ok = bool(gauge_ok)
-        self.symmetry_ok = bool(symmetry_ok)
-        self.gauge_defect = float(gauge_defect)
-        self.symmetry_defect = float(symmetry_defect)
-        self.n_samples = int(n_samples)
-
-    def __iter__(self):
-        return iter((self.gauge_ok, self.symmetry_ok))
-
-    def __repr__(self):
-        return (f"GaugeCheck(gauge_ok={self.gauge_ok}, "
-                f"symmetry_ok={self.symmetry_ok}, "
-                f"defects=({self.gauge_defect:.3e}, "
-                f"{self.symmetry_defect:.3e}))")
-
-
-class HarmonicCheck:
-    """Unpacks as (ok, worst_defect); `by_condition` has raw per-combo maxima."""
-
-    def __init__(self, ok, worst_defect, by_condition, n_samples, tol):
-        self.ok = bool(ok)
-        self.worst_defect = float(worst_defect)
-        self.by_condition = dict(by_condition)
-        self.n_samples = int(n_samples)
-        self.tol = float(tol)
-
-    def __iter__(self):
-        return iter((self.ok, self.worst_defect))
-
-    def __bool__(self):
-        return self.ok
-
-    def __repr__(self):
-        return (f"HarmonicCheck(ok={self.ok}, "
-                f"worst_defect={self.worst_defect:.3e})")
-
-
-def check_gauge_symmetry(model, n_samples=200, seed=0, tol=1e-12):
-    """Phase invariance W(e^{i theta}u, e^{i theta}v) = W(u,v) and swap symmetry."""
+    Returns the pair (gauge, swap) of results.
+    """
     if model.eval_W is None:
         raise ValueError(f"model {model.name!r} has no potential to check")
-    z1, z2 = sample_states(n_samples, seed)
-    theta = np.random.default_rng(seed + 1).uniform(0.0, 2.0 * np.pi,
-                                                    size=n_samples)
+    z1, z2 = sample_states(_N_SAMPLES, _SEED)
+    theta = np.random.default_rng(_SEED + 1).uniform(0.0, 2.0 * np.pi,
+                                                     size=_N_SAMPLES)
     w0 = np.asarray(model.eval_W(z1, z2))
     scale = 1.0 + np.abs(w0)
     rot = np.exp(1j * theta)
-    d_gauge = np.abs(np.asarray(model.eval_W(rot * z1, rot * z2)) - w0) / scale
-    d_sym = np.abs(np.asarray(model.eval_W(z2, z1)) - w0) / scale
-    return GaugeCheck(np.max(d_gauge) <= tol, np.max(d_sym) <= tol,
-                      np.max(d_gauge), np.max(d_sym), n_samples)
+    d_gauge = np.max(np.abs(np.asarray(model.eval_W(rot * z1, rot * z2))
+                            - w0) / scale)
+    d_sym = np.max(np.abs(np.asarray(model.eval_W(z2, z1)) - w0) / scale)
+    return (CheckResult(d_gauge <= 1e-12, d_gauge),
+            CheckResult(d_sym <= 1e-12, d_sym))
 
 
-def _slot_derivatives(model, a, b, c, d, eps):
+def _slot_derivatives(model, a, b, c, d):
     # 4th-order central differences in each slot, exact on low-degree
     # polynomials up to roundoff
+    eps = 1e-2
     slots = [a, b, c, d]
     out = []
     for k in range(4):
@@ -399,15 +355,7 @@ def _slot_derivatives(model, a, b, c, d, eps):
     return out  # out[k] = (dW1/dslot_k, dW2/dslot_k)
 
 
-HARMONIC_CONDITIONS = (
-    "da_W2_plus_dc_W1",
-    "db_W2_minus_dd_W1",
-    "dc_W2_minus_da_W1",
-    "dd_W2_plus_db_W1",
-)
-
-
-def check_harmonic(model, n_samples=200, seed=0, eps=1e-2, tol=1e-6):
+def check_harmonic(model):
     """Test the four mixed-gradient cancellation conditions.
 
     Differentiates (W1, W2) with the four slots independent and forms
@@ -415,54 +363,54 @@ def check_harmonic(model, n_samples=200, seed=0, eps=1e-2, tol=1e-6):
         dW2/da + dW1/dc,  dW2/db - dW1/dd,
         dW2/dc - dW1/da,  dW2/dd + dW1/db.
 
-    A model passes when every combination vanishes to tol * scale at
-    every sample. `by_condition` records the raw per-combination maxima
-    so a failing model's defect can be compared against a closed form.
+    A model passes when every combination vanishes to 1e-6 * scale at
+    every sample. The defect is the worst combination; `by_condition`
+    records the raw per-combination maxima so a failing model's defect
+    can be compared against a closed form.
     """
-    z1, z2 = sample_states(n_samples, seed)
+    z1, z2 = sample_states(_N_SAMPLES, _SEED)
     a, b, c, d = z1, np.conj(z1), z2, np.conj(z2)
-    der = _slot_derivatives(model, a, b, c, d, eps)
+    der = _slot_derivatives(model, a, b, c, d)
     combos = {
-        "da_W2_plus_dc_W1": der[0][1] + der[2][0],
-        "db_W2_minus_dd_W1": der[1][1] - der[3][0],
-        "dc_W2_minus_da_W1": der[2][1] - der[0][0],
-        "dd_W2_plus_db_W1": der[3][1] + der[1][0],
+        "da_W2_plus_dc_W1": np.abs(der[0][1] + der[2][0]),
+        "db_W2_minus_dd_W1": np.abs(der[1][1] - der[3][0]),
+        "dc_W2_minus_da_W1": np.abs(der[2][1] - der[0][0]),
+        "dd_W2_plus_db_W1": np.abs(der[3][1] + der[1][0]),
     }
     amp = np.sqrt(np.abs(z1) ** 2 + np.abs(z2) ** 2)
     scale = 1.0 + amp ** max(model.p - 1, 1)
-    ok = True
-    worst = 0.0
-    by_condition = {}
-    for key in HARMONIC_CONDITIONS:
-        vals = np.abs(combos[key])
-        by_condition[key] = float(np.max(vals))
-        ok = ok and bool(np.all(vals <= tol * scale))
-        worst = max(worst, by_condition[key])
-    return HarmonicCheck(ok, worst, by_condition, n_samples, tol)
+    ok = all(np.all(vals <= 1e-6 * scale) for vals in combos.values())
+    by_condition = {key: float(np.max(vals)) for key, vals in combos.items()}
+    return CheckResult(ok, max(by_condition.values()),
+                       by_condition=by_condition)
 
 
-def check_bd_dependence(model, n_samples=200, seed=0, tol=1e-12):
+def check_bd_dependence(model):
     """(W1, W2) must be unchanged when slots a and c move with b, d held."""
-    z1, z2 = sample_states(n_samples, seed)
+    z1, z2 = sample_states(_N_SAMPLES, _SEED)
     a, b, c, d = z1, np.conj(z1), z2, np.conj(z2)
-    rng = np.random.default_rng(seed + 2)
-    da = 0.5 * (rng.normal(size=n_samples) + 1j * rng.normal(size=n_samples))
-    dc = 0.5 * (rng.normal(size=n_samples) + 1j * rng.normal(size=n_samples))
+    rng = np.random.default_rng(_SEED + 2)
+    da = 0.5 * (rng.normal(size=_N_SAMPLES) + 1j * rng.normal(size=_N_SAMPLES))
+    dc = 0.5 * (rng.normal(size=_N_SAMPLES) + 1j * rng.normal(size=_N_SAMPLES))
     w1, w2 = model.eval_grad(a, b, c, d)
     w1p, w2p = model.eval_grad(a + da, b, c + dc, d)
     scale = 1.0 + np.abs(w1) + np.abs(w2)
     defect = np.max((np.abs(w1p - w1) + np.abs(w2p - w2)) / scale)
-    return CheckResult(defect <= tol, defect)
+    return CheckResult(defect <= 1e-12, defect)
 
 
-def check_growth(model, p_expected=None, seed=0, n_rays=5):
-    """Log-log slope of |W1|+|W2| along rays s * state, s in [2^-8, 1]."""
+def check_growth(model, p_expected=None):
+    """Log-log slope of |W1|+|W2| along 5 rays s * state, s in [2^-8, 1].
+
+    The defect and `slope` are the smallest slope; `slope` is None when
+    the gradient vanishes identically.
+    """
     p_expected = model.p if p_expected is None else p_expected
     s = 2.0 ** np.arange(-8, 1).astype(float)
-    z1, z2 = sample_states(n_rays, seed + 3)
+    z1, z2 = sample_states(5, _SEED + 3)
     slopes = []
     constants = []
-    for i in range(n_rays):
+    for i in range(5):
         w1, w2 = model.grad(s * z1[i], s * z2[i])
         mag = np.abs(w1) + np.abs(w2)
         if np.max(mag) < 1e-300:
@@ -470,28 +418,29 @@ def check_growth(model, p_expected=None, seed=0, n_rays=5):
         slopes.append(np.polyfit(np.log(s), np.log(mag), 1)[0])
         constants.append(np.max(mag / s ** p_expected))
     if not slopes:
-        return CheckResult(True, 0.0, slope=float("nan"), constant=0.0)
+        return CheckResult(True, 0.0, slope=None)
     slope = min(slopes)
     constant = max(constants)
     ok = slope >= p_expected - 0.1 and np.isfinite(constant)
-    return CheckResult(ok, slope, slope=slope, constant=constant)
+    return CheckResult(ok, slope, slope=slope)
 
 
-def check_polynomial(model, degree_cap=12, seed=0, tol=1e-8):
-    """High-order forward differences along a ray must annihilate (W1, W2)."""
+def check_polynomial(model):
+    """Forward differences of order 13 along a ray must annihilate (W1, W2),
+    as they do for every polynomial of degree up to 12."""
     from math import comb
 
-    z1, z2 = sample_states(1, seed + 4)
-    k = degree_cap + 1
+    z1, z2 = sample_states(1, _SEED + 4)
+    k = 13
     s = np.arange(k + 1, dtype=float)
     w1, w2 = model.grad(np.outer(s, z1).ravel(), np.outer(s, z2).ravel())
     coeffs = np.array([(-1.0) ** (k - j) * comb(k, j) for j in range(k + 1)])
     scale = 1.0 + np.max(np.abs(w1)) + np.max(np.abs(w2))
     defect = max(abs(np.dot(coeffs, w1)), abs(np.dot(coeffs, w2))) / scale
-    return CheckResult(defect <= tol, defect)
+    return CheckResult(defect <= 1e-8, defect)
 
 
-def check_phase_separable(model, n_samples=100, seed=0, tol=1e-12):
+def check_phase_separable(model):
     """W invariant under independent phase rotations of u and v.
 
     Holds exactly when W depends on (|u|^2, |v|^2) alone. For such W the
@@ -500,83 +449,42 @@ def check_phase_separable(model, n_samples=100, seed=0, tol=1e-12):
     """
     if model.eval_W is None:
         raise ValueError(f"model {model.name!r} has no potential to check")
-    z1, z2 = sample_states(n_samples, seed)
-    rng = np.random.default_rng(seed + 5)
-    th1 = np.exp(1j * rng.uniform(0, 2 * np.pi, n_samples))
-    th2 = np.exp(1j * rng.uniform(0, 2 * np.pi, n_samples))
+    z1, z2 = sample_states(_N_SAMPLES, _SEED)
+    rng = np.random.default_rng(_SEED + 5)
+    th1 = np.exp(1j * rng.uniform(0, 2 * np.pi, _N_SAMPLES))
+    th2 = np.exp(1j * rng.uniform(0, 2 * np.pi, _N_SAMPLES))
     w0 = np.asarray(model.eval_W(z1, z2))
     scale = 1.0 + np.abs(w0)
     d1 = np.abs(np.asarray(model.eval_W(th1 * z1, z2)) - w0) / scale
     d2 = np.abs(np.asarray(model.eval_W(z1, th2 * z2)) - w0) / scale
     defect = max(np.max(d1), np.max(d2))
-    return CheckResult(defect <= tol, defect)
+    return CheckResult(defect <= 1e-12, defect)
 
 
-class AdmissibilityReport:
-    """Aggregated checker verdicts for one model."""
+def check_all(model, p_expected=None):
+    """Run every checker and return the JSON-ready report.
 
-    def __init__(self, model, gauge_ok, symmetry_ok, phase_separable_ok,
-                 polynomial_ok, harmonic_ok, bd_dependence_ok, growth_ok,
-                 defects, n_samples):
-        self.name = model.name
-        self.arity = model.arity
-        self.p = model.p
-        self.gauge_ok = gauge_ok
-        self.symmetry_ok = symmetry_ok
-        self.phase_separable_ok = phase_separable_ok
-        self.polynomial_ok = polynomial_ok
-        self.harmonic_ok = harmonic_ok
-        self.bd_dependence_ok = bd_dependence_ok
-        self.growth_ok = growth_ok
-        self.defects = dict(defects)
-        self.n_samples = int(n_samples)
-
-    def to_dict(self):
-        return {
-            "name": self.name,
-            "arity": self.arity,
-            "p": self.p,
-            "gauge_ok": self.gauge_ok,
-            "symmetry_ok": self.symmetry_ok,
-            "phase_separable_ok": self.phase_separable_ok,
-            "polynomial_ok": self.polynomial_ok,
-            "harmonic_ok": self.harmonic_ok,
-            "bd_dependence_ok": self.bd_dependence_ok,
-            "growth_ok": self.growth_ok,
-            "defects": self.defects,
-            "n_samples": self.n_samples,
-        }
-
-    def __repr__(self):
-        flags = {k: getattr(self, k) for k in
-                 ("gauge_ok", "symmetry_ok", "phase_separable_ok",
-                  "polynomial_ok", "harmonic_ok", "bd_dependence_ok",
-                  "growth_ok")}
-        return f"AdmissibilityReport({self.name!r}, {flags})"
-
-
-def check_all(model, p_expected=None, n_samples=200, seed=0):
-    """Run every checker; gauge, symmetry and phase separability are None
-    when no potential exists."""
+    gauge_ok, symmetry_ok and phase_separable_ok are None, and their
+    defects absent, when the model has no potential. The growth slope
+    is None when the gradient vanishes identically.
+    """
     defects = {}
-    if model.eval_W is not None:
-        g = check_gauge_symmetry(model, n_samples, seed)
-        gauge_ok, symmetry_ok = g.gauge_ok, g.symmetry_ok
-        defects["gauge"] = g.gauge_defect
-        defects["symmetry"] = g.symmetry_defect
-        sep = check_phase_separable(model, n_samples, seed)
-        phase_separable_ok = sep.ok
-        defects["phase_separable"] = sep.defect
+    report = {"name": model.name, "arity": model.arity, "p": model.p,
+              "defects": defects, "n_samples": _N_SAMPLES}
+    checks = [("harmonic", check_harmonic(model)),
+              ("bd_dependence", check_bd_dependence(model)),
+              ("polynomial", check_polynomial(model))]
+    if model.eval_W is None:
+        report.update(gauge_ok=None, symmetry_ok=None,
+                      phase_separable_ok=None)
     else:
-        gauge_ok = symmetry_ok = phase_separable_ok = None
-    har = check_harmonic(model, n_samples, seed)
-    defects["harmonic"] = har.worst_defect
-    bd = check_bd_dependence(model, n_samples, seed)
-    defects["bd_dependence"] = bd.defect
-    poly = check_polynomial(model, seed=seed)
-    defects["polynomial"] = poly.defect
-    gr = check_growth(model, p_expected, seed=seed)
-    defects["growth_slope"] = gr.slope
-    return AdmissibilityReport(model, gauge_ok, symmetry_ok,
-                               phase_separable_ok, poly.ok, har.ok, bd.ok,
-                               gr.ok, defects, n_samples)
+        gauge, swap = check_gauge_symmetry(model)
+        checks += [("gauge", gauge), ("symmetry", swap),
+                   ("phase_separable", check_phase_separable(model))]
+    for key, result in checks:
+        report[f"{key}_ok"] = result.ok
+        defects[key] = result.defect
+    growth = check_growth(model, p_expected)
+    report["growth_ok"] = growth.ok
+    defects["growth_slope"] = growth.slope
+    return report

@@ -52,11 +52,9 @@ def hamiltonian_1d(state, model, m=1.0):
 
 
 def _soler_antiderivative(model):
-    a = getattr(model, "A", None)
     g = getattr(model, "g_coeffs", None)
-    if a != (1.0, -1.0, 1.0, -1.0) or g is None:
-        raise ValueError(
-            f"model {model.name!r} is not of the diagonal difference form")
+    if g is None:
+        raise ValueError(f"model {model.name!r} is not a Soler model")
     co = model.coupling
 
     def big_g(s):
@@ -70,7 +68,7 @@ def _soler_antiderivative(model):
 
 
 def energy_psi(state, model, m=1.0):
-    """Conserved energy in the psi frame for diagonal-difference models.
+    """Conserved energy in the psi frame for Soler models.
 
     Re int (conj(psi1) dpsi2/dx - conj(psi2) dpsi1/dx)
     + m int (|psi1|^2 - |psi2|^2) - int G(|psi1|^2 - |psi2|^2),

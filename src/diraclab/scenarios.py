@@ -357,7 +357,7 @@ class ScenarioConfig:
     def _applicable_observables(self, model, grid):
         out = ["charge"]
         if self.system == "spinor_1d" and \
-                getattr(model, "A", None) == (1.0, -1.0, 1.0, -1.0):
+                getattr(model, "g_coeffs", None) is not None:
             out.append("energy")
         if self.system == "lab_1d" and model.eval_W is not None:
             out.append("hamiltonian")

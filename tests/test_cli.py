@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import diraclab
-from diraclab import cli
+from diraclab import cli, nonlinearity
 from diraclab.dynamics import integrate
 from diraclab.scenarios import ScenarioConfig
 from diraclab.virials import verify_identity
@@ -64,6 +64,26 @@ dt = 0.02
 t_end = 4
 sample_stride = {stride}
 out_dir = lab_bump
+"""
+
+
+# strongly nonlinear data on a coarse grid: the odd quartic bump's
+# discretization error grows along the run, so M leaves its floor
+_NLKG_STRONG = """\
+system = spinor_1d
+model = quartic_harmonic
+mass = 1.0
+initial = bump
+amplitude = 1.0
+width = 0.5
+parity = odd
+x_min = -40
+x_max = 40
+n_points = 401
+dt = 0.1
+t_end = 10
+sample_stride = 1
+out_dir = strong
 """
 
 
@@ -213,6 +233,24 @@ def test_check_nonlinearity_exit_codes(argv, code, capsys):
         assert "unknown nonlinearity" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_check_nonlinearity_refuses_non_finite_coupling(value, capsys):
+    argv = ["check-nonlinearity", "--model", "thirring", "--coupling", value]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "coupling must be finite" in err
+
+
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@pytest.mark.parametrize("model", sorted(nonlinearity._BUILTINS))
+def test_check_nonlinearity_prints_strict_json(model, capsys):
+    cli.main(["check-nonlinearity", "--model", model])
+    json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+
+
 def test_check_nonlinearity_zero_model_emits_no_warning(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -243,6 +281,16 @@ def test_nlkg_check_exit_codes(tmp_path, capsys, system, model, code):
         assert np.isfinite(payload["nlkg_defect_max"])
         with open(payload["csv"], encoding="utf-8") as fh:
             assert fh.readline() == "t,M,nlkg_1,nlkg_2\n"
+
+
+def test_nlkg_check_exits_one_when_m_leaves_its_floor(tmp_path, capsys):
+    path = tmp_path / "strong.cfg"
+    path.write_text(_NLKG_STRONG)
+    argv = ["nlkg-check", "--scenario", str(path), "--out",
+            str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert not payload["passed"] and payload["quotient"] > 10.0
 
 
 def test_experiment_t5_exits_zero(tmp_path, capsys):

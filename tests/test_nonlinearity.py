@@ -93,16 +93,15 @@ def test_gauge_fails_for_phase_sensitive_potentials():
 
 
 def test_harmonic_positive_negative_pair():
-    ok_q, defect_q = check_harmonic(builtin("quartic_harmonic"))
-    assert ok_q and defect_q < 1e-9
-    ok_t, defect_t = check_harmonic(builtin("thirring_psi"))
-    assert not ok_t and defect_t > 0.1
+    rep_q = check_harmonic(builtin("quartic_harmonic"))
+    assert rep_q.ok and rep_q.defect < 1e-9
+    rep_t = check_harmonic(builtin("thirring_psi"))
+    assert not rep_t.ok and rep_t.defect > 0.1
 
 
 def test_harmonic_flagged_combination_closed_form():
-    n, seed = 400, 7
-    rep = check_harmonic(builtin("thirring_psi"), n_samples=n, seed=seed)
-    z1, z2 = sample_states(n, seed)
+    rep = check_harmonic(builtin("thirring_psi"))
+    z1, z2 = sample_states(NL._N_SAMPLES, NL._SEED)
     closed = np.max(0.5 * np.abs(np.abs(z1) ** 2 - np.abs(z2) ** 2))
     got = rep.by_condition["dc_W2_minus_da_W1"]
     assert abs(got - closed) <= 1e-6 * closed
@@ -156,14 +155,14 @@ def test_phase_separability():
     # check_all classifies every model with a potential, and reports
     # None where there is none
     for name in ("thirring", "bec_resonance", "zero"):
-        assert check_all(builtin(name)).phase_separable_ok is True, name
+        assert check_all(builtin(name))["phase_separable_ok"] is True, name
     for name in ("gross_neveu", "quartic_harmonic", "thirring_psi"):
         rep = check_all(builtin(name))
-        assert rep.phase_separable_ok is False, name
-        assert rep.defects["phase_separable"] > 1.0, name
+        assert rep["phase_separable_ok"] is False, name
+        assert rep["defects"]["phase_separable"] > 1.0, name
     rep = check_all(builtin("soler"))
-    assert rep.phase_separable_ok is None
-    assert "phase_separable" not in rep.defects
+    assert rep["phase_separable_ok"] is None
+    assert "phase_separable" not in rep["defects"]
 
 
 def test_soler_equals_diagonal_form():
@@ -177,9 +176,9 @@ def test_soler_equals_diagonal_form():
         m.potential(z1, z2)  # no joint potential in the diagonal family
 
 
-def test_power_diag_g_validation():
+def test_soler_g_validation():
     with pytest.raises(ValueError):
-        NL.power_diag((1.0, 1.0, 1.0, 1.0), g_coeffs=(0.0, 0.0))
+        NL.soler(g_coeffs=(0.0, 0.0))
 
 
 def test_isotropic_pair_validation():
@@ -212,12 +211,11 @@ def test_w_fields_decomposition():
 
 def test_check_all_aggregation():
     rep = check_all(builtin("thirring"))
-    assert rep.gauge_ok and rep.symmetry_ok and rep.polynomial_ok
-    assert rep.growth_ok and rep.name == "thirring"
-    d = rep.to_dict()
-    assert set(d) >= {"name", "arity", "p", "gauge_ok", "harmonic_ok",
-                      "bd_dependence_ok", "growth_ok", "defects"}
+    assert rep["gauge_ok"] and rep["symmetry_ok"] and rep["polynomial_ok"]
+    assert rep["growth_ok"] and rep["name"] == "thirring"
+    assert set(rep) >= {"name", "arity", "p", "gauge_ok", "harmonic_ok",
+                        "bd_dependence_ok", "growth_ok", "defects"}
 
     rep_soler = check_all(builtin("soler"))
-    assert rep_soler.gauge_ok is None  # no potential to test
-    assert rep_soler.growth_ok and not rep_soler.harmonic_ok
+    assert rep_soler["gauge_ok"] is None  # no potential to test
+    assert rep_soler["growth_ok"] and not rep_soler["harmonic_ok"]

@@ -1,4 +1,4 @@
-"""Property tests over randomly drawn smooth states."""
+"""Property tests over randomly drawn states and catalog potentials."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from diraclab import weights  # noqa: E402
 from diraclab.dynamics import SpinorState1D  # noqa: E402
+from diraclab.exact import inverse_t_transform, t_transform  # noqa: E402
 from diraclab.grids import Grid1D, quad  # noqa: E402
+from diraclab.nonlinearity import builtin  # noqa: E402
 from diraclab.virials import ScalingTriple, rhs_I  # noqa: E402
 
 _GRID = Grid1D(-30.0, 30.0, 601)
@@ -55,3 +57,43 @@ def test_weighted_charge_rate_is_the_window_charge_rate(state, lam, weight):
     scale = quad(np.abs(dphi) * state.density(), _GRID) / lam
     got = rhs_I(state, w, ScalingTriple.constant(lam))
     assert abs(got - expected) <= 1e-13 * scale
+
+
+_amplitudes = st.complex_numbers(max_magnitude=10.0, allow_nan=False,
+                                 allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(z1=_amplitudes, z2=_amplitudes, theta=st.floats(0.0, 2.0 * np.pi),
+       name=st.sampled_from(["thirring", "gross_neveu", "bec_resonance",
+                             "thirring_psi"]))
+def test_gauge_and_swap_invariance(z1, z2, theta, name):
+    model = builtin(name)
+    w = model.potential(z1, z2)
+    rot = np.exp(1j * theta)
+    tol = 1e-12 * (1.0 + abs(w))
+    assert abs(model.potential(rot * z1, rot * z2) - w) <= tol
+    assert abs(model.potential(z2, z1) - w) <= tol
+
+
+@settings(max_examples=200, deadline=None)
+@given(z1=_amplitudes, z2=_amplitudes)
+def test_quartic_harmonic_flips_sign_under_eighth_turn(z1, z2):
+    # W is a quartic form in the conjugates, so e^{i pi/4} gives e^{-i pi}
+    model = builtin("quartic_harmonic")
+    rot = np.exp(0.25j * np.pi)
+    w = model.potential(z1, z2)
+    scale = 1.0 + (abs(z1) ** 2 + abs(z2) ** 2) ** 2
+    assert abs(model.potential(rot * z1, rot * z2) + w) <= 1e-12 * scale
+
+
+_lab_values = st.complex_numbers(max_magnitude=1e150, allow_nan=False,
+                                 allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(u=_lab_values, v=_lab_values)
+def test_frame_map_round_trip(u, v):
+    ub, vb = inverse_t_transform(*t_transform(u, v))
+    bound = 4.0 * 2.0 ** -52 * (abs(u) + abs(v))
+    assert abs(ub - u) <= bound and abs(vb - v) <= bound
