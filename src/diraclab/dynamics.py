@@ -23,7 +23,7 @@ odd-extendable through the origin.
 import numpy as np
 
 from .grids import Grid1D, RadialGrid, deriv1, quad
-from .nonlinearity import require_frame
+from .nonlinearity import require_frame, require_zero_at_rest
 
 _KINDS_1D = ("lab_uv", "spinor_psi")
 
@@ -223,7 +223,8 @@ def rhs_radial(state, model, m=1.0):
 def _rhs_radial_arrays(fields, grid, model, m):
     p11, p12, p21, p22 = fields
     w11, w12, w21, w22 = model.w_fields(p11 + 1j * p12, p21 + 1j * p22)
-    r = grid.r
+    # integrate passes the leading cells [0, b) of the grid
+    r = grid.r[:fields.shape[-1]]
     # odd components pick up the 2/r transport term of the 3D operator
     t22 = deriv1(p22, grid, parity="odd") + 2.0 * p22 / r
     t21 = deriv1(p21, grid, parity="odd") + 2.0 * p21 / r
@@ -239,9 +240,20 @@ _PIN = 4      # hard-zeroed nodes at an outflow edge
 _SPONGE = 8   # monitored nodes just inside the pinned block
 _BOUNDARY_TOL = 1e-8  # sponge-zone mass allowed, relative to Q(0)
 
+# The discrete light cone of one RK4 step. Each of the 4 stages applies
+# the interior stencil of grids.deriv1, of radius 2, so a step moves the
+# live span of the field by at most _SPREAD nodes, and the last stage's
+# input reaches 3 * 2 nodes past the live span of the step's start. A
+# one-sided closure reads 5 nodes, so _MARGIN zero nodes between the
+# live span and a window edge keep every closure at that edge reading
+# zeros, as the full grid's interior stencil does there.
+_SPREAD = 4 * 2
+_MARGIN = 3 * 2 + 5
+
 
 def _select_rhs(initial, model):
     require_frame(model, initial.kind, "integrate")
+    require_zero_at_rest(model, "integrate")
     if isinstance(initial, RadialSpinorState):
         return _rhs_radial_arrays
     if initial.kind == "lab_uv":
@@ -281,6 +293,20 @@ def integrate(initial, model, t_end, dt, m=1.0, sample_stride=1):
     times the initial charge, so results are only ever produced for
     effectively compactly supported evolutions.
 
+    Each step is computed on a window ``y[:, a:b]``: the live span
+    (nodes holding any value other than +0.0; NaN and inf are live) plus
+    a margin, and the rest of the field is left as it is. The result is
+    bitwise that of stepping the whole grid. The model's gradient
+    vanishes exactly at the zero state, so a node whose stencil reads
+    only +0.0 gets a right-hand side of +-0.0 and stays +0.0. One step
+    moves the live span by at most 8 nodes (4 stages of a radius-2
+    stencil); the window keeps 11 zero nodes between the live span and
+    each of its edges that is not a grid edge, so every one-sided
+    closure at such an edge reads zeros, and it widens by 8 nodes on a
+    side whenever the live span comes closer. A radial window always
+    starts at the origin, whose parity ghosts are the grid's own left
+    edge. Pinning and every sampled quantity act on the full field.
+
     Returns a :class:`Trajectory` sampled every ``sample_stride`` steps
     (first and last steps always included).
     """
@@ -302,10 +328,23 @@ def integrate(initial, model, t_end, dt, m=1.0, sample_stride=1):
     rhs = _select_rhs(initial, model)
     y = initial.fields.copy()
     t0 = initial.t
+    radial = isinstance(grid, RadialGrid)
 
-    measure = "spherical" if isinstance(grid, RadialGrid) else "line"
+    measure = "spherical" if radial else "line"
     q0 = float(quad(initial.density(), grid, measure))
     mass_cap = _BOUNDARY_TOL * q0 if q0 > 0.0 else np.inf
+
+    # +0.0 is the one float whose bits are all zero; bits shares memory
+    # with y and holds w words per node (1 for real, 2 for complex)
+    n = y.shape[-1]
+    bits = y.view(np.uint64)
+    w = bits.shape[-1] // n
+    live = np.flatnonzero(bits.reshape(len(y), n, w).any(axis=(0, 2)))
+    if live.size:
+        a = 0 if radial else max(int(live[0]) - _MARGIN, 0)
+        b = min(int(live[-1]) + 1 + _MARGIN, n)
+    else:
+        a = b = 0
 
     times = [t0]
     states = [_wrap(initial, y.copy(), t0)]
@@ -315,16 +354,22 @@ def integrate(initial, model, t_end, dt, m=1.0, sample_stride=1):
     half = 0.5 * dt
     sixth = dt / 6.0
     for step in range(1, n_steps + 1):
-        k1 = rhs(y, grid, model, m)
-        k2 = rhs(y + half * k1, grid, model, m)
-        k3 = rhs(y + half * k2, grid, model, m)
-        k4 = rhs(y + dt * k3, grid, model, m)
-        y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        if isinstance(grid, RadialGrid):
+        if a < b:
+            yw = y[:, a:b]
+            k1 = rhs(yw, grid, model, m)
+            k2 = rhs(yw + half * k1, grid, model, m)
+            k3 = rhs(yw + half * k2, grid, model, m)
+            k4 = rhs(yw + dt * k3, grid, model, m)
+            yw += sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        if radial:
             y[:, -_PIN:] = 0.0
         else:
             y[:, :_PIN] = 0.0
             y[:, -_PIN:] = 0.0
+        if a > 0 and bits[:, w * a:w * (a + _MARGIN)].any():
+            a = max(a - _SPREAD, 0)
+        if b < n and bits[:, w * (b - _MARGIN):w * b].any():
+            b = min(b + _SPREAD, n)
 
         if step % stride == 0 or step == n_steps:
             t = t0 + step * dt

@@ -23,6 +23,7 @@ __all__ = [
     "cubic_conjugate_pair",
     "zero_model",
     "require_frame",
+    "require_zero_at_rest",
     "sample_states",
     "check_gauge_symmetry",
     "check_harmonic",
@@ -49,6 +50,22 @@ def require_frame(model, kind, who):
             f"the state is in the {kind!r} frame")
 
 
+def require_zero_at_rest(model, who):
+    """Raise ValueError unless ``model``'s gradient is exactly zero at the
+    zero state, so that the zero field is a fixed point of the evolution.
+
+    The growth contract |W1|+|W2| <= C|state|^p with p >= 1 implies it;
+    :func:`diraclab.dynamics.integrate` relies on it to skip the zero far
+    field. ``eval_grad`` is called directly, not through ``grad``.
+    """
+    z = np.zeros(2, dtype=complex)
+    w1, w2 = model.eval_grad(z, z, z, z)
+    if not (np.all(np.asarray(w1) == 0.0) and np.all(np.asarray(w2) == 0.0)):
+        raise ValueError(
+            f"{who}: model {model.name!r} has a nonzero gradient at the "
+            "zero state")
+
+
 class NonlinearityModel:
     """A nonlinearity (W1, W2) with optional scalar potential.
 
@@ -60,6 +77,8 @@ class NonlinearityModel:
         spinor pair (psi1, psi2), which radial states share.
     p : int
         Gradient growth power: |W1|+|W2| <= C|state|^p near zero, p >= 1.
+        So the gradient vanishes at the zero state, which the time
+        stepper checks (see :func:`require_zero_at_rest`).
     eval_grad : callable
         (a, b, c, d) -> (W1, W2), slots independent, vectorized.
     eval_W : callable or None
@@ -277,11 +296,17 @@ _BUILTINS = {
 }
 
 
+# factories whose model carries no coupling constant
+_UNCOUPLED = ("zero", "isotropic_pair")
+
+
 def builtin(name, **params):
     """Construct a catalog model by name; extra keywords reach the factory."""
     if name not in _BUILTINS:
         raise ValueError(
             f"unknown nonlinearity {name!r}; known: {sorted(_BUILTINS)}")
+    if "coupling" in params and name in _UNCOUPLED:
+        raise ValueError(f"model {name!r} takes no coupling")
     return _BUILTINS[name](**params)
 
 

@@ -435,14 +435,13 @@ class ScenarioConfig:
         return Grid1D(self.x_min, self.x_max, self.n_points)
 
     def build_model(self):
-        name = self.model
-        if name == "zero":
-            return nonlinearity.zero_model(self.frame)
-        # isotropic_pair takes no coupling; every other factory defaults
-        # it to the schema's 1.0
+        # zero and isotropic_pair take no coupling and refuse an explicit
+        # one; every other factory defaults it to the schema's 1.0
         params = ({"coupling": self.coupling}
                   if "coupling" in self._explicit else {})
-        return nonlinearity.builtin(name, **params)
+        if self.model == "zero":
+            params["arity"] = self.frame
+        return nonlinearity.builtin(self.model, **params)
 
     def build_initial(self, grid=None):
         if grid is None:

@@ -266,6 +266,29 @@ def test_isotropic_pair_scenario_takes_no_coupling(tmp_path, extra, code):
     assert cli.main(argv) == code
 
 
+@pytest.mark.parametrize("model, system", [("zero", "lab_1d"),
+                                           ("isotropic_pair", "spinor_1d")])
+def test_uncoupled_models_refuse_an_explicit_coupling(tmp_path, capsys,
+                                                      model, system):
+    why = f"model '{model}' takes no coupling"
+    argv = ["check-nonlinearity", "--model", model, "--coupling", "2"]
+    assert cli.main(argv) == 2
+    assert why in capsys.readouterr().err
+    path = _scenario(tmp_path, system=system, model=model,
+                     extra="coupling = 5\n")
+    assert cli.main(["run", "--scenario", path,
+                     "--out", str(tmp_path / "out")]) == 2
+    assert why in capsys.readouterr().err
+
+
+def test_zero_model_scenario_builds_in_its_frame(tmp_path):
+    cfg = ScenarioConfig.from_file(_scenario(tmp_path, system="spinor_1d",
+                                             model="zero"))
+    model = cfg.build_model()
+    assert (model.name, model.arity, model.coupling) == ("zero",
+                                                        "spinor_psi", 0.0)
+
+
 @pytest.mark.parametrize("system, model, code", [
     ("spinor_1d", "quartic_harmonic", 0),
     ("lab_1d", "thirring", 2),

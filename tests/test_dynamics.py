@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from diraclab import dynamics
 from diraclab.dynamics import (
     RadialSpinorState,
     SpinorState1D,
@@ -12,8 +13,15 @@ from diraclab.dynamics import (
     rhs_spinor,
 )
 from diraclab.exact import SolitonParams, thirring_soliton
-from diraclab.grids import Grid1D, RadialGrid
-from diraclab.nonlinearity import soler, thirring, thirring_psi, zero_model
+from diraclab.grids import Grid1D, RadialGrid, quad
+from diraclab.nonlinearity import (
+    NonlinearityModel,
+    quartic_harmonic,
+    soler,
+    thirring,
+    thirring_psi,
+    zero_model,
+)
 from diraclab.observables import charge, hamiltonian_1d, parity_defect
 
 
@@ -183,3 +191,213 @@ def test_radial_rhs_arity():
     st = RadialSpinorState(rg, np.vstack([even, even, odd, odd]))
     with pytest.raises(ValueError):
         rhs_radial(st, thirring(coupling=2.0), m=1.0)
+
+
+def reference_integrate(initial, model, t_end, dt, m=1.0, sample_stride=1):
+    """The full-grid RK4 loop: every stage on every node, a new array per
+    step. integrate must reproduce it bit for bit."""
+    grid = initial.grid
+    n_steps = int(round(t_end / dt))
+    rhs = dynamics._select_rhs(initial, model)
+    y = initial.fields.copy()
+    t0 = initial.t
+    radial = isinstance(grid, RadialGrid)
+    q0 = float(quad(initial.density(), grid,
+                    "spherical" if radial else "line"))
+    mass_cap = dynamics._BOUNDARY_TOL * q0 if q0 > 0.0 else np.inf
+    pin = dynamics._PIN
+
+    times = [t0]
+    states = [dynamics._wrap(initial, y.copy(), t0)]
+    bmass = [dynamics._zone_mass(y, grid)]
+    maxab = [float(np.max(np.abs(y)))]
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    for step in range(1, n_steps + 1):
+        k1 = rhs(y, grid, model, m)
+        k2 = rhs(y + half * k1, grid, model, m)
+        k3 = rhs(y + half * k2, grid, model, m)
+        k4 = rhs(y + dt * k3, grid, model, m)
+        y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        if radial:
+            y[:, -pin:] = 0.0
+        else:
+            y[:, :pin] = 0.0
+            y[:, -pin:] = 0.0
+        if step % sample_stride == 0 or step == n_steps:
+            t = t0 + step * dt
+            if not np.all(np.isfinite(y)):
+                raise RuntimeError(f"non-finite field values at t = {t:g}")
+            zm = dynamics._zone_mass(y, grid)
+            if zm > mass_cap:
+                raise RuntimeError(
+                    f"boundary zone mass {zm:.3e} exceeds "
+                    f"{dynamics._BOUNDARY_TOL:g} * Q(0) = {mass_cap:.3e} "
+                    f"at t = {t:g}; enlarge the domain or stop earlier")
+            times.append(t)
+            states.append(dynamics._wrap(initial, y.copy(), t))
+            bmass.append(zm)
+            maxab.append(float(np.max(np.abs(y))))
+    return Trajectory(times, states, bmass, maxab)
+
+
+def assert_bitwise_equal(got, ref):
+    """Every sampled array of two trajectories agrees bit for bit."""
+    assert got.times.tobytes() == ref.times.tobytes()
+    assert got.boundary_mass.tobytes() == ref.boundary_mass.tobytes()
+    assert got.max_abs.tobytes() == ref.max_abs.tobytes()
+    assert len(got.states) == len(ref.states)
+    for a, b in zip(got.states, ref.states):
+        assert a.t == b.t
+        assert a.fields.tobytes() == b.fields.tobytes()
+
+
+def _live_count(fields):
+    return int(np.count_nonzero(np.any(fields != 0.0, axis=0)))
+
+
+def _lab_bump(grid, center, width, amplitude, cut=np.inf):
+    s = (grid.x - center) / width
+    env = np.where(np.abs(s) < cut, amplitude * np.exp(-s ** 2), 0.0)
+    return SpinorState1D(grid, "lab_uv",
+                         np.vstack([env * (1.0 + 0.5j), env * (0.3 - 1j)]))
+
+
+def test_window_matches_full_grid_as_the_live_span_grows():
+    # a negative amplitude leaves -0.0 in the far field, which the full
+    # grid turns into +0.0 next to the live span
+    g = Grid1D(-40.0, 40.0, 1601)
+    s0 = _lab_bump(g, 0.3, 0.5, -0.5)
+    model = thirring(coupling=1.0)
+    assert _live_count(s0.fields) < g.n_points // 2
+    tr = integrate(s0, model, t_end=4.0, dt=0.025, m=0.0, sample_stride=20)
+    assert_bitwise_equal(tr, reference_integrate(s0, model, 4.0, 0.025,
+                                                 m=0.0, sample_stride=20))
+    assert _live_count(tr.final().fields) > _live_count(s0.fields)
+
+
+def test_window_keeps_up_with_a_sharp_edge():
+    # cut off at two widths, the bump's edge values are far from
+    # underflow, so its live span grows by the full 8 nodes every step
+    g = Grid1D(-20.0, 20.0, 801)
+    s0 = _lab_bump(g, 0.0, 1.0, 0.5, cut=2.0)
+    model = thirring(coupling=1.0)
+    tr = integrate(s0, model, t_end=0.25, dt=0.025, m=1.0)
+    assert_bitwise_equal(tr, reference_integrate(s0, model, 0.25, 0.025,
+                                                 m=1.0))
+    live = [_live_count(st.fields) for st in tr.states]
+    assert np.all(np.diff(live) == 16)
+
+
+def test_window_matches_full_grid_on_an_everywhere_nonzero_field():
+    # the odd bump's tails are ~1e-86 at the edges: the window is the
+    # whole grid from the first step
+    g = Grid1D(-40.0, 40.0, 1601)
+    odd = 0.1 * g.x * np.exp(-g.x ** 2 / 8.0)
+    s0 = SpinorState1D(g, "spinor_psi", np.vstack([odd, 0.5j * odd]))
+    assert np.all(s0.fields[0, [0, -1]] != 0.0)
+    model = quartic_harmonic(coupling=1.0)
+    assert_bitwise_equal(integrate(s0, model, t_end=1.0, dt=0.02),
+                         reference_integrate(s0, model, 1.0, 0.02))
+
+
+def test_window_matches_full_grid_on_a_radial_bump_at_the_origin():
+    rg = RadialGrid(40.0, 1600)
+    r = rg.r
+    even = 0.05 * np.exp(-r ** 2)
+    odd = 0.05 * r * np.exp(-r ** 2)
+    s0 = RadialSpinorState(rg, np.vstack([even, 0.3 * even, odd, -0.5 * odd]))
+    assert _live_count(s0.fields) < 0.75 * rg.n_cells
+    model = soler(g_coeffs=(1.0,), coupling=1.0)
+    tr = integrate(s0, model, t_end=2.0, dt=0.0125, sample_stride=16)
+    assert_bitwise_equal(tr, reference_integrate(s0, model, 2.0, 0.0125,
+                                                 sample_stride=16))
+    assert _live_count(tr.final().fields) > _live_count(s0.fields)
+
+
+def test_window_clamped_at_a_pinned_edge_matches_full_grid():
+    # the bump's tail is live on the right edge's pinned nodes, so the
+    # window reaches that grid edge while its left edge is interior
+    g = Grid1D(-10.0, 10.0, 401)
+    s0 = _lab_bump(g, 6.0, 0.5, 0.5)
+    assert np.all(s0.fields[:, -dynamics._PIN:] != 0.0)
+    assert np.all(s0.fields[:, :dynamics._PIN + 40] == 0.0)
+    model = thirring(coupling=1.0)
+    tr = integrate(s0, model, t_end=0.5, dt=0.025, m=1.0, sample_stride=4)
+    assert_bitwise_equal(tr, reference_integrate(s0, model, 0.5, 0.025,
+                                                 m=1.0, sample_stride=4))
+    assert np.all(tr.final().fields[:, -dynamics._PIN:] == 0.0)
+
+
+@pytest.mark.parametrize("radial", [False, True])
+def test_window_on_an_all_zero_state(radial):
+    if radial:
+        rg = RadialGrid(10.0, 200)
+        s0 = RadialSpinorState(rg, np.zeros((4, rg.n_cells)))
+        model = soler(g_coeffs=(1.0,), coupling=1.0)
+    else:
+        g = Grid1D(-10.0, 10.0, 401)
+        s0 = SpinorState1D(g, "lab_uv", np.zeros((2, g.n_points), complex))
+        model = thirring(coupling=1.0)
+    tr = integrate(s0, model, t_end=0.2, dt=0.025)
+    assert_bitwise_equal(tr, reference_integrate(s0, model, 0.2, 0.025))
+    assert not np.signbit(tr.final().fields.view(float)).any()
+
+
+def _abort_message(stepper, *args, **kwargs):
+    with pytest.raises(RuntimeError) as info:
+        stepper(*args, **kwargs)
+    return str(info.value)
+
+
+def test_window_aborts_like_full_grid_on_boundary_arrival():
+    g = Grid1D(-16.0, 16.0, 641)
+    u0 = np.exp(-4.0 * g.x ** 2).astype(complex)
+    s0 = SpinorState1D(g, "lab_uv", np.vstack([u0, 0.5 * u0]))
+    assert _live_count(s0.fields) < g.n_points
+    args = (s0, zero_model(arity="lab_uv"), 20.0, 0.025)
+    msg = _abort_message(integrate, *args, m=0.0, sample_stride=8)
+    assert "boundary" in msg
+    assert msg == _abort_message(reference_integrate, *args, m=0.0,
+                                 sample_stride=8)
+
+
+def test_window_aborts_like_full_grid_on_blowup():
+    g = Grid1D(-30.0, 30.0, 1201)
+    big = 40.0 * np.exp(-g.x ** 2).astype(complex)
+    s0 = SpinorState1D(g, "spinor_psi", np.vstack([big, 0.5j * big]))
+    assert _live_count(s0.fields) < g.n_points
+    args = (s0, soler(g_coeffs=(1.0, 0.0, 1.0), coupling=50.0), 4.0, 0.02)
+    with np.errstate(over="ignore", invalid="ignore"):
+        msg = _abort_message(integrate, *args, sample_stride=5)
+        assert "non-finite" in msg
+        assert msg == _abort_message(reference_integrate, *args,
+                                     sample_stride=5)
+
+
+def test_window_steps_fewer_nodes_than_the_grid(monkeypatch):
+    # a compact lab bump must keep deriv1 well below the full-grid node
+    # count; the bitwise tests alone would pass a full-grid stepper too
+    g = Grid1D(-40.0, 40.0, 1601)
+    s0 = _lab_bump(g, 0.0, 0.5, 0.5)
+    nodes = []
+    deriv1 = dynamics.deriv1
+
+    def counting_deriv1(f, grid, parity="none"):
+        nodes.append(np.shape(f)[-1])
+        return deriv1(f, grid, parity)
+
+    monkeypatch.setattr(dynamics, "deriv1", counting_deriv1)
+    integrate(s0, thirring(coupling=1.0), t_end=2.0, dt=0.025, m=0.0)
+    assert len(nodes) == 80 * 4 * 2  # steps * stages * components
+    assert sum(nodes) < 0.6 * len(nodes) * g.n_points
+
+
+def test_integrate_refuses_a_model_that_moves_the_zero_state():
+    g = Grid1D(-10.0, 10.0, 401)
+    s0 = _lab_bump(g, 0.0, 1.0, 0.5)
+    affine = NonlinearityModel(
+        "affine", "lab_uv", 1,
+        lambda a, b, c, d: (a + 1.0, c - 0.5j))
+    with pytest.raises(ValueError, match="nonzero gradient at the zero"):
+        integrate(s0, affine, t_end=0.1, dt=0.025)

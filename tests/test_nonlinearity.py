@@ -12,6 +12,7 @@ from diraclab.nonlinearity import (
     check_harmonic,
     check_phase_separable,
     check_polynomial,
+    require_zero_at_rest,
     sample_states,
 )
 
@@ -219,3 +220,26 @@ def test_check_all_aggregation():
     rep_soler = check_all(builtin("soler"))
     assert rep_soler["gauge_ok"] is None  # no potential to test
     assert rep_soler["growth_ok"] and not rep_soler["harmonic_ok"]
+
+
+@pytest.mark.parametrize("name, params", [
+    *((name, {}) for name in sorted(NL._BUILTINS)),
+    ("soler", {"g_coeffs": (0.0, 1.0)}),
+    ("soler", {"g_coeffs": (2.0, -1.0, 0.5)}),
+    ("soler", {"g_coeffs": (0.0, 0.0, 3.0)}),
+])
+def test_catalog_gradients_vanish_at_the_zero_state(name, params):
+    require_zero_at_rest(builtin(name, **params), "test")
+
+
+def test_a_gradient_that_moves_the_zero_state_is_refused():
+    affine = NonlinearityModel("affine", "spinor_psi", 1,
+                               lambda a, b, c, d: (b + 0.5, d))
+    with pytest.raises(ValueError, match="'affine' has a nonzero gradient"):
+        require_zero_at_rest(affine, "test")
+
+
+@pytest.mark.parametrize("name", ["zero", "isotropic_pair"])
+def test_uncoupled_factories_refuse_a_coupling(name):
+    with pytest.raises(ValueError, match=f"model '{name}' takes no coupling"):
+        builtin(name, coupling=1.0)

@@ -7,11 +7,15 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from diraclab import weights  # noqa: E402
-from diraclab.dynamics import SpinorState1D  # noqa: E402
+from diraclab.dynamics import SpinorState1D, integrate  # noqa: E402
 from diraclab.exact import inverse_t_transform, t_transform  # noqa: E402
 from diraclab.grids import Grid1D, quad  # noqa: E402
 from diraclab.nonlinearity import builtin  # noqa: E402
 from diraclab.virials import ScalingTriple, rhs_I  # noqa: E402
+from test_dynamics import (  # noqa: E402
+    assert_bitwise_equal,
+    reference_integrate,
+)
 
 _GRID = Grid1D(-30.0, 30.0, 601)
 
@@ -97,3 +101,29 @@ def test_frame_map_round_trip(u, v):
     ub, vb = inverse_t_transform(*t_transform(u, v))
     bound = 4.0 * 2.0 ** -52 * (abs(u) + abs(v))
     assert abs(ub - u) <= bound and abs(vb - v) <= bound
+
+
+_FRAME = {"thirring": "lab_uv", "gross_neveu": "lab_uv",
+          "quartic_harmonic": "spinor_psi", "soler": "spinor_psi"}
+
+
+@settings(max_examples=30, deadline=None)
+@given(center=st.floats(-12.0, 12.0), width=st.floats(0.25, 1.0),
+       amplitude=st.floats(-0.1, 0.1), cut=st.floats(0.5, 30.0),
+       name=st.sampled_from(sorted(_FRAME)))
+def test_windowed_integrate_is_the_full_grid_step(center, width, amplitude,
+                                                  cut, name):
+    # a compact bump: cut off at ``cut`` widths from its center, or where
+    # exp underflows, so integrate steps a window of the grid that moves
+    # with the data. A sharp cut keeps the edge values large, and the
+    # live span then grows by the full 8 nodes a step. The amplitude
+    # stays below the size at which quartic_harmonic's complex potential
+    # blows up within t_end.
+    s = (_GRID.x - center) / width
+    env = np.where(np.abs(s) < cut, amplitude * np.exp(-s ** 2), 0.0)
+    s0 = SpinorState1D(_GRID, _FRAME[name],
+                       np.vstack([env * (1.0 + 0.5j), env * (0.3 - 1j)]))
+    model = builtin(name)
+    assert_bitwise_equal(
+        integrate(s0, model, t_end=1.5, dt=0.05, sample_stride=10),
+        reference_integrate(s0, model, 1.5, 0.05, sample_stride=10))
