@@ -104,16 +104,6 @@ _GRID_KEYS_RADIAL = ("r_max", "n_cells")
 _BUMP_KEYS = ("amplitude", "width", "center", "parity")
 _SOLITON_KEYS = ("omega", "phase", "center")
 
-# which registered identities make sense on which system
-_IDENTITIES_BY_SYSTEM = {
-    "lab_1d": ("I_weighted_charge", "J_chiral_balance"),
-    "spinor_1d": ("H_sech_1d", "I_weighted_charge", "J1", "J2", "J3", "J4",
-                  "J_quartet_combined"),
-    "radial_3d": ("H_radial_r2", "K1_3d", "K2_3d", "K_combined_3d",
-                  "tK1_3d", "tK2_3d"),
-}
-
-
 def _split_list(raw):
     return [tok.strip() for tok in raw.split(",") if tok.strip()]
 
@@ -336,14 +326,13 @@ class ScenarioConfig:
             self.out_dir = self.name
 
     def require_identities(self, idents):
-        """Refuse identities that are not registered, that the system
-        does not carry, or that the run has too few samples to verify
-        by centered time differences."""
+        """Refuse identities that are not in the ``virials`` table, that
+        the system does not carry, or that the run has too few samples
+        to verify by centered time differences."""
         bad = sorted(set(idents) - set(identity_ids()))
         if bad:
             raise ConfigError(f"unknown identities: {', '.join(bad)}")
-        out_of_place = sorted(set(idents)
-                              - set(_IDENTITIES_BY_SYSTEM[self.system]))
+        out_of_place = sorted(set(idents) - set(identity_ids(self.system)))
         if out_of_place:
             raise ConfigError(
                 f"identities not defined on system {self.system!r}: "

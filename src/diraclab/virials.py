@@ -22,7 +22,18 @@ the quadrature floor on resolved runs. Where a rate needs a nonlinear
 flux term, passing the model adds it exactly; omitting the model states
 that the coupling's flux vanishes pointwise (true for every
 gauge-invariant diagonal coupling shipped here).
+
+One table, ``_IDENTITIES``, says which identities exist. A row holds
+the systems that carry the identity, its default weight (or None for a
+fixed weight), whether it reads a scaling triple, and its functional
+and analytic rate. The J and K quartet rows name their vector function
+instead of holding it, and look it up as a module attribute at each
+evaluation, so that a patched attribute sees every call; each vector is
+memoized per sample on the trajectory.
 """
+
+from collections import namedtuple
+from operator import itemgetter
 
 import numpy as np
 
@@ -621,47 +632,29 @@ def rhs_K_combined_closed(state, weight, m=1.0, model=None):
 # ---------------------------------------------------------------------------
 # localized density functionals
 
-def functional_H(state, variant="sech_1d"):
-    """Localized density: sech window on the line, r^2/(1+r)^4 radially.
+def functional_H(state):
+    """Localized density, its window taken from the state's geometry.
 
-    The line variant carries a 1/2, the radial one does not; both
-    conventions are baked into the matching rates.
+    A radial state is weighed by r^2/(1+r)^4, a spinor-frame state on
+    the line by a sech window with a factor 1/2; ``rhs_H`` bakes in the
+    same conventions. A lab-frame state is refused.
     """
-    if variant == "sech_1d":
-        _require_spinor(state, "functional_H")
-        w = sech_1d()
-        return 0.5 * quad(w.phi(state.grid.x) * state.density(),
-                          state.grid)
-    if variant == "radial_r2":
-        _require_radial(state, "functional_H")
+    if isinstance(state, RadialSpinorState):
         w = r2_over_1pr4_weight()
         return quad(w.phi(state.grid.r) * state.density(), state.grid,
                     measure="line")
-    raise ValueError(f"unknown variant {variant!r}")
+    _require_spinor(state, "functional_H")
+    w = sech_1d()
+    return 0.5 * quad(w.phi(state.grid.x) * state.density(), state.grid)
 
 
-def rhs_H(state, variant="sech_1d", model=None):
-    """Analytic d/dt of ``functional_H``.
+def rhs_H(state, model=None):
+    """Analytic d/dt of ``functional_H``, in the state's geometry.
 
-    The mass term cancels in both variants; what is left is the
+    The mass term cancels in both geometries; what is left is the
     weighted transport current and, with a model, the coupling flux.
     """
-    if variant == "sech_1d":
-        _require_spinor(state, "rhs_H")
-        _require_model(model, state, "rhs_H")
-        g = state.grid
-        w = sech_1d()
-        phi = w.phi(g.x)
-        p1, p2 = state.psi1, state.psi2
-        dp1 = deriv1(p1, g)
-        dp2 = deriv1(p2, g)
-        out = quad(phi * (np.conj(p1) * dp2 - np.conj(p2) * dp1).imag, g)
-        if model is not None:
-            w1, w2 = model.grad(p1, p2)
-            out += quad(phi * (w2 * np.conj(p2) - w1 * np.conj(p1)).imag, g)
-        return out
-    if variant == "radial_r2":
-        _require_radial(state, "rhs_H")
+    if isinstance(state, RadialSpinorState):
         _require_model(model, state, "rhs_H")
         g = state.grid
         r = g.r
@@ -677,133 +670,137 @@ def rhs_H(state, variant="sech_1d", model=None):
                 phi * (np.conj(p2) * w2 - np.conj(p1) * w1).imag, g,
                 measure="line")
         return out
-    raise ValueError(f"unknown variant {variant!r}")
+    _require_spinor(state, "rhs_H")
+    _require_model(model, state, "rhs_H")
+    g = state.grid
+    w = sech_1d()
+    phi = w.phi(g.x)
+    p1, p2 = state.psi1, state.psi2
+    dp1 = deriv1(p1, g)
+    dp2 = deriv1(p2, g)
+    out = quad(phi * (np.conj(p1) * dp2 - np.conj(p2) * dp1).imag, g)
+    if model is not None:
+        w1, w2 = model.grad(p1, p2)
+        out += quad(phi * (w2 * np.conj(p2) - w1 * np.conj(p1)).imag, g)
+    return out
 
 
 # ---------------------------------------------------------------------------
-# identity registry and the verifier
+# the identity table and the verifier
 
-def _ctx_weight(ctx, factory):
-    return factory() if ctx["weight"] is None else ctx["weight"]
+# What a row's functional and rate see besides the sample: the weight
+# (the row's default when none was given), the scaling triple, mass,
+# model, and the trajectory's quartet memo for this weight, mass and model.
+_Args = namedtuple("_Args", "weight scaling m model memo")
+
+# systems that carry the identity; default weight factory, or None for a
+# fixed weight; whether the scaling triple is read; functional and rate,
+# each called as fn(args, state, t, k) on sample k at time t
+_Identity = namedtuple("_Identity", "systems weight scaling functional rate")
 
 
-def _lam_pair(ctx, t):
-    sc = ctx["scaling"]
-    return float(sc.lam(t)), float(sc.lam_dot(t))
+def _quartet(name, pick, rates):
+    """Row entry: ``pick`` of the quartet vector function ``name``.
 
-
-def _make_registry():
-    def i_f(st, t, ctx, k):
-        return functional_I(st, _ctx_weight(ctx, tanh_1d), ctx["scaling"], t)
-
-    def i_r(st, t, ctx, k):
-        return rhs_I(st, _ctx_weight(ctx, tanh_1d), ctx["scaling"], t,
-                     model=ctx["model"])
-
-    def j_f(st, t, ctx, k):
-        lam, _ = _lam_pair(ctx, t)
-        return functional_J_1d(st, _ctx_weight(ctx, tanh_1d), lam)
-
-    def j_r(st, t, ctx, k):
-        lam, lam_dot = _lam_pair(ctx, t)
-        return rhs_J_1d(st, _ctx_weight(ctx, tanh_1d), lam, ctx["m"],
-                        lam_dot, model=ctx["model"])
-
-    # family -> (default weight, functionals, rates); the lambdas look the
-    # quartet functions up as module globals at call time, so a patched
-    # module attribute sees every evaluation
-    families = {
-        "J": (tanh_1d,
-              lambda st, w, m: functionals_J1_to_J4(st, w, m),
-              lambda st, w, m, model: rhs_J1_to_J4(st, w, m, model)),
-        "K": (r32_weight,
-              lambda st, w, m: functionals_K_3d(st, w, m),
-              lambda st, w, m, model: rhs_K_3d(st, w, m, model)),
-    }
-
-    def quartet(st, ctx, k, family, rates):
-        # the family's four functionals (or rates) at sample k, computed
-        # once per trajectory and (weight, mass, model), then reused by
-        # every identity of that family verified on the trajectory
-        key = (family, rates, k, ctx["weight"], ctx["m"], ctx["model"])
-        vals = ctx["memo"].get(key)
+    The vector is computed once per sample into the memo; ``name`` is
+    looked up as a module attribute at each evaluation, so a patched
+    attribute sees every call.
+    """
+    def evaluate(a, st, t, k):
+        vals = a.memo.get((name, k))
         if vals is None:
-            default, functionals, rhs = families[family]
-            weight = _ctx_weight(ctx, default)
-            if rates:
-                vals = rhs(st, weight, ctx["m"], ctx["model"])
-            else:
-                vals = functionals(st, weight, ctx["m"])
-            ctx["memo"][key] = vals
-        return vals
-
-    def slot(family, idx, rates):
-        def f(st, t, ctx, k):
-            return quartet(st, ctx, k, family, rates)[idx]
-        return f
-
-    def j_comb_f(st, t, ctx, k):
-        j = quartet(st, ctx, k, "J", False)
-        return j[0] - j[1] + j[2] - j[3]
-
-    def j_comb_r(st, t, ctx, k):
-        return rhs_J_combined_1d(st, _ctx_weight(ctx, tanh_1d), ctx["m"],
-                                 ctx["model"])
-
-    def k_comb(rates):
-        def f(st, t, ctx, k):
-            kv = quartet(st, ctx, k, "K", rates)
-            return kv[0] + kv[1] - kv[2] - kv[3]
-        return f
-
-    def h_line_f(st, t, ctx, k):
-        return functional_H(st, "sech_1d")
-
-    def h_line_r(st, t, ctx, k):
-        return rhs_H(st, "sech_1d", model=ctx["model"])
-
-    def h_rad_f(st, t, ctx, k):
-        return functional_H(st, "radial_r2")
-
-    def h_rad_r(st, t, ctx, k):
-        return rhs_H(st, "radial_r2", model=ctx["model"])
-
-    reg = {
-        "I_weighted_charge": (i_f, i_r),
-        "J_chiral_balance": (j_f, j_r),
-        "J_quartet_combined": (j_comb_f, j_comb_r),
-        "K_combined_3d": (k_comb(False), k_comb(True)),
-        "H_sech_1d": (h_line_f, h_line_r),
-        "H_radial_r2": (h_rad_f, h_rad_r),
-    }
-    for family, names in (("J", ("J1", "J2", "J3", "J4")),
-                          ("K", ("K1_3d", "tK1_3d", "K2_3d", "tK2_3d"))):
-        for idx, name in enumerate(names):
-            reg[name] = (slot(family, idx, False), slot(family, idx, True))
-    return reg
+            fn = globals()[name]
+            vals = (fn(st, a.weight, a.m, a.model) if rates
+                    else fn(st, a.weight, a.m))
+            a.memo[(name, k)] = vals
+        return pick(vals)
+    return evaluate
 
 
-_REGISTRY = _make_registry()
+def _slot(family, idx):
+    """Functional and rate entries of one component of a quartet."""
+    functionals, rates = family
+    return (_quartet(functionals, itemgetter(idx), False),
+            _quartet(rates, itemgetter(idx), True))
 
 
-def identity_ids():
-    """Registered identity names, sorted."""
-    return tuple(sorted(_REGISTRY))
+def _combined_j(j):
+    return j[0] - j[1] + j[2] - j[3]
+
+
+def _combined_k(k):
+    return k[0] + k[1] - k[2] - k[3]
+
+
+_J = ("functionals_J1_to_J4", "rhs_J1_to_J4")
+_K = ("functionals_K_3d", "rhs_K_3d")
+_PSI = ("spinor_1d",)
+_RADIAL = ("radial_3d",)
+_H = (lambda a, st, t, k: functional_H(st),
+      lambda a, st, t, k: rhs_H(st, model=a.model))
+
+_IDENTITIES = {
+    "I_weighted_charge": _Identity(
+        ("lab_1d", "spinor_1d"), tanh_1d, True,
+        lambda a, st, t, k: functional_I(st, a.weight, a.scaling, t),
+        lambda a, st, t, k: rhs_I(st, a.weight, a.scaling, t,
+                                  model=a.model)),
+    "J_chiral_balance": _Identity(
+        ("lab_1d",), tanh_1d, True,
+        lambda a, st, t, k: functional_J_1d(st, a.weight,
+                                            float(a.scaling.lam(t))),
+        lambda a, st, t, k: rhs_J_1d(st, a.weight, float(a.scaling.lam(t)),
+                                     a.m, float(a.scaling.lam_dot(t)),
+                                     model=a.model)),
+    "J1": _Identity(_PSI, tanh_1d, False, *_slot(_J, 0)),
+    "J2": _Identity(_PSI, tanh_1d, False, *_slot(_J, 1)),
+    "J3": _Identity(_PSI, tanh_1d, False, *_slot(_J, 2)),
+    "J4": _Identity(_PSI, tanh_1d, False, *_slot(_J, 3)),
+    "J_quartet_combined": _Identity(
+        _PSI, tanh_1d, False, _quartet(_J[0], _combined_j, False),
+        lambda a, st, t, k: rhs_J_combined_1d(st, a.weight, a.m, a.model)),
+    "K1_3d": _Identity(_RADIAL, r32_weight, False, *_slot(_K, 0)),
+    "tK1_3d": _Identity(_RADIAL, r32_weight, False, *_slot(_K, 1)),
+    "K2_3d": _Identity(_RADIAL, r32_weight, False, *_slot(_K, 2)),
+    "tK2_3d": _Identity(_RADIAL, r32_weight, False, *_slot(_K, 3)),
+    "K_combined_3d": _Identity(
+        _RADIAL, r32_weight, False, _quartet(_K[0], _combined_k, False),
+        _quartet(_K[1], _combined_k, True)),
+    "H_sech_1d": _Identity(_PSI, None, False, *_H),
+    "H_radial_r2": _Identity(_RADIAL, None, False, *_H),
+}
+
+
+def identity_ids(system=None):
+    """Names of the table's identities, sorted; with a system, only
+    those defined on it."""
+    return tuple(sorted(name for name, row in _IDENTITIES.items()
+                        if system is None or system in row.systems))
+
+
+def _system(state):
+    """System name of a sampled state, as the table spells it."""
+    if isinstance(state, RadialSpinorState):
+        return "radial_3d"
+    return "lab_1d" if state.kind == "lab_uv" else "spinor_1d"
 
 
 def verify_identity(trajectory, identity, weight=None, scaling=None,
                     m=1.0, model=None):
-    """Check one registered identity along a sampled trajectory.
+    """Check an identity of the table along a sampled trajectory.
 
     Compares centered finite differences of the functional against the
     analytic rate at every interior sample and returns a
     :class:`VirialReport`, whose tolerances are fixed there. The
-    trajectory must be uniformly sampled with at least three samples;
-    the model and mass must be the ones the trajectory was generated
-    with, or the defect measures exactly that mismatch. ``weight``
-    replaces the identity's default weight, and ``scaling`` (default
-    ``ScalingTriple.constant()``) sets the window of the line window
-    charge ``I_weighted_charge`` and the width of ``J_chiral_balance``.
+    trajectory must be uniformly sampled with at least three samples,
+    on a system the identity's row lists; the model and mass must be the
+    ones the trajectory was generated with, or the defect measures
+    exactly that mismatch. ``weight`` replaces the identity's default
+    weight, and ``scaling`` (default ``ScalingTriple.constant()``) sets
+    the window of the line window charge ``I_weighted_charge`` and the
+    width of ``J_chiral_balance``. Either one is refused for an identity
+    that would not read it: the H identities have fixed weights, and
+    only those two identities read a scaling.
 
     Both quartet families are memoized on the trajectory, per sample
     and per (weight, mass, model): J1, J2, J3, J4 and J_quartet_combined
@@ -813,24 +810,30 @@ def verify_identity(trajectory, identity, weight=None, scaling=None,
     after it was verified is unsupported: later quartet checks would
     reuse the stale values.
     """
-    if identity not in _REGISTRY:
+    row = _IDENTITIES.get(identity)
+    if row is None:
         known = ", ".join(identity_ids())
         raise KeyError(f"unknown identity {identity!r}; known: {known}")
+    if weight is not None and row.weight is None:
+        raise ValueError(f"{identity} has a fixed weight; got {weight!r}")
+    if scaling is not None and not row.scaling:
+        raise ValueError(f"{identity} reads no scaling triple")
     trajectory.sample_step("verify_identity")
     times = trajectory.times
     states = trajectory.states
-    ctx = {
-        "weight": weight,
-        "scaling": ScalingTriple.constant() if scaling is None else scaling,
-        "m": float(m),
-        "model": model,
-        "memo": trajectory._memo,
-    }
-    f_eval, rhs_eval = _REGISTRY[identity]
-    f_vals = np.array([f_eval(states[k], times[k], ctx, k)
+    system = _system(states[0])
+    if system not in row.systems:
+        raise ValueError(f"{identity} is not defined on system {system!r}")
+    m = float(m)
+    a = _Args(
+        weight=row.weight() if weight is None and row.weight else weight,
+        scaling=ScalingTriple.constant() if scaling is None else scaling,
+        m=m, model=model,
+        memo=trajectory._memo.setdefault((weight, m, model), {}))
+    f_vals = np.array([row.functional(a, states[k], times[k], k)
                        for k in range(len(states))])
     fd = (f_vals[2:] - f_vals[:-2]) / (times[2:] - times[:-2])
-    rhs = np.array([rhs_eval(states[k], times[k], ctx, k)
+    rhs = np.array([row.rate(a, states[k], times[k], k)
                     for k in range(1, len(states) - 1)])
     return VirialReport(identity, times[1:-1], f_vals[1:-1], fd, rhs)
 

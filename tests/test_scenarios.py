@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
 
-from diraclab import scenarios
+from diraclab import scenarios, virials
 from diraclab.scenarios import (ConfigError, ScenarioConfig, _write_csv,
                                 bundled_config_path, experiment)
 from diraclab.virials import identity_ids
@@ -151,5 +151,9 @@ def test_cumulative_trapezoid_matches_scipy_bitwise(n):
 
 
 def test_every_identity_is_reachable_from_a_scenario():
-    reachable = set().union(*scenarios._IDENTITIES_BY_SYSTEM.values())
+    # a misspelt system name in a row would leave its identity unreachable
+    for name, row in virials._IDENTITIES.items():
+        assert row.systems, name
+        assert set(row.systems) <= set(scenarios._SYSTEMS), name
+    reachable = set().union(*map(identity_ids, scenarios._SYSTEMS))
     assert set(identity_ids()) == reachable

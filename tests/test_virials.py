@@ -480,9 +480,14 @@ def test_radial_h_ratio_bound_small_amplitude():
     rg = RadialGrid(40.0, 1600)
     tr = integrate(origin_state(rg, 0.05), nonlinearity.soler(), t_end=2.0,
                    dt=0.01, m=1.0, sample_stride=2)
-    ratios = [abs(rhs_H(st, "radial_r2")) / functional_H(st, "radial_r2")
-              for st in tr.states]
+    ratios = [abs(rhs_H(st)) / functional_H(st) for st in tr.states]
     assert 0.0 < max(ratios) <= 10.0
+
+
+def test_h_refuses_a_lab_frame_state():
+    for fn in (functional_H, rhs_H):
+        with pytest.raises(ValueError, match="spinor frame"):
+            fn(lab_state())
 
 
 def test_radial_combined_closed_form_on_origin_flat_data():
@@ -689,6 +694,47 @@ def test_verify_identity_error_paths(thirring_traj):
     uneven = Trajectory([0.0, 0.1, 0.3], sts, [0.0] * 3, [0.0] * 3)
     with pytest.raises(ValueError, match="uniformly"):
         verify_identity(uneven, "I_weighted_charge")
+
+
+# one small state per system of the identity table
+SYSTEM_STATES = {
+    "lab_1d": lab_state,
+    "spinor_1d": lambda: psi_state(0.5),
+    "radial_3d": lambda: annular_state(RadialGrid(20.0, 200)),
+}
+
+
+def three_samples(system):
+    st = SYSTEM_STATES[system]()
+    return Trajectory([0.0, 0.1, 0.2], [st.copy() for _ in range(3)],
+                      [0.0] * 3, [0.0] * 3)
+
+
+@pytest.mark.parametrize("system", sorted(SYSTEM_STATES))
+@pytest.mark.parametrize("identity", identity_ids())
+def test_table_systems_agree_with_the_functionals(identity, system):
+    tr = three_samples(system)
+    if identity in identity_ids(system):
+        assert verify_identity(tr, identity).times.size == 1
+    else:
+        with pytest.raises((TypeError, ValueError)):
+            verify_identity(tr, identity)
+
+
+@pytest.mark.parametrize("identity, system, kw", [
+    ("H_sech_1d", "spinor_1d", dict(weight=weights.tanh_1d())),
+    ("H_radial_r2", "radial_3d", dict(weight=weights.r32_weight())),
+    ("H_sech_1d", "spinor_1d", dict(scaling=ScalingTriple.constant())),
+    ("J1", "spinor_1d", dict(scaling=ScalingTriple.constant(7.0, 3.0))),
+    ("J_quartet_combined", "spinor_1d",
+     dict(scaling=ScalingTriple.constant(7.0, 3.0))),
+    ("K_combined_3d", "radial_3d",
+     dict(scaling=ScalingTriple.constant(7.0, 3.0))),
+])
+def test_weight_or_scaling_the_identity_ignores_is_refused(identity, system,
+                                                           kw):
+    with pytest.raises(ValueError, match=identity):
+        verify_identity(three_samples(system), identity, **kw)
 
 
 def test_model_arity_is_checked_against_state_frame(thirring_traj):
