@@ -379,7 +379,7 @@ def _quartet_fields(state, model=None):
     d = diff(p)
     if model is None:
         return p, d, None, None
-    w = np.array(model.w_fields(p[0] + 1j * p[1], p[2] + 1j * p[3]))
+    w = np.asarray(model.w_fields(*p))
     return p, d, w, diff(w)
 
 

@@ -13,7 +13,7 @@ from diraclab.dynamics import (
     rhs_spinor,
 )
 from diraclab.exact import SolitonParams, thirring_soliton
-from diraclab.grids import Grid1D, RadialGrid, quad
+from diraclab.grids import Grid1D, RadialGrid, deriv1, quad
 from diraclab.nonlinearity import (
     NonlinearityModel,
     quartic_harmonic,
@@ -170,6 +170,19 @@ def test_radial_state_validation():
         RadialSpinorState(rg, ok[:3])
 
 
+def test_an_odd_row_left_at_round_off_is_not_a_parity_violation():
+    # with only p12 set, the flow keeps p22 at zero up to round-off
+    # (~1e-18 here), and that noise may peak at the innermost cell
+    rg = RadialGrid(20.0, 400)
+    even = 0.265625 * np.exp(-rg.r ** 2)
+    zero = np.zeros_like(even)
+    s0 = RadialSpinorState(rg, np.vstack([zero, even, zero, zero]))
+    tr = integrate(s0, zero_model(arity="spinor_psi"), t_end=1.0,
+                   dt=0.025, sample_stride=5)
+    p22 = np.abs(tr.final().fields[3])
+    assert 0.0 < np.max(p22) < 1e-15
+
+
 def test_radial_charge_conservation():
     rg = RadialGrid(40.0, 1600)
     r = rg.r
@@ -193,12 +206,33 @@ def test_radial_rhs_arity():
         rhs_radial(st, thirring(coupling=2.0), m=1.0)
 
 
-def reference_integrate(initial, model, t_end, dt, m=1.0, sample_stride=1):
+def reference_rhs_radial(fields, grid, model, m):
+    """The radial right-hand side through grad's complex arithmetic, one
+    stencil call per row and plain row expressions: the kernel that
+    dynamics._rhs_radial_arrays must reproduce bit for bit."""
+    p11, p12, p21, p22 = fields
+    w1, w2 = model.grad(p11 + 1j * p12, p21 + 1j * p22)
+    w11, w12, w21, w22 = w1.real, w1.imag, w2.real, w2.imag
+    r = grid.r[:fields.shape[-1]]
+    t22 = deriv1(p22, grid, parity="odd") + 2.0 * p22 / r
+    t21 = deriv1(p21, grid, parity="odd") + 2.0 * p21 / r
+    d11 = deriv1(p11, grid, parity="even")
+    d12 = deriv1(p12, grid, parity="even")
+    return np.vstack([t22 + m * p12 - w12,
+                      -t21 - m * p11 + w11,
+                      -d12 - m * p22 + w22,
+                      d11 + m * p21 - w21])
+
+
+def reference_integrate(initial, model, t_end, dt, m=1.0, sample_stride=1,
+                        rhs=None):
     """The full-grid RK4 loop: every stage on every node, a new array per
-    step. integrate must reproduce it bit for bit."""
+    step. integrate must reproduce it bit for bit. ``rhs`` replaces the
+    kernel that integrate would select."""
     grid = initial.grid
     n_steps = int(round(t_end / dt))
-    rhs = dynamics._select_rhs(initial, model)
+    if rhs is None:
+        rhs = dynamics._select_rhs(initial, model)
     y = initial.fields.copy()
     t0 = initial.t
     radial = isinstance(grid, RadialGrid)
@@ -313,6 +347,79 @@ def test_window_matches_full_grid_on_a_radial_bump_at_the_origin():
     assert_bitwise_equal(tr, reference_integrate(s0, model, 2.0, 0.0125,
                                                  sample_stride=16))
     assert _live_count(tr.final().fields) > _live_count(s0.fields)
+
+
+def _radial_bump(rg, amplitude, center=0.0, width=0.5):
+    # the odd rows vanish at the origin; an annular bump keeps the size
+    # of its odd rows near that of its even rows
+    r = rg.r
+    env = amplitude * np.exp(-((r - center) / width) ** 2)
+    odd = env * r / max(center, width)
+    return RadialSpinorState(rg, np.vstack([env, 0.3 * env, odd, -0.5 * odd]))
+
+
+_RADIAL_ORACLE_CASES = {
+    "origin": (0.05, 0.0, soler()),
+    "annular": (0.05, 4.0, soler()),
+    # exp underflows past r = 13.6: the far field is -0.0 in three rows
+    "negative_amplitude": (-0.05, 0.0, soler()),
+    "soler_g3_coupling50": (0.05, 0.0,
+                            soler(g_coeffs=(1.0, -0.5, 0.2), coupling=50.0)),
+    # no real split: the default complex route
+    "quartic_harmonic": (0.05, 0.0, quartic_harmonic()),
+    # at a negative coupling, soler's rows without the zero-state rule
+    # give W at the far field's zeros the other sign than grad does, and
+    # that sign reaches the field
+    "negative_coupling": (-0.2, 0.0,
+                          soler(g_coeffs=(0.0, 1.0), coupling=-1.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RADIAL_ORACLE_CASES))
+def test_radial_integrate_is_the_complex_route_kernel(case):
+    amplitude, center, model = _RADIAL_ORACLE_CASES[case]
+    rg = RadialGrid(20.0, 800)
+    s0 = _radial_bump(rg, amplitude, center)
+    assert _live_count(s0.fields) < rg.n_cells
+    tr = integrate(s0, model, t_end=1.0, dt=0.0125, sample_stride=8)
+    assert_bitwise_equal(tr, reference_integrate(
+        s0, model, 1.0, 0.0125, sample_stride=8, rhs=reference_rhs_radial))
+
+
+def _signed_zero_fields(rng, n):
+    # magnitudes from 1 down past the subnormal range, with single
+    # entries and whole nodes of +0.0 and -0.0
+    f = rng.normal(size=(4, n)) * 10.0 ** rng.uniform(-330.0, 0.0, (4, n))
+    f[rng.random((4, n)) < 0.2] = 0.0
+    f[rng.random((4, n)) < 0.2] *= -0.0
+    f[:, rng.random(n) < 0.2] = 0.0
+    zero_nodes = rng.random(n) < 0.2
+    f[:, zero_nodes] = np.where(rng.random((4, 1)) < 0.5, 0.0, -0.0)
+    return f
+
+
+_KERNEL_MODELS = {
+    "soler": soler(),
+    "soler_g3_coupling50": soler(g_coeffs=(1.0, -0.5, 0.2), coupling=50.0),
+    "soler_s2_coupling_minus1": soler(g_coeffs=(0.0, 1.0), coupling=-1.0),
+    "soler_minus_s": soler(g_coeffs=(-1.0,)),
+    "quartic_harmonic": quartic_harmonic(),
+}
+
+
+@pytest.mark.parametrize("m", [1.0, 0.0, -0.5])
+@pytest.mark.parametrize("name", sorted(_KERNEL_MODELS))
+def test_radial_kernel_is_the_complex_route_bit_for_bit(name, m):
+    # one evaluation on fields full of signed zeros and subnormals, where
+    # the real split's zero signs differ from grad's; without the
+    # kernel's fallback to grad at -0.0 rows every soler case fails
+    model = _KERNEL_MODELS[name]
+    rg = RadialGrid(10.0, 400)
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        f = _signed_zero_fields(rng, rg.n_cells)
+        got = dynamics._rhs_radial_arrays(f, rg, model, m)
+        assert got.tobytes() == reference_rhs_radial(f, rg, model, m).tobytes()
 
 
 def test_window_clamped_at_a_pinned_edge_matches_full_grid():

@@ -204,10 +204,58 @@ def test_arity_validation():
 def test_w_fields_decomposition():
     m = builtin("gross_neveu")
     z1, z2 = sample_states(20, 5)
-    W11, W12, W21, W22 = m.w_fields(z1, z2)
+    W11, W12, W21, W22 = m.w_fields(z1.real, z1.imag, z2.real, z2.imag)
     w1, w2 = m.grad(z1, z2)
     assert np.array_equal(W11 + 1j * W12, w1)
     assert np.array_equal(W21 + 1j * W22, w2)
+
+
+@pytest.mark.parametrize("g_coeffs, coupling", [
+    ((1.0,), 1.0), ((1.0, -0.5, 0.2), 50.0), ((0.0, 1.0), -1.0),
+    ((2.0, -1.0, 0.5), 1.0), ((-1.0,), 1.0)])
+def test_soler_real_split_equals_grad_value_for_value(g_coeffs, coupling):
+    """soler's real split gives grad's real and imaginary parts value for
+    value (==): on the checkers' sample, and on draws with +0.0 and -0.0
+    entries and magnitudes down through the subnormal range.
+
+    The signs of zeros are not compared. grad's complex products add
+    imaginary parts that are zeros of either sign, which real arithmetic
+    does not carry, so a zero row can come out with the other sign. Only
+    the zero state must agree bit for bit; the radial kernel takes W from
+    grad wherever else a zero's sign could reach the field (see
+    test_dynamics::test_radial_kernel_is_the_complex_route_bit_for_bit).
+    """
+    model = NL.soler(g_coeffs=g_coeffs, coupling=coupling)
+    z1, z2 = sample_states(200, 0)
+    draws = [np.array([z1.real, z1.imag, z2.real, z2.imag])]
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        p = rng.normal(size=(4, 2000)) * 10.0 ** rng.uniform(-320.0, 1.0,
+                                                             (4, 2000))
+        p[rng.random((4, 2000)) < 0.15] = 0.0
+        p[rng.random((4, 2000)) < 0.15] *= -0.0
+        draws.append(p)
+    for p in draws:
+        w1, w2 = model.grad(p[0] + 1j * p[1], p[2] + 1j * p[3])
+        got = model.w_fields(*p)
+        for row, want in zip(got, (w1.real, w1.imag, w2.real, w2.imag)):
+            assert np.all(row == want)
+    rest = np.zeros((4, 1))
+    w1, w2 = model.grad(rest[0] + 1j * rest[1], rest[2] + 1j * rest[3])
+    assert (np.array(model.w_fields(*rest)).tobytes()
+            == np.array([w1.real, w1.imag, w2.real, w2.imag]).tobytes())
+
+
+def test_a_real_split_that_is_not_grad_at_the_zero_state_is_refused():
+    base = NL.soler()
+
+    def negated(p11, p12, p21, p22):
+        # equal in value everywhere, but -0.0 where grad gives +0.0
+        return -np.array(base.w_fields(p11, p12, p21, p22))
+
+    with pytest.raises(ValueError, match="zero state"):
+        NonlinearityModel("negated", "spinor_psi", 3, base.eval_grad,
+                          real_split=negated)
 
 
 def test_check_all_aggregation():
