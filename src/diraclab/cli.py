@@ -6,8 +6,9 @@ identity verification along a trajectory, the second-order residual
 monitor, and exact-solution tables.
 
 Exit codes: 0 when everything requested passed, 1 when a run completed
-but a check failed, 2 when the request itself was malformed (unknown
-keys, incompatible frames, missing files).
+but a check failed or a run aborted mid-way (non-finite fields, mass at
+the boundary, an invalid sample), 2 when the request itself was
+malformed (unknown keys, incompatible frames, missing files).
 """
 
 import argparse
@@ -18,6 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import algebra, nonlinearity
 from .bridge import gronwall_monitor
+from .dynamics import RunAborted
 from .exact import SolitonParams, thirring_soliton
 from .grids import Grid1D
 from .scenarios import (EXPERIMENT_IDS, ConfigError, ScenarioConfig,
@@ -241,12 +243,12 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return 2
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"configuration error: {exc}\n")
-        return 2
+    except RunAborted as exc:
+        sys.stderr.write(f"run aborted: {exc}\n")
+        return 1
 
 
 if __name__ == "__main__":

@@ -169,12 +169,6 @@ class Trajectory:
         return float(steps[0])
 
 
-def rhs_lab(state, model, m=1.0):
-    """du/dt, dv/dt for the lab-frame pair, as a (2, n) complex array."""
-    require_frame(model, "lab_uv", "rhs_lab")
-    return _rhs_lab_arrays(state.fields, state.grid, model, m)
-
-
 def _rhs_lab_arrays(fields, grid, model, m):
     u, v = fields
     ux = deriv1(u, grid)
@@ -182,14 +176,6 @@ def _rhs_lab_arrays(fields, grid, model, m):
     w1, w2 = model.grad(u, v)
     return np.vstack([-ux + 1j * (m * v - w1),
                       vx + 1j * (m * u - w2)])
-
-
-def rhs_spinor(state, model, m=1.0):
-    """Time derivative in the psi frame, as a (2, n) complex array."""
-    require_frame(model, "spinor_psi", "rhs_spinor")
-    if state.kind != "spinor_psi":
-        raise ValueError("rhs_spinor needs kind 'spinor_psi'")
-    return _rhs_spinor_arrays(state.fields, state.grid, model, m)
 
 
 def _rhs_spinor_arrays(fields, grid, model, m):
@@ -216,12 +202,6 @@ def _rhs_real4_arrays(fields, grid, model, m):
                       -d21 - m * p11 + w11,
                       -d12 - m * p22 + w22,
                       d11 + m * p21 - w21])
-
-
-def rhs_radial(state, model, m=1.0):
-    """Time derivative of the four radial fields, shape (4, n)."""
-    require_frame(model, "spinor_psi", "rhs_radial")
-    return _rhs_radial_arrays(state.fields, state.grid, model, m)
 
 
 _NEG_ZERO = np.float64(-0.0).view(np.uint64)  # the bits of -0.0
@@ -323,15 +303,42 @@ def _zone_mass(fields, grid):
     return grid.h * float(np.sum(left) + np.sum(right))
 
 
+class RunAborted(RuntimeError):
+    """:func:`integrate` stopped before ``t_end``; the message names why
+    and the sample time at which it stopped."""
+
+
+def step_count(grid, t_end, dt, sample_stride=1):
+    """Steps of a run to ``t_end``. Raises ValueError unless dt is finite
+    and in (0, h/2], the transport stability bound, t_end is a positive
+    integer multiple of dt and sample_stride >= 1."""
+    if not 0.0 < dt < np.inf:
+        raise ValueError("dt must be positive and finite")
+    if dt > 0.5 * grid.h + 1e-14:
+        raise ValueError(
+            f"dt = {dt:g} exceeds the transport stability bound "
+            f"h/2 = {0.5 * grid.h:g}")
+    if not 0.0 < t_end < np.inf:
+        raise ValueError("t_end must be positive and finite")
+    n_steps = int(round(t_end / dt))
+    if n_steps < 1 or abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
+        raise ValueError("t_end must be an integer multiple of dt")
+    if sample_stride < 1:
+        raise ValueError("sample_stride must be >= 1")
+    return n_steps
+
+
 def integrate(initial, model, t_end, dt, m=1.0, sample_stride=1):
     """March the semi-discrete system with the classical 4-stage scheme.
 
-    ``dt`` may not exceed h/2, the transport stability bound. The
-    outermost 4 nodes of each outflow edge are re-zeroed after every
-    step (the radial origin is not an edge; parity handles it).  The run
-    aborts with RuntimeError if any field stops being finite or if the
-    mass in the monitoring zone next to the pinned nodes exceeds 1e-8
-    times the initial charge, so results are only ever produced for
+    The schedule must pass :func:`step_count`; in particular ``dt`` may
+    not exceed h/2, the transport stability bound. The outermost 4 nodes
+    of each outflow edge are re-zeroed after every step (the radial
+    origin is not an edge; parity handles it).  The run aborts with
+    :class:`RunAborted` if any field stops being finite, if the mass in
+    the monitoring zone next to the pinned nodes exceeds 1e-8 times the
+    initial charge, or if a sample is not a valid state (a radial odd row
+    that peaks at the origin), so results are only ever produced for
     effectively compactly supported evolutions.
 
     Each step is computed on a window ``y[:, a:b]``: the live span
@@ -353,18 +360,8 @@ def integrate(initial, model, t_end, dt, m=1.0, sample_stride=1):
     """
     grid = initial.grid
     dt = float(dt)
-    t_end = float(t_end)
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if dt > 0.5 * grid.h + 1e-14:
-        raise ValueError(
-            f"dt = {dt:g} exceeds h/2 = {0.5 * grid.h:g}; refusing to step")
-    n_steps = int(round(t_end / dt))
-    if n_steps < 1 or abs(n_steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
-        raise ValueError("t_end must be a positive integer multiple of dt")
     stride = int(sample_stride)
-    if stride < 1:
-        raise ValueError("sample_stride must be >= 1")
+    n_steps = step_count(grid, float(t_end), dt, stride)
 
     rhs = _select_rhs(initial, model)
     y = initial.fields.copy()
@@ -415,15 +412,19 @@ def integrate(initial, model, t_end, dt, m=1.0, sample_stride=1):
         if step % stride == 0 or step == n_steps:
             t = t0 + step * dt
             if not np.all(np.isfinite(y)):
-                raise RuntimeError(f"non-finite field values at t = {t:g}")
+                raise RunAborted(f"non-finite field values at t = {t:g}")
             zm = _zone_mass(y, grid)
             if zm > mass_cap:
-                raise RuntimeError(
+                raise RunAborted(
                     f"boundary zone mass {zm:.3e} exceeds "
                     f"{_BOUNDARY_TOL:g} * Q(0) = {mass_cap:.3e} at t = {t:g}; "
                     "enlarge the domain or stop earlier")
+            try:
+                states.append(_wrap(initial, y.copy(), t))
+            except ValueError as exc:
+                raise RunAborted(f"invalid state at t = {t:g}: {exc}") \
+                    from None
             times.append(t)
-            states.append(_wrap(initial, y.copy(), t))
             bmass.append(zm)
             maxab.append(float(np.max(np.abs(y))))
 

@@ -109,10 +109,8 @@ def soliton_profile(omega, x):
     |U|^2 = gamma^2 / (cosh(2 gamma x) + omega).  Far-tail arguments are
     mapped to exact zeros instead of overflowing.
     """
-    omega = float(omega)
-    if not abs(omega) < 1.0:
-        raise ValueError(f"omega = {omega:g} is outside (-1, 1)")
-    gamma = np.sqrt(1.0 - omega ** 2)
+    params = SolitonParams(omega)
+    omega, gamma = params.omega, params.gamma
     a_co = np.sqrt(1.0 + omega)
     b_co = np.sqrt(1.0 - omega)
     arg = gamma * np.asarray(x, dtype=float)
@@ -141,10 +139,7 @@ def thirring_soliton(params, grid):
 
 def soliton_charge(omega):
     """Total charge of the standing wave, 2 arccos(omega)."""
-    omega = float(omega)
-    if not abs(omega) < 1.0:
-        raise ValueError(f"omega = {omega:g} is outside (-1, 1)")
-    return 2.0 * np.arccos(omega)
+    return 2.0 * np.arccos(SolitonParams(omega).omega)
 
 
 def massless_free(u0_profile, v0_profile, t, grid):

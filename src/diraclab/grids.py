@@ -21,9 +21,9 @@ class Grid1D:
 
     def __init__(self, x_min, x_max, n_points):
         if n_points < 16:
-            raise ValueError("n_points must be at least 16")
-        if not x_max > x_min:
-            raise ValueError("x_max must exceed x_min")
+            raise ValueError("need n_points >= 16")
+        if not -np.inf < x_min < x_max < np.inf:
+            raise ValueError("need finite x_min < x_max")
         self.x_min = float(x_min)
         self.x_max = float(x_max)
         self.n_points = int(n_points)
@@ -46,9 +46,9 @@ class RadialGrid:
 
     def __init__(self, r_max, n_cells):
         if n_cells < 16:
-            raise ValueError("n_cells must be at least 16")
-        if not r_max > 0:
-            raise ValueError("r_max must be positive")
+            raise ValueError("need n_cells >= 16")
+        if not 0 < r_max < np.inf:
+            raise ValueError("r_max must be positive and finite")
         self.r_max = float(r_max)
         self.n_cells = int(n_cells)
         self.h = self.r_max / self.n_cells

@@ -316,10 +316,74 @@ def test_nlkg_check_exits_one_when_m_leaves_its_floor(tmp_path, capsys):
     assert not payload["passed"] and payload["quotient"] > 10.0
 
 
+# data that each pass validation and abort within 2 time units: strong
+# radial Soler data whose odd row comes to peak at the origin, and a
+# large quartic bump that blows up
+_ABORTING = {
+    "radial_parity": """\
+system = radial_3d
+model = soler
+coupling = 20
+initial = bump
+amplitude = 1
+width = 1
+r_max = 20
+n_cells = 400
+dt = 0.025
+t_end = 2
+out_dir = aborted
+""",
+    "spinor_blowup": """\
+system = spinor_1d
+model = quartic_harmonic
+initial = bump
+amplitude = 3
+width = 1
+x_min = -20
+x_max = 20
+n_points = 401
+dt = 0.05
+t_end = 2
+out_dir = aborted
+""",
+}
+
+
+def _run_aborting(tmp_path, capsys, case):
+    path = tmp_path / f"{case}.cfg"
+    path.write_text(_ABORTING[case])
+    argv = ["run", "--scenario", str(path), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
+def test_run_aborted_by_an_invalid_sample_exits_one(tmp_path, capsys):
+    err = _run_aborting(tmp_path, capsys, "radial_parity")
+    assert err.startswith("run aborted: invalid state at t = ")
+    assert "peaks at the innermost cell" in err
+
+
+@pytest.mark.filterwarnings(
+    "ignore:(overflow|invalid value) encountered:RuntimeWarning")
+def test_run_aborted_by_blowup_exits_one(tmp_path, capsys):
+    err = _run_aborting(tmp_path, capsys, "spinor_blowup")
+    assert err == "run aborted: non-finite field values at t = 0.1\n"
+
+
 def test_experiment_t5_exits_zero(tmp_path, capsys):
     argv = ["experiment", "--id", "T5_exterior", "--out", str(tmp_path)]
     assert cli.main(argv) == 0
     assert "FAIL" not in capsys.readouterr().out
+    # the joint summary of the two runs, written next to their directories
+    out = tmp_path / "T5_exterior"
+    joint = json.loads((out / "summary.json").read_text())
+    assert joint["scenario_hash"] == "f5729a8009418e77"
+    assert "m0/i_series.csv" in joint["files"]
+    assert "m1/summary.json" in joint["files"]
+    for name in joint["files"]:
+        assert (out / name).is_file(), name
 
 
 def test_removed_subcommand_is_an_argparse_error(tmp_path):

@@ -7,10 +7,8 @@ from diraclab.dynamics import (
     SpinorState1D,
     Trajectory,
     _rhs_real4_arrays,
+    _rhs_spinor_arrays,
     integrate,
-    rhs_lab,
-    rhs_radial,
-    rhs_spinor,
 )
 from diraclab.exact import SolitonParams, thirring_soliton
 from diraclab.grids import Grid1D, RadialGrid, deriv1, quad
@@ -49,7 +47,7 @@ def test_rhs_complex_vs_real_split_agree():
     g = Grid1D(-30.0, 30.0, 1201)
     sp = SpinorState1D(g, "spinor_psi", _smooth_pair(g))
     model = soler(g_coeffs=(1.0,), coupling=1.0)
-    rc = rhs_spinor(sp, model, m=1.0)
+    rc = _rhs_spinor_arrays(sp.fields, g, model, 1.0)
     p1, p2 = sp.fields
     real4 = np.vstack([p1.real, p1.imag, p2.real, p2.imag])
     rr = _rhs_real4_arrays(real4, g, model, 1.0)
@@ -61,11 +59,11 @@ def test_rhs_arity_mismatch_rejected():
     g = Grid1D(-10.0, 10.0, 401)
     sp = SpinorState1D(g, "spinor_psi", _smooth_pair(g))
     lab = thirring(coupling=2.0)
-    with pytest.raises(ValueError):
-        rhs_spinor(sp, lab, m=1.0)
+    with pytest.raises(ValueError, match="arity"):
+        integrate(sp, lab, t_end=0.02, dt=0.02)
     s_lab = SpinorState1D(g, "lab_uv", _smooth_pair(g))
-    with pytest.raises(ValueError):
-        rhs_lab(s_lab, thirring_psi(coupling=1.0), m=1.0)
+    with pytest.raises(ValueError, match="arity"):
+        integrate(s_lab, thirring_psi(coupling=1.0), t_end=0.02, dt=0.02)
 
 
 def test_integrate_step_validation():
@@ -202,8 +200,8 @@ def test_radial_rhs_arity():
     even = np.exp(-(r - 4.0) ** 2)
     odd = r * np.exp(-(r - 4.0) ** 2)
     st = RadialSpinorState(rg, np.vstack([even, even, odd, odd]))
-    with pytest.raises(ValueError):
-        rhs_radial(st, thirring(coupling=2.0), m=1.0)
+    with pytest.raises(ValueError, match="arity"):
+        integrate(st, thirring(coupling=2.0), t_end=0.025, dt=0.0125)
 
 
 def reference_rhs_radial(fields, grid, model, m):

@@ -25,6 +25,18 @@ _LAB = {
 
 _SPINOR = dict(_LAB, system="spinor_1d", model="quartic_harmonic")
 
+_RADIAL = {
+    "system": "radial_3d",
+    "model": "soler",
+    "initial": "bump",
+    "amplitude": "0.05",
+    "width": "1.0",
+    "r_max": "20",
+    "n_cells": "400",
+    "dt": "0.025",
+    "t_end": "1",
+}
+
 _SOLITON = {
     "system": "lab_1d",
     "model": "thirring",
@@ -44,7 +56,7 @@ def _text(base, **changes):
 
 
 def test_base_configs_parse():
-    for base in (_LAB, _SPINOR):
+    for base in (_LAB, _SPINOR, _RADIAL):
         ScenarioConfig.from_text(_text(base))
     ScenarioConfig.from_text(_text(_SOLITON, coupling="2.0"))
 
@@ -64,10 +76,16 @@ def test_base_configs_parse():
     (_text(_SPINOR, dt="0.02", t_end="0.04", sample_stride="2",
            identities="J1"), "identities need at least 3 samples"),
     (_text(_SPINOR, model="thirring"), "arity"),
+    (_text(_RADIAL, r_max="nan"), "r_max must be positive and finite"),
+    (_text(_RADIAL, r_max="inf"), "r_max must be positive and finite"),
+    (_text(_LAB, x_max="inf"), "need finite x_min < x_max"),
+    (_text(_LAB, width="nan"), "width must be positive and finite"),
+    (_text(_LAB, center="nan"), "center and phase must be finite"),
 ], ids=["unknown_key", "seed", "radial_key_on_line", "omega_on_bump",
         "dt_over_half_h", "buffer", "soliton_coupling",
         "chiral_balance_on_spinor", "window_charge_on_spinor",
-        "identities_on_two_samples", "lab_model_on_spinor"])
+        "identities_on_two_samples", "lab_model_on_spinor", "r_max_nan",
+        "r_max_inf", "x_max_inf", "width_nan", "center_nan"])
 def test_config_rejections(text, match):
     with pytest.raises(ConfigError, match=match):
         ScenarioConfig.from_text(text)
@@ -139,6 +157,12 @@ def test_t1_probes_are_resolved_and_decreasing(tmp_path, monkeypatch):
                               "cumulative_growth_below_5pct": True}
     with open(tmp_path / "T1_massless" / "cumulative.csv") as fh:
         assert fh.readline().strip() == "t,flux,cumulative"
+
+
+def test_experiment_ids_are_the_study_table():
+    assert scenarios.EXPERIMENT_IDS == tuple(scenarios._STUDIES)
+    with pytest.raises(ConfigError, match="unknown experiment"):
+        experiment("T4_missing")
 
 
 @pytest.mark.parametrize("n", [2, 5, 100, 1001])
