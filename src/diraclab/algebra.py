@@ -67,10 +67,6 @@ class AlphaSplit:
         self.alpha_r = np.asarray(alpha_r, dtype=float)
         self.alpha_i = np.asarray(alpha_i, dtype=float)
 
-    @property
-    def matrix(self):
-        return self.alpha_r + 1j * self.alpha_i
-
     def __repr__(self):
         kind = "real" if np.any(self.alpha_r) else "imaginary"
         return f"AlphaSplit(n={self.alpha_r.shape[0]}, {kind})"

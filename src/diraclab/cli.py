@@ -30,9 +30,6 @@ from .virials import identity_ids
 
 __all__ = ["main"]
 
-_SYSTEM_ALIASES = {"lab": "lab_1d", "spinor": "spinor_1d",
-                   "radial": "radial_3d"}
-
 
 def _resolve_scenario(token):
     """A path on disk, or the name of a bundled config."""
@@ -106,10 +103,6 @@ def _cmd_check_nonlinearity(args):
 
 def _cmd_verify_virial(args):
     config = ScenarioConfig.from_file(_resolve_scenario(args.scenario))
-    wanted = _SYSTEM_ALIASES[args.system]
-    if config.system != wanted:
-        raise ConfigError(f"scenario is {config.system!r}, "
-                          f"--system asked for {wanted!r}")
     config.require_identities([args.identity])
     model, traj = integrate_scenario(config)
     out_dir = _ensure_dir(args.out, config.out_dir)
@@ -210,8 +203,6 @@ def _build_parser():
 
     p = sub.add_parser("verify-virial",
                        help="rate-identity defect table along a run")
-    p.add_argument("--system", required=True,
-                   choices=sorted(_SYSTEM_ALIASES))
     p.add_argument("--identity", required=True,
                    choices=identity_ids())
     p.add_argument("--scenario", required=True)

@@ -10,6 +10,14 @@ dt <= h/2 and a support-buffer estimate are checked at parse time for
 the same reason; a run that would hit the boundary sponge is refused
 up front rather than aborted halfway.
 
+Two tables hold the file's rules. ``_SCHEMA`` has a row per key; a
+key's group (line or radial grid, bump or standing wave) applies or not
+by ``_GROUPS``, and an explicit key of a group that does not apply is
+refused and left out of the canonical text behind the scenario hash.
+``_OBSERVABLES`` has a row per trajectory column. Its evaluators call
+the observables functions from lambda bodies, so each name is looked up
+in this module at call time and a patched attribute sees every call.
+
 The bundled studies are data. Each row of ``_STUDIES`` lists the
 scenario texts a study runs and a pure post-processing function that
 turns one run's trajectory and summary into extra tables, metrics and
@@ -27,6 +35,7 @@ import hashlib
 import json
 import os
 import time
+from collections import namedtuple
 
 import numpy as np
 
@@ -68,45 +77,72 @@ def _fmt(x):
 # ---------------------------------------------------------------------------
 # schema
 
-_SYSTEMS = ("lab_1d", "spinor_1d", "radial_3d")
-_INITIALS = ("bump", "soliton")
-_PARITIES = ("none", "even", "odd")
-_OBSERVABLES = ("charge", "energy", "hamiltonian", "momentum",
-                "parity_defect")
-
-# key -> (converter, default); REQUIRED sentinel means the key must appear
+# key -> (converter, default, allowed values or None, group or None); a
+# _REQUIRED default means the key must appear
+_Key = namedtuple("_Key", "convert default allowed group",
+                  defaults=(None, None))
 _REQUIRED = object()
 
 _SCHEMA = {
-    "system": (str, _REQUIRED),
-    "model": (str, _REQUIRED),
-    "coupling": (float, 1.0),
-    "mass": (float, 1.0),
-    "initial": (str, _REQUIRED),
-    "amplitude": (float, None),
-    "width": (float, 2.0),
-    "center": (float, 0.0),
-    "parity": (str, "none"),
-    "omega": (float, 0.5),
-    "phase": (float, 0.0),
-    "x_min": (float, -200.0),
-    "x_max": (float, 200.0),
-    "n_points": (int, 8001),
-    "r_max": (float, 100.0),
-    "n_cells": (int, 4000),
-    "dt": (float, 0.02),
-    "t_end": (float, _REQUIRED),
-    "sample_stride": (int, 1),
-    "observables": (str, None),
-    "identities": (str, ""),
-    "regions": (str, ""),
-    "out_dir": (str, None),
+    "system": _Key(str, _REQUIRED, ("lab_1d", "spinor_1d", "radial_3d")),
+    "model": _Key(str, _REQUIRED),
+    "coupling": _Key(float, 1.0),
+    "mass": _Key(float, 1.0),
+    "initial": _Key(str, _REQUIRED, ("bump", "soliton")),
+    "amplitude": _Key(float, None, group="bump"),
+    "width": _Key(float, 2.0, group="bump"),
+    "center": _Key(float, 0.0),
+    "parity": _Key(str, "none", ("none", "even", "odd"), "bump"),
+    "omega": _Key(float, 0.5, group="soliton"),
+    "phase": _Key(float, 0.0, group="soliton"),
+    "x_min": _Key(float, -200.0, group="line"),
+    "x_max": _Key(float, 200.0, group="line"),
+    "n_points": _Key(int, 8001, group="line"),
+    "r_max": _Key(float, 100.0, group="radial"),
+    "n_cells": _Key(int, 4000, group="radial"),
+    "dt": _Key(float, 0.02),
+    "t_end": _Key(float, _REQUIRED),
+    "sample_stride": _Key(int, 1),
+    "observables": _Key(str, None),
+    "identities": _Key(str, ""),
+    "regions": _Key(str, ""),
+    "out_dir": _Key(str, None),
 }
 
-_GRID_KEYS_1D = ("x_min", "x_max", "n_points")
-_GRID_KEYS_RADIAL = ("r_max", "n_cells")
-_BUMP_KEYS = ("amplitude", "width", "center", "parity")
-_SOLITON_KEYS = ("omega", "phase", "center")
+# group -> (does it apply to this config?, why its keys are refused
+# where it does not)
+_GROUPS = {
+    "line": (lambda c: c.system != "radial_3d", "on a radial grid"),
+    "radial": (lambda c: c.system == "radial_3d", "on a line grid"),
+    "bump": (lambda c: c.initial == "bump",
+             "by the standing-wave initial condition"),
+    "soliton": (lambda c: c.initial == "soliton",
+                "by the bump initial condition"),
+}
+
+# name -> (column, evaluate(state, config, model), defined(config, model,
+# grid)), in column order; region masses go just before the parity defect
+_Observable = namedtuple("_Observable", "column evaluate defined")
+
+_OBSERVABLES = {
+    "charge": _Observable("Q", lambda st, c, model: charge(st),
+                          lambda c, model, grid: True),
+    "energy": _Observable(
+        "E", lambda st, c, model: energy_psi(st, model, m=c.mass),
+        lambda c, model, grid: (c.system == "spinor_1d" and getattr(
+            model, "g_coeffs", None) is not None)),
+    "hamiltonian": _Observable(
+        "H", lambda st, c, model: hamiltonian_1d(st, model, m=c.mass),
+        lambda c, model, grid: (c.system == "lab_1d"
+                                and model.eval_W is not None)),
+    "momentum": _Observable("P", lambda st, c, model: momentum_1d(st),
+                            lambda c, model, grid: c.system != "radial_3d"),
+    "parity_defect": _Observable(
+        "parity_defect", lambda st, c, model: parity_defect(st),
+        lambda c, model, grid: (c.system != "radial_3d"
+                                and grid.is_symmetric())),
+}
+
 
 def _split_list(raw):
     return [tok.strip() for tok in raw.split(",") if tok.strip()]
@@ -181,18 +217,18 @@ class ScenarioConfig:
         if unknown:
             raise ConfigError(f"unknown keys: {', '.join(unknown)}")
         fields = {}
-        for key, (conv, default) in _SCHEMA.items():
+        for key, row in _SCHEMA.items():
             if key in raw:
                 try:
-                    fields[key] = conv(raw[key])
+                    fields[key] = row.convert(raw[key])
                 except ValueError:
                     raise ConfigError(
                         f"key {key!r}: cannot read {raw[key]!r} as "
-                        f"{conv.__name__}") from None
-            elif default is _REQUIRED:
+                        f"{row.convert.__name__}") from None
+            elif row.default is _REQUIRED:
                 raise ConfigError(f"missing required key {key!r}")
             else:
-                fields[key] = default
+                fields[key] = row.default
         return cls(fields, explicit=set(raw), name=name)
 
     @classmethod
@@ -205,35 +241,30 @@ class ScenarioConfig:
 
     # -- validation ---------------------------------------------------
 
-    def _reject_inapplicable(self, keys, why):
-        bad = sorted(set(keys) & self._explicit)
-        if bad:
-            raise ConfigError(f"{', '.join(bad)}: not used {why}")
+    def _unused_groups(self):
+        """(why, keys) for each schema group that does not apply here."""
+        return [(why, [key for key, row in _SCHEMA.items()
+                       if row.group == group])
+                for group, (applies, why) in _GROUPS.items()
+                if not applies(self)]
 
     def _validate(self):
-        if self.system not in _SYSTEMS:
-            raise ConfigError(f"system must be one of {_SYSTEMS}, "
-                              f"got {self.system!r}")
-        if self.initial not in _INITIALS:
-            raise ConfigError(f"initial must be one of {_INITIALS}, "
-                              f"got {self.initial!r}")
-        if self.parity not in _PARITIES:
-            raise ConfigError(f"parity must be one of {_PARITIES}, "
-                              f"got {self.parity!r}")
+        for key, row in _SCHEMA.items():
+            value = getattr(self, key)
+            if row.allowed is not None and value not in row.allowed:
+                raise ConfigError(f"{key} must be one of {row.allowed}, "
+                                  f"got {value!r}")
         # the model, the grids and the step schedule refuse a non-finite
         # coupling, extent, dt or t_end; nothing downstream checks these
         if not np.isfinite([self.mass, self.center, self.phase]).all():
             raise ConfigError("mass, center and phase must be finite")
+        for why, keys in self._unused_groups():
+            bad = sorted(self._explicit.intersection(keys))
+            if bad:
+                raise ConfigError(f"{', '.join(bad)}: not used {why}")
 
         radial = self.system == "radial_3d"
-        if radial:
-            self._reject_inapplicable(_GRID_KEYS_1D, "on a radial grid")
-        else:
-            self._reject_inapplicable(_GRID_KEYS_RADIAL, "on a line grid")
-
         if self.initial == "bump":
-            self._reject_inapplicable(("omega", "phase"),
-                                      "by the bump initial condition")
             if self.amplitude is None:
                 raise ConfigError("bump needs an amplitude")
             if not (0.0 < self.amplitude and np.isfinite(self.amplitude)):
@@ -250,21 +281,16 @@ class ScenarioConfig:
             elif self.parity != "none" and self.center != 0.0:
                 raise ConfigError("parity-restricted bumps must sit at "
                                   "center = 0")
-        else:
-            self._reject_inapplicable(
-                ("amplitude", "width", "parity"),
-                "by the standing-wave initial condition")
-            if radial:
-                raise ConfigError("the standing wave lives on the line")
-            # the exact wave solves one specific model; anything else
-            # would silently run different data than advertised
-            if (self.model != "thirring"
-                    or self.coupling != CALIBRATED_THIRRING_COUPLING
-                    or self.mass != 1.0):
-                raise ConfigError(
-                    "initial = soliton requires model = thirring, "
-                    f"coupling = {CALIBRATED_THIRRING_COUPLING:g}, "
-                    "mass = 1")
+        elif radial:
+            raise ConfigError("the standing wave lives on the line")
+        # the exact wave solves one specific model; anything else would
+        # silently run different data than advertised
+        elif (self.model != "thirring"
+              or self.coupling != CALIBRATED_THIRRING_COUPLING
+              or self.mass != 1.0):
+            raise ConfigError(
+                "initial = soliton requires model = thirring, "
+                f"coupling = {CALIBRATED_THIRRING_COUPLING:g}, mass = 1")
 
         # the grid, the model, the step schedule and the standing wave
         # check their own arguments; their refusals are config errors
@@ -286,15 +312,16 @@ class ScenarioConfig:
 
         self._check_buffer(grid)
 
+        defined = [name for name, row in _OBSERVABLES.items()
+                   if row.defined(self, model, grid)]
         if self.observables is None:
-            obs = list(self._applicable_observables(model, grid))
+            obs = defined
         else:
             obs = _split_list(self.observables)
             bad = sorted(set(obs) - set(_OBSERVABLES))
             if bad:
                 raise ConfigError(f"unknown observables: {', '.join(bad)}")
-            allowed = self._applicable_observables(model, grid)
-            out_of_place = sorted(set(obs) - set(allowed))
+            out_of_place = sorted(set(obs) - set(defined))
             if out_of_place:
                 raise ConfigError(
                     f"observables not defined for this setup: "
@@ -331,19 +358,6 @@ class ScenarioConfig:
                 f"differences; t_end / (dt * sample_stride) + 1 = "
                 f"{self.n_samples}")
 
-    def _applicable_observables(self, model, grid):
-        out = ["charge"]
-        if self.system == "spinor_1d" and \
-                getattr(model, "g_coeffs", None) is not None:
-            out.append("energy")
-        if self.system == "lab_1d" and model.eval_W is not None:
-            out.append("hamiltonian")
-        if self.system != "radial_3d":
-            out.append("momentum")
-            if grid.is_symmetric():
-                out.append("parity_defect")
-        return tuple(out)
-
     def _check_buffer(self, grid):
         """Refuse runs whose support estimate reaches the edge sponge."""
         if isinstance(grid, RadialGrid):
@@ -372,12 +386,7 @@ class ScenarioConfig:
 
     def canonical(self):
         """Sorted key = value text with every applicable field resolved."""
-        radial = self.system == "radial_3d"
-        skip = set(_GRID_KEYS_1D if radial else _GRID_KEYS_RADIAL)
-        skip |= set(_SOLITON_KEYS if self.initial == "bump"
-                    else _BUMP_KEYS)
-        skip &= {"omega", "phase", "amplitude", "width", "parity",
-                 "x_min", "x_max", "n_points", "r_max", "n_cells"}
+        skip = {key for _, keys in self._unused_groups() for key in keys}
         lines = []
         for key in sorted(_SCHEMA):
             if key in skip:
@@ -556,12 +565,11 @@ class ExperimentSummary:
 
     def write(self, directory):
         path = os.path.join(directory, "summary.json")
-        payload = self.to_dict()
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
         if "summary.json" not in self.files:
             self.files.append("summary.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+            fh.write("\n")
         return path
 
     def __repr__(self):
@@ -615,34 +623,9 @@ def _decay_entry(times, values):
     return entry
 
 
-def _observable_columns(config, traj, model):
-    """(header, columns) for the trajectory table, plus the full series
-    used for conservation bookkeeping."""
-    states = traj.states
-    charges = np.array([charge(st) for st in states])
-    header = ["t"]
-    columns = [traj.times]
-    series = {"Q": charges}
-    selected = config.observable_list
-    if "charge" in selected:
-        header.append("Q")
-        columns.append(charges)
-    if "energy" in selected:
-        vals = np.array([energy_psi(st, model, m=config.mass)
-                         for st in states])
-        series["E"] = vals
-        header.append("E")
-        columns.append(vals)
-    if "hamiltonian" in selected:
-        vals = np.array([hamiltonian_1d(st, model, m=config.mass)
-                         for st in states])
-        series["H"] = vals
-        header.append("H")
-        columns.append(vals)
-    if "momentum" in selected:
-        vals = np.array([momentum_1d(st) for st in states])
-        header.append("P")
-        columns.append(vals)
+def _region_masses(config, states):
+    """Column name -> mass series of each configured region."""
+    out = {}
     for spec, region in config.region_list:
         vals = []
         for st in states:
@@ -652,16 +635,25 @@ def _observable_columns(config, traj, model):
                 # region not defined at this instant (early log window
                 # or exterior box); the column records that honestly
                 vals.append(np.nan)
-        name = _column_name(spec)
-        vals = np.array(vals)
-        series[name] = vals
-        header.append(name)
-        columns.append(vals)
-    if "parity_defect" in selected:
-        vals = np.array([parity_defect(st) for st in states])
-        series["parity_defect"] = vals
-        header.append("parity_defect")
-        columns.append(vals)
+        out[_column_name(spec)] = np.array(vals)
+    return out
+
+
+def _observable_columns(config, traj, model):
+    """(header, columns) for the trajectory table, plus its series by
+    column name; the charge series "Q" is there even when unselected,
+    for conservation bookkeeping."""
+    series = {}
+    for name, row in _OBSERVABLES.items():
+        if name == "parity_defect":
+            series.update(_region_masses(config, traj.states))
+        if name in config.observable_list:
+            series[row.column] = np.array(
+                [row.evaluate(st, config, model) for st in traj.states])
+    header = ["t", *series]
+    columns = [traj.times, *series.values()]
+    if "Q" not in series:
+        series["Q"] = np.array([charge(st) for st in traj.states])
     return header, columns, series
 
 

@@ -55,7 +55,6 @@ __all__ = [
     "rhs_J_combined_1d",
     "functionals_K_3d",
     "rhs_K_3d",
-    "rhs_K_combined_closed",
     "functional_H",
     "rhs_H",
     "verify_identity",
@@ -571,62 +570,6 @@ def rhs_K_3d(state, weight, m=1.0, model=None):
             + line(_bk(phi, dphi, w22, e22) * (d12 + m * p22))
             + line(_bk(phi, dphi, p21, d21) * (e11 - m * w21)))
     return np.array([dk1, dtk1, dk2, dtk2])
-
-
-def rhs_K_combined_closed(state, weight, m=1.0, model=None):
-    """Closed form of d/dt(K1 + tK1 - K2 - tK2).
-
-    Requires the even-type components to vanish at the origin: the
-    zeroth-order coefficients grow like r^{-3/2} there, and the
-    integration by parts that produces them sheds a boundary term for
-    anything finite at r=0. Use the alternating sum of ``rhs_K_3d``
-    when that cannot be guaranteed; it is exact for all data.
-    """
-    _require_radial(state, "rhs_K_combined_closed")
-    _require_radial_weight(weight, "rhs_K_combined_closed")
-    _require_model(model, state, "rhs_K_combined_closed")
-    g = state.grid
-    r = g.r
-    p, d, w, e = _quartet_fields(state, model)
-    p11, p12, p21, p22 = p
-    d11, d12, d21, d22 = d
-    phi = weight.phi(r)
-    dphi = weight.dphi(r)
-    d2phi = weight.d2phi(r)
-    d3phi = weight.d3phi(r)
-    phi_r = weight.sing("phi_over_r", r)
-    phi_r2 = weight.sing("phi_over_r2", r)
-    phi_r3 = weight.sing("phi_over_r3", r)
-    dphi_r = weight.sing("dphi_over_r", r)
-    dphi_r2 = weight.sing("dphi_over_r2", r)
-    d2phi_r = weight.sing("d2phi_over_r", r)
-
-    def line(f):
-        return quad(f, g, measure="line")
-
-    grad_sq = d11 ** 2 + d12 ** 2 + d21 ** 2 + d22 ** 2
-    even_sq = p11 ** 2 + p12 ** 2
-    odd_sq = p21 ** 2 + p22 ** 2
-    zero_even = 0.5 * (dphi_r2 + 0.5 * d3phi - d2phi_r)
-    zero_odd = zero_even - 2.0 * phi_r3
-    out = (line((2.0 * phi_r - dphi) * grad_sq)
-           + line(zero_even * even_sq) + line(zero_odd * odd_sq))
-    if model is None:
-        return out
-    w11, w12, w21, w22 = w
-    e11, e12, e21, e22 = e
-    a_term = (2.0 * line(phi * (w11 * d11 + w12 * d12
-                                + w21 * d21 + w22 * d22))
-              + line(dphi * (w11 * p11 + w12 * p12
-                             + w21 * p21 + w22 * p22)))
-    b_term = (2.0 * line(phi * (e11 * d21 + e12 * d22
-                                + e21 * d11 + e22 * d12))
-              + 2.0 * line(phi_r * (w21 * d11 + w22 * d12
-                                    - w11 * d21 - w12 * d22))
-              + line((2.0 * phi_r2 - 0.5 * d2phi - dphi_r)
-                     * (w11 * p21 + w12 * p22))
-              - line((0.5 * d2phi - dphi_r) * (w21 * p11 + w22 * p12)))
-    return out + m * a_term - b_term
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,7 @@ def test_split_roundtrip_and_symmetry():
         alphas, _ = alpha_beta(n)
         for a in alphas:
             sp = split_alpha(a)
-            assert np.array_equal(sp.matrix, a)
+            assert np.array_equal(sp.alpha_r + 1j * sp.alpha_i, a)
             assert np.array_equal(sp.alpha_r.T, sp.alpha_r)
             assert np.array_equal(sp.alpha_i.T, -sp.alpha_i)
 

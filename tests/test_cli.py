@@ -123,8 +123,8 @@ def test_identities_on_too_few_samples_exit_two(tmp_path, capsys):
 
     out = str(tmp_path / "out")
     for argv in (["run", "--scenario", short("run", "identities = J1\n")],
-                 ["verify-virial", "--system", "spinor", "--identity", "J1",
-                  "--scenario", short("verify")]):
+                 ["verify-virial", "--identity", "J1", "--scenario",
+                  short("verify")]):
         assert cli.main(argv + ["--out", out]) == 2
         assert "identities need at least 3 samples" in \
             capsys.readouterr().err
@@ -163,9 +163,8 @@ def test_run_jobs_does_not_change_outputs(tmp_path):
 def test_verify_virial_with_identity_the_system_lacks_exits_two(
         tmp_path, capsys):
     path = _scenario(tmp_path, system="spinor_1d", model="quartic_harmonic")
-    argv = ["verify-virial", "--system", "spinor", "--identity",
-            "J_chiral_balance", "--scenario", path,
-            "--out", str(tmp_path / "out")]
+    argv = ["verify-virial", "--identity", "J_chiral_balance",
+            "--scenario", path, "--out", str(tmp_path / "out")]
     assert cli.main(argv) == 2
     assert "identities not defined on system 'spinor_1d': " \
         "J_chiral_balance" in capsys.readouterr().err
@@ -174,8 +173,17 @@ def test_verify_virial_with_identity_the_system_lacks_exits_two(
 def test_verify_virial_removed_identity_is_an_argparse_error(tmp_path):
     path = _scenario(tmp_path)
     with pytest.raises(SystemExit) as exc:
+        cli.main(["verify-virial", "--identity", "K_window_charge",
+                  "--scenario", path, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+
+
+def test_verify_virial_system_option_is_an_argparse_error(tmp_path):
+    # the system is the scenario's own; there is no flag to restate it
+    path = _scenario(tmp_path)
+    with pytest.raises(SystemExit) as exc:
         cli.main(["verify-virial", "--system", "lab", "--identity",
-                  "K_window_charge", "--scenario", path,
+                  "I_weighted_charge", "--scenario", path,
                   "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
 
@@ -189,9 +197,8 @@ def test_verify_virial_exit_code_follows_the_verdict(tmp_path, capsys,
     # both, so this test will change with it.
     path = tmp_path / "lab_bump.cfg"
     path.write_text(_LAB_BUMP.format(stride=stride))
-    argv = ["verify-virial", "--system", "lab", "--identity",
-            "I_weighted_charge", "--scenario", str(path),
-            "--out", str(tmp_path / "out")]
+    argv = ["verify-virial", "--identity", "I_weighted_charge",
+            "--scenario", str(path), "--out", str(tmp_path / "out")]
     assert cli.main(argv) == code
     payload = json.loads(capsys.readouterr().out)
     assert payload["passed"] is (code == 0)
@@ -205,8 +212,8 @@ def test_verify_virial_writes_only_the_requested_identity(tmp_path,
     path.write_text(_LAB_BUMP.format(stride=5)
                     + "identities = I_weighted_charge\n")
     out = tmp_path / "out"
-    argv = ["verify-virial", "--system", "lab", "--identity",
-            "J_chiral_balance", "--scenario", str(path), "--out", str(out)]
+    argv = ["verify-virial", "--identity", "J_chiral_balance",
+            "--scenario", str(path), "--out", str(out)]
     code = cli.main(argv)
     payload = json.loads(capsys.readouterr().out)
     assert code == (0 if payload["passed"] else 1)
@@ -396,8 +403,8 @@ def test_verify_virial_radial_rows_equal_verify_identity(tmp_path):
     path = tmp_path / "radial.cfg"
     path.write_text(_RADIAL)
     out = tmp_path / "out"
-    argv = ["verify-virial", "--system", "radial", "--identity",
-            "K_combined_3d", "--scenario", str(path), "--out", str(out)]
+    argv = ["verify-virial", "--identity", "K_combined_3d",
+            "--scenario", str(path), "--out", str(out)]
     assert cli.main(argv) == 0
     config = ScenarioConfig.from_file(str(path))
     model = config.build_model()

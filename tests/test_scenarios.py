@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ from scipy.integrate import cumulative_trapezoid
 
 from diraclab import scenarios, virials
 from diraclab.scenarios import (ConfigError, ScenarioConfig, _write_csv,
-                                bundled_config_path, experiment)
+                                bundled_config_path, experiment,
+                                run_scenario)
 from diraclab.virials import identity_ids
 
 _LAB = {
@@ -81,11 +83,34 @@ def test_base_configs_parse():
     (_text(_LAB, x_max="inf"), "need finite x_min < x_max"),
     (_text(_LAB, width="nan"), "width must be positive and finite"),
     (_text(_LAB, center="nan"), "center and phase must be finite"),
+    (_text(_LAB, system="planar"),
+     r"system must be one of \('lab_1d', 'spinor_1d', 'radial_3d'\), "
+     "got 'planar'"),
+    (_text(_LAB, initial="kink"),
+     r"initial must be one of \('bump', 'soliton'\), got 'kink'"),
+    (_text(_LAB, parity="twisted"),
+     r"parity must be one of \('none', 'even', 'odd'\), got 'twisted'"),
+    (_text(_RADIAL, x_min="-3"), "^x_min: not used on a radial grid$"),
+    (_text(_SOLITON, coupling="2.0", amplitude="0.1"),
+     "^amplitude: not used by the standing-wave initial condition$"),
+    (_text(_LAB, phase="0.3"),
+     "^phase: not used by the bump initial condition$"),
+    (_text(_LAB, observables="colour"), "^unknown observables: colour$"),
+    (_text(_LAB, observables="energy"),
+     "^observables not defined for this setup: energy$"),
+    (_text(_RADIAL, observables="momentum"),
+     "^observables not defined for this setup: momentum$"),
+    (_text(_LAB, x_max="30", n_points="251", observables="parity_defect"),
+     "^observables not defined for this setup: parity_defect$"),
 ], ids=["unknown_key", "seed", "radial_key_on_line", "omega_on_bump",
         "dt_over_half_h", "buffer", "soliton_coupling",
         "chiral_balance_on_spinor", "window_charge_on_spinor",
         "identities_on_two_samples", "lab_model_on_spinor", "r_max_nan",
-        "r_max_inf", "x_max_inf", "width_nan", "center_nan"])
+        "r_max_inf", "x_max_inf", "width_nan", "center_nan",
+        "system_planar", "initial_kink", "parity_twisted",
+        "line_key_on_radial", "amplitude_on_soliton", "phase_on_bump",
+        "observable_colour", "energy_on_lab", "momentum_on_radial",
+        "parity_defect_on_asymmetric_grid"])
 def test_config_rejections(text, match):
     with pytest.raises(ConfigError, match=match):
         ScenarioConfig.from_text(text)
@@ -96,6 +121,68 @@ def test_bundled_config_hash_is_pinned():
     assert cfg.hash == "659ce2f432fb079e"
     t1 = ScenarioConfig.from_text(scenarios._T1_TEXT, name="T1_massless")
     assert t1.hash == "549c57dee8a71d83"
+    t2 = ScenarioConfig.from_text(scenarios._T2_TEXT, name="T2_massive_odd")
+    assert t2.hash == "a13af1aa23373218"
+    t3 = ScenarioConfig.from_text(scenarios._T3_TEXT, name="T3_radial")
+    assert t3.hash == "c4cc5ab737254046"
+    rest = ScenarioConfig.from_file(bundled_config_path("soliton_rest"))
+    assert rest.hash == "5e4e0f6671ce2f35"
+
+
+@pytest.mark.parametrize("base, changes, header", [
+    (_SPINOR, {"model": "soler", "regions": "ball:5"},
+     "t,Q,E,P,mass_ball_5,parity_defect"),
+    # the shape of the spinor_virials benchmark workload
+    (_SPINOR, {"parity": "odd", "regions": "log_window, ball:5"},
+     "t,Q,P,mass_log_window,mass_ball_5,parity_defect"),
+    (_RADIAL, {"regions": "ball:1, ball:5"}, "t,Q,mass_ball_1,mass_ball_5"),
+], ids=["spinor_soler", "spinor_virials", "radial"])
+def test_default_trajectory_header(tmp_path, base, changes, header):
+    config = ScenarioConfig.from_text(_text(base, **changes), name="hdr")
+    run_scenario(config, out_root=tmp_path)
+    with open(tmp_path / "hdr" / "trajectory.csv") as fh:
+        assert fh.readline().strip() == header
+
+
+def test_observables_are_looked_up_at_call_time(tmp_path, monkeypatch):
+    # a profiler wraps these module attributes; the observables table
+    # must reach each call through them, one per sample and observable
+    calls = Counter()
+
+    def counting(name):
+        original = getattr(scenarios, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    names = ("charge", "momentum_1d", "parity_defect", "region_mass")
+    for name in names:
+        monkeypatch.setattr(scenarios, name, counting(name))
+    config = ScenarioConfig.from_text(_text(_SPINOR, regions="ball:5"))
+    assert config.observable_list == ("charge", "momentum",
+                                      "parity_defect")
+    summary = run_scenario(config, out_root=tmp_path)
+    assert summary.n_samples == 11
+    assert calls == {name: 11 for name in names}
+
+
+def test_summary_file_lists_itself(tmp_path, monkeypatch):
+    summary = run_scenario(ScenarioConfig.from_text(_text(_LAB),
+                                                    name="tiny"),
+                           out_root=tmp_path)
+    on_disk = json.loads((tmp_path / "tiny" / "summary.json").read_text())
+    assert on_disk["files"] == summary.to_dict()["files"] == \
+        ["trajectory.csv", "summary.json"]
+    short = scenarios._T5_TEXT.replace("t_end = 10", "t_end = 3")
+    assert short != scenarios._T5_TEXT
+    monkeypatch.setattr(scenarios, "_T5_TEXT", short)
+    joint = experiment("T5_exterior", out_root=tmp_path)
+    on_disk = json.loads(
+        (tmp_path / "T5_exterior" / "summary.json").read_text())
+    assert on_disk["files"] == joint.to_dict()["files"]
+    assert on_disk["files"][-1] == "summary.json"
 
 
 def test_write_csv_roundtrip_is_lossless(tmp_path):
@@ -176,8 +263,9 @@ def test_cumulative_trapezoid_matches_scipy_bitwise(n):
 
 def test_every_identity_is_reachable_from_a_scenario():
     # a misspelt system name in a row would leave its identity unreachable
+    systems = scenarios._SCHEMA["system"].allowed
     for name, row in virials._IDENTITIES.items():
         assert row.systems, name
-        assert set(row.systems) <= set(scenarios._SYSTEMS), name
-    reachable = set().union(*map(identity_ids, scenarios._SYSTEMS))
+        assert set(row.systems) <= set(systems), name
+    reachable = set().union(*map(identity_ids, systems))
     assert set(identity_ids()) == reachable
