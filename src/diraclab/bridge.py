@@ -60,8 +60,9 @@ def _residuals_at(states, k, dt_s, model, m):
     dt_p2 = (p2p - p2m) / (2.0 * dt_s)
     w1, w2 = model.grad(p1, p2)
 
-    u0 = dt_p1 + 1j * deriv1(p2, grid) + 1j * m * p1 - 1j * w1
-    v0 = dt_p2 - 1j * deriv1(p1, grid) - 1j * m * p2 + 1j * w2
+    dx_p1, dx_p2 = dx_p = deriv1(states[k].fields, grid)
+    u0 = dt_p1 + 1j * dx_p2 + 1j * m * p1 - 1j * w1
+    v0 = dt_p2 - 1j * dx_p1 - 1j * m * p2 + 1j * w2
 
     dtt_p1 = (p1p - 2.0 * p1 + p1m) / dt_s ** 2
     dtt_p2 = (p2p - 2.0 * p2 + p2m) / dt_s ** 2
@@ -72,8 +73,7 @@ def _residuals_at(states, k, dt_s, model, m):
 
     # the squared transport operator, not a second-derivative stencil:
     # this is what the first-order evolution actually iterates
-    dxx_p1 = deriv1(deriv1(p1, grid), grid)
-    dxx_p2 = deriv1(deriv1(p2, grid), grid)
+    dxx_p1, dxx_p2 = deriv1(dx_p, grid)
 
     line1 = dtt_p1 - dxx_p1 + m * m * p1 - m * w1 \
         + deriv1(w2, grid) - 1j * dt_w1

@@ -169,22 +169,33 @@ class Trajectory:
         return float(steps[0])
 
 
+# The line kernels take one stencil pass over the (2, w) window and write
+# their rows into its result in place, in the evaluation order of
+#   -ux + 1j (m v - w1),  vx + 1j (m u - w2)          (lab)
+#   -1j ((d2 + m p1) - w1),  1j ((d1 + m p2) - w2)    (spinor),
+# which keeps each value bitwise that of the plain expressions.
 def _rhs_lab_arrays(fields, grid, model, m):
     u, v = fields
-    ux = deriv1(u, grid)
-    vx = deriv1(v, grid)
+    ux, vx = out = deriv1(fields, grid)
     w1, w2 = model.grad(u, v)
-    return np.vstack([-ux + 1j * (m * v - w1),
-                      vx + 1j * (m * u - w2)])
+    np.negative(ux, out=ux)
+    ux += 1j * (m * v - w1)
+    vx += 1j * (m * u - w2)
+    return out
+
+
+_SPINOR_PHASES = np.array([[-1j], [1j]])
 
 
 def _rhs_spinor_arrays(fields, grid, model, m):
     p1, p2 = fields
-    d1 = deriv1(p1, grid)
-    d2 = deriv1(p2, grid)
+    d1, d2 = d = deriv1(fields, grid)
     w1, w2 = model.grad(p1, p2)
-    return np.vstack([-1j * (d2 + m * p1 - w1),
-                      1j * (d1 + m * p2 - w2)])
+    d2 += m * p1
+    d2 -= w1
+    d1 += m * p2
+    d1 -= w2
+    return _SPINOR_PHASES * d[::-1]
 
 
 # The real-split form of _rhs_spinor_arrays on the repacked fields
@@ -194,10 +205,7 @@ def _rhs_spinor_arrays(fields, grid, model, m):
 def _rhs_real4_arrays(fields, grid, model, m):
     p11, p12, p21, p22 = fields
     w11, w12, w21, w22 = model.w_fields(p11, p12, p21, p22)
-    d11 = deriv1(p11, grid)
-    d12 = deriv1(p12, grid)
-    d21 = deriv1(p21, grid)
-    d22 = deriv1(p22, grid)
+    d11, d12, d21, d22 = deriv1(fields, grid)
     return np.vstack([d22 + m * p12 - w12,
                       -d21 - m * p11 + w11,
                       -d12 - m * p22 + w22,
@@ -391,41 +399,44 @@ def integrate(initial, model, t_end, dt, m=1.0, sample_stride=1):
 
     half = 0.5 * dt
     sixth = dt / 6.0
-    for step in range(1, n_steps + 1):
-        if a < b:
-            yw = y[:, a:b]
-            k1 = rhs(yw, grid, model, m)
-            k2 = rhs(yw + half * k1, grid, model, m)
-            k3 = rhs(yw + half * k2, grid, model, m)
-            k4 = rhs(yw + dt * k3, grid, model, m)
-            yw += sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        if radial:
-            y[:, -_PIN:] = 0.0
-        else:
-            y[:, :_PIN] = 0.0
-            y[:, -_PIN:] = 0.0
-        if a > 0 and bits[:, w * a:w * (a + _MARGIN)].any():
-            a = max(a - _SPREAD, 0)
-        if b < n and bits[:, w * (b - _MARGIN):w * b].any():
-            b = min(b + _SPREAD, n)
+    # A blow-up overflows between samples; the finiteness check at the
+    # next sample aborts the run, so numpy's warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, n_steps + 1):
+            if a < b:
+                yw = y[:, a:b]
+                k1 = rhs(yw, grid, model, m)
+                k2 = rhs(yw + half * k1, grid, model, m)
+                k3 = rhs(yw + half * k2, grid, model, m)
+                k4 = rhs(yw + dt * k3, grid, model, m)
+                yw += sixth * (k1 + 2.0 * (k2 + k3) + k4)
+            if radial:
+                y[:, -_PIN:] = 0.0
+            else:
+                y[:, :_PIN] = 0.0
+                y[:, -_PIN:] = 0.0
+            if a > 0 and bits[:, w * a:w * (a + _MARGIN)].any():
+                a = max(a - _SPREAD, 0)
+            if b < n and bits[:, w * (b - _MARGIN):w * b].any():
+                b = min(b + _SPREAD, n)
 
-        if step % stride == 0 or step == n_steps:
-            t = t0 + step * dt
-            if not np.all(np.isfinite(y)):
-                raise RunAborted(f"non-finite field values at t = {t:g}")
-            zm = _zone_mass(y, grid)
-            if zm > mass_cap:
-                raise RunAborted(
-                    f"boundary zone mass {zm:.3e} exceeds "
-                    f"{_BOUNDARY_TOL:g} * Q(0) = {mass_cap:.3e} at t = {t:g}; "
-                    "enlarge the domain or stop earlier")
-            try:
-                states.append(_wrap(initial, y.copy(), t))
-            except ValueError as exc:
-                raise RunAborted(f"invalid state at t = {t:g}: {exc}") \
-                    from None
-            times.append(t)
-            bmass.append(zm)
-            maxab.append(float(np.max(np.abs(y))))
+            if step % stride == 0 or step == n_steps:
+                t = t0 + step * dt
+                if not np.all(np.isfinite(y)):
+                    raise RunAborted(f"non-finite field values at t = {t:g}")
+                zm = _zone_mass(y, grid)
+                if zm > mass_cap:
+                    raise RunAborted(
+                        f"boundary zone mass {zm:.3e} exceeds "
+                        f"{_BOUNDARY_TOL:g} * Q(0) = {mass_cap:.3e} "
+                        f"at t = {t:g}; enlarge the domain or stop earlier")
+                try:
+                    states.append(_wrap(initial, y.copy(), t))
+                except ValueError as exc:
+                    raise RunAborted(f"invalid state at t = {t:g}: {exc}") \
+                        from None
+                times.append(t)
+                bmass.append(zm)
+                maxab.append(float(np.max(np.abs(y))))
 
     return Trajectory(times, states, bmass, maxab)

@@ -4,6 +4,13 @@ The radial grid places nodes at r_k = (k + 1/2) h so r = 0 is excluded;
 the singular weight combinations of the radial virials stay finite at
 every node. Derivatives are 4th-order central stencils; the 1D boundary
 uses one-sided closures and the radial origin uses parity ghosts.
+
+The stencil runs in real arithmetic. Complex input is differentiated on
+its float view (real and imaginary parts as a trailing axis of 2) and
+scaled by the reciprocal of 12h: the complex multiplies and the complex
+division by a real scalar that the written-out expressions would run
+cost several times more, and numpy's complex division by a real scalar
+multiplies by that reciprocal, so the values are the same.
 """
 
 import numpy as np
@@ -58,48 +65,92 @@ class RadialGrid:
         return f"RadialGrid((0,{self.r_max:g}], n={self.n_cells}, h={self.h:g})"
 
 
+# Boundary closures as tables: output nodes, the input nodes of each
+# row's terms and their coefficients, in the evaluation order of the
+# written-out stencil. A term written x - c*y there is x + (-c)*y here,
+# which is exact. The line grid's one-sided rows (nodes 0, 1, -2, -1)
+# form one table; the radial grid's origin rows take the parity ghosts
+# f[-1] = s f[0] and f[-2] = s f[1], which gives
+#   s (f[1], f[0]) - (8 s, 8) f[0] + 8 (f[1], f[2]) - (f[2], f[3]),
+# and its outer rows are the line grid's right rows.
+def _closure(rows, nodes, coefficients):
+    return (np.array(rows), np.array(nodes),
+            np.array(coefficients)[:, :, None])
+
+
+_LINE_CLOSURE = _closure(
+    [0, 1, -2, -1],
+    [[0, 1, 2, 3, 4], [0, 1, 2, 3, 4],
+     [-1, -2, -3, -4, -5], [-1, -2, -3, -4, -5]],
+    [[-25.0, 48.0, -36.0, 16.0, -3.0], [-3.0, -10.0, 18.0, -6.0, 1.0],
+     [3.0, 10.0, -18.0, 6.0, -1.0], [25.0, -48.0, 36.0, -16.0, 3.0]])
+_RADIAL_CLOSURES = {
+    parity: (_closure([0, 1], [[1, 0, 1, 2], [0, 0, 2, 3]],
+                      [[s, -8.0 * s, 8.0, -1.0], [s, -8.0, 8.0, -1.0]]),
+             tuple(table[2:] for table in _LINE_CLOSURE))
+    for parity, s in (("even", 1.0), ("odd", -1.0))}
+
+
 def deriv1(f, grid, parity="none"):
     """First derivative, 4th-order central in the interior.
 
     Parameters
     ----------
     f : ndarray
+        Nodes along the last axis; leading axes are independent rows, and
+        a stacked call gives every row bitwise the result of its own call.
     grid : Grid1D or RadialGrid
     parity : {"none", "even", "odd"}
         Grid1D accepts only "none". RadialGrid requires "even" or "odd";
         ghost values across r = 0 are the parity reflection
         f(-r) = +f(r) (even) or f(-r) = -f(r) (odd).
+
+    Real input is summed term by term in the order of the written-out
+    stencil and divided by 12h. Complex input is differentiated on its
+    float view, real and imaginary parts side by side, and multiplied by
+    1/(12h): written out in complex arithmetic, the stencil scales both
+    parts by 8, and numpy divides a complex value by a real scalar by
+    multiplying with its reciprocal. So every value equals that of the
+    complex expressions, without the cost of complex multiplies and
+    divisions; only the sign of an exact zero may differ.
     """
     v = np.asarray(f)
-    n = v.shape[-1]
-    if n < 8:
+    if v.shape[-1] < 8:
         raise ValueError("need at least 8 nodes")
-    h = grid.h
-    out = np.empty_like(v, dtype=v.dtype if v.dtype.kind == "c" else float)
-
     if isinstance(grid, RadialGrid):
         if parity not in ("even", "odd"):
             raise ValueError("radial deriv1 requires parity 'even' or 'odd'")
-        s = 1.0 if parity == "even" else -1.0
-        # ghosts: f[-1] at r=-h/2 maps to node 0, f[-2] at r=-3h/2 to node 1
-        out[..., 0] = (s * v[..., 1] - 8.0 * s * v[..., 0]
-                       + 8.0 * v[..., 1] - v[..., 2]) / (12.0 * h)
-        out[..., 1] = (s * v[..., 0] - 8.0 * v[..., 0]
-                       + 8.0 * v[..., 2] - v[..., 3]) / (12.0 * h)
+        closures = _RADIAL_CLOSURES[parity]
+    elif parity != "none":
+        raise ValueError("parity reflection applies only to radial grids")
     else:
-        if parity != "none":
-            raise ValueError("parity reflection applies only to radial grids")
-        out[..., 0] = (-25.0 * v[..., 0] + 48.0 * v[..., 1] - 36.0 * v[..., 2]
-                       + 16.0 * v[..., 3] - 3.0 * v[..., 4]) / (12.0 * h)
-        out[..., 1] = (-3.0 * v[..., 0] - 10.0 * v[..., 1] + 18.0 * v[..., 2]
-                       - 6.0 * v[..., 3] + v[..., 4]) / (12.0 * h)
+        closures = (_LINE_CLOSURE,)
 
-    out[..., 2:-2] = (v[..., :-4] - 8.0 * v[..., 1:-3]
-                      + 8.0 * v[..., 3:-1] - v[..., 4:]) / (12.0 * h)
-    out[..., -2] = (3.0 * v[..., -1] + 10.0 * v[..., -2] - 18.0 * v[..., -3]
-                    + 6.0 * v[..., -4] - v[..., -5]) / (12.0 * h)
-    out[..., -1] = (25.0 * v[..., -1] - 48.0 * v[..., -2] + 36.0 * v[..., -3]
-                    - 16.0 * v[..., -4] + 3.0 * v[..., -5]) / (12.0 * h)
+    # x, y: input and output with the nodes on axis -2 and a last axis of
+    # the real and imaginary parts (complex) or of length 1 (real)
+    if v.dtype.kind == "c":
+        out = np.empty_like(v)
+        x = v[..., None].view(v.real.dtype)
+        y = out[..., None].view(out.real.dtype)
+    else:
+        out = np.empty_like(v, dtype=float)
+        x, y = v[..., None], out[..., None]
+
+    # interior: ((f[k-2] - 8 f[k-1]) + 8 f[k+1]) - f[k+2]
+    mid = y[..., 2:-2, :]
+    np.multiply(8.0, x[..., 1:-3, :], out=mid)
+    np.subtract(x[..., :-4, :], mid, out=mid)
+    mid += 8.0 * x[..., 3:-1, :]
+    mid -= x[..., 4:, :]
+    # each closure row sums its terms left to right: accumulate adds in
+    # sequence, where add.reduce would sum pairwise
+    for rows, nodes, coefficients in closures:
+        terms = x[..., nodes, :] * coefficients
+        y[..., rows, :] = np.add.accumulate(terms, axis=-2)[..., -1, :]
+    if v.dtype.kind == "c":
+        y *= 1.0 / (12.0 * grid.h)
+    else:
+        y /= 12.0 * grid.h
     return out
 
 

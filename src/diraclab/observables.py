@@ -27,8 +27,8 @@ def momentum_1d(state):
     if not isinstance(state, SpinorState1D):
         raise TypeError("momentum_1d needs a SpinorState1D")
     total = np.zeros(state.grid.n_points)
-    for row in state.fields:
-        total = total + (row * np.conj(deriv1(row, state.grid))).imag
+    for row, drow in zip(state.fields, deriv1(state.fields, state.grid)):
+        total = total + (row * np.conj(drow)).imag
     return float(quad(total, state.grid))
 
 
@@ -43,8 +43,7 @@ def hamiltonian_1d(state, model, m=1.0):
     if model.eval_W is None:
         raise ValueError(f"model {model.name!r} has no potential")
     u, v = state.fields
-    ux = deriv1(u, state.grid)
-    vx = deriv1(v, state.grid)
+    ux, vx = deriv1(state.fields, state.grid)
     w = model.potential(u, v)
     integrand = ((u * np.conj(ux) - v * np.conj(vx)).imag
                  + (2.0 * m * u * np.conj(v) - w).real)
@@ -78,8 +77,7 @@ def energy_psi(state, model, m=1.0):
         raise ValueError("energy_psi needs a psi-frame state")
     big_g = _soler_antiderivative(model)
     p1, p2 = state.fields
-    d1 = deriv1(p1, state.grid)
-    d2 = deriv1(p2, state.grid)
+    d1, d2 = deriv1(state.fields, state.grid)
     diff = np.abs(p1) ** 2 - np.abs(p2) ** 2
     integrand = ((np.conj(p1) * d2 - np.conj(p2) * d1).real
                  + m * diff - big_g(diff))

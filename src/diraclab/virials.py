@@ -619,8 +619,7 @@ def rhs_H(state, model=None):
     w = sech_1d()
     phi = w.phi(g.x)
     p1, p2 = state.psi1, state.psi2
-    dp1 = deriv1(p1, g)
-    dp2 = deriv1(p2, g)
+    dp1, dp2 = deriv1(state.fields, g)
     out = quad(phi * (np.conj(p1) * dp2 - np.conj(p2) * dp1).imag, g)
     if model is not None:
         w1, w2 = model.grad(p1, p2)

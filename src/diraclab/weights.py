@@ -2,9 +2,9 @@
 
 Every derivative used inside a virial right-hand side is analytic; finite
 differencing of weights happens only in tests. Radial weights additionally
-carry the singular combinations (phi/r, phi/r^2, ...) needed on (0, inf),
-where the plain quotients would lose accuracy or overflow near r = 0 if
-formed naively from phi itself.
+carry the singular combinations (phi/r, phi/r^3, dphi/r) that the radial
+virials read on (0, inf), where the plain quotients would lose accuracy
+or overflow near r = 0 if formed naively from phi itself.
 """
 
 import numpy as np
@@ -28,8 +28,7 @@ class WeightSpec:
     phi, dphi, d2phi, d3phi : callables, ndarray -> ndarray
     singular : dict, optional
         Closed-form maps for radial quotients. Recognized keys:
-        phi_over_r, phi_over_r2, phi_over_r3, dphi_over_r,
-        dphi_over_r2, d2phi_over_r.
+        phi_over_r, phi_over_r3, dphi_over_r.
     """
 
     def __init__(self, name, phi, dphi, d2phi, d3phi, singular=None):
@@ -116,7 +115,7 @@ def sech_1d():
 def r32_weight():
     """phi(r) = r^{3/2}/(1+r), the radial virial weight.
 
-    All quotient combinations are provided in closed form; several behave
+    All quotient combinations are provided in closed form; two behave
     like r^{-1/2} or r^{-3/2} near the origin and must never be assembled
     by dividing phi(r) on the grid.
     """
@@ -138,12 +137,8 @@ def r32_weight():
 
     singular = {
         "phi_over_r": lambda r: np.sqrt(r) / (1.0 + r),
-        "phi_over_r2": lambda r: 1.0 / (np.sqrt(r) * (1.0 + r)),
         "phi_over_r3": lambda r: 1.0 / (r ** 1.5 * (1.0 + r)),
         "dphi_over_r": lambda r: (r + 3.0) / (2.0 * np.sqrt(r) * (1.0 + r) ** 2),
-        "dphi_over_r2": lambda r: (r + 3.0) / (2.0 * r ** 1.5 * (1.0 + r) ** 2),
-        "d2phi_over_r": lambda r: 3.0 / (4.0 * r ** 1.5 * (1.0 + r))
-            - (r + 3.0) / (np.sqrt(r) * (1.0 + r) ** 3),
     }
     return WeightSpec("r32_over_1pr", phi, dphi, d2phi, d3phi,
                       singular=singular)
@@ -165,12 +160,8 @@ def r2_over_1pr4_weight():
 
     singular = {
         "phi_over_r": lambda r: r / (1.0 + r) ** 4,
-        "phi_over_r2": lambda r: 1.0 / (1.0 + r) ** 4,
         "phi_over_r3": lambda r: 1.0 / (r * (1.0 + r) ** 4),
         "dphi_over_r": lambda r: 2.0 * (1.0 - r) / (1.0 + r) ** 5,
-        "dphi_over_r2": lambda r: 2.0 * (1.0 - r) / (r * (1.0 + r) ** 5),
-        "d2phi_over_r": lambda r: (6.0 * r * r - 12.0 * r + 2.0)
-            / (r * (1.0 + r) ** 6),
     }
     return WeightSpec("r2_over_1pr4", phi, dphi, d2phi, d3phi,
                       singular=singular)

@@ -372,11 +372,26 @@ def test_run_aborted_by_an_invalid_sample_exits_one(tmp_path, capsys):
     assert "peaks at the innermost cell" in err
 
 
-@pytest.mark.filterwarnings(
-    "ignore:(overflow|invalid value) encountered:RuntimeWarning")
 def test_run_aborted_by_blowup_exits_one(tmp_path, capsys):
     err = _run_aborting(tmp_path, capsys, "spinor_blowup")
     assert err == "run aborted: non-finite field values at t = 0.1\n"
+
+
+def test_blowup_prints_only_the_abort_line(tmp_path):
+    # in a fresh interpreter with default warning filters: the overflow
+    # between samples must not reach stderr as numpy RuntimeWarnings
+    path = tmp_path / "blowup.cfg"
+    path.write_text(_ABORTING["spinor_blowup"])
+    src = os.path.dirname(os.path.dirname(diraclab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "diraclab.cli", "run", "--scenario",
+         str(path), "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == "run aborted: non-finite field values at t = 0.1\n"
 
 
 def test_experiment_t5_exits_zero(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -494,8 +496,83 @@ def test_window_steps_fewer_nodes_than_the_grid(monkeypatch):
 
     monkeypatch.setattr(dynamics, "deriv1", counting_deriv1)
     integrate(s0, thirring(coupling=1.0), t_end=2.0, dt=0.025, m=0.0)
-    assert len(nodes) == 80 * 4 * 2  # steps * stages * components
+    assert len(nodes) == 80 * 4  # steps * stages, one stacked call each
     assert sum(nodes) < 0.6 * len(nodes) * g.n_points
+
+
+_LINE = Grid1D(-10.0, 10.0, 201)
+_STENCIL_PASSES = {
+    # initial state, model, deriv1 calls per RHS evaluation
+    "lab": (_lab_bump(_LINE, 0.0, 0.5, 0.5), thirring(coupling=1.0), 1),
+    "spinor": (SpinorState1D(_LINE, "spinor_psi",
+                             _smooth_pair(_LINE, width=2.0)),
+               quartic_harmonic(), 1),
+    "radial": (_radial_bump(RadialGrid(10.0, 200), 0.05), soler(), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STENCIL_PASSES))
+def test_rhs_kernels_take_one_stencil_pass_per_pair(case, monkeypatch):
+    # perfbench's tracer times the stencil by patching dynamics.deriv1,
+    # so every pass a kernel makes must look that name up at call time:
+    # the stencil's code may run only under the patched attribute
+    s0, model, per_eval = _STENCIL_PASSES[case]
+    stencil = dynamics.deriv1
+    calls, evals, runs = [], [], []
+
+    def counting_deriv1(f, grid, parity="none"):
+        calls.append(np.shape(f))
+        return stencil(f, grid, parity)
+
+    def counting(kernel):
+        def wrapper(*args):
+            evals.append(kernel.__name__)
+            return kernel(*args)
+        return wrapper
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is stencil.__code__:
+            runs.append(frame.f_back.f_code.co_name)
+
+    monkeypatch.setattr(dynamics, "deriv1", counting_deriv1)
+    for name in ("_rhs_lab_arrays", "_rhs_spinor_arrays",
+                 "_rhs_radial_arrays"):
+        monkeypatch.setattr(dynamics, name, counting(getattr(dynamics, name)))
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        integrate(s0, model, t_end=0.1, dt=0.025, m=1.0)
+    finally:
+        sys.setprofile(previous)
+    assert len(evals) == 4 * 4
+    assert len(calls) == per_eval * len(evals)
+    assert runs == ["counting_deriv1"] * len(calls)
+    assert all(shape[0] == 2 for shape in calls)  # one row pair each
+
+
+def test_line_kernels_are_the_plain_row_expressions():
+    # the in-place rows of the lab and spinor kernels against the plain
+    # expressions on per-row stencil calls, on fields with signed zeros
+    # and subnormals in both parts
+    g = Grid1D(-10.0, 10.0, 400)
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        f = _signed_zero_fields(rng, g.n_points)
+        fields = np.empty((2, g.n_points), complex)
+        fields.real, fields.imag = f[:2], f[2:]
+        a, b = fields
+        da, db = deriv1(a, g), deriv1(b, g)
+        lab_model, psi_model = thirring(coupling=1.0), quartic_harmonic()
+        for m in (1.0, 0.0, -0.5):
+            w1, w2 = lab_model.grad(a, b)
+            lab = np.vstack([-da + 1j * (m * b - w1), db + 1j * (m * a - w2)])
+            got = dynamics._rhs_lab_arrays(fields, g, lab_model, m)
+            assert got.tobytes() == lab.tobytes()
+            w1, w2 = psi_model.grad(a, b)
+            spinor = np.vstack([-1j * (db + m * a - w1),
+                                1j * (da + m * b - w2)])
+            got = dynamics._rhs_spinor_arrays(fields, g, psi_model, m)
+            assert got.tobytes() == spinor.tobytes()
 
 
 def test_integrate_refuses_a_model_that_moves_the_zero_state():

@@ -67,6 +67,34 @@ def test_deriv1_parity_argument_rules():
         deriv1(f1, gr)  # radial grids must declare a parity
 
 
+def reference_deriv1(f, grid, parity="none"):
+    """The stencil written out term by term, with complex arithmetic on
+    complex input. deriv1 must give its bytes on real input and its
+    values on complex input (only the sign of an exact zero may differ)."""
+    v = np.asarray(f)
+    h = grid.h
+    out = np.empty_like(v, dtype=v.dtype if v.dtype.kind == "c" else float)
+    if isinstance(grid, RadialGrid):
+        s = 1.0 if parity == "even" else -1.0
+        # ghosts: f[-1] at r=-h/2 maps to node 0, f[-2] at r=-3h/2 to node 1
+        out[..., 0] = (s * v[..., 1] - 8.0 * s * v[..., 0]
+                       + 8.0 * v[..., 1] - v[..., 2]) / (12.0 * h)
+        out[..., 1] = (s * v[..., 0] - 8.0 * v[..., 0]
+                       + 8.0 * v[..., 2] - v[..., 3]) / (12.0 * h)
+    else:
+        out[..., 0] = (-25.0 * v[..., 0] + 48.0 * v[..., 1] - 36.0 * v[..., 2]
+                       + 16.0 * v[..., 3] - 3.0 * v[..., 4]) / (12.0 * h)
+        out[..., 1] = (-3.0 * v[..., 0] - 10.0 * v[..., 1] + 18.0 * v[..., 2]
+                       - 6.0 * v[..., 3] + v[..., 4]) / (12.0 * h)
+    out[..., 2:-2] = (v[..., :-4] - 8.0 * v[..., 1:-3]
+                      + 8.0 * v[..., 3:-1] - v[..., 4:]) / (12.0 * h)
+    out[..., -2] = (3.0 * v[..., -1] + 10.0 * v[..., -2] - 18.0 * v[..., -3]
+                    + 6.0 * v[..., -4] - v[..., -5]) / (12.0 * h)
+    out[..., -1] = (25.0 * v[..., -1] - 48.0 * v[..., -2] + 36.0 * v[..., -3]
+                    - 16.0 * v[..., -4] + 3.0 * v[..., -5]) / (12.0 * h)
+    return out
+
+
 def test_deriv1_complex_passthrough():
     g = Grid1D(-8.0, 8.0, 512)
     f = np.exp(-g.x ** 2) * (1.0 + 2j)

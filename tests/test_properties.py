@@ -5,6 +5,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from diraclab import weights  # noqa: E402
 from diraclab.dynamics import (  # noqa: E402
@@ -13,7 +14,7 @@ from diraclab.dynamics import (  # noqa: E402
     integrate,
 )
 from diraclab.exact import inverse_t_transform, t_transform  # noqa: E402
-from diraclab.grids import Grid1D, RadialGrid, quad  # noqa: E402
+from diraclab.grids import Grid1D, RadialGrid, deriv1, quad  # noqa: E402
 from diraclab.nonlinearity import builtin  # noqa: E402
 from diraclab.observables import charge  # noqa: E402
 from diraclab.virials import ScalingTriple, rhs_I  # noqa: E402
@@ -21,6 +22,7 @@ from test_dynamics import (  # noqa: E402
     assert_bitwise_equal,
     reference_integrate,
 )
+from test_grids import reference_deriv1  # noqa: E402
 
 _GRID = Grid1D(-30.0, 30.0, 601)
 
@@ -207,3 +209,39 @@ def test_gauge_invariant_models_conserve_charge_radially(
     model = _gauge_model(name, "spinor_psi", coupling, g_index)
     assert _charge_drift(state, model, 0.5 * _RADIAL.h, m) \
         <= _RADIAL_DRIFT_BOUND
+
+
+# the stencil's grids and node values: signed zeros, subnormals and
+# ordinary magnitudes, so that zero signs and gradual underflow show
+_STENCIL_GRIDS = {"none": Grid1D(-3.0, 5.0, 40), "even": RadialGrid(7.0, 40),
+                  "odd": RadialGrid(7.0, 40)}
+_node_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-309]),
+    st.floats(-1e6, 1e6))
+
+
+@st.composite
+def _stencil_blocks(draw):
+    shape = draw(st.sampled_from([(), (1,), (2,), (3,)]))
+    shape += (draw(st.integers(8, 40)),)
+    return (draw(hnp.arrays(np.float64, shape, elements=_node_values)),
+            draw(hnp.arrays(np.float64, shape, elements=_node_values)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(block=_stencil_blocks(), parity=st.sampled_from(sorted(_STENCIL_GRIDS)))
+def test_deriv1_is_the_written_out_stencil(block, parity):
+    grid = _STENCIL_GRIDS[parity]
+    re, im = block
+    got = deriv1(re, grid, parity)
+    assert got.tobytes() == reference_deriv1(re, grid, parity).tobytes()
+    z = np.empty(re.shape, complex)
+    z.real, z.imag = re, im
+    got_z = deriv1(z, grid, parity)
+    ref_z = reference_deriv1(z, grid, parity)
+    assert np.array_equal(got_z.real, ref_z.real)
+    assert np.array_equal(got_z.imag, ref_z.imag)
+    # each stacked row is bitwise its own call
+    for f, stacked in ((re, got), (z, got_z)):
+        for row, out in zip(np.atleast_2d(f), np.atleast_2d(stacked)):
+            assert out.tobytes() == deriv1(row, grid, parity).tobytes()

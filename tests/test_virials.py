@@ -27,6 +27,7 @@ from diraclab.virials import (
     verify_identity,
     window_flux_1d,
 )
+from test_weights import sing
 
 
 # ---------------------------------------------------------------------------
@@ -509,11 +510,11 @@ def _rhs_K_combined_closed(state, weight, m=1.0, model=None):
     d2phi = weight.d2phi(r)
     d3phi = weight.d3phi(r)
     phi_r = weight.sing("phi_over_r", r)
-    phi_r2 = weight.sing("phi_over_r2", r)
+    phi_r2 = sing(weight, "phi_over_r2", r)
     phi_r3 = weight.sing("phi_over_r3", r)
     dphi_r = weight.sing("dphi_over_r", r)
-    dphi_r2 = weight.sing("dphi_over_r2", r)
-    d2phi_r = weight.sing("d2phi_over_r", r)
+    dphi_r2 = sing(weight, "dphi_over_r2", r)
+    d2phi_r = sing(weight, "d2phi_over_r", r)
 
     def line(f):
         return quad(f, g, measure="line")
