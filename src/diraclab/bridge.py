@@ -49,16 +49,17 @@ class GronwallSeries:
         return float(np.max(self.values))
 
 
-def _residuals_at(states, k, dt_s, model, m):
-    """(M, nlkg_1, nlkg_2) at interior sample k."""
+def _residuals_at(states, k, grads, dt_s, m):
+    """(M, nlkg_1, nlkg_2) at interior sample k; ``grads`` holds the
+    model's gradient (W1, W2) at samples k - 1, k and k + 1."""
     grid = states[k].grid
     p1m, p2m = states[k - 1].fields
     p1, p2 = states[k].fields
     p1p, p2p = states[k + 1].fields
+    (w1m, w2m), (w1, w2), (w1p, w2p) = grads
 
     dt_p1 = (p1p - p1m) / (2.0 * dt_s)
     dt_p2 = (p2p - p2m) / (2.0 * dt_s)
-    w1, w2 = model.grad(p1, p2)
 
     dx_p1, dx_p2 = dx_p = deriv1(states[k].fields, grid)
     u0 = dt_p1 + 1j * dx_p2 + 1j * m * p1 - 1j * w1
@@ -66,8 +67,6 @@ def _residuals_at(states, k, dt_s, model, m):
 
     dtt_p1 = (p1p - 2.0 * p1 + p1m) / dt_s ** 2
     dtt_p2 = (p2p - 2.0 * p2 + p2m) / dt_s ** 2
-    w1m, w2m = model.grad(p1m, p2m)
-    w1p, w2p = model.grad(p1p, p2p)
     dt_w1 = (w1p - w1m) / (2.0 * dt_s)
     dt_w2 = (w2p - w2m) / (2.0 * dt_s)
 
@@ -113,7 +112,14 @@ def gronwall_monitor(trajectory, model, m=1.0):
     m = float(m)
     states = trajectory.states
     interior = range(1, len(states) - 1)
-    rows = [_residuals_at(states, k, dt_s, model, m) for k in interior]
+    # each state's gradient is computed once and kept while the three
+    # samples around it read it
+    grads = [model.grad(*st.fields) for st in states[:2]]
+    rows = []
+    for k in interior:
+        grads.append(model.grad(*states[k + 1].fields))
+        rows.append(_residuals_at(states, k, grads, dt_s, m))
+        del grads[0]
     values, nlkg_1, nlkg_2 = zip(*rows)
     return GronwallSeries([states[k].t for k in interior], values,
                           nlkg_1, nlkg_2)

@@ -4,7 +4,7 @@ import pytest
 from diraclab import nonlinearity
 from diraclab.bridge import GronwallSeries, gronwall_monitor
 from diraclab.dynamics import SpinorState1D, Trajectory, integrate
-from diraclab.grids import Grid1D
+from diraclab.grids import Grid1D, deriv1, quad
 
 G = Grid1D(-40.0, 40.0, 1601)
 
@@ -135,3 +135,60 @@ def test_residual_report_plumbing(quartic_traj, quartic_series):
     assert gw.m_first == gw.values[0]
     assert gw.m_max == np.max(gw.values)
     assert np.all(gw.nlkg_1 > 0.0) and np.all(gw.nlkg_2 > 0.0)
+
+
+def reference_residuals_at(states, k, dt_s, model, m):
+    """(M, nlkg_1, nlkg_2) at interior sample k, each neighbour's
+    gradient evaluated afresh: the formula gronwall_monitor must
+    reproduce bit for bit."""
+    grid = states[k].grid
+    p1m, p2m = states[k - 1].fields
+    p1, p2 = states[k].fields
+    p1p, p2p = states[k + 1].fields
+    dt_p1 = (p1p - p1m) / (2.0 * dt_s)
+    dt_p2 = (p2p - p2m) / (2.0 * dt_s)
+    w1, w2 = model.grad(p1, p2)
+    dx_p1, dx_p2 = dx_p = deriv1(states[k].fields, grid)
+    u0 = dt_p1 + 1j * dx_p2 + 1j * m * p1 - 1j * w1
+    v0 = dt_p2 - 1j * dx_p1 - 1j * m * p2 + 1j * w2
+    dtt_p1 = (p1p - 2.0 * p1 + p1m) / dt_s ** 2
+    dtt_p2 = (p2p - 2.0 * p2 + p2m) / dt_s ** 2
+    w1m, w2m = model.grad(p1m, p2m)
+    w1p, w2p = model.grad(p1p, p2p)
+    dt_w1 = (w1p - w1m) / (2.0 * dt_s)
+    dt_w2 = (w2p - w2m) / (2.0 * dt_s)
+    dxx_p1, dxx_p2 = deriv1(dx_p, grid)
+    line1 = dtt_p1 - dxx_p1 + m * m * p1 - m * w1 \
+        + deriv1(w2, grid) - 1j * dt_w1
+    line2 = dtt_p2 - dxx_p2 + m * m * p2 - m * w2 \
+        + deriv1(w1, grid) + 1j * dt_w2
+    dens = np.abs(u0) ** 2 + np.abs(v0) ** 2
+    return (quad(dens, grid), np.max(np.abs(line1)),
+            np.max(np.abs(line2)))
+
+
+def test_one_gradient_per_state_and_the_reference_bits(quartic_traj,
+                                                       monkeypatch):
+    tr = substride(quartic_traj, 10)
+    model = nonlinearity.quartic_harmonic()
+    dt_s = tr.sample_step("test")
+    interior = range(1, len(tr) - 1)
+    rows = [reference_residuals_at(tr.states, k, dt_s, model, 1.0)
+            for k in interior]
+    values, nlkg_1, nlkg_2 = (np.array(col) for col in zip(*rows))
+
+    grad = nonlinearity.NonlinearityModel.grad
+    calls = []
+
+    def counting_grad(self, z1, z2):
+        calls.append(self.name)
+        return grad(self, z1, z2)
+
+    monkeypatch.setattr(nonlinearity.NonlinearityModel, "grad", counting_grad)
+    gw = gronwall_monitor(tr, model, m=1.0)
+    assert len(tr) == 51
+    assert len(calls) == len(tr)
+    assert gw.times.tobytes() == tr.times[1:-1].tobytes()
+    assert gw.values.tobytes() == values.tobytes()
+    assert gw.nlkg_1.tobytes() == nlkg_1.tobytes()
+    assert gw.nlkg_2.tobytes() == nlkg_2.tobytes()

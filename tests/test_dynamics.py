@@ -225,10 +225,12 @@ def reference_rhs_radial(fields, grid, model, m):
 
 
 def reference_integrate(initial, model, t_end, dt, m=1.0, sample_stride=1,
-                        rhs=None):
+                        rhs=None, floor=dynamics._FLOOR):
     """The full-grid RK4 loop: every stage on every node, a new array per
-    step. integrate must reproduce it bit for bit. ``rhs`` replaces the
-    kernel that integrate would select."""
+    step, and every float below ``floor`` in magnitude set to +0.0 after
+    each update. integrate must reproduce it bit for bit. ``rhs``
+    replaces the kernel that integrate would select; ``floor=0.0`` gives
+    the loop without truncation."""
     grid = initial.grid
     n_steps = int(round(t_end / dt))
     if rhs is None:
@@ -253,6 +255,8 @@ def reference_integrate(initial, model, t_end, dt, m=1.0, sample_stride=1,
         k3 = rhs(y + half * k2, grid, model, m)
         k4 = rhs(y + dt * k3, grid, model, m)
         y = y + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        parts = y.view(float)
+        parts[np.abs(parts) < floor] = 0.0
         if radial:
             y[:, -pin:] = 0.0
         else:
@@ -288,6 +292,11 @@ def assert_bitwise_equal(got, ref):
 
 def _live_count(fields):
     return int(np.count_nonzero(np.any(fields != 0.0, axis=0)))
+
+
+def _above_floor_count(fields):
+    parts = np.abs(fields.view(float)).reshape(len(fields), fields.shape[-1], -1)
+    return int(np.count_nonzero((parts >= dynamics._FLOOR).any(axis=(0, 2))))
 
 
 def _lab_bump(grid, center, width, amplitude, cut=np.inf):
@@ -346,7 +355,9 @@ def test_window_matches_full_grid_on_a_radial_bump_at_the_origin():
     tr = integrate(s0, model, t_end=2.0, dt=0.0125, sample_stride=16)
     assert_bitwise_equal(tr, reference_integrate(s0, model, 2.0, 0.0125,
                                                  sample_stride=16))
-    assert _live_count(tr.final().fields) > _live_count(s0.fields)
+    # exp(-r^2) is sub-floor past r ~ 18.8, and stepping truncates that
+    # tail: the packet spreads past the nodes it held above the floor
+    assert _live_count(tr.final().fields) > _above_floor_count(s0.fields)
 
 
 def _radial_bump(rg, amplitude, center=0.0, width=0.5):
@@ -583,3 +594,118 @@ def test_integrate_refuses_a_model_that_moves_the_zero_state():
         lambda a, b, c, d: (a + 1.0, c - 0.5j))
     with pytest.raises(ValueError, match="nonzero gradient at the zero"):
         integrate(s0, affine, t_end=0.1, dt=0.025)
+
+
+# The floor: stepped floats below sqrt(DBL_MIN) become +0.0.
+
+def _odd_spinor_bump(grid, amplitude, width):
+    odd = amplitude * grid.x * np.exp(-(grid.x / width) ** 2)
+    return SpinorState1D(grid, "spinor_psi", np.vstack([odd, 0.5j * odd]))
+
+
+_FLOOR_CASES = {
+    # initial state, model, t_end, dt, sample_stride; each tail falls
+    # below the floor inside the grid
+    "lab": (_lab_bump(Grid1D(-10.0, 10.0, 401), 6.0, 0.5, 0.5),
+            thirring(coupling=1.0), 1.0, 0.025, 4),
+    "spinor_odd": (_odd_spinor_bump(Grid1D(-40.0, 40.0, 1601), 0.1, 1.5),
+                   quartic_harmonic(), 1.0, 0.02, 10),
+    "radial": (_radial_bump(RadialGrid(20.0, 800), 0.05), soler(),
+               1.0, 0.0125, 8),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FLOOR_CASES))
+def test_floor_moves_sampled_quantities_by_round_off_at_most(case):
+    # against the loop without the floor: charge and max|field| agree to
+    # 1e-12 relative to their own size, the boundary-zone mass to 1e-12
+    # relative to Q(0), the scale of its abort cap
+    s0, model, t_end, dt, stride = _FLOOR_CASES[case]
+    tr = integrate(s0, model, t_end, dt, sample_stride=stride)
+    ref = reference_integrate(s0, model, t_end, dt, sample_stride=stride,
+                              floor=0.0)
+    assert any(a.fields.tobytes() != b.fields.tobytes()
+               for a, b in zip(tr.states, ref.states))
+    rtol = 1e-12
+    q = np.array([charge(st) for st in tr.states])
+    q_ref = np.array([charge(st) for st in ref.states])
+    np.testing.assert_allclose(q, q_ref, rtol=rtol, atol=0.0)
+    np.testing.assert_allclose(tr.max_abs, ref.max_abs, rtol=rtol, atol=0.0)
+    assert np.all(np.abs(tr.boundary_mass - ref.boundary_mass)
+                  <= rtol * q_ref[0])
+
+
+def test_stepped_sub_floor_values_and_negative_zeros_become_plus_zero():
+    # with W = 0 and m = 0 the middle of a constant plateau has an exact
+    # zero right-hand side, so a step keeps its value; u holds the floor
+    # in its real part and the next float below it in its imaginary part
+    g = Grid1D(-10.0, 10.0, 401)
+    below = np.nextafter(dynamics._FLOOR, 0.0)
+    fields = np.zeros((2, g.n_points), complex)
+    fields[0, 150:250] = dynamics._FLOOR + 1j * below
+    fields[1, 100:300] = -0.0
+    fields[1, 120:130] = 1e-200 - 1e-300j
+    fields[1, 140] = 5e-324
+    s0 = SpinorState1D(g, "lab_uv", fields)
+    tr = integrate(s0, zero_model(arity="lab_uv"), t_end=0.025, dt=0.025,
+                   m=0.0)
+    assert tr.states[0].fields.tobytes() == fields.tobytes()
+    u, v = tr.final().fields
+    assert np.all(u[160:240].real == dynamics._FLOOR)
+    assert u[160:240].imag.tobytes() == np.zeros(80).tobytes()
+    assert v.tobytes() == np.zeros(g.n_points, complex).tobytes()
+    parts = tr.final().fields.view(float)
+    assert np.all((np.abs(parts) >= dynamics._FLOOR)
+                  | ((parts == 0.0) & ~np.signbit(parts)))
+
+
+def test_a_nan_injected_mid_run_still_aborts(monkeypatch):
+    # NaN is never below the floor: it must survive the steps up to the
+    # next sample, whose finiteness check aborts the run
+    g = Grid1D(-10.0, 10.0, 401)
+    s0 = _lab_bump(g, 0.0, 1.0, 0.5)
+    kernel = dynamics._rhs_lab_arrays
+    calls = []
+
+    def injecting(fields, grid, model, m):
+        out = kernel(fields, grid, model, m)
+        calls.append(fields.shape)
+        if len(calls) == 10:  # the second stage of step 3
+            out[0, fields.shape[-1] // 2] = np.nan
+        return out
+
+    monkeypatch.setattr(dynamics, "_rhs_lab_arrays", injecting)
+    with pytest.raises(dynamics.RunAborted,
+                       match=r"non-finite field values at t = 0\.2$"):
+        integrate(s0, thirring(coupling=1.0), t_end=1.0, dt=0.025,
+                  sample_stride=8)
+
+
+def test_floor_keeps_the_window_out_of_the_precursor(monkeypatch):
+    # the bump is exactly zero past |x| ~ 27 and sub-floor past |x| ~ 19;
+    # transport moves it by 2 in this run, so with the floor the window
+    # never widens, while without it the stencil's precursor (up to 8
+    # nodes per side per step) widens it
+    g = Grid1D(-40.0, 40.0, 1601)
+    s0 = _lab_bump(g, 0.0, 1.0, 0.5)
+    deriv1 = dynamics.deriv1
+
+    def widths(floor):
+        nodes = []
+
+        def counting_deriv1(f, grid, parity="none"):
+            nodes.append(np.shape(f)[-1])
+            return deriv1(f, grid, parity)
+
+        monkeypatch.setattr(dynamics, "deriv1", counting_deriv1)
+        monkeypatch.setattr(dynamics, "_FLOOR", floor)
+        integrate(s0, thirring(coupling=1.0), t_end=2.0, dt=0.025, m=0.0)
+        return nodes
+
+    truncated = widths(dynamics._FLOOR)
+    untruncated = widths(0.0)
+    assert len(truncated) == len(untruncated) == 80 * 4
+    assert truncated == [truncated[0]] * len(truncated)
+    assert truncated[0] < g.n_points
+    assert untruncated[0] == truncated[0]
+    assert untruncated[-1] > truncated[-1]
