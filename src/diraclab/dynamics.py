@@ -24,7 +24,8 @@ odd-extendable through the origin.
 such a value is not a normal double, so it adds nothing representable to
 a density, a charge or a virial functional; stepping it only widens the
 live window into the stencil's numerical precursor and feeds subnormal
-arithmetic, which x86 runs through a slow microcode path.
+arithmetic, which x86 runs through a slow microcode path. The floor
+also turns -0.0 into +0.0: a zero's sign in a stage value never shows.
 """
 
 import numpy as np
@@ -97,6 +98,7 @@ class RadialSpinorState:
     """
 
     kind = "spinor_psi"
+    parity = ("even", "even", "odd", "odd")  # deriv1's name for each row
 
     def __init__(self, grid, fields, t=0.0):
         if not isinstance(grid, RadialGrid):
@@ -219,17 +221,17 @@ def _rhs_real4_arrays(fields, grid, model, m):
                       d11 + m * p21 - w21])
 
 
-_NEG_ZERO = np.float64(-0.0).view(np.uint64)  # the bits of -0.0
-
-
+# The radial kernel's W comes from the model's real split, whose zeros
+# may differ in sign from grad's: it must equal the complex route value
+# for value. No nonzero value depends on a zero's sign (the kernel adds,
+# multiplies and divides by r > 0), and the floor makes every stepped
+# zero +0.0, so integrate must match the complex route bit for bit.
 def _rhs_radial_arrays(fields, grid, model, m):
     p11, p12, p21, p22 = fields
-    w = model.w_fields(p11, p12, p21, p22)
+    w11, w12, w21, w22 = model.w_fields(p11, p12, p21, p22)
     # integrate passes the leading cells [0, b) of the grid
     r = grid.r[:fields.shape[-1]]
-    # one stencil pass per parity pair; stacked rows equal per-row calls
-    d11, d12 = deriv1(fields[:2], grid, parity="even")
-    d21, d22 = deriv1(fields[2:], grid, parity="odd")
+    d11, d12, d21, d22 = deriv1(fields, grid, RadialSpinorState.parity)
     # Each row is written in place, in the evaluation order of
     #   ((d22 + 2 p22 / r) + m p12) - w12,  ((-(d21 + 2 p21 / r)) - m p11) + w11,
     #   ((-d12) - m p22) + w22,             (d11 + m p21) - w21;
@@ -251,20 +253,6 @@ def _rhs_radial_arrays(fields, grid, model, m):
     np.negative(d12, out=o2)
     o2 -= np.multiply(m, p22, out=mp)
     np.add(d11, np.multiply(m, p21, out=mp), out=o3)
-    # A real split gives grad's values, but a zero of W may carry the
-    # other sign. That sign shows in a row only where the rest of the row
-    # is -0.0: for any other x, x + 0.0 and x - 0.0 do not depend on it.
-    # There W is taken from grad's complex arithmetic, except at nodes in
-    # the zero state, where the split's contract makes it exact already.
-    if model.real_split is not None:
-        fix = np.flatnonzero((out.view(np.uint64) == _NEG_ZERO).any(axis=0))
-        if fix.size:
-            fix = fix[fields.view(np.uint64)[:, fix].any(axis=0)]
-        if fix.size:
-            w1, w2 = model.grad(p11[fix] + 1j * p12[fix],
-                                p21[fix] + 1j * p22[fix])
-            w[:, fix] = w1.real, w1.imag, w2.real, w2.imag
-    w11, w12, w21, w22 = w
     o0 -= w12
     o1 += w11
     o2 += w22

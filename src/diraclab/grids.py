@@ -13,6 +13,8 @@ cost several times more, and numpy's complex division by a real scalar
 multiplies by that reciprocal, so the values are the same.
 """
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -91,6 +93,15 @@ _RADIAL_CLOSURES = {
     for parity, s in (("even", 1.0), ("odd", -1.0))}
 
 
+@functools.lru_cache(maxsize=None)
+def _per_row_closures(names, ndim):
+    # the origin coefficients of each leading row's parity, stacked
+    (rows, nodes, _), outer = _RADIAL_CLOSURES["even"]
+    coefficients = np.stack([_RADIAL_CLOSURES[p][0][2] for p in names])
+    shape = (len(names),) + (1,) * (ndim - 2) + coefficients.shape[1:]
+    return (rows, nodes, coefficients.reshape(shape)), outer
+
+
 def deriv1(f, grid, parity="none"):
     """First derivative, 4th-order central in the interior.
 
@@ -100,10 +111,11 @@ def deriv1(f, grid, parity="none"):
         Nodes along the last axis; leading axes are independent rows, and
         a stacked call gives every row bitwise the result of its own call.
     grid : Grid1D or RadialGrid
-    parity : {"none", "even", "odd"}
+    parity : {"none", "even", "odd"} or sequence of {"even", "odd"}
         Grid1D accepts only "none". RadialGrid requires "even" or "odd";
         ghost values across r = 0 are the parity reflection
-        f(-r) = +f(r) (even) or f(-r) = -f(r) (odd).
+        f(-r) = +f(r) (even) or f(-r) = -f(r) (odd). A sequence names
+        each row on the leading axis, bitwise as per-row calls would.
 
     Real input is summed term by term in the order of the written-out
     stencil and divided by 12h. Complex input is differentiated on its
@@ -117,11 +129,18 @@ def deriv1(f, grid, parity="none"):
     v = np.asarray(f)
     if v.shape[-1] < 8:
         raise ValueError("need at least 8 nodes")
+    one = isinstance(parity, str)
     if isinstance(grid, RadialGrid):
-        if parity not in ("even", "odd"):
-            raise ValueError("radial deriv1 requires parity 'even' or 'odd'")
-        closures = _RADIAL_CLOSURES[parity]
-    elif parity != "none":
+        names = (parity,) if one else tuple(parity)
+        if not set(names) <= _RADIAL_CLOSURES.keys():
+            raise ValueError("radial deriv1 requires parity 'even' or 'odd'"
+                             f", got {parity!r}")
+        if not one and (v.ndim < 2 or len(names) != len(v)):
+            raise ValueError(f"per-row parity gives {len(names)} names for "
+                             f"the rows of an array of shape {v.shape}")
+        closures = (_RADIAL_CLOSURES[parity] if one
+                    else _per_row_closures(names, v.ndim))
+    elif not one or parity != "none":
         raise ValueError("parity reflection applies only to radial grids")
     else:
         closures = (_LINE_CLOSURE,)

@@ -95,7 +95,7 @@ class NonlinearityModel:
         value for value (``==``). The sign of a zero may differ, except at
         the zero state (+0.0 in every slot), where the constructor checks
         that the rows are ``grad``'s bit for bit. The radial right-hand
-        side relies on both rules to stay bitwise that of ``grad``.
+        side relies on the first rule; integrate's floor hides zero signs.
     """
 
     def __init__(self, name, arity, p, eval_grad, eval_W=None, coupling=1.0,

@@ -355,31 +355,24 @@ def _quartet_fields(state, model=None):
 
     Returns (p, d, w, e): the components (p11, p12, p21, p22), their
     derivatives, the coupling's W rows and the derivatives of those.
-    On the line each derivative block comes from one stacked ``deriv1``
-    pass. Radially the even pair (rows 0-1) and the odd pair (rows 2-3)
-    take one pass each; the W rows inherit that parity, because diagonal
-    couplings preserve component parity. Stacked rows equal per-row
-    calls bitwise (the stencil is elementwise along the last axis).
-    w and e are None without a model.
+    Each derivative block comes from one stacked ``deriv1`` pass, which
+    radially gives the rows their parities (even, even, odd, odd); the W
+    rows inherit them, because diagonal couplings preserve component
+    parity. Stacked rows equal per-row calls bitwise (the stencil is
+    elementwise along the last axis). w and e are None without a model.
     """
     g = state.grid
     if isinstance(state, RadialSpinorState):
-        p = state.fields
-
-        def diff(f):
-            return np.concatenate([deriv1(f[:2], g, parity="even"),
-                                   deriv1(f[2:], g, parity="odd")])
+        p, parity = state.fields, state.parity
     else:
         psi = state.fields
         p = np.vstack([psi[0].real, psi[0].imag, psi[1].real, psi[1].imag])
-
-        def diff(f):
-            return deriv1(f, g)
-    d = diff(p)
+        parity = "none"
+    d = deriv1(p, g, parity)
     if model is None:
         return p, d, None, None
     w = np.asarray(model.w_fields(*p))
-    return p, d, w, diff(w)
+    return p, d, w, deriv1(w, g, parity)
 
 
 # ---------------------------------------------------------------------------

@@ -208,8 +208,9 @@ def test_radial_rhs_arity():
 
 def reference_rhs_radial(fields, grid, model, m):
     """The radial right-hand side through grad's complex arithmetic, one
-    stencil call per row and plain row expressions: the kernel that
-    dynamics._rhs_radial_arrays must reproduce bit for bit."""
+    stencil call per row and plain row expressions: the kernel whose
+    values dynamics._rhs_radial_arrays must reproduce, and whose runs
+    integrate must reproduce bit for bit."""
     p11, p12, p21, p22 = fields
     w1, w2 = model.grad(p11 + 1j * p12, p21 + 1j * p22)
     w11, w12, w21, w22 = w1.real, w1.imag, w2.real, w2.imag
@@ -378,9 +379,9 @@ _RADIAL_ORACLE_CASES = {
                             soler(g_coeffs=(1.0, -0.5, 0.2), coupling=50.0)),
     # no real split: the default complex route
     "quartic_harmonic": (0.05, 0.0, quartic_harmonic()),
-    # at a negative coupling, soler's rows without the zero-state rule
-    # give W at the far field's zeros the other sign than grad does, and
-    # that sign reaches the field
+    # a negative coupling flips the sign of every W; the kernel repairs no
+    # zero sign, and the run is the complex route's bit for bit, as it is
+    # also with the floor at 0.0
     "negative_coupling": (-0.2, 0.0,
                           soler(g_coeffs=(0.0, 1.0), coupling=-1.0)),
 }
@@ -422,15 +423,47 @@ _KERNEL_MODELS = {
 @pytest.mark.parametrize("name", sorted(_KERNEL_MODELS))
 def test_radial_kernel_is_the_complex_route_bit_for_bit(name, m):
     # one evaluation on fields full of signed zeros and subnormals, where
-    # the real split's zero signs differ from grad's; without the
-    # kernel's fallback to grad at -0.0 rows every soler case fails
+    # the real split's zero signs differ from grad's: the values must be
+    # the complex route's, and a differing bit may only be a zero's sign,
+    # which the floor erases from every stepped field (see the next test)
     model = _KERNEL_MODELS[name]
     rg = RadialGrid(10.0, 400)
     rng = np.random.default_rng(11)
     for _ in range(5):
         f = _signed_zero_fields(rng, rg.n_cells)
         got = dynamics._rhs_radial_arrays(f, rg, model, m)
-        assert got.tobytes() == reference_rhs_radial(f, rg, model, m).tobytes()
+        ref = reference_rhs_radial(f, rg, model, m)
+        assert np.array_equal(got, ref)
+        assert np.all(got[got.view(np.uint64) != ref.view(np.uint64)] == 0.0)
+
+
+def _signed_zero_bump(rg, rng):
+    # a valid radial bump whose far field, past r = 5, holds
+    # _signed_zero_fields scaled below the floor: signed zeros, whole
+    # zero nodes and subnormals
+    f = _radial_bump(rg, 0.05, center=2.0, width=0.5).fields
+    far = rg.r > 5.0
+    f[:, far] = _signed_zero_fields(rng, np.count_nonzero(far)) * 1e-150
+    return RadialSpinorState(rg, f)
+
+
+@pytest.mark.parametrize("m", [1.0, 0.0, -0.5])
+@pytest.mark.parametrize("name", sorted(_KERNEL_MODELS))
+def test_radial_integrate_is_the_complex_route_from_signed_zeros(name, m):
+    # the kernel repairs no zero sign: after each step the floor turns
+    # every stepped -0.0 into +0.0, so the run is the complex route's bit
+    # for bit even where the data start with signed zeros and subnormals
+    model = _KERNEL_MODELS[name]
+    rg = RadialGrid(10.0, 400)
+    s0 = _signed_zero_bump(rg, np.random.default_rng(5))
+    # on this start the real split's zero signs already show in the rows
+    k1 = dynamics._rhs_radial_arrays(s0.fields, rg, model, m)
+    ref = reference_rhs_radial(s0.fields, rg, model, m)
+    assert (k1.tobytes() != ref.tobytes()) == (model.real_split is not None)
+    tr = integrate(s0, model, t_end=0.5, dt=0.0125, m=m, sample_stride=8)
+    assert_bitwise_equal(tr, reference_integrate(
+        s0, model, 0.5, 0.0125, m=m, sample_stride=8,
+        rhs=reference_rhs_radial))
 
 
 def test_window_clamped_at_a_pinned_edge_matches_full_grid():
@@ -513,21 +546,21 @@ def test_window_steps_fewer_nodes_than_the_grid(monkeypatch):
 
 _LINE = Grid1D(-10.0, 10.0, 201)
 _STENCIL_PASSES = {
-    # initial state, model, deriv1 calls per RHS evaluation
-    "lab": (_lab_bump(_LINE, 0.0, 0.5, 0.5), thirring(coupling=1.0), 1),
+    # initial state, model, rows of the one deriv1 call per RHS evaluation
+    "lab": (_lab_bump(_LINE, 0.0, 0.5, 0.5), thirring(coupling=1.0), 2),
     "spinor": (SpinorState1D(_LINE, "spinor_psi",
                              _smooth_pair(_LINE, width=2.0)),
-               quartic_harmonic(), 1),
-    "radial": (_radial_bump(RadialGrid(10.0, 200), 0.05), soler(), 2),
+               quartic_harmonic(), 2),
+    "radial": (_radial_bump(RadialGrid(10.0, 200), 0.05), soler(), 4),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_STENCIL_PASSES))
-def test_rhs_kernels_take_one_stencil_pass_per_pair(case, monkeypatch):
+def test_rhs_kernels_take_one_stencil_pass_per_evaluation(case, monkeypatch):
     # perfbench's tracer times the stencil by patching dynamics.deriv1,
     # so every pass a kernel makes must look that name up at call time:
     # the stencil's code may run only under the patched attribute
-    s0, model, per_eval = _STENCIL_PASSES[case]
+    s0, model, rows = _STENCIL_PASSES[case]
     stencil = dynamics.deriv1
     calls, evals, runs = [], [], []
 
@@ -556,9 +589,9 @@ def test_rhs_kernels_take_one_stencil_pass_per_pair(case, monkeypatch):
     finally:
         sys.setprofile(previous)
     assert len(evals) == 4 * 4
-    assert len(calls) == per_eval * len(evals)
+    assert len(calls) == len(evals)
     assert runs == ["counting_deriv1"] * len(calls)
-    assert all(shape[0] == 2 for shape in calls)  # one row pair each
+    assert all(shape[0] == rows for shape in calls)  # every row at once
 
 
 def test_line_kernels_are_the_plain_row_expressions():

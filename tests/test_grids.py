@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,25 @@ def test_deriv1_parity_argument_rules():
         deriv1(f1, g1, parity="even")
     with pytest.raises(ValueError):
         deriv1(f1, gr)  # radial grids must declare a parity
+
+
+def test_deriv1_per_row_parity_refusals():
+    gr = RadialGrid(5.0, 64)
+    quartet = np.ones((4, 64))
+    for f, names, message in (
+            (quartet, ("even", "even", "odd"), "per-row parity gives 3 "
+             "names for the rows of an array of shape (4, 64)"),
+            (quartet[0], ("even",), "per-row parity gives 1 names for the "
+             "rows of an array of shape (64,)"),
+            (quartet, ("even", "none", "odd", "odd"), "radial deriv1 "
+             "requires parity 'even' or 'odd', got ('even', 'none', 'odd', "
+             "'odd')")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            deriv1(f, gr, names)
+    for names in (("even",) * 4, ("none",) * 4):
+        with pytest.raises(ValueError, match="parity reflection applies "
+                           "only to radial grids"):
+            deriv1(quartet, Grid1D(-5.0, 5.0, 64), names)
 
 
 def reference_deriv1(f, grid, parity="none"):

@@ -229,8 +229,10 @@ def _stencil_blocks(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(block=_stencil_blocks(), parity=st.sampled_from(sorted(_STENCIL_GRIDS)))
-def test_deriv1_is_the_written_out_stencil(block, parity):
+@given(block=_stencil_blocks(), parity=st.sampled_from(sorted(_STENCIL_GRIDS)),
+       names=st.lists(st.sampled_from(["even", "odd"]), min_size=3,
+                      max_size=3))
+def test_deriv1_is_the_written_out_stencil(block, parity, names):
     grid = _STENCIL_GRIDS[parity]
     re, im = block
     got = deriv1(re, grid, parity)
@@ -245,3 +247,10 @@ def test_deriv1_is_the_written_out_stencil(block, parity):
     for f, stacked in ((re, got), (z, got_z)):
         for row, out in zip(np.atleast_2d(f), np.atleast_2d(stacked)):
             assert out.tobytes() == deriv1(row, grid, parity).tobytes()
+    # a radial block with mixed parities per row: each row is bitwise
+    # its own call with its own name
+    if parity != "none" and re.ndim == 2:
+        names = names[:len(re)]
+        for f in (re, z):
+            for row, out, name in zip(f, deriv1(f, grid, names), names):
+                assert out.tobytes() == deriv1(row, grid, name).tobytes()
