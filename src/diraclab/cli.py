@@ -189,7 +189,8 @@ def _build_parser():
 
     p = sub.add_parser("check-algebra",
                        help="validate the matrix family relations")
-    p.add_argument("--n", type=int, nargs="+", default=[1, 2, 3])
+    p.add_argument("--n", type=int, nargs="+", default=[1, 2, 3],
+                   choices=(1, 2, 3))
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=_cmd_check_algebra)
 

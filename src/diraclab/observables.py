@@ -84,72 +84,74 @@ def energy_psi(state, model, m=1.0):
     return float(quad(integrand, state.grid))
 
 
-_REGION_KINDS = ("interval_log_window", "exterior_box", "ball",
-                 "fixed_interval")
-
-
 class Region:
     """Spatial region, possibly time-dependent, for mass bookkeeping.
 
-    kinds
+    Built from the spec a scenario file names it by, which it keeps
+    verbatim as ``spec``. Every number must read as a finite float.
+
+    specs
     -----
-    interval_log_window
-        the shrinking-relative window (-|t|/ln^2|t|, |t|/ln^2|t|);
-        defined for |t| >= 10 where ln^2 t > 1 comfortably.
-    exterior_box(b)
-        |x| >= (1 + b) t, defined for t > 2; b > 0.
-    ball(radius)
-        |x| <= radius (or r <= radius on radial grids).
-    fixed_interval(lo, hi)
-        time-independent interval.
+    log_window
+        the shrinking-relative window |x| < |t|/ln^2|t|; defined for
+        |t| >= 10 where ln^2 t > 1 comfortably.
+    exterior:B
+        |x| >= (1 + B) t, defined for t > 2; B > 0.
+    ball:R
+        |x| <= R (or r <= R on radial grids); R > 0.
+    interval:LO:HI
+        the time-independent interval LO <= x <= HI; LO < HI.
     """
 
-    def __init__(self, kind, **params):
-        if kind not in _REGION_KINDS:
-            raise ValueError(f"unknown region kind {kind!r}")
-        self.kind = kind
-        if kind == "exterior_box":
-            b = float(params.pop("b"))
-            if b <= 0.0:
-                raise ValueError("exterior_box needs b > 0")
-            self.b = b
-        elif kind == "ball":
-            radius = float(params.pop("radius"))
-            if radius <= 0.0:
-                raise ValueError("ball needs radius > 0")
-            self.radius = radius
-        elif kind == "fixed_interval":
-            lo = float(params.pop("lo"))
-            hi = float(params.pop("hi"))
-            if not lo < hi:
-                raise ValueError("fixed_interval needs lo < hi")
-            self.lo, self.hi = lo, hi
-        if params:
-            raise ValueError(f"unexpected parameters {sorted(params)}")
+    _FORMS = {"log_window": "log_window", "exterior": "exterior:B",
+              "ball": "ball:R", "interval": "interval:LO:HI"}
+
+    def __init__(self, spec):
+        kind, *args = spec.split(":")
+        form = self._FORMS.get(kind)
+        if form is None:
+            raise ValueError(f"region {spec!r}: unknown kind; use "
+                             f"{', '.join(self._FORMS.values())}")
+        if len(args) != form.count(":"):
+            raise ValueError(f"region {spec!r}: write it as {form}")
+        try:
+            args = tuple(float(a) for a in args)
+        except ValueError:
+            raise ValueError(f"region {spec!r}: cannot read its numbers "
+                             f"as float") from None
+        if not np.isfinite(args).all():
+            raise ValueError(f"region {spec!r}: numbers must be finite")
+        if kind in ("exterior", "ball") and args[0] <= 0.0:
+            raise ValueError(f"region {spec!r}: {form} needs "
+                             f"{form[-1]} > 0")
+        if kind == "interval" and not args[0] < args[1]:
+            raise ValueError(f"region {spec!r}: {form} needs LO < HI")
+        self.spec, self.kind, self.args = spec, kind, args
 
     def indicator(self, coords, t):
         """Boolean node mask at time t."""
         coords = np.asarray(coords)
-        if self.kind == "interval_log_window":
+        if self.kind == "log_window":
             at = abs(float(t))
             if at < 10.0:
                 raise ValueError("log window is defined for |t| >= 10")
             w = at / np.log(at) ** 2
             return np.abs(coords) < w
-        if self.kind == "exterior_box":
+        if self.kind == "exterior":
             t = float(t)
             if t <= 2.0:
-                raise ValueError("exterior_box is defined for t > 2")
-            return np.abs(coords) >= (1.0 + self.b) * t
+                raise ValueError("exterior region is defined for t > 2")
+            return np.abs(coords) >= (1.0 + self.args[0]) * t
         if self.kind == "ball":
-            return np.abs(coords) <= self.radius
-        return (coords >= self.lo) & (coords <= self.hi)
+            return np.abs(coords) <= self.args[0]
+        lo, hi = self.args
+        return (coords >= lo) & (coords <= hi)
+
+    def __str__(self):
+        return self.spec
 
     def __repr__(self):
-        extra = {"exterior_box": lambda: f", b={self.b:g}",
-                 "ball": lambda: f", radius={self.radius:g}",
-                 "fixed_interval": lambda: f", [{self.lo:g},{self.hi:g}]"}
-        return f"Region({self.kind}{extra.get(self.kind, lambda: '')()})"
+        return f"Region({self.spec!r})"
 
 
 def region_mass(state, region, t=None):

@@ -18,6 +18,14 @@ refused and left out of the canonical text behind the scenario hash.
 the observables functions from lambda bodies, so each name is looked up
 in this module at call time and a patched attribute sees every call.
 
+The three list keys are split here once, a repeated item refused, and
+each then holds one resolved tuple: ``observables`` the checked names in
+``_OBSERVABLES`` column order, ``identities`` the names the ``virials``
+table carries for the system, and ``regions`` one
+:class:`~diraclab.observables.Region` per spec, which parses and checks
+it. The canonical text joins each tuple, every region spec as
+written.
+
 The bundled studies are data. Each row of ``_STUDIES`` lists the
 scenario texts a study runs and a pure post-processing function that
 turns one run's trajectory and summary into extra tables, metrics and
@@ -144,8 +152,13 @@ _OBSERVABLES = {
 }
 
 
-def _split_list(raw):
-    return [tok.strip() for tok in raw.split(",") if tok.strip()]
+def _split_list(key, raw):
+    """The comma-separated items of a list key; a repeated item raises."""
+    items = tuple(tok.strip() for tok in raw.split(",") if tok.strip())
+    repeated = sorted({item for item in items if items.count(item) > 1})
+    if repeated:
+        raise ConfigError(f"{key}: repeated {', '.join(repeated)}")
+    return items
 
 
 def _parse_lines(text):
@@ -165,27 +178,6 @@ def _parse_lines(text):
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         out[key] = value
     return out
-
-
-def _region_from_spec(spec):
-    """'log_window' | 'ball:R' | 'exterior:B' | 'interval:LO:HI'."""
-    parts = spec.split(":")
-    kind, args = parts[0], parts[1:]
-    try:
-        if kind == "log_window" and not args:
-            return Region("interval_log_window")
-        if kind == "ball" and len(args) == 1:
-            return Region("ball", radius=float(args[0]))
-        if kind == "exterior" and len(args) == 1:
-            return Region("exterior_box", b=float(args[0]))
-        if kind == "interval" and len(args) == 2:
-            return Region("fixed_interval", lo=float(args[0]),
-                          hi=float(args[1]))
-    except ValueError as exc:
-        raise ConfigError(f"region {spec!r}: {exc}") from None
-    raise ConfigError(
-        f"unknown region spec {spec!r}; use log_window, ball:R, "
-        f"exterior:B, or interval:LO:HI")
 
 
 def _column_name(spec):
@@ -317,7 +309,7 @@ class ScenarioConfig:
         if self.observables is None:
             obs = defined
         else:
-            obs = _split_list(self.observables)
+            obs = _split_list("observables", self.observables)
             bad = sorted(set(obs) - set(_OBSERVABLES))
             if bad:
                 raise ConfigError(f"unknown observables: {', '.join(bad)}")
@@ -326,16 +318,17 @@ class ScenarioConfig:
                 raise ConfigError(
                     f"observables not defined for this setup: "
                     f"{', '.join(out_of_place)}")
-        self.observable_list = tuple(o for o in _OBSERVABLES if o in obs)
+        self.observables = tuple(o for o in _OBSERVABLES if o in obs)
 
         self.n_samples = n_steps // self.sample_stride + 1
-        idents = _split_list(self.identities)
-        self.require_identities(idents)
-        self.identity_list = tuple(idents)
+        self.identities = _split_list("identities", self.identities)
+        self.require_identities(self.identities)
 
-        specs = _split_list(self.regions)
-        self.region_list = tuple((spec, _region_from_spec(spec))
-                                 for spec in specs)
+        specs = _split_list("regions", self.regions)
+        try:
+            self.regions = tuple(Region(spec) for spec in specs)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
         if self.out_dir is None:
             self.out_dir = self.name
@@ -392,12 +385,8 @@ class ScenarioConfig:
             if key in skip:
                 continue
             value = getattr(self, key)
-            if key == "observables":
-                value = ", ".join(self.observable_list)
-            elif key == "identities":
-                value = ", ".join(self.identity_list)
-            elif key == "regions":
-                value = ", ".join(spec for spec, _ in self.region_list)
+            if isinstance(value, tuple):
+                value = ", ".join(map(str, value))
             elif isinstance(value, float):
                 value = _fmt(value)
             lines.append(f"{key} = {value}")
@@ -626,16 +615,16 @@ def _decay_entry(times, values):
 def _region_masses(config, states):
     """Column name -> mass series of each configured region."""
     out = {}
-    for spec, region in config.region_list:
+    for region in config.regions:
         vals = []
         for st in states:
             try:
                 vals.append(region_mass(st, region))
             except ValueError:
                 # region not defined at this instant (early log window
-                # or exterior box); the column records that honestly
+                # or exterior region); the column records that honestly
                 vals.append(np.nan)
-        out[_column_name(spec)] = np.array(vals)
+        out[_column_name(region.spec)] = np.array(vals)
     return out
 
 
@@ -647,7 +636,7 @@ def _observable_columns(config, traj, model):
     for name, row in _OBSERVABLES.items():
         if name == "parity_defect":
             series.update(_region_masses(config, traj.states))
-        if name in config.observable_list:
+        if name in config.observables:
             series[row.column] = np.array(
                 [row.evaluate(st, config, model) for st in traj.states])
     header = ["t", *series]
@@ -708,15 +697,15 @@ def _run(config, out_root=None):
     _write_csv(os.path.join(out_dir, "trajectory.csv"), header, columns)
 
     virials = {}
-    for ident in config.identity_list:
+    for ident in config.identities:
         rep, fname = _verify_and_write(traj, ident, config, model, out_dir)
         virials[ident] = rep.to_dict()
         files.append(fname)
 
     decay = {}
-    for key, vals in series.items():
-        if key.startswith("mass_"):
-            decay[key] = _decay_entry(traj.times, vals)
+    for region in config.regions:
+        column = _column_name(region.spec)
+        decay[column] = _decay_entry(traj.times, series[column])
 
     summary = ExperimentSummary(
         name=config.name,
@@ -858,7 +847,7 @@ def _post_t1(config, traj, summary):
     decreases at t = 10, 20, 40, 80 and stays resolved, and that the
     window's cumulative flux settles.
     """
-    window = Region("interval_log_window")
+    window = Region("log_window")
     probes = [10.0, 20.0, 40.0, 80.0]
     window_mass = {}
     for t_probe in probes:
@@ -987,7 +976,7 @@ def _post_t5(config, traj, summary):
         rises = np.diff(ivals)
         worst_rise = float(rises.max()) if rises.size else 0.0
         scale = float(np.max(np.abs(ivals)))
-        ext_mass = region_mass(traj.states[-1], Region("exterior_box", b=b))
+        ext_mass = region_mass(traj.states[-1], Region(f"exterior:{b:g}"))
         metrics[tag] = {
             "exterior_mass_final": float(ext_mass),
             "exterior_mass_over_charge": float(ext_mass / q0),

@@ -100,6 +100,15 @@ def test_check_algebra_exits_zero(capsys):
     assert "n = 3" in capsys.readouterr().out
 
 
+def test_check_algebra_unknown_dimension_is_an_argparse_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check-algebra", "--n", "4"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 4" in err
+    assert "Traceback" not in err
+
+
 def test_tiny_run_exits_zero(tmp_path):
     path = _scenario(tmp_path)
     out = tmp_path / "out"
@@ -112,6 +121,15 @@ def test_malformed_scenario_exits_two(tmp_path, capsys):
     out = str(tmp_path / "out")
     assert cli.main(["run", "--scenario", path, "--out", out]) == 2
     assert "unknown keys: seed" in capsys.readouterr().err
+
+
+def test_non_finite_region_exits_two_before_any_output(tmp_path, capsys):
+    path = _scenario(tmp_path, extra="regions = ball:nan\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "configuration error: region 'ball:nan': numbers must be finite\n"
+    assert not out.exists()
 
 
 def test_identities_on_too_few_samples_exit_two(tmp_path, capsys):

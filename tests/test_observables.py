@@ -92,33 +92,32 @@ def test_energy_psi_conserved_along_flow():
 
 
 def test_region_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown kind"):
         Region("no_such_region")
+    with pytest.raises(ValueError, match="ball:R needs R > 0"):
+        Region("ball:-1")
+    with pytest.raises(ValueError, match="write it as ball:R"):
+        Region("ball:2:1")
+    with pytest.raises(ValueError, match="exterior:B needs B > 0"):
+        Region("exterior:0")
+    with pytest.raises(ValueError, match="needs LO < HI"):
+        Region("interval:3:3")
     with pytest.raises(ValueError):
-        Region("ball", radius=-1.0)
+        Region("log_window").indicator(np.zeros(4), t=5.0)
     with pytest.raises(ValueError):
-        Region("ball", radius=2.0, extra=1)
-    with pytest.raises(ValueError):
-        Region("exterior_box", b=0.0)
-    with pytest.raises(ValueError):
-        Region("fixed_interval", lo=3.0, hi=3.0)
-    with pytest.raises(ValueError):
-        Region("interval_log_window").indicator(np.zeros(4), t=5.0)
-    with pytest.raises(ValueError):
-        Region("exterior_box", b=0.1).indicator(np.zeros(4), t=2.0)
+        Region("exterior:0.1").indicator(np.zeros(4), t=2.0)
 
 
 def test_region_indicators():
     x = np.array([-5.0, -1.0, 0.0, 1.0, 5.0])
-    assert np.array_equal(Region("ball", radius=1.5).indicator(x, 0.0),
+    assert np.array_equal(Region("ball:1.5").indicator(x, 0.0),
                           [False, True, True, True, False])
-    assert np.array_equal(
-        Region("fixed_interval", lo=0.0, hi=5.0).indicator(x, 0.0),
-        [False, False, True, True, True])
+    assert np.array_equal(Region("interval:0:5").indicator(x, 0.0),
+                          [False, False, True, True, True])
     # at t = 20 the window half-width is 20 / ln(20)^2, about 2.23
-    ind = Region("interval_log_window").indicator(x, 20.0)
+    ind = Region("log_window").indicator(x, 20.0)
     assert np.array_equal(ind, [False, True, True, True, False])
-    ind = Region("exterior_box", b=0.1).indicator(x, 4.0)
+    ind = Region("exterior:0.1").indicator(x, 4.0)
     assert np.array_equal(ind, [True, False, False, False, True])
 
 
@@ -129,7 +128,7 @@ def test_log_window_excludes_separated_humps():
     hump = np.exp(-(np.abs(g.x) - 20.0) ** 2).astype(complex)
     s = SpinorState1D(g, "lab_uv", np.vstack([hump, hump]), t=20.0)
     total = charge(s)
-    inside = region_mass(s, Region("interval_log_window"))
+    inside = region_mass(s, Region("log_window"))
     assert total > 1.0
     assert inside <= 1e-30 * total
 
@@ -138,7 +137,7 @@ def test_exterior_mass_matches_quadrature():
     om = 0.5
     g2 = 1.0 - om * om
     s0 = thirring_soliton(SolitonParams(om), Grid1D(-60.0, 60.0, 2401))
-    got = region_mass(s0, Region("exterior_box", b=0.1), t=3.0)
+    got = region_mass(s0, Region("exterior:0.1"), t=3.0)
     edge = 1.1 * 3.0
     ref = 2.0 * quad(
         lambda x: 2.0 * g2 / (np.cosh(2.0 * np.sqrt(g2) * x) + om),
@@ -155,7 +154,7 @@ def test_region_mass_radial_ball():
     dens = (1.0 + 0.09) * even ** 2 + (1.0 + 0.25) * odd ** 2
     mask = r <= 6.0
     byhand = 4.0 * np.pi * float(np.sum((r ** 2 * dens)[mask])) * rg.h
-    assert region_mass(st, Region("ball", radius=6.0)) == \
+    assert region_mass(st, Region("ball:6")) == \
         pytest.approx(byhand, rel=1e-13)
 
 

@@ -116,6 +116,48 @@ def test_config_rejections(text, match):
         ScenarioConfig.from_text(text)
 
 
+@pytest.mark.parametrize("spec, rule", [
+    ("ball:nan", "numbers must be finite"),
+    ("ball:inf", "numbers must be finite"),
+    ("exterior:nan", "numbers must be finite"),
+    ("exterior:inf", "numbers must be finite"),
+    ("interval:-inf:5", "numbers must be finite"),
+    ("ball:0", "ball:R needs R > 0"),
+    ("interval:3:3", "interval:LO:HI needs LO < HI"),
+    ("ball", "write it as ball:R"),
+    ("ball:2:1", "write it as ball:R"),
+    ("ball:x", "cannot read its numbers as float"),
+    ("nope:1", "unknown kind; use log_window, exterior:B, ball:R, "
+               "interval:LO:HI"),
+])
+def test_region_refusals_name_the_spec_and_the_rule(spec, rule):
+    with pytest.raises(ConfigError) as exc:
+        ScenarioConfig.from_text(_text(_LAB, regions=f"ball:1, {spec}"))
+    assert str(exc.value) == f"region {spec!r}: {rule}"
+
+
+@pytest.mark.parametrize("key, items", [
+    ("observables", "charge, momentum, charge"),
+    ("identities", "I_weighted_charge, I_weighted_charge"),
+    ("regions", "ball:5, log_window, ball:5"),
+])
+def test_repeated_list_items_are_refused(key, items):
+    repeated = items.split(",")[0]
+    with pytest.raises(ConfigError, match=f"^{key}: repeated {repeated}$"):
+        ScenarioConfig.from_text(_text(_SPINOR, **{key: items}))
+
+
+def test_list_keys_hold_resolved_tuples():
+    config = ScenarioConfig.from_text(_text(
+        _SPINOR, observables="momentum, charge", identities="J2, J1",
+        regions="interval:-1e0:5, ball:5"))
+    # observables in column order, identities and regions as written
+    assert config.observables == ("charge", "momentum")
+    assert config.identities == ("J2", "J1")
+    assert [r.spec for r in config.regions] == ["interval:-1e0:5", "ball:5"]
+    assert "regions = interval:-1e0:5, ball:5\n" in config.canonical()
+
+
 def test_bundled_config_hash_is_pinned():
     cfg = ScenarioConfig.from_file(bundled_config_path("massless_thirring"))
     assert cfg.hash == "659ce2f432fb079e"
@@ -161,8 +203,7 @@ def test_observables_are_looked_up_at_call_time(tmp_path, monkeypatch):
     for name in names:
         monkeypatch.setattr(scenarios, name, counting(name))
     config = ScenarioConfig.from_text(_text(_SPINOR, regions="ball:5"))
-    assert config.observable_list == ("charge", "momentum",
-                                      "parity_defect")
+    assert config.observables == ("charge", "momentum", "parity_defect")
     summary = run_scenario(config, out_root=tmp_path)
     assert summary.n_samples == 11
     assert calls == {name: 11 for name in names}
