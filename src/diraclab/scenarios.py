@@ -23,8 +23,8 @@ each then holds one resolved tuple: ``observables`` the checked names in
 ``_OBSERVABLES`` column order, ``identities`` the names the ``virials``
 table carries for the system, and ``regions`` one
 :class:`~diraclab.observables.Region` per spec, which parses and checks
-it. The canonical text joins each tuple, every region spec as
-written.
+it; two specs that would write one trajectory column are refused. The
+canonical text joins each tuple, every region spec as written.
 
 The bundled studies are data. Each row of ``_STUDIES`` lists the
 scenario texts a study runs and a pure post-processing function that
@@ -329,6 +329,15 @@ class ScenarioConfig:
             self.regions = tuple(Region(spec) for spec in specs)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        # float reads "1_0" as 10, so two specs can name one column
+        columns = {}
+        for spec in specs:
+            column = _column_name(spec)
+            if column in columns:
+                raise ConfigError(
+                    f"regions: {columns[column]} and {spec} share the "
+                    f"trajectory column {column}")
+            columns[column] = spec
 
         if self.out_dir is None:
             self.out_dir = self.name
@@ -660,15 +669,18 @@ def _conservation(series):
     return out
 
 
-def _verify_and_write(traj, ident, config, model, out_dir):
-    """Verify one identity along ``traj`` and write virial_<ident>.csv;
-    returns the report and the file name."""
-    rep = verify_identity(traj, ident, m=config.mass, model=model)
-    fname = f"virial_{ident}.csv"
-    _write_csv(os.path.join(out_dir, fname),
-               ["t", "F", "FD", "RHS", "defect"],
-               [rep.times, rep.values, rep.fd, rep.rhs, rep.defect])
-    return rep, fname
+def _verify_and_write(traj, identities, config, model, out_dir):
+    """Verify identities along ``traj`` in one pass and write each one's
+    virial_<ident>.csv; returns (report, file name) per identity."""
+    out = []
+    for rep in verify_identity(traj, identities, m=config.mass,
+                               model=model):
+        fname = f"virial_{rep.identity}.csv"
+        _write_csv(os.path.join(out_dir, fname),
+                   ["t", "F", "FD", "RHS", "defect"],
+                   [rep.times, rep.values, rep.fd, rep.rhs, rep.defect])
+        out.append((rep, fname))
+    return out
 
 
 def integrate_scenario(config):
@@ -697,10 +709,11 @@ def _run(config, out_root=None):
     _write_csv(os.path.join(out_dir, "trajectory.csv"), header, columns)
 
     virials = {}
-    for ident in config.identities:
-        rep, fname = _verify_and_write(traj, ident, config, model, out_dir)
-        virials[ident] = rep.to_dict()
-        files.append(fname)
+    if config.identities:
+        for rep, fname in _verify_and_write(traj, config.identities, config,
+                                            model, out_dir):
+            virials[rep.identity] = rep.to_dict()
+            files.append(fname)
 
     decay = {}
     for region in config.regions:

@@ -28,8 +28,16 @@ the systems that carry the identity, its default weight (or None for a
 fixed weight), whether it reads a scaling triple, and its functional
 and analytic rate. The J and K quartet rows name their vector function
 instead of holding it, and look it up as a module attribute at each
-evaluation, so that a patched attribute sees every call; each vector is
-memoized per sample on the trajectory.
+evaluation, so that a patched attribute sees every call.
+
+``verify_identity`` walks a trajectory once for any number of
+identities. Each sample gets a ``_Sample``: the derived fields its
+functionals and rates read (the quartet block and its derivative, the W
+rows and theirs, the coupling's gradient pair, each quartet vector),
+computed on first use, shared, and dropped once the sample is done.
+Weight tables on the grid nodes are evaluated once per pass. A public
+function called on a bare state derives its own fields, with the same
+arithmetic and so bitwise the same values.
 """
 
 from collections import namedtuple
@@ -234,6 +242,112 @@ def _require_model(model, state, who):
         require_frame(model, state.kind, who)
 
 
+# ---------------------------------------------------------------------------
+# derived fields of one sample
+
+_SINGULAR = ("phi_over_r", "phi_over_r3", "dphi_over_r")
+
+
+def _once(method):
+    """A _Sample method computed once per sample and arguments."""
+    def shared(self, *args):
+        key = (method.__name__, *args)
+        if key not in self.memo:
+            self.memo[key] = method(self, *args)
+        return self.memo[key]
+    return shared
+
+
+class _Sample:
+    """Derived fields of one sampled state, each computed on first use.
+
+    ``tables`` maps (weight, name) to that weight function or singular
+    quotient on the grid nodes; ``verify_identity`` shares one map
+    between all samples of a pass. Every other value lives in ``memo``
+    and is dropped with the sample.
+    """
+
+    def __init__(self, state, tables):
+        self.state = state
+        self.tables = tables
+        self.memo = {}
+
+    def table(self, weight, name):
+        key = (weight, name)
+        if key not in self.tables:
+            st = self.state
+            x = st.grid.r if isinstance(st, RadialSpinorState) else st.grid.x
+            self.tables[key] = (weight.sing(name, x) if name in _SINGULAR
+                                else getattr(weight, name)(x))
+        return self.tables[key]
+
+    @_once
+    def quartet(self):
+        """(p, d): the real (4, n) block (p11, p12, p21, p22) and its
+        derivative, from one stacked ``deriv1`` pass that radially gives
+        the rows their parities (even, even, odd, odd)."""
+        st = self.state
+        if isinstance(st, RadialSpinorState):
+            p, parity = st.fields, st.parity
+        else:
+            psi = st.fields
+            p = np.vstack([psi[0].real, psi[0].imag,
+                           psi[1].real, psi[1].imag])
+            parity = "none"
+        return p, deriv1(p, st.grid, parity)
+
+    @_once
+    def w_rows(self, model):
+        """(w, e): the coupling's W rows at the quartet and their
+        derivative; the rows inherit the components' parities, because
+        diagonal couplings preserve them."""
+        st = self.state
+        w = np.asarray(model.w_fields(*self.quartet()[0]))
+        parity = st.parity if isinstance(st, RadialSpinorState) else "none"
+        return w, deriv1(w, st.grid, parity)
+
+    @_once
+    def grad(self, model):
+        """The coupling's complex gradient pair at the state."""
+        st = self.state
+        if isinstance(st, RadialSpinorState):
+            return model.grad(st.psi1, st.psi2)
+        return model.grad(*st.fields)
+
+    @_once
+    def brackets(self, weight):
+        """The transport brackets ``_bk`` of the four quartet rows under
+        ``weight``, as one (4, n) block."""
+        return _bk(self.table(weight, "phi"), self.table(weight, "dphi"),
+                   *self.quartet())
+
+    @_once
+    def density(self):
+        return self.state.density()
+
+    @_once
+    def vector(self, name, weight, m, model):
+        """The value of the quartet vector function ``name``; the rates
+        (``rhs_*``) also take the model. ``name`` is looked up as a
+        module attribute, so that a patched one sees the call."""
+        fn = globals()[name]
+        if name.startswith("rhs"):
+            return fn(self.state, weight, m, model)
+        return fn(self.state, weight, m)
+
+
+# the _Sample that verify_identity is evaluating, or None
+_current = None
+
+
+def _sample(state):
+    """The derived fields of ``state``: the verifier's current sample,
+    or fresh ones for a state called bare."""
+    if _current is not None and _current.state is state:
+        return _current
+    return _Sample(state, {})
+
+
 def _real_pair(state):
     """Real and imaginary component stacks (2, n) of a 1D state."""
     f = state.fields
@@ -246,11 +360,10 @@ def _charge_flux(state, model):
     Zero for any coupling invariant under a common phase; kept exact
     here so non-invariant models can still be verified.
     """
+    w1, w2 = _sample(state).grad(model)
     if state.kind == "lab_uv":
-        w1, w2 = model.grad(state.u, state.v)
         return (np.conj(state.u) * w1).imag + (np.conj(state.v) * w2).imag
     p1, p2 = state.psi1, state.psi2
-    w1, w2 = model.grad(p1, p2)
     return (np.conj(p2) * w2).imag - (np.conj(p1) * w1).imag
 
 
@@ -263,7 +376,7 @@ def functional_I(state, weight, scaling, t=None):
     t = state.t if t is None else float(t)
     mu, lam = scaling.check(t)
     s = (state.grid.x + scaling.rho(t)) / lam
-    return quad(weight.phi(s) * state.density(), state.grid) / mu
+    return quad(weight.phi(s) * _sample(state).density(), state.grid) / mu
 
 
 def rhs_I(state, weight, scaling, t=None, model=None):
@@ -284,7 +397,7 @@ def rhs_I(state, weight, scaling, t=None, model=None):
     s = (g.x + scaling.rho(t)) / lam
     phi = weight.phi(s)
     dphi = weight.dphi(s)
-    dens = state.density()
+    dens = _sample(state).density()
     split = _default_alpha(state.kind)
     u1, u2 = _real_pair(state)
     a_r, a_i = split.alpha_r, split.alpha_i
@@ -330,49 +443,24 @@ def rhs_J_1d(state, weight, lam=1.0, m=1.0, lam_dot=0.0, model=None):
     s = g.x / lam
     phi = weight.phi(s)
     dphi = weight.dphi(s)
-    dens = state.density()
+    dens = _sample(state).density()
     chi = np.abs(state.u) ** 2 - np.abs(state.v) ** 2
     out = (-lam_dot / lam * quad(s * dphi * chi, g)
            + quad(dphi * dens, g) / lam
            + 4.0 * m * quad(phi * (state.u * np.conj(state.v)).imag, g))
     if model is not None:
-        w1, w2 = model.grad(state.u, state.v)
+        w1, w2 = _sample(state).grad(model)
         flux = (np.conj(state.u) * w1).imag - (np.conj(state.v) * w2).imag
         out += 2.0 * quad(phi * flux, g)
     return out
 
 
 # ---------------------------------------------------------------------------
-# derived fields shared by the line and the radial quartet
+# the transport bracket shared by the line and the radial quartet
 
 def _bk(phi, dphi, f, df):
     """Transport bracket phi f' + phi'/2 f of the quartet pairings."""
     return phi * df + 0.5 * dphi * f
-
-
-def _quartet_fields(state, model=None):
-    """Derived fields of a quartet, each a (4, n) real block.
-
-    Returns (p, d, w, e): the components (p11, p12, p21, p22), their
-    derivatives, the coupling's W rows and the derivatives of those.
-    Each derivative block comes from one stacked ``deriv1`` pass, which
-    radially gives the rows their parities (even, even, odd, odd); the W
-    rows inherit them, because diagonal couplings preserve component
-    parity. Stacked rows equal per-row calls bitwise (the stencil is
-    elementwise along the last axis). w and e are None without a model.
-    """
-    g = state.grid
-    if isinstance(state, RadialSpinorState):
-        p, parity = state.fields, state.parity
-    else:
-        psi = state.fields
-        p = np.vstack([psi[0].real, psi[0].imag, psi[1].real, psi[1].imag])
-        parity = "none"
-    d = deriv1(p, g, parity)
-    if model is None:
-        return p, d, None, None
-    w = np.asarray(model.w_fields(*p))
-    return p, d, w, deriv1(w, g, parity)
 
 
 # ---------------------------------------------------------------------------
@@ -386,14 +474,14 @@ def functionals_J1_to_J4(state, weight, m=1.0):
     """
     _require_spinor(state, "functionals_J1_to_J4")
     g = state.grid
-    (p11, p12, p21, p22), (d11, d12, d21, d22), _, _ = _quartet_fields(state)
-    phi = weight.phi(g.x)
-    dphi = weight.dphi(g.x)
+    s = _sample(state)
+    (p11, p12, p21, p22), (d11, d12, d21, d22) = s.quartet()
+    b11, b12, b21, b22 = s.brackets(weight)
     return np.array([
-        quad(_bk(phi, dphi, p11, d11) * (d22 + m * p12), g),
-        quad(_bk(phi, dphi, p12, d12) * (d21 + m * p11), g),
-        quad(_bk(phi, dphi, p22, d22) * (d11 + m * p21), g),
-        quad(_bk(phi, dphi, p21, d21) * (d12 + m * p22), g),
+        quad(b11 * (d22 + m * p12), g),
+        quad(b12 * (d21 + m * p11), g),
+        quad(b22 * (d11 + m * p21), g),
+        quad(b21 * (d12 + m * p22), g),
     ])
 
 
@@ -408,32 +496,33 @@ def rhs_J1_to_J4(state, weight, m=1.0, model=None):
     _require_spinor(state, "rhs_J1_to_J4")
     _require_model(model, state, "rhs_J1_to_J4")
     g = state.grid
-    p, d, w, e = _quartet_fields(state, model)
-    if model is None:
-        w = e = np.zeros_like(p)
+    s = _sample(state)
+    p, d = s.quartet()
+    w, e = s.w_rows(model) if model is not None else (np.zeros_like(p),) * 2
     p11, p12, p21, p22 = p
     d11, d12, d21, d22 = d
     w11, w12, w21, w22 = w
     e11, e12, e21, e22 = e
-    phi = weight.phi(g.x)
-    dphi = weight.dphi(g.x)
-    d3phi = weight.d3phi(g.x)
+    phi = s.table(weight, "phi")
+    dphi = s.table(weight, "dphi")
+    d3phi = s.table(weight, "d3phi")
+    b11, b12, b21, b22 = s.brackets(weight)
 
     def core(f, df):
         return quad(dphi * df * df - 0.25 * d3phi * f * f, g)
 
     dj1 = (-core(p11, d11)
            - quad(_bk(phi, dphi, w12, e12) * (d22 + m * p12), g)
-           + quad(_bk(phi, dphi, p11, d11) * (m * w11 - e21), g))
+           + quad(b11 * (m * w11 - e21), g))
     dj2 = (core(p12, d12)
            + quad(_bk(phi, dphi, w11, e11) * (d21 + m * p11), g)
-           + quad(_bk(phi, dphi, p12, d12) * (e22 - m * w12), g))
+           + quad(b12 * (e22 - m * w12), g))
     dj3 = (-core(p22, d22)
            - quad(_bk(phi, dphi, w21, e21) * (d11 + m * p21), g)
-           + quad(_bk(phi, dphi, p22, d22) * (m * w22 - e12), g))
+           + quad(b22 * (m * w22 - e12), g))
     dj4 = (core(p21, d21)
            + quad(_bk(phi, dphi, w22, e22) * (d12 + m * p22), g)
-           + quad(_bk(phi, dphi, p21, d21) * (e11 - m * w21), g))
+           + quad(b21 * (e11 - m * w21), g))
     return np.array([dj1, dj2, dj3, dj4])
 
 
@@ -450,20 +539,22 @@ def rhs_J_combined_1d(state, weight, m=1.0, model=None):
     _require_spinor(state, "rhs_J_combined_1d")
     _require_model(model, state, "rhs_J_combined_1d")
     g = state.grid
-    p, d, w, e = _quartet_fields(state, model)
+    s = _sample(state)
+    p, d = s.quartet()
     p11, p12, p21, p22 = p
     d11, d12, d21, d22 = d
-    phi = weight.phi(g.x)
-    dphi = weight.dphi(g.x)
-    d3phi = weight.d3phi(g.x)
+    phi = s.table(weight, "phi")
+    dphi = s.table(weight, "dphi")
+    d3phi = s.table(weight, "d3phi")
     grad_sq = d11 ** 2 + d12 ** 2 + d21 ** 2 + d22 ** 2
     abs_sq = p11 ** 2 + p12 ** 2 + p21 ** 2 + p22 ** 2
     out = -quad(dphi * grad_sq, g) + 0.25 * quad(d3phi * abs_sq, g)
     if model is None:
         return out
+    w, e = s.w_rows(model)
     w11, w12, w21, w22 = w
     e11, e12, e21, e22 = e
-    d2phi = weight.d2phi(g.x)
+    d2phi = s.table(weight, "d2phi")
     a_term = (2.0 * quad(phi * (w11 * d11 + w12 * d12
                                 + w21 * d21 + w22 * d22), g)
               + quad(dphi * (w11 * p11 + w12 * p12
@@ -496,31 +587,30 @@ def functionals_K_3d(state, weight, m=1.0):
     _require_radial_weight(weight, "functionals_K_3d")
     g = state.grid
     r = g.r
-    (p11, p12, p21, p22), (d11, d12, d21, d22), _, _ = _quartet_fields(state)
-    phi = weight.phi(r)
-    dphi = weight.dphi(r)
+    s = _sample(state)
+    (p11, p12, p21, p22), (d11, d12, d21, d22) = s.quartet()
+    b11, b12, b21, b22 = s.brackets(weight)
 
-    k1 = quad(_bk(phi, dphi, p11, d11) * (d22 + 2.0 * p22 / r + m * p12), g,
-              measure="line")
-    tk1 = quad(_bk(phi, dphi, p22, d22) * (d11 + m * p21), g, measure="line")
-    k2 = quad(_bk(phi, dphi, p12, d12) * (d21 + 2.0 * p21 / r + m * p11), g,
-              measure="line")
-    tk2 = quad(_bk(phi, dphi, p21, d21) * (d12 + m * p22), g, measure="line")
+    k1 = quad(b11 * (d22 + 2.0 * p22 / r + m * p12), g, measure="line")
+    tk1 = quad(b22 * (d11 + m * p21), g, measure="line")
+    k2 = quad(b12 * (d21 + 2.0 * p21 / r + m * p11), g, measure="line")
+    tk2 = quad(b21 * (d12 + m * p22), g, measure="line")
     return np.array([k1, tk1, k2, tk2])
 
 
-def _quadratic_R1(weight, r, f, df, grid):
+def _quadratic_R1(s, weight, f, df):
     # pairing of [phi f' + phi'/2 f] against (d^2 + 2/r d) f
-    a = weight.dphi(r) - 2.0 * weight.sing("phi_over_r", r)
-    b = 0.5 * weight.d2phi(r) - weight.sing("dphi_over_r", r)
+    a = s.table(weight, "dphi") - 2.0 * s.table(weight, "phi_over_r")
+    b = 0.5 * s.table(weight, "d2phi") - s.table(weight, "dphi_over_r")
+    grid = s.state.grid
     return -quad(a * df * df, grid, measure="line") \
         - quad(b * f * df, grid, measure="line")
 
 
-def _quadratic_R2(weight, r, f, df, grid):
+def _quadratic_R2(s, weight, f, df):
     # same pairing when the operator carries the extra -2/r^2
-    return _quadratic_R1(weight, r, f, df, grid) \
-        - 2.0 * quad(weight.sing("phi_over_r3", r) * f * f, grid,
+    return _quadratic_R1(s, weight, f, df) \
+        - 2.0 * quad(s.table(weight, "phi_over_r3") * f * f, s.state.grid,
                      measure="line")
 
 
@@ -537,36 +627,42 @@ def rhs_K_3d(state, weight, m=1.0, model=None):
     _require_model(model, state, "rhs_K_3d")
     g = state.grid
     r = g.r
-    p, d, w, e = _quartet_fields(state, model)
-    if model is None:
-        w = e = np.zeros_like(p)
+    s = _sample(state)
+    p, d = s.quartet()
+    w, e = s.w_rows(model) if model is not None else (np.zeros_like(p),) * 2
     p11, p12, p21, p22 = p
     d11, d12, d21, d22 = d
     w11, w12, w21, w22 = w
     e11, e12, e21, e22 = e
-    phi = weight.phi(r)
-    dphi = weight.dphi(r)
+    phi = s.table(weight, "phi")
+    dphi = s.table(weight, "dphi")
 
     def line(f):
         return quad(f, g, measure="line")
 
-    dk1 = (_quadratic_R1(weight, r, p11, d11, g)
+    b11, b12, b21, b22 = s.brackets(weight)
+    dk1 = (_quadratic_R1(s, weight, p11, d11)
            - line(_bk(phi, dphi, w12, e12) * (d22 + 2.0 * p22 / r + m * p12))
-           - line(_bk(phi, dphi, p11, d11) * (e21 + 2.0 * w21 / r - m * w11)))
-    dtk1 = (_quadratic_R2(weight, r, p22, d22, g)
+           - line(b11 * (e21 + 2.0 * w21 / r - m * w11)))
+    dtk1 = (_quadratic_R2(s, weight, p22, d22)
             - line(_bk(phi, dphi, w21, e21) * (d11 + m * p21))
-            - line(_bk(phi, dphi, p22, d22) * (e12 - m * w22)))
-    dk2 = (-_quadratic_R1(weight, r, p12, d12, g)
+            - line(b22 * (e12 - m * w22)))
+    dk2 = (-_quadratic_R1(s, weight, p12, d12)
            + line(_bk(phi, dphi, w11, e11) * (d21 + 2.0 * p21 / r + m * p11))
-           + line(_bk(phi, dphi, p12, d12) * (e22 + 2.0 * w22 / r - m * w12)))
-    dtk2 = (-_quadratic_R2(weight, r, p21, d21, g)
+           + line(b12 * (e22 + 2.0 * w22 / r - m * w12)))
+    dtk2 = (-_quadratic_R2(s, weight, p21, d21)
             + line(_bk(phi, dphi, w22, e22) * (d12 + m * p22))
-            + line(_bk(phi, dphi, p21, d21) * (e11 - m * w21)))
+            + line(b21 * (e11 - m * w21)))
     return np.array([dk1, dtk1, dk2, dtk2])
 
 
 # ---------------------------------------------------------------------------
 # localized density functionals
+
+# the fixed weights of the H identities, one per geometry
+_H_RADIAL = r2_over_1pr4_weight()
+_H_LINE = sech_1d()
+
 
 def functional_H(state):
     """Localized density, its window taken from the state's geometry.
@@ -575,13 +671,12 @@ def functional_H(state):
     the line by a sech window with a factor 1/2; ``rhs_H`` bakes in the
     same conventions. A lab-frame state is refused.
     """
+    s = _sample(state)
     if isinstance(state, RadialSpinorState):
-        w = r2_over_1pr4_weight()
-        return quad(w.phi(state.grid.r) * state.density(), state.grid,
+        return quad(s.table(_H_RADIAL, "phi") * s.density(), state.grid,
                     measure="line")
     _require_spinor(state, "functional_H")
-    w = sech_1d()
-    return 0.5 * quad(w.phi(state.grid.x) * state.density(), state.grid)
+    return 0.5 * quad(s.table(_H_LINE, "phi") * s.density(), state.grid)
 
 
 def rhs_H(state, model=None):
@@ -590,18 +685,18 @@ def rhs_H(state, model=None):
     The mass term cancels in both geometries; what is left is the
     weighted transport current and, with a model, the coupling flux.
     """
+    s = _sample(state)
     if isinstance(state, RadialSpinorState):
         _require_model(model, state, "rhs_H")
         g = state.grid
-        r = g.r
-        w = r2_over_1pr4_weight()
-        phi = w.phi(r)
-        advect = 2.0 * w.sing("phi_over_r", r) - w.dphi(r)
+        phi = s.table(_H_RADIAL, "phi")
+        advect = (2.0 * s.table(_H_RADIAL, "phi_over_r")
+                  - s.table(_H_RADIAL, "dphi"))
         p1, p2 = state.psi1, state.psi2
         out = 2.0 * quad(advect * (np.conj(p1) * p2).imag, g,
                          measure="line")
         if model is not None:
-            w1, w2 = model.grad(p1, p2)
+            w1, w2 = s.grad(model)
             out += 2.0 * quad(
                 phi * (np.conj(p2) * w2 - np.conj(p1) * w1).imag, g,
                 measure="line")
@@ -609,13 +704,12 @@ def rhs_H(state, model=None):
     _require_spinor(state, "rhs_H")
     _require_model(model, state, "rhs_H")
     g = state.grid
-    w = sech_1d()
-    phi = w.phi(g.x)
+    phi = s.table(_H_LINE, "phi")
     p1, p2 = state.psi1, state.psi2
     dp1, dp2 = deriv1(state.fields, g)
     out = quad(phi * (np.conj(p1) * dp2 - np.conj(p2) * dp1).imag, g)
     if model is not None:
-        w1, w2 = model.grad(p1, p2)
+        w1, w2 = s.grad(model)
         out += quad(phi * (w2 * np.conj(p2) - w1 * np.conj(p1)).imag, g)
     return out
 
@@ -624,39 +718,25 @@ def rhs_H(state, model=None):
 # the identity table and the verifier
 
 # What a row's functional and rate see besides the sample: the weight
-# (the row's default when none was given), the scaling triple, mass,
-# model, and the trajectory's quartet memo for this weight, mass and model.
-_Args = namedtuple("_Args", "weight scaling m model memo")
+# (the row's default when none was given), the scaling triple, mass and
+# model.
+_Args = namedtuple("_Args", "weight scaling m model")
 
 # systems that carry the identity; default weight factory, or None for a
 # fixed weight; whether the scaling triple is read; functional and rate,
-# each called as fn(args, state, t, k) on sample k at time t
+# each called as fn(args, sample, t) on the _Sample of time t
 _Identity = namedtuple("_Identity", "systems weight scaling functional rate")
 
 
-def _quartet(name, pick, rates):
-    """Row entry: ``pick`` of the quartet vector function ``name``.
-
-    The vector is computed once per sample into the memo; ``name`` is
-    looked up as a module attribute at each evaluation, so a patched
-    attribute sees every call.
-    """
-    def evaluate(a, st, t, k):
-        vals = a.memo.get((name, k))
-        if vals is None:
-            fn = globals()[name]
-            vals = (fn(st, a.weight, a.m, a.model) if rates
-                    else fn(st, a.weight, a.m))
-            a.memo[(name, k)] = vals
-        return pick(vals)
-    return evaluate
+def _quartet(name, pick):
+    """Row entry: ``pick`` of the sample's quartet vector ``name``, which
+    the rows of its family share."""
+    return lambda a, s, t: pick(s.vector(name, a.weight, a.m, a.model))
 
 
 def _slot(family, idx):
     """Functional and rate entries of one component of a quartet."""
-    functionals, rates = family
-    return (_quartet(functionals, itemgetter(idx), False),
-            _quartet(rates, itemgetter(idx), True))
+    return tuple(_quartet(name, itemgetter(idx)) for name in family)
 
 
 def _combined_j(j):
@@ -671,36 +751,36 @@ _J = ("functionals_J1_to_J4", "rhs_J1_to_J4")
 _K = ("functionals_K_3d", "rhs_K_3d")
 _PSI = ("spinor_1d",)
 _RADIAL = ("radial_3d",)
-_H = (lambda a, st, t, k: functional_H(st),
-      lambda a, st, t, k: rhs_H(st, model=a.model))
+_H = (lambda a, s, t: functional_H(s.state),
+      lambda a, s, t: rhs_H(s.state, model=a.model))
 
 _IDENTITIES = {
     "I_weighted_charge": _Identity(
         ("lab_1d", "spinor_1d"), tanh_1d, True,
-        lambda a, st, t, k: functional_I(st, a.weight, a.scaling, t),
-        lambda a, st, t, k: rhs_I(st, a.weight, a.scaling, t,
-                                  model=a.model)),
+        lambda a, s, t: functional_I(s.state, a.weight, a.scaling, t),
+        lambda a, s, t: rhs_I(s.state, a.weight, a.scaling, t,
+                              model=a.model)),
     "J_chiral_balance": _Identity(
         ("lab_1d",), tanh_1d, True,
-        lambda a, st, t, k: functional_J_1d(st, a.weight,
-                                            float(a.scaling.lam(t))),
-        lambda a, st, t, k: rhs_J_1d(st, a.weight, float(a.scaling.lam(t)),
-                                     a.m, float(a.scaling.lam_dot(t)),
-                                     model=a.model)),
+        lambda a, s, t: functional_J_1d(s.state, a.weight,
+                                        float(a.scaling.lam(t))),
+        lambda a, s, t: rhs_J_1d(s.state, a.weight, float(a.scaling.lam(t)),
+                                 a.m, float(a.scaling.lam_dot(t)),
+                                 model=a.model)),
     "J1": _Identity(_PSI, tanh_1d, False, *_slot(_J, 0)),
     "J2": _Identity(_PSI, tanh_1d, False, *_slot(_J, 1)),
     "J3": _Identity(_PSI, tanh_1d, False, *_slot(_J, 2)),
     "J4": _Identity(_PSI, tanh_1d, False, *_slot(_J, 3)),
     "J_quartet_combined": _Identity(
-        _PSI, tanh_1d, False, _quartet(_J[0], _combined_j, False),
-        lambda a, st, t, k: rhs_J_combined_1d(st, a.weight, a.m, a.model)),
+        _PSI, tanh_1d, False, _quartet(_J[0], _combined_j),
+        lambda a, s, t: rhs_J_combined_1d(s.state, a.weight, a.m, a.model)),
     "K1_3d": _Identity(_RADIAL, r32_weight, False, *_slot(_K, 0)),
     "tK1_3d": _Identity(_RADIAL, r32_weight, False, *_slot(_K, 1)),
     "K2_3d": _Identity(_RADIAL, r32_weight, False, *_slot(_K, 2)),
     "tK2_3d": _Identity(_RADIAL, r32_weight, False, *_slot(_K, 3)),
     "K_combined_3d": _Identity(
-        _RADIAL, r32_weight, False, _quartet(_K[0], _combined_k, False),
-        _quartet(_K[1], _combined_k, True)),
+        _RADIAL, r32_weight, False, _quartet(_K[0], _combined_k),
+        _quartet(_K[1], _combined_k)),
     "H_sech_1d": _Identity(_PSI, None, False, *_H),
     "H_radial_r2": _Identity(_RADIAL, None, False, *_H),
 }
@@ -720,57 +800,79 @@ def _system(state):
     return "lab_1d" if state.kind == "lab_uv" else "spinor_1d"
 
 
-def verify_identity(trajectory, identity, weight=None, scaling=None,
+def verify_identity(trajectory, identities, weight=None, scaling=None,
                     m=1.0, model=None):
-    """Check an identity of the table along a sampled trajectory.
+    """Check identities of the table along a sampled trajectory.
 
-    Compares centered finite differences of the functional against the
+    Compares centered finite differences of each functional against its
     analytic rate at every interior sample and returns a
-    :class:`VirialReport`, whose tolerances are fixed there. The
-    trajectory must be uniformly sampled with at least three samples,
-    on a system the identity's row lists; the model and mass must be the
-    ones the trajectory was generated with, or the defect measures
-    exactly that mismatch. ``weight`` replaces the identity's default
-    weight, and ``scaling`` (default ``ScalingTriple.constant()``) sets
-    the window of the line window charge ``I_weighted_charge`` and the
-    width of ``J_chiral_balance``. Either one is refused for an identity
-    that would not read it: the H identities have fixed weights, and
-    only those two identities read a scaling.
+    :class:`VirialReport`, whose tolerances are fixed there; a sequence
+    of names gives a tuple of reports in its order. The trajectory must
+    be uniformly sampled with at least three samples, on a system every
+    identity's row lists; the model and mass must be the ones the
+    trajectory was generated with, or the defect measures exactly that
+    mismatch. ``weight`` replaces each identity's default weight, and
+    ``scaling`` (default ``ScalingTriple.constant()``) sets the window
+    of the line window charge ``I_weighted_charge`` and the width of
+    ``J_chiral_balance``. Either one is refused for an identity that
+    would not read it: the H identities have fixed weights, and only
+    those two identities read a scaling.
 
-    Both quartet families are memoized on the trajectory, per sample
-    and per (weight, mass, model): J1, J2, J3, J4 and J_quartet_combined
-    evaluate each sample's J1..J4 functionals and rates once between
-    them, and K1_3d, tK1_3d, K2_3d, tK2_3d and K_combined_3d do the
-    same for the radial quartet. Mutating a sampled state in place
-    after it was verified is unsupported: later quartet checks would
-    reuse the stale values.
+    The samples are walked once, for all identities together. Each
+    sample's derived fields (see ``_Sample``) are computed once and
+    shared: J1, J2, J3, J4 and J_quartet_combined evaluate the sample's
+    J1..J4 functionals and rates once between them, and K1_3d, tK1_3d,
+    K2_3d, tK2_3d and K_combined_3d do the same for the radial quartet.
+    The fields are dropped after their sample, and weight tables on the
+    grid nodes are evaluated once per call. Every value is bitwise that
+    of a separate call per identity.
     """
-    row = _IDENTITIES.get(identity)
-    if row is None:
-        known = ", ".join(identity_ids())
-        raise KeyError(f"unknown identity {identity!r}; known: {known}")
-    if weight is not None and row.weight is None:
-        raise ValueError(f"{identity} has a fixed weight; got {weight!r}")
-    if scaling is not None and not row.scaling:
-        raise ValueError(f"{identity} reads no scaling triple")
+    names = (identities,) if isinstance(identities, str) else identities
+    rows = []
+    for name in names:
+        row = _IDENTITIES.get(name)
+        if row is None:
+            known = ", ".join(identity_ids())
+            raise KeyError(f"unknown identity {name!r}; known: {known}")
+        if weight is not None and row.weight is None:
+            raise ValueError(f"{name} has a fixed weight; got {weight!r}")
+        if scaling is not None and not row.scaling:
+            raise ValueError(f"{name} reads no scaling triple")
+        rows.append(row)
     trajectory.sample_step("verify_identity")
     times = trajectory.times
     states = trajectory.states
     system = _system(states[0])
-    if system not in row.systems:
-        raise ValueError(f"{identity} is not defined on system {system!r}")
+    for name, row in zip(names, rows):
+        if system not in row.systems:
+            raise ValueError(f"{name} is not defined on system {system!r}")
     m = float(m)
-    a = _Args(
-        weight=row.weight() if weight is None and row.weight else weight,
-        scaling=ScalingTriple.constant() if scaling is None else scaling,
-        m=m, model=model,
-        memo=trajectory._memo.setdefault((weight, m, model), {}))
-    f_vals = np.array([row.functional(a, states[k], times[k], k)
-                       for k in range(len(states))])
-    fd = (f_vals[2:] - f_vals[:-2]) / (times[2:] - times[:-2])
-    rhs = np.array([row.rate(a, states[k], times[k], k)
-                    for k in range(1, len(states) - 1)])
-    return VirialReport(identity, times[1:-1], f_vals[1:-1], fd, rhs)
+    scaling = ScalingTriple.constant() if scaling is None else scaling
+    # one default weight per factory, so that the rows share its tables
+    defaults = {} if weight is not None else {
+        row.weight: row.weight() for row in rows if row.weight}
+    args = [_Args(defaults.get(row.weight, weight), scaling, m, model)
+            for row in rows]
+
+    global _current
+    n = len(states)
+    f_vals = np.empty((len(rows), n))
+    rhs = np.empty((len(rows), n - 2))
+    tables = {}
+    try:
+        for k, (t, state) in enumerate(zip(times, states)):
+            _current = sample = _Sample(state, tables)
+            for i, (row, a) in enumerate(zip(rows, args)):
+                f_vals[i, k] = row.functional(a, sample, t)
+                if 0 < k < n - 1:
+                    rhs[i, k - 1] = row.rate(a, sample, t)
+    finally:
+        _current = None
+    fd = (f_vals[:, 2:] - f_vals[:, :-2]) / (times[2:] - times[:-2])
+    reports = tuple(
+        VirialReport(name, times[1:-1], f_vals[i, 1:-1], fd[i], rhs[i])
+        for i, name in enumerate(names))
+    return reports[0] if isinstance(identities, str) else reports
 
 
 # ---------------------------------------------------------------------------
@@ -848,7 +950,7 @@ def origin_flux_radial(state):
     _require_radial(state, "origin_flux_radial")
     g = state.grid
     r = g.r
-    d11, d12, d21, d22 = _quartet_fields(state)[1]
+    d11, d12, d21, d22 = _sample(state).quartet()[1]
     grad_sq = d11 ** 2 + d12 ** 2 + d21 ** 2 + d22 ** 2
     return quad(np.sqrt(r) * grad_sq / (1.0 + r), g, measure="line") \
         + quad(state.density() / (r ** 1.5 * (1.0 + r)), g, measure="line")

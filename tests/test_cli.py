@@ -132,6 +132,19 @@ def test_non_finite_region_exits_two_before_any_output(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_regions_sharing_a_column_exit_two_before_any_output(tmp_path,
+                                                            capsys):
+    path = _scenario(tmp_path,
+                     extra="regions = interval:1_0:2_0, interval:1:0_2_0\n")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: regions: interval:1_0:2_0 and "
+        "interval:1:0_2_0 share the trajectory column "
+        "mass_interval_1_0_2_0\n")
+    assert not out.exists()
+
+
 def test_identities_on_too_few_samples_exit_two(tmp_path, capsys):
     # 2 steps sampled every 2nd: 2 samples, no centered difference
     def short(name, extra=""):

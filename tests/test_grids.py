@@ -146,3 +146,28 @@ def test_quad_radial_measures():
         np.sqrt(np.pi) / 2.0, rel=1e-6)
     with pytest.raises(ValueError):
         quad(np.exp(-g.r), g, measure="volume")
+
+
+@pytest.mark.parametrize("shape", [(), (4,), (2, 3)])
+def test_quad_is_bitwise_the_np_sum_formulas(shape):
+    # quad sums with np.add.reduce; these are the np.sum formulas it
+    # replaced, on 1-D and stacked rows, with signed zeros, subnormals and
+    # mixed magnitudes so that any other summation order shows
+    rng = np.random.default_rng(len(shape))
+    line, radial = Grid1D(-5.0, 5.0, 257), RadialGrid(5.0, 300)
+    for g, n in ((line, line.n_points), (radial, radial.n_cells)):
+        v = rng.standard_normal(shape + (n,)) * 10.0 ** rng.integers(
+            -150, 150, shape + (n,))
+        v[..., ::7] = -0.0
+        v[..., 1::11] = 5e-324
+        if g is line:
+            want = {"line": g.h * (np.sum(v, axis=-1)
+                                   - 0.5 * (v[..., 0] + v[..., -1]))}
+        else:
+            want = {"line": g.h * np.sum(v, axis=-1),
+                    "spherical": 4.0 * np.pi * g.h * np.sum(g.r ** 2 * v,
+                                                            axis=-1)}
+        for measure, value in want.items():
+            got = quad(v, g, measure=measure)
+            assert np.shape(got) == shape
+            assert np.asarray(got).tobytes() == np.asarray(value).tobytes()

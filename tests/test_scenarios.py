@@ -147,6 +147,17 @@ def test_repeated_list_items_are_refused(key, items):
         ScenarioConfig.from_text(_text(_SPINOR, **{key: items}))
 
 
+def test_regions_sharing_a_column_are_refused():
+    # "_" maps ":" in a column name and float reads "1_0" as 10: the
+    # intervals [10, 20] and [1, 20] would both write one column
+    with pytest.raises(ConfigError) as exc:
+        ScenarioConfig.from_text(_text(
+            _LAB, regions="ball:1, interval:1_0:2_0, interval:1:0_2_0"))
+    assert str(exc.value) == (
+        "regions: interval:1_0:2_0 and interval:1:0_2_0 share the "
+        "trajectory column mass_interval_1_0_2_0")
+
+
 def test_list_keys_hold_resolved_tuples():
     config = ScenarioConfig.from_text(_text(
         _SPINOR, observables="momentum, charge", identities="J2, J1",
@@ -207,6 +218,33 @@ def test_observables_are_looked_up_at_call_time(tmp_path, monkeypatch):
     summary = run_scenario(config, out_root=tmp_path)
     assert summary.n_samples == 11
     assert calls == {name: 11 for name in names}
+
+
+@pytest.mark.parametrize("identities, calls", [
+    ("H_sech_1d, I_weighted_charge, J1, J2, J3, J4, J_quartet_combined", 1),
+    ("", 0),
+])
+def test_runner_verifies_in_one_call(tmp_path, monkeypatch, identities,
+                                     calls):
+    # a profiler times verification by wrapping this module attribute;
+    # the runner reaches it once for all identities, and not at all
+    # without any
+    seen = []
+    original = scenarios.verify_identity
+
+    def counting(traj, names, **kwargs):
+        seen.append(tuple(names))
+        return original(traj, names, **kwargs)
+
+    monkeypatch.setattr(scenarios, "verify_identity", counting)
+    config = ScenarioConfig.from_text(
+        _text(_SPINOR, parity="odd", identities=identities), name="one")
+    summary = run_scenario(config, out_root=tmp_path)
+    assert seen == [config.identities] * calls
+    assert list(summary.virials) == list(config.identities)
+    assert summary.files == (["trajectory.csv"]
+                             + [f"virial_{i}.csv" for i in config.identities]
+                             + ["summary.json"])
 
 
 def test_summary_file_lists_itself(tmp_path, monkeypatch):

@@ -1,4 +1,6 @@
-from collections import namedtuple
+import sys
+import weakref
+from collections import Counter, namedtuple
 
 import numpy as np
 import pytest
@@ -293,10 +295,10 @@ def test_combined_quartet_rhs_equals_alternating_sum(soler_psi_traj):
 
 
 # ---------------------------------------------------------------------------
-# the per-trajectory quartet memo
+# one verification pass shared by every identity
 
 def short_psi_traj():
-    # fresh each call, so no memo is shared with another test
+    # fresh each call, so no state is shared with another test
     return integrate(psi_state(0.6), nonlinearity.soler(), t_end=0.2,
                      dt=0.01, m=1.0, sample_stride=2)
 
@@ -374,18 +376,16 @@ def test_memoized_quartet_is_bitwise_the_public_functions(family):
     tr = q.traj()
     model = nonlinearity.soler()
     ref = quartet_reference(q, tr, q.weight(), 1.0, model)
-    for ident in q.ids:
-        rep = verify_identity(tr, ident, m=1.0, model=model)
-        assert_same_report(rep, *ref[ident])
+    for rep in verify_identity(tr, q.ids, m=1.0, model=model):
+        assert_same_report(rep, *ref[rep.identity])
 
 
 @pytest.mark.parametrize("family", sorted(QUARTETS))
-def test_quartet_memo_is_keyed_by_weight_mass_and_model(family):
+def test_quartet_sharing_is_keyed_by_weight_mass_and_model(family):
     q = QUARTETS[family]
     tr = q.traj()
     soler = nonlinearity.soler()
-    for ident in q.ids:
-        verify_identity(tr, ident, m=1.0, model=soler)
+    verify_identity(tr, q.ids, m=1.0, model=soler)
     for kw in (dict(m=-1.0, model=soler), dict(m=1.0, model=None),
                dict(m=1.0, model=soler, weight=q.alt_weight())):
         for ident in q.ids:
@@ -410,11 +410,167 @@ def test_quartet_is_evaluated_once_per_sample(family, monkeypatch):
     for name in calls:
         monkeypatch.setattr(virials, name, counting(name))
     tr = q.traj()
-    model = nonlinearity.soler()
-    for ident in q.ids:
-        verify_identity(tr, ident, m=1.0, model=model)
+    verify_identity(tr, q.ids, m=1.0, model=nonlinearity.soler())
     n = len(tr)
     assert calls == {q.functionals: n, q.rates: n - 2}
+
+
+def test_pass_derives_each_sample_field_once(monkeypatch):
+    # a profiler counts stencil passes and gradients by patching
+    # virials.deriv1 and NonlinearityModel.grad; on the seven spinor
+    # identities a sample takes the quartet's, the W rows' and H's
+    # stencil passes, and one gradient pair besides the W rows' own
+    stencil = virials.deriv1
+    grad = nonlinearity.NonlinearityModel.grad
+    calls = Counter()
+    runs = []
+
+    def counting_deriv1(*args, **kwargs):
+        calls["deriv1"] += 1
+        return stencil(*args, **kwargs)
+
+    def counting_grad(*args, **kwargs):
+        calls["grad"] += 1
+        return grad(*args, **kwargs)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in (stencil.__code__,
+                                                grad.__code__):
+            runs.append(frame.f_back.f_code.co_name)
+
+    model = nonlinearity.quartic_harmonic()
+    tr = integrate(psi_state(0.18), model, t_end=0.2, dt=0.01, m=1.0,
+                   sample_stride=1)
+    monkeypatch.setattr(virials, "deriv1", counting_deriv1)
+    monkeypatch.setattr(nonlinearity.NonlinearityModel, "grad",
+                        counting_grad)
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        reps = verify_identity(tr, ("H_sech_1d", "I_weighted_charge", "J1",
+                                    "J2", "J3", "J4", "J_quartet_combined"),
+                               m=1.0, model=model)
+    finally:
+        sys.setprofile(previous)
+    assert all(rep.passed for rep in reps)
+    n = len(tr)
+    assert 0 < calls["deriv1"] <= 3 * n
+    assert 0 < calls["grad"] <= 2 * n
+    assert sorted(set(runs)) == ["counting_deriv1", "counting_grad"]
+    assert len(runs) == calls["deriv1"] + calls["grad"]
+
+
+def _drifting_scaling():
+    # width and amplitude that move with t, so each sample reads its own
+    # window and no weight table can be shared between samples
+    return ScalingTriple(
+        mu=lambda t: 1.0 + 0.1 * t, lam=lambda t: 2.0 + 0.5 * t,
+        rho=lambda t: 0.3 * t, mu_dot=lambda t: 0.1,
+        lam_dot=lambda t: 0.5, rho_dot=lambda t: 0.3)
+
+
+# system -> (trajectory, model, mass, identities, verifier keywords)
+_BATCHES = {
+    "lab": (lambda: integrate(lab_state(), nonlinearity.gross_neveu(),
+                              t_end=0.2, dt=0.01, m=1.0, sample_stride=2),
+            nonlinearity.gross_neveu(), 1.0,
+            ("I_weighted_charge", "J_chiral_balance"),
+            dict(scaling=_drifting_scaling())),
+    "spinor": (short_psi_traj, nonlinearity.soler(), 1.0,
+               ("H_sech_1d", "I_weighted_charge", "J1", "J2", "J3", "J4",
+                "J_quartet_combined"), {}),
+    "radial": (short_radial_traj, nonlinearity.soler(), 1.0,
+               ("K1_3d", "tK1_3d", "K2_3d", "tK2_3d", "K_combined_3d",
+                "H_radial_r2"), {}),
+}
+
+
+@pytest.mark.parametrize("system", sorted(_BATCHES))
+def test_batched_verification_equals_separate_calls(system):
+    make, model, m, ids, kw = _BATCHES[system]
+    tr = make()
+    batch = verify_identity(tr, ids, m=m, model=model, **kw)
+    assert isinstance(batch, tuple)
+    assert [rep.identity for rep in batch] == list(ids)
+    for rep in batch:
+        alone = verify_identity(fresh_copy(tr), rep.identity, m=m,
+                                model=model, **kw)
+        for key in ("times", "values", "fd", "rhs", "defect"):
+            assert (getattr(rep, key).tobytes()
+                    == getattr(alone, key).tobytes()), (rep.identity, key)
+        assert rep.to_dict() == alone.to_dict()
+    # a single name is a batch of one
+    assert (verify_identity(tr, ids[:1], m=m, model=model, **kw)[0].to_dict()
+            == verify_identity(tr, ids[0], m=m, model=model, **kw).to_dict())
+
+
+def _bare(ident, weight, sc, m, model):
+    """(functional, rate) of a non-quartet identity as plain calls of
+    its public functions on a state at time t."""
+    if ident.startswith("H_"):
+        return (lambda st, t: functional_H(st),
+                lambda st, t: rhs_H(st, model=model))
+    if ident == "I_weighted_charge":
+        return (lambda st, t: functional_I(st, weight, sc, t),
+                lambda st, t: rhs_I(st, weight, sc, t, model=model))
+    return (lambda st, t: virials.functional_J_1d(st, weight,
+                                                  float(sc.lam(t))),
+            lambda st, t: virials.rhs_J_1d(st, weight, float(sc.lam(t)), m,
+                                           float(sc.lam_dot(t)),
+                                           model=model))
+
+
+@pytest.mark.parametrize("system", sorted(_BATCHES))
+def test_pass_is_bitwise_the_bare_public_functions(system):
+    # the identities outside the quartets, against their public functions
+    # called on bare states; the quartets have their own test above
+    make, model, m, ids, kw = _BATCHES[system]
+    tr = make()
+    sc = kw.get("scaling", ScalingTriple.constant())
+    t = tr.times
+    for rep in verify_identity(tr, ids, m=m, model=model, **kw):
+        if any(rep.identity in q.ids for q in QUARTETS.values()):
+            continue
+        functional, rate = _bare(rep.identity, weights.tanh_1d(), sc, m,
+                                 model)
+        f = np.array([functional(st, tk) for st, tk in zip(tr.states, t)])
+        r = np.array([rate(st, tk)
+                      for st, tk in zip(tr.states[1:-1], t[1:-1])])
+        assert_same_report(rep, f[1:-1], (f[2:] - f[:-2]) / (t[2:] - t[:-2]),
+                           r)
+
+
+def test_batched_verification_refuses_by_name(thirring_traj):
+    with pytest.raises(ValueError, match="^H_sech_1d has a fixed weight"):
+        verify_identity(thirring_traj, ("I_weighted_charge", "H_sech_1d"),
+                        weight=weights.tanh_1d())
+    with pytest.raises(ValueError, match="^J1 reads no scaling triple"):
+        verify_identity(thirring_traj, ("I_weighted_charge", "J1"),
+                        scaling=ScalingTriple.constant())
+    with pytest.raises(ValueError,
+                       match="^J1 is not defined on system 'lab_1d'"):
+        verify_identity(thirring_traj, ("I_weighted_charge", "J1"))
+
+
+def test_verification_keeps_one_sample_alive(monkeypatch):
+    # each sample's derived fields are dropped once the next sample
+    # starts, so a pass holds one sample's fields at a time and none
+    # after it
+    made = []
+
+    class Recorded(virials._Sample):
+        def __init__(self, *args):
+            assert sum(ref() is not None for ref in made) <= 1
+            super().__init__(*args)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(virials, "_Sample", Recorded)
+    tr = short_psi_traj()
+    verify_identity(tr, ("J1", "J_quartet_combined", "H_sech_1d"), m=1.0,
+                    model=nonlinearity.soler())
+    assert len(made) == len(tr)
+    assert all(ref() is None for ref in made)
+    assert virials._current is None
 
 
 def test_stacked_deriv1_rows_equal_per_row_calls():
@@ -436,8 +592,9 @@ def test_radial_quartet_fields_take_component_parity():
     # first two nodes; the W rows of a diagonal coupling keep the
     # (even, even, odd, odd) parity of the components
     rg = RadialGrid(10.0, 64)
-    p, d, w, e = virials._quartet_fields(origin_state(rg, 0.4),
-                                         nonlinearity.soler())
+    sample = virials._Sample(origin_state(rg, 0.4), {})
+    p, d = sample.quartet()
+    w, e = sample.w_rows(nonlinearity.soler())
     for rows, parity in ((slice(0, 2), "even"), (slice(2, 4), "odd")):
         assert np.array_equal(d[rows], deriv1(p[rows], rg, parity=parity))
         assert np.array_equal(e[rows], deriv1(w[rows], rg, parity=parity))
@@ -502,7 +659,9 @@ def _rhs_K_combined_closed(state, weight, m=1.0, model=None):
     """
     g = state.grid
     r = g.r
-    p, d, w, e = virials._quartet_fields(state, model)
+    sample = virials._Sample(state, {})
+    p, d = sample.quartet()
+    w, e = sample.w_rows(model) if model is not None else (None, None)
     p11, p12, p21, p22 = p
     d11, d12, d21, d22 = d
     phi = weight.phi(r)
