@@ -106,8 +106,8 @@ def _cmd_verify_virial(args):
     config.require_identities([args.identity])
     model, traj = integrate_scenario(config)
     out_dir = _ensure_dir(args.out, config.out_dir)
-    [(rep, fname)] = _verify_and_write(traj, [args.identity], config,
-                                       model, out_dir)
+    rep, fname = _verify_and_write(traj, args.identity, config, model,
+                                   out_dir)
     payload = rep.to_dict()
     payload["csv"] = os.path.join(out_dir, fname)
     _print(json.dumps(payload, indent=2, sort_keys=True))

@@ -146,9 +146,6 @@ class Trajectory:
     boundary_mass : per-sample mass in the sponge zone next to the
         pinned edge nodes.
     max_abs : per-sample max |field| over components and nodes.
-
-    Nothing derived from the samples is cached on it, so a state mutated
-    in place is read afresh by every later check.
     """
 
     def __init__(self, times, states, boundary_mass, max_abs):
@@ -156,6 +153,11 @@ class Trajectory:
         self.states = list(states)
         self.boundary_mass = np.asarray(boundary_mass, dtype=float)
         self.max_abs = np.asarray(max_abs, dtype=float)
+        # per-identity series of the quartet families (J1..J4 and their
+        # combination on the line, K1..tK2 and theirs radially) that
+        # virials.verify_identity evaluates together and keeps; see its
+        # docstring
+        self._memo = {}
 
     def __len__(self):
         return len(self.states)

@@ -669,18 +669,15 @@ def _conservation(series):
     return out
 
 
-def _verify_and_write(traj, identities, config, model, out_dir):
-    """Verify identities along ``traj`` in one pass and write each one's
-    virial_<ident>.csv; returns (report, file name) per identity."""
-    out = []
-    for rep in verify_identity(traj, identities, m=config.mass,
-                               model=model):
-        fname = f"virial_{rep.identity}.csv"
-        _write_csv(os.path.join(out_dir, fname),
-                   ["t", "F", "FD", "RHS", "defect"],
-                   [rep.times, rep.values, rep.fd, rep.rhs, rep.defect])
-        out.append((rep, fname))
-    return out
+def _verify_and_write(traj, ident, config, model, out_dir):
+    """Verify one identity along ``traj`` and write virial_<ident>.csv;
+    returns the report and the file name."""
+    rep = verify_identity(traj, ident, m=config.mass, model=model)
+    fname = f"virial_{ident}.csv"
+    _write_csv(os.path.join(out_dir, fname),
+               ["t", "F", "FD", "RHS", "defect"],
+               [rep.times, rep.values, rep.fd, rep.rhs, rep.defect])
+    return rep, fname
 
 
 def integrate_scenario(config):
@@ -709,11 +706,10 @@ def _run(config, out_root=None):
     _write_csv(os.path.join(out_dir, "trajectory.csv"), header, columns)
 
     virials = {}
-    if config.identities:
-        for rep, fname in _verify_and_write(traj, config.identities, config,
-                                            model, out_dir):
-            virials[rep.identity] = rep.to_dict()
-            files.append(fname)
+    for ident in config.identities:
+        rep, fname = _verify_and_write(traj, ident, config, model, out_dir)
+        virials[ident] = rep.to_dict()
+        files.append(fname)
 
     decay = {}
     for region in config.regions:

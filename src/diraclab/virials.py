@@ -35,9 +35,13 @@ identities. Each sample gets a ``_Sample``: the derived fields its
 functionals and rates read (the quartet block and its derivative, the W
 rows and theirs, the coupling's gradient pair, each quartet vector),
 computed on first use, shared, and dropped once the sample is done.
-Weight tables on the grid nodes are evaluated once per pass. A public
-function called on a bare state derives its own fields, with the same
-arithmetic and so bitwise the same values.
+Weight tables on the grid nodes are evaluated once per pass. The pass
+hands the sample to the public functions as their keyword-only
+``_sample``; called without it, on a bare state, they derive their own
+fields with the same arithmetic and so bitwise the same values. The
+identities of a quartet family are evaluated together, and their series
+are kept on the trajectory, so that they share one pass also when they
+are verified one call at a time.
 """
 
 from collections import namedtuple
@@ -245,9 +249,6 @@ def _require_model(model, state, who):
 # ---------------------------------------------------------------------------
 # derived fields of one sample
 
-_SINGULAR = ("phi_over_r", "phi_over_r3", "dphi_over_r")
-
-
 def _once(method):
     """A _Sample method computed once per sample and arguments."""
     def shared(self, *args):
@@ -277,8 +278,7 @@ class _Sample:
         if key not in self.tables:
             st = self.state
             x = st.grid.r if isinstance(st, RadialSpinorState) else st.grid.x
-            self.tables[key] = (weight.sing(name, x) if name in _SINGULAR
-                                else getattr(weight, name)(x))
+            self.tables[key] = weight.at(name, x)
         return self.tables[key]
 
     @_once
@@ -332,20 +332,14 @@ class _Sample:
         module attribute, so that a patched one sees the call."""
         fn = globals()[name]
         if name.startswith("rhs"):
-            return fn(self.state, weight, m, model)
-        return fn(self.state, weight, m)
+            return fn(self.state, weight, m, model, _sample=self)
+        return fn(self.state, weight, m, _sample=self)
 
 
-# the _Sample that verify_identity is evaluating, or None
-_current = None
-
-
-def _sample(state):
-    """The derived fields of ``state``: the verifier's current sample,
-    or fresh ones for a state called bare."""
-    if _current is not None and _current.state is state:
-        return _current
-    return _Sample(state, {})
+def _fields(state, sample):
+    """The derived fields to read for ``state``: the ``_sample`` a
+    verification pass handed in, or fresh ones for a bare call."""
+    return _Sample(state, {}) if sample is None else sample
 
 
 def _real_pair(state):
@@ -354,13 +348,14 @@ def _real_pair(state):
     return np.ascontiguousarray(f.real), np.ascontiguousarray(f.imag)
 
 
-def _charge_flux(state, model):
-    """Pointwise rate the coupling pumps charge density.
+def _charge_flux(s, model):
+    """Pointwise rate the coupling pumps charge density at sample ``s``.
 
     Zero for any coupling invariant under a common phase; kept exact
     here so non-invariant models can still be verified.
     """
-    w1, w2 = _sample(state).grad(model)
+    state = s.state
+    w1, w2 = s.grad(model)
     if state.kind == "lab_uv":
         return (np.conj(state.u) * w1).imag + (np.conj(state.v) * w2).imag
     p1, p2 = state.psi1, state.psi2
@@ -370,16 +365,17 @@ def _charge_flux(state, model):
 # ---------------------------------------------------------------------------
 # weighted charge with a scaling triple
 
-def functional_I(state, weight, scaling, t=None):
+def functional_I(state, weight, scaling, t=None, *, _sample=None):
     """Weighted charge (1/mu) * integral of phi((x+rho)/lam) |psi|^2."""
     _require_1d(state, "functional_I")
     t = state.t if t is None else float(t)
     mu, lam = scaling.check(t)
     s = (state.grid.x + scaling.rho(t)) / lam
-    return quad(weight.phi(s) * _sample(state).density(), state.grid) / mu
+    dens = _fields(state, _sample).density()
+    return quad(weight.phi(s) * dens, state.grid) / mu
 
 
-def rhs_I(state, weight, scaling, t=None, model=None):
+def rhs_I(state, weight, scaling, t=None, model=None, *, _sample=None):
     """Analytic d/dt of ``functional_I`` along the flow.
 
     Four groups: amplitude drift, center drift, width drift, and the
@@ -397,7 +393,8 @@ def rhs_I(state, weight, scaling, t=None, model=None):
     s = (g.x + scaling.rho(t)) / lam
     phi = weight.phi(s)
     dphi = weight.dphi(s)
-    dens = _sample(state).density()
+    sample = _fields(state, _sample)
+    dens = sample.density()
     split = _default_alpha(state.kind)
     u1, u2 = _real_pair(state)
     a_r, a_i = split.alpha_r, split.alpha_i
@@ -409,7 +406,7 @@ def rhs_I(state, weight, scaling, t=None, model=None):
            - scaling.lam_dot(t) / (mu * lam) * quad(dphi * s * dens, g)
            + quad(dphi * bracket, g) / (mu * lam))
     if model is not None:
-        out += 2.0 / mu * quad(phi * _charge_flux(state, model), g)
+        out += 2.0 / mu * quad(phi * _charge_flux(sample, model), g)
     return out
 
 
@@ -426,7 +423,8 @@ def functional_J_1d(state, weight, lam=1.0):
     return quad(weight.phi(s) * chi, state.grid)
 
 
-def rhs_J_1d(state, weight, lam=1.0, m=1.0, lam_dot=0.0, model=None):
+def rhs_J_1d(state, weight, lam=1.0, m=1.0, lam_dot=0.0, model=None, *,
+             _sample=None):
     """d/dt of the window chiral balance.
 
     Three universal terms (window drift, advected total density, mass
@@ -443,13 +441,14 @@ def rhs_J_1d(state, weight, lam=1.0, m=1.0, lam_dot=0.0, model=None):
     s = g.x / lam
     phi = weight.phi(s)
     dphi = weight.dphi(s)
-    dens = _sample(state).density()
+    sample = _fields(state, _sample)
+    dens = sample.density()
     chi = np.abs(state.u) ** 2 - np.abs(state.v) ** 2
     out = (-lam_dot / lam * quad(s * dphi * chi, g)
            + quad(dphi * dens, g) / lam
            + 4.0 * m * quad(phi * (state.u * np.conj(state.v)).imag, g))
     if model is not None:
-        w1, w2 = _sample(state).grad(model)
+        w1, w2 = sample.grad(model)
         flux = (np.conj(state.u) * w1).imag - (np.conj(state.v) * w2).imag
         out += 2.0 * quad(phi * flux, g)
     return out
@@ -466,7 +465,7 @@ def _bk(phi, dphi, f, df):
 # ---------------------------------------------------------------------------
 # first-derivative quartet on the line (spinor frame, real components)
 
-def functionals_J1_to_J4(state, weight, m=1.0):
+def functionals_J1_to_J4(state, weight, m=1.0, *, _sample=None):
     """Four pairings [phi f' + phi'/2 f](g' + m h) over the components.
 
     Ordering: (11 vs 22), (12 vs 21), (22 vs 11), (21 vs 12), i.e. each
@@ -474,7 +473,7 @@ def functionals_J1_to_J4(state, weight, m=1.0):
     """
     _require_spinor(state, "functionals_J1_to_J4")
     g = state.grid
-    s = _sample(state)
+    s = _fields(state, _sample)
     (p11, p12, p21, p22), (d11, d12, d21, d22) = s.quartet()
     b11, b12, b21, b22 = s.brackets(weight)
     return np.array([
@@ -485,7 +484,7 @@ def functionals_J1_to_J4(state, weight, m=1.0):
     ])
 
 
-def rhs_J1_to_J4(state, weight, m=1.0, model=None):
+def rhs_J1_to_J4(state, weight, m=1.0, model=None, *, _sample=None):
     """Analytic derivatives of the four pairings, coupling terms exact.
 
     Each rate has a quadratic core (phi' against the squared component
@@ -496,7 +495,7 @@ def rhs_J1_to_J4(state, weight, m=1.0, model=None):
     _require_spinor(state, "rhs_J1_to_J4")
     _require_model(model, state, "rhs_J1_to_J4")
     g = state.grid
-    s = _sample(state)
+    s = _fields(state, _sample)
     p, d = s.quartet()
     w, e = s.w_rows(model) if model is not None else (np.zeros_like(p),) * 2
     p11, p12, p21, p22 = p
@@ -526,7 +525,7 @@ def rhs_J1_to_J4(state, weight, m=1.0, model=None):
     return np.array([dj1, dj2, dj3, dj4])
 
 
-def rhs_J_combined_1d(state, weight, m=1.0, model=None):
+def rhs_J_combined_1d(state, weight, m=1.0, model=None, *, _sample=None):
     """Closed form of d/dt(J1 - J2 + J3 - J4).
 
     The quadratic cores collapse to -phi' against the total squared
@@ -539,7 +538,7 @@ def rhs_J_combined_1d(state, weight, m=1.0, model=None):
     _require_spinor(state, "rhs_J_combined_1d")
     _require_model(model, state, "rhs_J_combined_1d")
     g = state.grid
-    s = _sample(state)
+    s = _fields(state, _sample)
     p, d = s.quartet()
     p11, p12, p21, p22 = p
     d11, d12, d21, d22 = d
@@ -577,7 +576,7 @@ def _require_radial_weight(weight, who):
                 f"closed-form quotient {key!r}")
 
 
-def functionals_K_3d(state, weight, m=1.0):
+def functionals_K_3d(state, weight, m=1.0, *, _sample=None):
     """Radial pairings (K1, tK1, K2, tK2) with line-measure integrals.
 
     The even-type components ride the full radial transport d_r + 2/r;
@@ -587,7 +586,7 @@ def functionals_K_3d(state, weight, m=1.0):
     _require_radial_weight(weight, "functionals_K_3d")
     g = state.grid
     r = g.r
-    s = _sample(state)
+    s = _fields(state, _sample)
     (p11, p12, p21, p22), (d11, d12, d21, d22) = s.quartet()
     b11, b12, b21, b22 = s.brackets(weight)
 
@@ -614,7 +613,7 @@ def _quadratic_R2(s, weight, f, df):
                      measure="line")
 
 
-def rhs_K_3d(state, weight, m=1.0, model=None):
+def rhs_K_3d(state, weight, m=1.0, model=None, *, _sample=None):
     """Analytic derivatives of the four radial pairings.
 
     Quadratic parts via the two closed-form pairings (the odd-type
@@ -627,7 +626,7 @@ def rhs_K_3d(state, weight, m=1.0, model=None):
     _require_model(model, state, "rhs_K_3d")
     g = state.grid
     r = g.r
-    s = _sample(state)
+    s = _fields(state, _sample)
     p, d = s.quartet()
     w, e = s.w_rows(model) if model is not None else (np.zeros_like(p),) * 2
     p11, p12, p21, p22 = p
@@ -664,14 +663,14 @@ _H_RADIAL = r2_over_1pr4_weight()
 _H_LINE = sech_1d()
 
 
-def functional_H(state):
+def functional_H(state, *, _sample=None):
     """Localized density, its window taken from the state's geometry.
 
     A radial state is weighed by r^2/(1+r)^4, a spinor-frame state on
     the line by a sech window with a factor 1/2; ``rhs_H`` bakes in the
     same conventions. A lab-frame state is refused.
     """
-    s = _sample(state)
+    s = _fields(state, _sample)
     if isinstance(state, RadialSpinorState):
         return quad(s.table(_H_RADIAL, "phi") * s.density(), state.grid,
                     measure="line")
@@ -679,13 +678,13 @@ def functional_H(state):
     return 0.5 * quad(s.table(_H_LINE, "phi") * s.density(), state.grid)
 
 
-def rhs_H(state, model=None):
+def rhs_H(state, model=None, *, _sample=None):
     """Analytic d/dt of ``functional_H``, in the state's geometry.
 
     The mass term cancels in both geometries; what is left is the
     weighted transport current and, with a model, the coupling flux.
     """
-    s = _sample(state)
+    s = _fields(state, _sample)
     if isinstance(state, RadialSpinorState):
         _require_model(model, state, "rhs_H")
         g = state.grid
@@ -751,29 +750,31 @@ _J = ("functionals_J1_to_J4", "rhs_J1_to_J4")
 _K = ("functionals_K_3d", "rhs_K_3d")
 _PSI = ("spinor_1d",)
 _RADIAL = ("radial_3d",)
-_H = (lambda a, s, t: functional_H(s.state),
-      lambda a, s, t: rhs_H(s.state, model=a.model))
+_H = (lambda a, s, t: functional_H(s.state, _sample=s),
+      lambda a, s, t: rhs_H(s.state, model=a.model, _sample=s))
 
 _IDENTITIES = {
     "I_weighted_charge": _Identity(
         ("lab_1d", "spinor_1d"), tanh_1d, True,
-        lambda a, s, t: functional_I(s.state, a.weight, a.scaling, t),
+        lambda a, s, t: functional_I(s.state, a.weight, a.scaling, t,
+                                     _sample=s),
         lambda a, s, t: rhs_I(s.state, a.weight, a.scaling, t,
-                              model=a.model)),
+                              model=a.model, _sample=s)),
     "J_chiral_balance": _Identity(
         ("lab_1d",), tanh_1d, True,
         lambda a, s, t: functional_J_1d(s.state, a.weight,
                                         float(a.scaling.lam(t))),
         lambda a, s, t: rhs_J_1d(s.state, a.weight, float(a.scaling.lam(t)),
                                  a.m, float(a.scaling.lam_dot(t)),
-                                 model=a.model)),
+                                 model=a.model, _sample=s)),
     "J1": _Identity(_PSI, tanh_1d, False, *_slot(_J, 0)),
     "J2": _Identity(_PSI, tanh_1d, False, *_slot(_J, 1)),
     "J3": _Identity(_PSI, tanh_1d, False, *_slot(_J, 2)),
     "J4": _Identity(_PSI, tanh_1d, False, *_slot(_J, 3)),
     "J_quartet_combined": _Identity(
         _PSI, tanh_1d, False, _quartet(_J[0], _combined_j),
-        lambda a, s, t: rhs_J_combined_1d(s.state, a.weight, a.m, a.model)),
+        lambda a, s, t: rhs_J_combined_1d(s.state, a.weight, a.m, a.model,
+                                          _sample=s)),
     "K1_3d": _Identity(_RADIAL, r32_weight, False, *_slot(_K, 0)),
     "tK1_3d": _Identity(_RADIAL, r32_weight, False, *_slot(_K, 1)),
     "K2_3d": _Identity(_RADIAL, r32_weight, False, *_slot(_K, 2)),
@@ -784,6 +785,17 @@ _IDENTITIES = {
     "H_sech_1d": _Identity(_PSI, None, False, *_H),
     "H_radial_r2": _Identity(_RADIAL, None, False, *_H),
 }
+
+
+# identities that read one sample's quartet fields: a pass that needs
+# one of a family evaluates all of it
+_FAMILIES = (("J1", "J2", "J3", "J4", "J_quartet_combined"),
+             ("K1_3d", "tK1_3d", "K2_3d", "tK2_3d", "K_combined_3d"))
+
+
+def _family(name):
+    """The names evaluated together with identity ``name``."""
+    return next((f for f in _FAMILIES if name in f), (name,))
 
 
 def identity_ids(system=None):
@@ -818,17 +830,19 @@ def verify_identity(trajectory, identities, weight=None, scaling=None,
     would not read it: the H identities have fixed weights, and only
     those two identities read a scaling.
 
-    The samples are walked once, for all identities together. Each
-    sample's derived fields (see ``_Sample``) are computed once and
-    shared: J1, J2, J3, J4 and J_quartet_combined evaluate the sample's
-    J1..J4 functionals and rates once between them, and K1_3d, tK1_3d,
-    K2_3d, tK2_3d and K_combined_3d do the same for the radial quartet.
-    The fields are dropped after their sample, and weight tables on the
-    grid nodes are evaluated once per call. Every value is bitwise that
-    of a separate call per identity.
+    The samples are walked once for all the identities a call needs.
+    Each sample's derived fields (see ``_Sample``) are computed once,
+    shared between the identities and dropped after the sample; weight
+    tables on the grid nodes are evaluated once per call. An identity of
+    a quartet family (``_FAMILIES``) brings the whole family into the
+    pass, and the family's series are kept on the trajectory per
+    (weight, mass, model), so that its five identities cost one pass
+    whether they are asked for together or one by one. Mutating a
+    sampled state in place after it was verified is unsupported: later
+    quartet checks would reuse the kept series. Every value is bitwise
+    that of the public functions called on the bare states.
     """
     names = (identities,) if isinstance(identities, str) else identities
-    rows = []
     for name in names:
         row = _IDENTITIES.get(name)
         if row is None:
@@ -838,15 +852,21 @@ def verify_identity(trajectory, identities, weight=None, scaling=None,
             raise ValueError(f"{name} has a fixed weight; got {weight!r}")
         if scaling is not None and not row.scaling:
             raise ValueError(f"{name} reads no scaling triple")
-        rows.append(row)
     trajectory.sample_step("verify_identity")
     times = trajectory.times
     states = trajectory.states
     system = _system(states[0])
-    for name, row in zip(names, rows):
-        if system not in row.systems:
+    for name in names:
+        if system not in _IDENTITIES[name].systems:
             raise ValueError(f"{name} is not defined on system {system!r}")
     m = float(m)
+    kept = trajectory._memo.setdefault((weight, m, model), {})
+    todo = []
+    for name in names:
+        for member in _family(name):
+            if member not in kept and member not in todo:
+                todo.append(member)
+    rows = [_IDENTITIES[name] for name in todo]
     scaling = ScalingTriple.constant() if scaling is None else scaling
     # one default weight per factory, so that the rows share its tables
     defaults = {} if weight is not None else {
@@ -854,25 +874,25 @@ def verify_identity(trajectory, identities, weight=None, scaling=None,
     args = [_Args(defaults.get(row.weight, weight), scaling, m, model)
             for row in rows]
 
-    global _current
     n = len(states)
     f_vals = np.empty((len(rows), n))
     rhs = np.empty((len(rows), n - 2))
     tables = {}
-    try:
-        for k, (t, state) in enumerate(zip(times, states)):
-            _current = sample = _Sample(state, tables)
-            for i, (row, a) in enumerate(zip(rows, args)):
-                f_vals[i, k] = row.functional(a, sample, t)
-                if 0 < k < n - 1:
-                    rhs[i, k - 1] = row.rate(a, sample, t)
-    finally:
-        _current = None
-    fd = (f_vals[:, 2:] - f_vals[:, :-2]) / (times[2:] - times[:-2])
-    reports = tuple(
-        VirialReport(name, times[1:-1], f_vals[i, 1:-1], fd[i], rhs[i])
-        for i, name in enumerate(names))
-    return reports[0] if isinstance(identities, str) else reports
+    for k, (t, state) in enumerate(zip(times, states)):
+        sample = _Sample(state, tables)
+        for i, (row, a) in enumerate(zip(rows, args)):
+            f_vals[i, k] = row.functional(a, sample, t)
+            if 0 < k < n - 1:
+                rhs[i, k - 1] = row.rate(a, sample, t)
+    series = dict(zip(todo, zip(f_vals, rhs)))
+    kept.update((name, fr) for name, fr in series.items()
+                if len(_family(name)) > 1)
+    reports = []
+    for name in names:
+        f, r = series.get(name) or kept[name]
+        fd = (f[2:] - f[:-2]) / (times[2:] - times[:-2])
+        reports.append(VirialReport(name, times[1:-1], f[1:-1], fd, r))
+    return reports[0] if isinstance(identities, str) else tuple(reports)
 
 
 # ---------------------------------------------------------------------------
@@ -950,7 +970,7 @@ def origin_flux_radial(state):
     _require_radial(state, "origin_flux_radial")
     g = state.grid
     r = g.r
-    d11, d12, d21, d22 = _sample(state).quartet()[1]
+    d11, d12, d21, d22 = _Sample(state, {}).quartet()[1]
     grad_sq = d11 ** 2 + d12 ** 2 + d21 ** 2 + d22 ** 2
     return quad(np.sqrt(r) * grad_sq / (1.0 + r), g, measure="line") \
         + quad(state.density() / (r ** 1.5 * (1.0 + r)), g, measure="line")

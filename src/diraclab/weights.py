@@ -45,6 +45,13 @@ class WeightSpec:
                 f"weight '{self.name}' lacks singular combination '{key}'")
         return self.singular[key](r)
 
+    def at(self, name, x):
+        """Weight function ``name`` (phi, dphi, d2phi, d3phi) or
+        singular quotient ``name`` (see ``sing``) at x."""
+        if name in ("phi", "dphi", "d2phi", "d3phi"):
+            return getattr(self, name)(x)
+        return self.sing(name, x)
+
     def __repr__(self):
         return f"WeightSpec({self.name!r})"
 

@@ -220,27 +220,25 @@ def test_observables_are_looked_up_at_call_time(tmp_path, monkeypatch):
     assert calls == {name: 11 for name in names}
 
 
-@pytest.mark.parametrize("identities, calls", [
-    ("H_sech_1d, I_weighted_charge, J1, J2, J3, J4, J_quartet_combined", 1),
-    ("", 0),
-])
-def test_runner_verifies_in_one_call(tmp_path, monkeypatch, identities,
-                                     calls):
-    # a profiler times verification by wrapping this module attribute;
-    # the runner reaches it once for all identities, and not at all
-    # without any
+@pytest.mark.parametrize("identities", [
+    "H_sech_1d, I_weighted_charge, J1, J2, J3, J4, J_quartet_combined", ""])
+def test_runner_verifies_each_identity_in_one_call(tmp_path, monkeypatch,
+                                                    identities):
+    # a profiler times verification by wrapping this module attribute and
+    # counts one call per identity; the quartet family still costs one
+    # pass, because verify_identity keeps its series on the trajectory
     seen = []
     original = scenarios.verify_identity
 
-    def counting(traj, names, **kwargs):
-        seen.append(tuple(names))
-        return original(traj, names, **kwargs)
+    def counting(traj, name, **kwargs):
+        seen.append(name)
+        return original(traj, name, **kwargs)
 
     monkeypatch.setattr(scenarios, "verify_identity", counting)
     config = ScenarioConfig.from_text(
         _text(_SPINOR, parity="odd", identities=identities), name="one")
     summary = run_scenario(config, out_root=tmp_path)
-    assert seen == [config.identities] * calls
+    assert seen == list(config.identities)
     assert list(summary.virials) == list(config.identities)
     assert summary.files == (["trajectory.csv"]
                              + [f"virial_{i}.csv" for i in config.identities]

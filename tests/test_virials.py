@@ -381,11 +381,12 @@ def test_memoized_quartet_is_bitwise_the_public_functions(family):
 
 
 @pytest.mark.parametrize("family", sorted(QUARTETS))
-def test_quartet_sharing_is_keyed_by_weight_mass_and_model(family):
+def test_quartet_memo_is_keyed_by_weight_mass_and_model(family):
     q = QUARTETS[family]
     tr = q.traj()
     soler = nonlinearity.soler()
-    verify_identity(tr, q.ids, m=1.0, model=soler)
+    for ident in q.ids:
+        verify_identity(tr, ident, m=1.0, model=soler)
     for kw in (dict(m=-1.0, model=soler), dict(m=1.0, model=None),
                dict(m=1.0, model=soler, weight=q.alt_weight())):
         for ident in q.ids:
@@ -409,17 +410,27 @@ def test_quartet_is_evaluated_once_per_sample(family, monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(virials, name, counting(name))
-    tr = q.traj()
-    verify_identity(tr, q.ids, m=1.0, model=nonlinearity.soler())
-    n = len(tr)
-    assert calls == {q.functionals: n, q.rates: n - 2}
+    model = nonlinearity.soler()
+    # one batched call, then one call per identity as the runner makes
+    for batches in ([q.ids], q.ids):
+        tr = q.traj()
+        calls.update(dict.fromkeys(calls, 0))
+        for ids in batches:
+            verify_identity(tr, ids, m=1.0, model=model)
+        n = len(tr)
+        assert calls == {q.functionals: n, q.rates: n - 2}
 
 
-def test_pass_derives_each_sample_field_once(monkeypatch):
+@pytest.mark.parametrize("together, grads", [(True, 2), (False, 3)])
+def test_pass_derives_each_sample_field_once(monkeypatch, together, grads):
     # a profiler counts stencil passes and gradients by patching
     # virials.deriv1 and NonlinearityModel.grad; on the seven spinor
     # identities a sample takes the quartet's, the W rows' and H's
-    # stencil passes, and one gradient pair besides the W rows' own
+    # stencil passes, and one gradient pair besides the W rows' own when
+    # they are verified together; one call per identity, as the runner
+    # makes them, takes H's and I's gradient pairs apart
+    ids = ("H_sech_1d", "I_weighted_charge", "J1", "J2", "J3", "J4",
+           "J_quartet_combined")
     stencil = virials.deriv1
     grad = nonlinearity.NonlinearityModel.grad
     calls = Counter()
@@ -447,15 +458,17 @@ def test_pass_derives_each_sample_field_once(monkeypatch):
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        reps = verify_identity(tr, ("H_sech_1d", "I_weighted_charge", "J1",
-                                    "J2", "J3", "J4", "J_quartet_combined"),
-                               m=1.0, model=model)
+        reps = [verify_identity(tr, batch, m=1.0, model=model)
+                for batch in ([ids] if together else ids)]
     finally:
         sys.setprofile(previous)
+    if together:
+        [reps] = reps
+    assert [rep.identity for rep in reps] == list(ids)
     assert all(rep.passed for rep in reps)
     n = len(tr)
     assert 0 < calls["deriv1"] <= 3 * n
-    assert 0 < calls["grad"] <= 2 * n
+    assert 0 < calls["grad"] <= grads * n
     assert sorted(set(runs)) == ["counting_deriv1", "counting_grad"]
     assert len(runs) == calls["deriv1"] + calls["grad"]
 
@@ -570,7 +583,6 @@ def test_verification_keeps_one_sample_alive(monkeypatch):
                     model=nonlinearity.soler())
     assert len(made) == len(tr)
     assert all(ref() is None for ref in made)
-    assert virials._current is None
 
 
 def test_stacked_deriv1_rows_equal_per_row_calls():

@@ -98,6 +98,17 @@ def test_missing_singular_key_raises():
     assert not sp.singular
     with pytest.raises(KeyError):
         sp.sing("phi_over_r", np.array([1.0]))
+    with pytest.raises(KeyError):
+        sp.at("phi_over_r", np.array([1.0]))
+
+
+@pytest.mark.parametrize("spec", RADIAL_WEIGHTS, ids=lambda s: s.name)
+def test_at_reads_derivatives_and_singular_quotients(spec):
+    r = np.linspace(0.05, 30.0, 50)
+    for name in ("phi", "dphi", "d2phi", "d3phi"):
+        assert np.array_equal(spec.at(name, r), getattr(spec, name)(r))
+    for key in spec.singular:
+        assert np.array_equal(spec.at(key, r), spec.sing(key, r))
 
 
 def test_half_tanh_partition_of_unity():
