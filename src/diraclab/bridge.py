@@ -17,7 +17,7 @@ evolution uses.
 
 import numpy as np
 
-from .dynamics import SpinorState1D
+from .dynamics import require_line
 from .grids import deriv1, quad
 from .nonlinearity import check_harmonic
 
@@ -95,10 +95,7 @@ def gronwall_monitor(trajectory, model, m=1.0):
     first-order system under them.
     """
     dt_s = trajectory.sample_step("gronwall_monitor")
-    st = trajectory.states[0]
-    if not isinstance(st, SpinorState1D) or st.kind != "spinor_psi":
-        raise ValueError("gronwall_monitor works on spinor-frame 1D "
-                         "trajectories; map frames first")
+    require_line(trajectory.states[0], "gronwall_monitor", "spinor_psi")
     if model is None:
         raise ValueError("gronwall_monitor needs the model the run was "
                          "generated with")

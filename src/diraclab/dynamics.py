@@ -19,6 +19,10 @@ fields (p11, p12, p21, p22), psi_j = p_j1 + i p_j2, on a cell-centered
 grid in r > 0, with (p11, p12) even-extendable and (p21, p22)
 odd-extendable through the origin.
 
+A function that reads one geometry, or one frame of the line, refuses
+any other state through :func:`require_line` or :func:`require_radial`,
+so every such refusal raises the same exception with the same message.
+
 :func:`integrate` sets every stepped float below ``_FLOOR`` = sqrt(DBL_MIN)
 (about 1.49e-154) in magnitude to +0.0 after each step. The square of
 such a value is not a normal double, so it adds nothing representable to
@@ -134,6 +138,29 @@ class RadialSpinorState:
 
     def copy(self):
         return RadialSpinorState(self.grid, self.fields.copy(), self.t)
+
+
+_FRAME_NAMES = {"lab_uv": "lab", "spinor_psi": "spinor"}
+
+
+def require_line(state, who, kind=None):
+    """Refuse, naming the caller ``who``, anything but a line state, and
+    with ``kind`` given, a line state in the other frame.
+
+    A wrong geometry raises TypeError, a wrong frame ValueError.
+    """
+    if not isinstance(state, SpinorState1D):
+        raise TypeError(f"{who} needs a SpinorState1D")
+    if kind is not None and state.kind != kind:
+        raise ValueError(f"{who} lives in the {_FRAME_NAMES[kind]} frame; "
+                         "map frames first")
+
+
+def require_radial(state, who):
+    """Refuse, with TypeError naming the caller ``who``, anything but a
+    radial state."""
+    if not isinstance(state, RadialSpinorState):
+        raise TypeError(f"{who} needs a RadialSpinorState")
 
 
 class Trajectory:

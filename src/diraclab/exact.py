@@ -1,8 +1,13 @@
-"""Closed-form reference solutions and the lab/psi change of frame."""
+"""Closed-form reference solutions and the lab/psi change of frame.
+
+The frame maps act on line states only, each from its one frame (see
+:func:`diraclab.dynamics.require_line`). The spinor-frame image of the
+lab ``thirring`` interaction is the catalog's ``thirring_psi``.
+"""
 
 import numpy as np
 
-from .dynamics import SpinorState1D
+from .dynamics import SpinorState1D, require_line
 from .grids import Grid1D
 
 # Coupling constant at which the standing-wave profile below solves the
@@ -33,8 +38,7 @@ def inverse_t_transform(psi1, psi2):
 
 def to_spinor_frame(state):
     """SpinorState1D in the lab frame -> same instant in the psi frame."""
-    if state.kind != "lab_uv":
-        raise ValueError("to_spinor_frame expects kind 'lab_uv'")
+    require_line(state, "to_spinor_frame", "lab_uv")
     p1, p2 = t_transform(state.fields[0], state.fields[1])
     return SpinorState1D(state.grid, "spinor_psi", np.vstack([p1, p2]),
                          state.t)
@@ -42,36 +46,9 @@ def to_spinor_frame(state):
 
 def to_lab_frame(state):
     """SpinorState1D in the psi frame -> same instant in the lab frame."""
-    if state.kind != "spinor_psi":
-        raise ValueError("to_lab_frame expects a psi-frame state")
+    require_line(state, "to_lab_frame", "spinor_psi")
     u, v = inverse_t_transform(state.fields[0], state.fields[1])
     return SpinorState1D(state.grid, "lab_uv", np.vstack([u, v]), state.t)
-
-
-def t_transform_model(model):
-    """Psi-frame image of a lab-frame nonlinearity.
-
-    If (u, v) solves the lab system with gradient pair (W1, W2), then
-    psi = T(u, v) solves the psi-frame system with
-        hat W1 = i (W1 - W2) o T^{-1},   hat W2 = -(W1 + W2) o T^{-1}.
-    The psi-frame equations carry the pair with opposite signs (-hat W1
-    on the first line, +hat W2 on the second), so the image is not a
-    joint conjugate-gradient pair and no potential is attached.
-    """
-    from .nonlinearity import NonlinearityModel
-    if model.arity != "lab_uv":
-        raise ValueError("t_transform_model expects a lab_uv model")
-
-    def slots(a, b, c, d):
-        return ((1j * a - c) / 2.0, (-1j * b - d) / 2.0,
-                (-1j * a - c) / 2.0, (1j * b - d) / 2.0)
-
-    def grad(a, b, c, d):
-        w1, w2 = model.eval_grad(*slots(a, b, c, d))
-        return 1j * (w1 - w2), -(w1 + w2)
-
-    return NonlinearityModel(f"t_image_{model.name}", "spinor_psi",
-                             model.p, grad, None, model.coupling)
 
 
 class SolitonParams:

@@ -140,6 +140,8 @@ class NonlinearityModel:
         return W1.real, W1.imag, W2.real, W2.imag
 
     def potential(self, z1, z2):
+        """On-shell potential W at the state (z1, z2); the one refusal of
+        a model that carries none."""
         if self.eval_W is None:
             raise ValueError(f"model {self.name!r} carries no potential W")
         return self.eval_W(np.asarray(z1, dtype=complex),
@@ -194,21 +196,23 @@ def bec_resonance(coupling=1.0):
 
 
 def thirring_psi(coupling=1.0):
-    """The quartic pair W_j = (coupling/4)(psi1^2 + psi2^2) conj(psi_j).
+    """`thirring` rewritten in the spinor frame:
+    W1 = -(coupling/4)(psi1^2 + psi2^2) conj(psi1),
+    W2 = +(coupling/4)(psi1^2 + psi2^2) conj(psi2).
 
-    The same interaction as `thirring`, rewritten in the spinor frame;
-    the harmonic checker must reject it.
+    A spinor-frame run with it is the image under the frame map (see
+    :func:`diraclab.exact.to_spinor_frame`) of the lab run with
+    ``thirring(coupling)``. The spinor-frame equations carry the pair
+    with the signs (-W1, +W2), so it is no joint conjugate gradient and
+    no potential is attached; the harmonic checker must reject it.
     """
     co = float(coupling)
 
     def grad(a, b, c, d):
         s = a * a + c * c
-        return 0.25 * co * s * b, 0.25 * co * s * d
+        return -0.25 * co * s * b, 0.25 * co * s * d
 
-    def W(z1, z2):
-        return 0.125 * co * np.abs(z1 * z1 + z2 * z2) ** 2
-
-    return NonlinearityModel("thirring_psi", "spinor_psi", 3, grad, W, co)
+    return NonlinearityModel("thirring_psi", "spinor_psi", 3, grad, None, co)
 
 
 def quartic_harmonic(coupling=1.0):
@@ -399,17 +403,15 @@ def check_gauge_symmetry(model):
 
     Returns the pair (gauge, swap) of results.
     """
-    if model.eval_W is None:
-        raise ValueError(f"model {model.name!r} has no potential to check")
     z1, z2 = sample_states(_N_SAMPLES, _SEED)
     theta = np.random.default_rng(_SEED + 1).uniform(0.0, 2.0 * np.pi,
                                                      size=_N_SAMPLES)
-    w0 = np.asarray(model.eval_W(z1, z2))
+    w0 = np.asarray(model.potential(z1, z2))
     scale = 1.0 + np.abs(w0)
     rot = np.exp(1j * theta)
-    d_gauge = np.max(np.abs(np.asarray(model.eval_W(rot * z1, rot * z2))
+    d_gauge = np.max(np.abs(np.asarray(model.potential(rot * z1, rot * z2))
                             - w0) / scale)
-    d_sym = np.max(np.abs(np.asarray(model.eval_W(z2, z1)) - w0) / scale)
+    d_sym = np.max(np.abs(np.asarray(model.potential(z2, z1)) - w0) / scale)
     return (CheckResult(d_gauge <= 1e-12, d_gauge),
             CheckResult(d_sym <= 1e-12, d_sym))
 
@@ -525,16 +527,14 @@ def check_phase_separable(model):
     massless lab flow transports |u|^2 right and |v|^2 left with no
     exchange between them.
     """
-    if model.eval_W is None:
-        raise ValueError(f"model {model.name!r} has no potential to check")
     z1, z2 = sample_states(_N_SAMPLES, _SEED)
     rng = np.random.default_rng(_SEED + 5)
     th1 = np.exp(1j * rng.uniform(0, 2 * np.pi, _N_SAMPLES))
     th2 = np.exp(1j * rng.uniform(0, 2 * np.pi, _N_SAMPLES))
-    w0 = np.asarray(model.eval_W(z1, z2))
+    w0 = np.asarray(model.potential(z1, z2))
     scale = 1.0 + np.abs(w0)
-    d1 = np.abs(np.asarray(model.eval_W(th1 * z1, z2)) - w0) / scale
-    d2 = np.abs(np.asarray(model.eval_W(z1, th2 * z2)) - w0) / scale
+    d1 = np.abs(np.asarray(model.potential(th1 * z1, z2)) - w0) / scale
+    d2 = np.abs(np.asarray(model.potential(z1, th2 * z2)) - w0) / scale
     defect = max(np.max(d1), np.max(d2))
     return CheckResult(defect <= 1e-12, defect)
 

@@ -2,19 +2,14 @@
 
 import numpy as np
 
-from .dynamics import RadialSpinorState, SpinorState1D
-from .grids import Grid1D, RadialGrid, deriv1, quad
+from .dynamics import RadialSpinorState, require_line
+from .grids import RadialGrid, deriv1, quad
 
 
-def charge(state, measure=None):
-    """Total squared norm of the state.
-
-    1D states use the line measure.  Radial states default to the
-    spherical measure (the physically conserved one); pass
-    measure="line" for the plain-dr bookkeeping integral.
-    """
-    if measure is None:
-        measure = "spherical" if isinstance(state, RadialSpinorState) else "line"
+def charge(state):
+    """Total squared norm of the state: the line measure on the line,
+    the spherical measure (the conserved one) on radial grids."""
+    measure = "spherical" if isinstance(state, RadialSpinorState) else "line"
     return float(quad(state.density(), state.grid, measure))
 
 
@@ -24,8 +19,7 @@ def momentum_1d(state):
     Conserved in both complex frames; the two frames differ by the
     constant factor of the frame map's normalization.
     """
-    if not isinstance(state, SpinorState1D):
-        raise TypeError("momentum_1d needs a SpinorState1D")
+    require_line(state, "momentum_1d")
     total = np.zeros(state.grid.n_points)
     for row, drow in zip(state.fields, deriv1(state.fields, state.grid)):
         total = total + (row * np.conj(drow)).imag
@@ -38,13 +32,10 @@ def hamiltonian_1d(state, model, m=1.0):
     Im int (u dbar(u)/dx - v dbar(v)/dx) + Re int (2 m u conj(v) - W).
     Needs a lab-frame state and a model with an on-shell potential.
     """
-    if not isinstance(state, SpinorState1D) or state.kind != "lab_uv":
-        raise ValueError("hamiltonian_1d needs a lab-frame state")
-    if model.eval_W is None:
-        raise ValueError(f"model {model.name!r} has no potential")
+    require_line(state, "hamiltonian_1d", "lab_uv")
     u, v = state.fields
-    ux, vx = deriv1(state.fields, state.grid)
     w = model.potential(u, v)
+    ux, vx = deriv1(state.fields, state.grid)
     integrand = ((u * np.conj(ux) - v * np.conj(vx)).imag
                  + (2.0 * m * u * np.conj(v) - w).real)
     return float(quad(integrand, state.grid))
@@ -73,8 +64,7 @@ def energy_psi(state, model, m=1.0):
     + m int (|psi1|^2 - |psi2|^2) - int G(|psi1|^2 - |psi2|^2),
     with G the antiderivative of the model's scalar coefficient.
     """
-    if not isinstance(state, SpinorState1D) or state.kind == "lab_uv":
-        raise ValueError("energy_psi needs a psi-frame state")
+    require_line(state, "energy_psi", "spinor_psi")
     big_g = _soler_antiderivative(model)
     p1, p2 = state.fields
     d1, d2 = deriv1(state.fields, state.grid)
@@ -178,8 +168,7 @@ def parity_defect(state):
     max over components of max|f(x) + f(-x)| / (1 + max|f|); node
     reversal supplies f(-x), so the grid must be symmetric about 0.
     """
-    if not isinstance(state, SpinorState1D):
-        raise TypeError("parity_defect needs a SpinorState1D")
+    require_line(state, "parity_defect")
     if not state.grid.is_symmetric():
         raise ValueError("parity_defect needs a grid symmetric about 0")
     worst = 0.0

@@ -433,11 +433,7 @@ class ScenarioConfig:
         if self.initial == "soliton":
             params = SolitonParams(self.omega, x0=-self.center,
                                    alpha=self.phase)
-            state = thirring_soliton(params, grid)
-            if self.system == "spinor_1d":
-                from .exact import to_spinor_frame
-                state = to_spinor_frame(state)
-            return state
+            return thirring_soliton(params, grid)
         if isinstance(grid, RadialGrid):
             return _radial_bump(grid, self.amplitude, self.width,
                                 self.center)

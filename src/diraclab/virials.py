@@ -16,6 +16,11 @@ components against transport brackets; their radial counterparts do the
 same on the half line with the geometric 2/r terms and singular weight
 quotients kept in closed form.
 
+Each functional and rate refuses a state of another geometry or frame
+through :func:`diraclab.dynamics.require_line` and
+:func:`~diraclab.dynamics.require_radial`, and a window width that is
+not positive through one helper, ``_width``.
+
 Sign conventions for the analytic rates were fixed the only way that
 means anything: by driving the defect of the finite-difference check to
 the quadrature floor on resolved runs. Where a rate needs a nonlinear
@@ -49,8 +54,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .algebra import split_alpha
-from .dynamics import RadialSpinorState, SpinorState1D
+from .dynamics import RadialSpinorState, require_line, require_radial
 from .grids import Grid1D, deriv1, quad
 from .nonlinearity import require_frame
 from .weights import r2_over_1pr4_weight, r32_weight, sech_1d, tanh_1d
@@ -75,10 +79,6 @@ __all__ = [
     "window_flux_1d",
     "origin_flux_radial",
 ]
-
-_SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]])
-_ALPHA_PSI = np.array([[0.0, 1.0j], [-1.0j, 0.0]])
-
 
 class ScalingTriple:
     """Time maps (mu, lambda, rho) entering the weighted charge.
@@ -108,10 +108,8 @@ class ScalingTriple:
     @staticmethod
     def constant(lam=1.0, theta=0.0):
         """Unit amplitude, fixed width, center drifting at speed theta."""
-        lam = float(lam)
+        lam = _width(lam)
         theta = float(theta)
-        if lam <= 0.0:
-            raise ValueError("lam must be positive")
         return ScalingTriple(
             mu=lambda t: 1.0, lam=lambda t: lam, rho=lambda t: theta * t,
             mu_dot=lambda t: 0.0, lam_dot=lambda t: 0.0,
@@ -143,11 +141,9 @@ class ScalingTriple:
         """
         b = float(b)
         t0 = float(t0)
-        lam = float(lam)
+        lam = _width(lam)
         if b <= 0.0:
             raise ValueError("b must be positive")
-        if lam <= 0.0:
-            raise ValueError("lam must be positive")
         theta = -(1.0 + b)
         theta_tilde = -(1.0 + 0.5 * b)
         zero = lambda t: 0.0
@@ -205,40 +201,12 @@ class VirialReport:
                 f"threshold={self.threshold:.3e})")
 
 
-def _default_alpha(kind):
-    """Transport matrix split for a 1D representation.
-
-    The lab frame advects the two components in opposite directions
-    (real diagonal); the spinor frame couples them antisymmetrically
-    (purely imaginary off-diagonal).
-    """
-    if kind == "lab_uv":
-        return split_alpha(_SIGMA3)
-    if kind == "spinor_psi":
-        return split_alpha(_ALPHA_PSI)
-    raise ValueError(f"no transport matrix for kind {kind!r}")
-
-
-def _require_1d(state, who):
-    if not isinstance(state, SpinorState1D):
-        raise TypeError(f"{who} needs a SpinorState1D")
-
-
-def _require_lab(state, who):
-    _require_1d(state, who)
-    if state.kind != "lab_uv":
-        raise ValueError(f"{who} is a lab-frame functional; map frames first")
-
-
-def _require_spinor(state, who):
-    _require_1d(state, who)
-    if state.kind == "lab_uv":
-        raise ValueError(f"{who} lives in the spinor frame; map frames first")
-
-
-def _require_radial(state, who):
-    if not isinstance(state, RadialSpinorState):
-        raise TypeError(f"{who} needs a RadialSpinorState")
+def _width(lam, name="lam"):
+    """A window width as a float; refused unless positive."""
+    lam = float(lam)
+    if lam <= 0.0:
+        raise ValueError(f"{name} must be positive")
+    return lam
 
 
 def _require_model(model, state, who):
@@ -342,12 +310,6 @@ def _fields(state, sample):
     return _Sample(state, {}) if sample is None else sample
 
 
-def _real_pair(state):
-    """Real and imaginary component stacks (2, n) of a 1D state."""
-    f = state.fields
-    return np.ascontiguousarray(f.real), np.ascontiguousarray(f.imag)
-
-
 def _charge_flux(s, model):
     """Pointwise rate the coupling pumps charge density at sample ``s``.
 
@@ -365,9 +327,25 @@ def _charge_flux(s, model):
 # ---------------------------------------------------------------------------
 # weighted charge with a scaling triple
 
+def _transport_current(state):
+    """u1.a_r.u1 + u2.a_r.u2 - 2 u1.a_i.u2, the frame's transport matrix
+    a_r + i a_i read on the real and imaginary parts (u1, u2) of a line
+    state's fields, in closed form.
+
+    The lab frame's diag(1, -1) gives the chiral imbalance; the spinor
+    frame's [[0, i], [-i, 0]] gives -2 (u1[0] u2[1] - u1[1] u2[0]), whose
+    leading 0.0 turns a -0.0 into the +0.0 the matrix form gives.
+    """
+    u1, u2 = state.fields.real, state.fields.imag
+    if state.kind == "lab_uv":
+        return (u1[0] * u1[0] - u1[1] * u1[1]) \
+            + (u2[0] * u2[0] - u2[1] * u2[1])
+    return 0.0 - 2.0 * (u1[0] * u2[1] - u1[1] * u2[0])
+
+
 def functional_I(state, weight, scaling, t=None, *, _sample=None):
     """Weighted charge (1/mu) * integral of phi((x+rho)/lam) |psi|^2."""
-    _require_1d(state, "functional_I")
+    require_line(state, "functional_I")
     t = state.t if t is None else float(t)
     mu, lam = scaling.check(t)
     s = (state.grid.x + scaling.rho(t)) / lam
@@ -379,13 +357,12 @@ def rhs_I(state, weight, scaling, t=None, model=None, *, _sample=None):
     """Analytic d/dt of ``functional_I`` along the flow.
 
     Four groups: amplitude drift, center drift, width drift, and the
-    transport quadratic u1.a_r.u1 + u2.a_r.u2 - 2 u1.a_i.u2 built from
-    the real/imaginary parts of the spinor. No mass term appears; the
-    mass current is orthogonal to the density. Couplings with nonzero
-    pointwise charge flux contribute a fifth term when the model is
-    passed.
+    transport current (``_transport_current``). No mass term appears;
+    the mass current is orthogonal to the density. Couplings with
+    nonzero pointwise charge flux contribute a fifth term when the model
+    is passed.
     """
-    _require_1d(state, "rhs_I")
+    require_line(state, "rhs_I")
     _require_model(model, state, "rhs_I")
     t = state.t if t is None else float(t)
     mu, lam = scaling.check(t)
@@ -395,12 +372,7 @@ def rhs_I(state, weight, scaling, t=None, model=None, *, _sample=None):
     dphi = weight.dphi(s)
     sample = _fields(state, _sample)
     dens = sample.density()
-    split = _default_alpha(state.kind)
-    u1, u2 = _real_pair(state)
-    a_r, a_i = split.alpha_r, split.alpha_i
-    bracket = (np.einsum("ab,ax,bx->x", a_r, u1, u1)
-               + np.einsum("ab,ax,bx->x", a_r, u2, u2)
-               - 2.0 * np.einsum("ab,ax,bx->x", a_i, u1, u2))
+    bracket = _transport_current(state)
     out = (-scaling.mu_dot(t) / mu ** 2 * quad(phi * dens, g)
            + scaling.rho_dot(t) / (mu * lam) * quad(dphi * dens, g)
            - scaling.lam_dot(t) / (mu * lam) * quad(dphi * s * dens, g)
@@ -415,9 +387,8 @@ def rhs_I(state, weight, scaling, t=None, model=None, *, _sample=None):
 
 def functional_J_1d(state, weight, lam=1.0):
     """Window chiral balance: integral of phi(x/lam) (|u|^2 - |v|^2)."""
-    _require_lab(state, "functional_J_1d")
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
+    require_line(state, "functional_J_1d", "lab_uv")
+    lam = _width(lam)
     s = state.grid.x / lam
     chi = np.abs(state.u) ** 2 - np.abs(state.v) ** 2
     return quad(weight.phi(s) * chi, state.grid)
@@ -433,10 +404,9 @@ def rhs_J_1d(state, weight, lam=1.0, m=1.0, lam_dot=0.0, model=None, *,
     out; anything mixing phases, e.g. a scalar-bilinear square,
     contributes.
     """
-    _require_lab(state, "rhs_J_1d")
+    require_line(state, "rhs_J_1d", "lab_uv")
     _require_model(model, state, "rhs_J_1d")
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
+    lam = _width(lam)
     g = state.grid
     s = g.x / lam
     phi = weight.phi(s)
@@ -471,7 +441,7 @@ def functionals_J1_to_J4(state, weight, m=1.0, *, _sample=None):
     Ordering: (11 vs 22), (12 vs 21), (22 vs 11), (21 vs 12), i.e. each
     component paired against its transport partner.
     """
-    _require_spinor(state, "functionals_J1_to_J4")
+    require_line(state, "functionals_J1_to_J4", "spinor_psi")
     g = state.grid
     s = _fields(state, _sample)
     (p11, p12, p21, p22), (d11, d12, d21, d22) = s.quartet()
@@ -492,7 +462,7 @@ def rhs_J1_to_J4(state, weight, m=1.0, model=None, *, _sample=None):
     with the component's transport direction) and two coupling
     brackets. The mass drops out of the cores entirely.
     """
-    _require_spinor(state, "rhs_J1_to_J4")
+    require_line(state, "rhs_J1_to_J4", "spinor_psi")
     _require_model(model, state, "rhs_J1_to_J4")
     g = state.grid
     s = _fields(state, _sample)
@@ -535,7 +505,7 @@ def rhs_J_combined_1d(state, weight, m=1.0, model=None, *, _sample=None):
     row of the field and vice versa). Exact for any data with decay,
     no parity assumption.
     """
-    _require_spinor(state, "rhs_J_combined_1d")
+    require_line(state, "rhs_J_combined_1d", "spinor_psi")
     _require_model(model, state, "rhs_J_combined_1d")
     g = state.grid
     s = _fields(state, _sample)
@@ -582,7 +552,7 @@ def functionals_K_3d(state, weight, m=1.0, *, _sample=None):
     The even-type components ride the full radial transport d_r + 2/r;
     their odd-type partners carry the plain derivative back.
     """
-    _require_radial(state, "functionals_K_3d")
+    require_radial(state, "functionals_K_3d")
     _require_radial_weight(weight, "functionals_K_3d")
     g = state.grid
     r = g.r
@@ -621,7 +591,7 @@ def rhs_K_3d(state, weight, m=1.0, model=None, *, _sample=None):
     coupling parts verbatim, with the W rows differentiated under the
     parity the coupling preserves.
     """
-    _require_radial(state, "rhs_K_3d")
+    require_radial(state, "rhs_K_3d")
     _require_radial_weight(weight, "rhs_K_3d")
     _require_model(model, state, "rhs_K_3d")
     g = state.grid
@@ -674,7 +644,7 @@ def functional_H(state, *, _sample=None):
     if isinstance(state, RadialSpinorState):
         return quad(s.table(_H_RADIAL, "phi") * s.density(), state.grid,
                     measure="line")
-    _require_spinor(state, "functional_H")
+    require_line(state, "functional_H", "spinor_psi")
     return 0.5 * quad(s.table(_H_LINE, "phi") * s.density(), state.grid)
 
 
@@ -700,7 +670,7 @@ def rhs_H(state, model=None, *, _sample=None):
                 phi * (np.conj(p2) * w2 - np.conj(p1) * w1).imag, g,
                 measure="line")
         return out
-    _require_spinor(state, "rhs_H")
+    require_line(state, "rhs_H", "spinor_psi")
     _require_model(model, state, "rhs_H")
     g = state.grid
     phi = s.table(_H_LINE, "phi")
@@ -917,9 +887,7 @@ def coercivity_estimate(L, grid=None):
     from scipy.sparse import diags
     from scipy.sparse.linalg import eigsh
 
-    L = float(L)
-    if L <= 0.0:
-        raise ValueError("L must be positive")
+    L = _width(L, "L")
     if grid is None:
         grid = Grid1D(-25.0 * L, 25.0 * L, 4001)
     if not grid.is_symmetric():
@@ -951,9 +919,8 @@ def coercivity_estimate(L, grid=None):
 
 def window_flux_1d(state, lam):
     """(1/lam) * integral of sech^2(x/lam) |state|^2 on the line."""
-    _require_1d(state, "window_flux_1d")
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
+    require_line(state, "window_flux_1d")
+    lam = _width(lam)
     s = state.grid.x / lam
     window = 1.0 / np.cosh(s) ** 2
     return quad(window * state.density(), state.grid) / lam
@@ -967,7 +934,7 @@ def origin_flux_radial(state):
     staggered grid; boundedness of the time integral of this quantity
     is the radial dispersion statement.
     """
-    _require_radial(state, "origin_flux_radial")
+    require_radial(state, "origin_flux_radial")
     g = state.grid
     r = g.r
     d11, d12, d21, d22 = _Sample(state, {}).quartet()[1]

@@ -117,7 +117,7 @@ def test_bridge_input_validation(quartic_traj):
     lab_states = [SpinorState1D(G, "lab_uv", np.vstack([u, u]), t=t)
                   for t in (0.0, 0.1, 0.2)]
     lab_tr = Trajectory([0.0, 0.1, 0.2], lab_states, [0.0] * 3, [0.0] * 3)
-    with pytest.raises(ValueError, match="spinor-frame"):
+    with pytest.raises(ValueError, match="spinor frame"):
         gronwall_monitor(lab_tr, model, m=1.0)
     sts = [psi_state() for _ in range(3)]
     uneven = Trajectory([0.0, 0.1, 0.3], sts, [0.0] * 3, [0.0] * 3)

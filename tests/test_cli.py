@@ -344,6 +344,17 @@ def test_nlkg_check_exit_codes(tmp_path, capsys, system, model, code):
             assert fh.readline() == "t,M,nlkg_1,nlkg_2\n"
 
 
+def test_nlkg_check_refuses_a_radial_scenario(tmp_path, capsys):
+    path = tmp_path / "radial.cfg"
+    path.write_text(_RADIAL)
+    argv = ["nlkg-check", "--scenario", str(path), "--out",
+            str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "needs a spinor_1d scenario" in err
+    assert "Traceback" not in err
+
+
 def test_nlkg_check_exits_one_when_m_leaves_its_floor(tmp_path, capsys):
     path = tmp_path / "strong.cfg"
     path.write_text(_NLKG_STRONG)

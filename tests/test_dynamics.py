@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from diraclab import dynamics
+from diraclab import bridge, dynamics, exact, observables, virials, weights
 from diraclab.dynamics import (
     RadialSpinorState,
     SpinorState1D,
@@ -181,6 +181,80 @@ def test_an_odd_row_left_at_round_off_is_not_a_parity_violation():
                    dt=0.025, sample_stride=5)
     p22 = np.abs(tr.final().fields[3])
     assert 0.0 < np.max(p22) < 1e-15
+
+
+# Every public consumer of one geometry or frame, as (name, call, what it
+# accepts): "lab" and "spinor" are the frames of the line, "line" is
+# either frame, and "radial" the radial geometry.
+_TANH, _R32 = weights.tanh_1d(), weights.r32_weight()
+_CONSUMERS = [
+    ("momentum_1d", observables.momentum_1d, ("line",)),
+    ("parity_defect", observables.parity_defect, ("line",)),
+    ("hamiltonian_1d", lambda st: observables.hamiltonian_1d(st, thirring()),
+     ("lab",)),
+    ("energy_psi", lambda st: observables.energy_psi(st, soler()),
+     ("spinor",)),
+    ("functional_I", lambda st: virials.functional_I(
+        st, _TANH, virials.ScalingTriple.constant()), ("line",)),
+    ("rhs_I", lambda st: virials.rhs_I(
+        st, _TANH, virials.ScalingTriple.constant()), ("line",)),
+    ("functional_J_1d", lambda st: virials.functional_J_1d(st, _TANH),
+     ("lab",)),
+    ("rhs_J_1d", lambda st: virials.rhs_J_1d(st, _TANH), ("lab",)),
+    ("functionals_J1_to_J4",
+     lambda st: virials.functionals_J1_to_J4(st, _TANH), ("spinor",)),
+    ("rhs_J1_to_J4", lambda st: virials.rhs_J1_to_J4(st, _TANH),
+     ("spinor",)),
+    ("rhs_J_combined_1d", lambda st: virials.rhs_J_combined_1d(st, _TANH),
+     ("spinor",)),
+    ("functionals_K_3d", lambda st: virials.functionals_K_3d(st, _R32),
+     ("radial",)),
+    ("rhs_K_3d", lambda st: virials.rhs_K_3d(st, _R32), ("radial",)),
+    ("functional_H", virials.functional_H, ("spinor", "radial")),
+    ("rhs_H", virials.rhs_H, ("spinor", "radial")),
+    ("window_flux_1d", lambda st: virials.window_flux_1d(st, 2.0),
+     ("line",)),
+    ("origin_flux_radial", virials.origin_flux_radial, ("radial",)),
+    ("to_spinor_frame", exact.to_spinor_frame, ("lab",)),
+    ("to_lab_frame", exact.to_lab_frame, ("spinor",)),
+    ("gronwall_monitor", lambda st: bridge.gronwall_monitor(
+        Trajectory([0.0, 0.1, 0.2], [st] * 3, [0.0] * 3, [0.0] * 3),
+        quartic_harmonic()), ("spinor",)),
+]
+
+
+def _state_of(what):
+    if what == "radial":
+        rg = RadialGrid(10.0, 100)
+        env = np.exp(-(rg.r - 3.0) ** 2)
+        return RadialSpinorState(rg, np.vstack([env, env, env * rg.r,
+                                                env * rg.r]))
+    g = Grid1D(-10.0, 10.0, 201)
+    return SpinorState1D(g, "lab_uv" if what == "lab" else "spinor_psi",
+                         _smooth_pair(g, width=4.0))
+
+
+def _geometry(what):
+    return "radial" if what == "radial" else "line"
+
+
+def _refusals():
+    """One case per consumer and state it refuses: a wrong geometry is a
+    TypeError, a wrong frame of the line a ValueError."""
+    for name, call, accepts in _CONSUMERS:
+        for given in ("lab", "spinor", "radial"):
+            if given in accepts or ("line" in accepts and given != "radial"):
+                continue
+            error = (ValueError if _geometry(given) in map(_geometry, accepts)
+                     else TypeError)
+            yield pytest.param(name, call, given, error, id=f"{name}-{given}")
+
+
+@pytest.mark.parametrize("name, call, given, error", _refusals())
+def test_a_state_of_the_wrong_kind_is_refused(name, call, given, error):
+    # the message starts with the consumer's name
+    with pytest.raises(error, match=f"^{name} "):
+        call(_state_of(given))
 
 
 def test_radial_charge_conservation():

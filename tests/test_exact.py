@@ -12,14 +12,39 @@ from diraclab.exact import (
     soliton_charge,
     soliton_profile,
     t_transform,
-    t_transform_model,
     thirring_soliton,
     to_lab_frame,
     to_spinor_frame,
 )
 from diraclab.grids import Grid1D
-from diraclab.nonlinearity import thirring, zero_model
+from diraclab.nonlinearity import (NonlinearityModel, sample_states,
+                                   thirring, thirring_psi, zero_model)
 from diraclab.observables import charge, hamiltonian_1d
+
+
+def t_transform_model(model):
+    """Psi-frame image of a lab-frame nonlinearity: the frame oracle.
+
+    If (u, v) solves the lab system with gradient pair (W1, W2), then
+    psi = T(u, v) solves the psi-frame system with
+        hat W1 = i (W1 - W2) o T^{-1},   hat W2 = -(W1 + W2) o T^{-1}.
+    The psi-frame equations carry the pair with opposite signs (-hat W1
+    on the first line, +hat W2 on the second), so the image is not a
+    joint conjugate-gradient pair and no potential is attached.
+    """
+    if model.arity != "lab_uv":
+        raise ValueError("t_transform_model expects a lab_uv model")
+
+    def slots(a, b, c, d):
+        return ((1j * a - c) / 2.0, (-1j * b - d) / 2.0,
+                (-1j * a - c) / 2.0, (1j * b - d) / 2.0)
+
+    def grad(a, b, c, d):
+        w1, w2 = model.eval_grad(*slots(a, b, c, d))
+        return 1j * (w1 - w2), -(w1 + w2)
+
+    return NonlinearityModel(f"t_image_{model.name}", "spinor_psi",
+                             model.p, grad, None, model.coupling)
 
 
 def test_soliton_params_validation():
@@ -176,6 +201,16 @@ def test_transformed_model_matches_along_trajectory():
                        sample_stride=100)
     end_lab = to_spinor_frame(tr_lab.final())
     assert np.max(np.abs(end_lab.fields - tr_psi.final().fields)) <= 1e-12
+
+
+@pytest.mark.parametrize("coupling", [1.0, 2.0])
+def test_thirring_psi_is_the_image_of_thirring(coupling):
+    z1, z2 = sample_states(200, 3)
+    want = t_transform_model(thirring(coupling)).grad(z1, z2)
+    got = thirring_psi(coupling).grad(z1, z2)
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) <= 1e-14 * coupling
+    assert thirring_psi(coupling).eval_W is None
 
 
 def test_transformed_model_rejects_wrong_arity():

@@ -16,8 +16,36 @@ from diraclab.nonlinearity import (
     sample_states,
 )
 
+
+def square_modulus(coupling=1.0):
+    """The checkers' negative control: the plain conjugate gradient
+    W_j = (coupling/4)(psi1^2 + psi2^2) conj(psi_j) of the potential
+    W = (coupling/8)|psi1^2 + psi2^2|^2.
+
+    Gauge and swap invariant, but neither harmonic, nor (b, d)-only, nor
+    phase separable. Its W2 is that of ``thirring_psi`` and its W1 the
+    negative: the psi-frame equations carry the pair with the signs
+    (-W1, +W2), so it is not the Thirring interaction.
+    """
+    co = float(coupling)
+
+    def grad(a, b, c, d):
+        s = a * a + c * c
+        return 0.25 * co * s * b, 0.25 * co * s * d
+
+    def W(z1, z2):
+        return 0.125 * co * np.abs(z1 * z1 + z2 * z2) ** 2
+
+    return NonlinearityModel("square_modulus", "spinor_psi", 3, grad, W, co)
+
+
+def model_named(name):
+    """The catalog model ``name``, or the negative control."""
+    return square_modulus() if name == "square_modulus" else builtin(name)
+
+
 POTENTIAL_MODELS = ["thirring", "gross_neveu", "bec_resonance",
-                    "thirring_psi", "quartic_harmonic"]
+                    "square_modulus", "quartic_harmonic"]
 
 
 def _wirtinger_fd(model, z1, z2, which, eps=1e-4):
@@ -55,16 +83,16 @@ def test_quartic_harmonic_reference_values():
 
 def test_all_models_vanish_at_origin():
     zero = np.zeros(1, dtype=complex)
-    for name in POTENTIAL_MODELS + ["soler", "isotropic_pair",
+    for name in POTENTIAL_MODELS + ["thirring_psi", "soler", "isotropic_pair",
                                     "cubic_conjugate_pair", "zero"]:
-        m = builtin(name)
+        m = model_named(name)
         W1, W2 = m.grad(zero, zero)
         assert abs(W1[0]) == 0.0 and abs(W2[0]) == 0.0
 
 
 @pytest.mark.parametrize("name", POTENTIAL_MODELS)
 def test_gradients_match_wirtinger_oracle(name):
-    m = builtin(name)
+    m = model_named(name)
     z1, z2 = sample_states(1000, 11)
     w1, w2 = m.grad(z1, z2)
     scale = 1.0 + np.abs(w1) + np.abs(w2)
@@ -74,9 +102,9 @@ def test_gradients_match_wirtinger_oracle(name):
 
 
 @pytest.mark.parametrize("name", ["thirring", "gross_neveu", "bec_resonance",
-                                  "thirring_psi"])
+                                  "square_modulus"])
 def test_gauge_and_swap_symmetry_pass(name):
-    gauge_ok, symmetry_ok = check_gauge_symmetry(builtin(name))
+    gauge_ok, symmetry_ok = check_gauge_symmetry(model_named(name))
     assert gauge_ok and symmetry_ok
 
 
@@ -96,12 +124,13 @@ def test_gauge_fails_for_phase_sensitive_potentials():
 def test_harmonic_positive_negative_pair():
     rep_q = check_harmonic(builtin("quartic_harmonic"))
     assert rep_q.ok and rep_q.defect < 1e-9
-    rep_t = check_harmonic(builtin("thirring_psi"))
+    rep_t = check_harmonic(square_modulus())
     assert not rep_t.ok and rep_t.defect > 0.1
+    assert not check_harmonic(builtin("thirring_psi")).ok
 
 
 def test_harmonic_flagged_combination_closed_form():
-    rep = check_harmonic(builtin("thirring_psi"))
+    rep = check_harmonic(square_modulus())
     z1, z2 = sample_states(NL._N_SAMPLES, NL._SEED)
     closed = np.max(0.5 * np.abs(np.abs(z1) ** 2 - np.abs(z2) ** 2))
     got = rep.by_condition["dc_W2_minus_da_W1"]
@@ -118,6 +147,7 @@ def test_harmonic_passes_zero_and_parity_families():
 def test_bd_dependence_verdicts():
     assert check_bd_dependence(builtin("quartic_harmonic"))
     assert check_bd_dependence(builtin("zero"))
+    assert not check_bd_dependence(square_modulus())
     assert not check_bd_dependence(builtin("thirring_psi"))
     assert not check_bd_dependence(builtin("isotropic_pair"))
     assert not check_bd_dependence(builtin("cubic_conjugate_pair"))
@@ -140,8 +170,8 @@ def test_growth_slopes():
 
 
 def test_polynomial_checker():
-    for name in POTENTIAL_MODELS + ["soler", "zero"]:
-        assert check_polynomial(builtin(name)), name
+    for name in POTENTIAL_MODELS + ["thirring_psi", "soler", "zero"]:
+        assert check_polynomial(model_named(name)), name
     trig = NonlinearityModel(
         "sin_pair", "spinor_psi", 1,
         lambda a, b, c, d: (np.sin(b), np.sin(d)))
@@ -157,13 +187,14 @@ def test_phase_separability():
     # None where there is none
     for name in ("thirring", "bec_resonance", "zero"):
         assert check_all(builtin(name))["phase_separable_ok"] is True, name
-    for name in ("gross_neveu", "quartic_harmonic", "thirring_psi"):
-        rep = check_all(builtin(name))
+    for name in ("gross_neveu", "quartic_harmonic", "square_modulus"):
+        rep = check_all(model_named(name))
         assert rep["phase_separable_ok"] is False, name
         assert rep["defects"]["phase_separable"] > 1.0, name
-    rep = check_all(builtin("soler"))
-    assert rep["phase_separable_ok"] is None
-    assert "phase_separable" not in rep["defects"]
+    for name in ("soler", "thirring_psi"):
+        rep = check_all(builtin(name))
+        assert rep["phase_separable_ok"] is None, name
+        assert "phase_separable" not in rep["defects"], name
 
 
 def test_soler_equals_diagonal_form():

@@ -5,7 +5,7 @@ from scipy.integrate import quad
 from diraclab.dynamics import RadialSpinorState, SpinorState1D, integrate
 from diraclab.exact import SolitonParams, thirring_soliton, to_spinor_frame
 from diraclab.grids import Grid1D, RadialGrid
-from diraclab.nonlinearity import soler, thirring, thirring_psi
+from diraclab.nonlinearity import soler, thirring
 from diraclab.observables import (
     Region,
     charge,
@@ -15,6 +15,7 @@ from diraclab.observables import (
     parity_defect,
     region_mass,
 )
+from test_nonlinearity import square_modulus
 
 
 def test_charge_line_measure():
@@ -74,7 +75,7 @@ def test_energy_psi_requires_diagonal_difference_form():
     u = np.exp(-g.x ** 2).astype(complex)
     sp = SpinorState1D(g, "spinor_psi", np.vstack([u, 0.5 * u]))
     with pytest.raises(ValueError):
-        energy_psi(sp, thirring_psi(coupling=1.0))
+        energy_psi(sp, square_modulus(coupling=1.0))
     sl = SpinorState1D(g, "lab_uv", np.vstack([u, u]))
     with pytest.raises(ValueError):
         energy_psi(sl, soler(g_coeffs=(1.0,), coupling=1.0))

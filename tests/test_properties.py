@@ -13,7 +13,11 @@ from diraclab.dynamics import (  # noqa: E402
     SpinorState1D,
     integrate,
 )
-from diraclab.exact import inverse_t_transform, t_transform  # noqa: E402
+from diraclab.exact import (  # noqa: E402
+    inverse_t_transform,
+    t_transform,
+    to_spinor_frame,
+)
 from diraclab.grids import Grid1D, RadialGrid, deriv1, quad  # noqa: E402
 from diraclab.nonlinearity import builtin  # noqa: E402
 from diraclab.observables import charge  # noqa: E402
@@ -22,7 +26,9 @@ from test_dynamics import (  # noqa: E402
     assert_bitwise_equal,
     reference_integrate,
 )
+from test_exact import t_transform_model  # noqa: E402
 from test_grids import reference_deriv1  # noqa: E402
+from test_nonlinearity import model_named  # noqa: E402
 
 _GRID = Grid1D(-30.0, 30.0, 601)
 
@@ -77,9 +83,9 @@ _amplitudes = st.complex_numbers(max_magnitude=10.0, allow_nan=False,
 @settings(max_examples=200, deadline=None)
 @given(z1=_amplitudes, z2=_amplitudes, theta=st.floats(0.0, 2.0 * np.pi),
        name=st.sampled_from(["thirring", "gross_neveu", "bec_resonance",
-                             "thirring_psi"]))
+                             "square_modulus"]))
 def test_gauge_and_swap_invariance(z1, z2, theta, name):
-    model = builtin(name)
+    model = model_named(name)
     w = model.potential(z1, z2)
     rot = np.exp(1j * theta)
     tol = 1e-12 * (1.0 + abs(w))
@@ -138,7 +144,7 @@ def test_windowed_integrate_is_the_full_grid_step(center, width, amplitude,
 
 # Charge conservation for the gauge-invariant models: W = g psi with g
 # real (soler), or a gradient of a phase-invariant potential (the lab
-# models). quartic_harmonic and thirring_psi do not conserve charge. The
+# models). quartic_harmonic does not conserve charge. The
 # drawn data stays resolved (width >= 10 h, |k| h <= 0.1) and small
 # enough that dt = h/2 resolves the nonlinear phase rotation, so the drift
 # left is that of RK4 and of the edge stencils.
@@ -209,6 +215,31 @@ def test_gauge_invariant_models_conserve_charge_radially(
     model = _gauge_model(name, "spinor_psi", coupling, g_index)
     assert _charge_drift(state, model, 0.5 * _RADIAL.h, m) \
         <= _RADIAL_DRIFT_BOUND
+
+
+# The frame oracle: for each gauge-invariant lab model, the psi run with
+# the model's image is the frame map of the lab run. thirring's image is
+# also the catalog's thirring_psi.
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(["bec_resonance", "gross_neveu", "thirring",
+                             "zero"]),
+       packets=st.lists(st.lists(_resolved_packets, min_size=1, max_size=2),
+                        min_size=2, max_size=2),
+       coupling=st.floats(-2.0, 2.0), m=st.sampled_from([0.0, 1.0]))
+def test_psi_run_with_the_image_model_is_the_mapped_lab_run(
+        name, packets, coupling, m):
+    lab = _gauge_model(name, "lab_uv", coupling, 0)
+    s0 = SpinorState1D(_GRID, "lab_uv",
+                       np.vstack([_component(p) for p in packets]))
+    images = [t_transform_model(lab)]
+    if name == "thirring":
+        images.append(builtin("thirring_psi", coupling=coupling))
+    run = dict(t_end=1.0, dt=0.5 * _GRID.h, m=m, sample_stride=20)
+    want = to_spinor_frame(integrate(s0, lab, **run).final()).fields
+    scale = 1.0 + float(np.max(np.abs(want)))
+    for hat in images:
+        got = integrate(to_spinor_frame(s0), hat, **run).final().fields
+        assert np.max(np.abs(got - want)) <= 1e-14 * scale, hat.name
 
 
 # the stencil's grids and node values: signed zeros, subnormals and

@@ -170,16 +170,38 @@ def test_scaling_rejects_bad_parameters():
         bad.check(0.0)
 
 
-def test_default_alpha_split():
-    split = virials._default_alpha("lab_uv")
-    assert np.array_equal(split.alpha_r, np.diag([1.0, -1.0]))
-    assert np.allclose(split.alpha_i, 0.0)
-    split = virials._default_alpha("spinor_psi")
-    full = split.alpha_r + 1j * split.alpha_i
-    assert np.allclose(full, np.array([[0.0, 1j], [-1j, 0.0]]))
-    assert np.allclose(full, full.conj().T)
-    with pytest.raises(ValueError):
-        virials._default_alpha("unknown_frame")
+# the frame's transport matrix: diag(1, -1) on the lab pair, and
+# [[0, i], [-i, 0]] on the spinor pair
+_ALPHA = {"lab_uv": np.diag([1.0, -1.0]),
+          "spinor_psi": np.array([[0.0, 1.0j], [-1.0j, 0.0]])}
+
+
+def _einsum_bracket(kind, fields):
+    """rhs_I's transport current read off the transport matrix alpha,
+    split into its real and imaginary parts."""
+    a_r, a_i = _ALPHA[kind].real, _ALPHA[kind].imag
+    u1 = np.ascontiguousarray(fields.real)
+    u2 = np.ascontiguousarray(fields.imag)
+    return (np.einsum("ab,ax,bx->x", a_r, u1, u1)
+            + np.einsum("ab,ax,bx->x", a_r, u2, u2)
+            - 2.0 * np.einsum("ab,ax,bx->x", a_i, u1, u2))
+
+
+def test_transport_current_is_the_transport_matrix_form():
+    # bit for bit in both frames, zero signs included, on fields with
+    # +0.0 and -0.0 parts among ordinary values
+    g = Grid1D(-40.0, 40.0, 1601)
+    rng = np.random.default_rng(11)
+    for kind in _ALPHA:
+        for _ in range(50):
+            parts = rng.normal(size=(2, 2, g.n_points))
+            parts[rng.random(parts.shape) < 0.2] = 0.0
+            parts[rng.random(parts.shape) < 0.2] *= -0.0
+            fields = np.empty((2, g.n_points), dtype=complex)
+            fields.real, fields.imag = parts
+            state = SpinorState1D(g, kind, fields)
+            assert (virials._transport_current(state).tobytes()
+                    == _einsum_bracket(kind, state.fields).tobytes())
 
 
 # ---------------------------------------------------------------------------
