@@ -17,7 +17,9 @@ pair in one of two frames:
 The radial container is in the spinor frame. It holds the four real
 fields (p11, p12, p21, p22), psi_j = p_j1 + i p_j2, on a cell-centered
 grid in r > 0, with (p11, p12) even-extendable and (p21, p22)
-odd-extendable through the origin.
+odd-extendable through the origin. Each state names its ``system`` as
+the virial table and scenario files spell it, and in ``row_parity`` the
+parity argument :func:`~diraclab.grids.deriv1` takes for its rows.
 
 A function that reads one geometry, or one frame of the line, refuses
 any other state through :func:`require_line` or :func:`require_radial`,
@@ -43,6 +45,8 @@ _KINDS_1D = ("lab_uv", "spinor_psi")
 class SpinorState1D:
     """Complex two-component field on a line grid, in one of two frames."""
 
+    row_parity = "none"
+
     def __init__(self, grid, kind, fields, t=0.0):
         if not isinstance(grid, Grid1D):
             raise TypeError("SpinorState1D needs a Grid1D")
@@ -55,6 +59,7 @@ class SpinorState1D:
                 f"(2, {grid.n_points}) for kind {kind!r}")
         self.grid = grid
         self.kind = kind
+        self.system = "lab_1d" if kind == "lab_uv" else "spinor_1d"
         self.fields = fields.astype(complex)
         self.t = float(t)
 
@@ -102,7 +107,8 @@ class RadialSpinorState:
     """
 
     kind = "spinor_psi"
-    parity = ("even", "even", "odd", "odd")  # deriv1's name for each row
+    system = "radial_3d"
+    row_parity = ("even", "even", "odd", "odd")  # deriv1's name for each row
 
     def __init__(self, grid, fields, t=0.0):
         if not isinstance(grid, RadialGrid):
@@ -259,7 +265,7 @@ def _rhs_radial_arrays(fields, grid, model, m):
     w11, w12, w21, w22 = model.w_fields(p11, p12, p21, p22)
     # integrate passes the leading cells [0, b) of the grid
     r = grid.r[:fields.shape[-1]]
-    d11, d12, d21, d22 = deriv1(fields, grid, RadialSpinorState.parity)
+    d11, d12, d21, d22 = deriv1(fields, grid, RadialSpinorState.row_parity)
     # Each row is written in place, in the evaluation order of
     #   ((d22 + 2 p22 / r) + m p12) - w12,  ((-(d21 + 2 p21 / r)) - m p11) + w11,
     #   ((-d12) - m p22) + w22,             (d11 + m p21) - w21;
@@ -415,8 +421,7 @@ def integrate(initial, model, t_end, dt, m=1.0, sample_stride=1):
     t0 = initial.t
     radial = isinstance(grid, RadialGrid)
 
-    measure = "spherical" if radial else "line"
-    q0 = float(quad(initial.density(), grid, measure))
+    q0 = float(quad(initial.density(), grid, grid.charge_measure))
     mass_cap = _BOUNDARY_TOL * q0 if q0 > 0.0 else np.inf
 
     # +0.0 is the one float whose bits are all zero; bits shares memory

@@ -26,7 +26,10 @@ __all__ = [
 
 
 class Grid1D:
-    """Uniform nodes x_k = x_min + k*h, k = 0..n_points-1."""
+    """Uniform nodes x_k = x_min + k*h, k = 0..n_points-1, as ``x``
+    and ``nodes``."""
+
+    charge_measure = "line"  # the quad measure of the conserved charge
 
     def __init__(self, x_min, x_max, n_points):
         if n_points < 16:
@@ -37,7 +40,8 @@ class Grid1D:
         self.x_max = float(x_max)
         self.n_points = int(n_points)
         self.h = (self.x_max - self.x_min) / (self.n_points - 1)
-        self.x = np.linspace(self.x_min, self.x_max, self.n_points)
+        self.x = self.nodes = np.linspace(self.x_min, self.x_max,
+                                          self.n_points)
 
     def is_symmetric(self):
         return abs(self.x_min + self.x_max) < 1e-12 * max(1.0, abs(self.x_max))
@@ -50,8 +54,11 @@ class Grid1D:
 class RadialGrid:
     """Staggered radial cells: r_k = (k + 1/2) h, k = 0..n_cells-1.
 
-    r = 0 is never a node; the first node sits at h/2.
+    r = 0 is never a node; the first node sits at h/2. The nodes are
+    ``r`` and ``nodes``.
     """
+
+    charge_measure = "spherical"  # the quad measure of the conserved charge
 
     def __init__(self, r_max, n_cells):
         if n_cells < 16:
@@ -61,7 +68,7 @@ class RadialGrid:
         self.r_max = float(r_max)
         self.n_cells = int(n_cells)
         self.h = self.r_max / self.n_cells
-        self.r = (np.arange(self.n_cells) + 0.5) * self.h
+        self.r = self.nodes = (np.arange(self.n_cells) + 0.5) * self.h
 
     def __repr__(self):
         return f"RadialGrid((0,{self.r_max:g}], n={self.n_cells}, h={self.h:g})"

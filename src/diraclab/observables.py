@@ -2,15 +2,15 @@
 
 import numpy as np
 
-from .dynamics import RadialSpinorState, require_line
-from .grids import RadialGrid, deriv1, quad
+from .dynamics import require_line
+from .grids import deriv1, quad
 
 
 def charge(state):
-    """Total squared norm of the state: the line measure on the line,
-    the spherical measure (the conserved one) on radial grids."""
-    measure = "spherical" if isinstance(state, RadialSpinorState) else "line"
-    return float(quad(state.density(), state.grid, measure))
+    """Total squared norm of the state in its grid's charge measure: the
+    line measure on the line, the spherical one on radial grids."""
+    return float(quad(state.density(), state.grid,
+                      state.grid.charge_measure))
 
 
 def momentum_1d(state):
@@ -78,7 +78,8 @@ class Region:
     """Spatial region, possibly time-dependent, for mass bookkeeping.
 
     Built from the spec a scenario file names it by, which it keeps
-    verbatim as ``spec``. Every number must read as a finite float.
+    verbatim as ``spec``. Every number must read as a finite float and
+    hold no ``_``, which float would take as a digit separator.
 
     specs
     -----
@@ -104,6 +105,8 @@ class Region:
                              f"{', '.join(self._FORMS.values())}")
         if len(args) != form.count(":"):
             raise ValueError(f"region {spec!r}: write it as {form}")
+        if "_" in "".join(args):
+            raise ValueError(f"region {spec!r}: numbers may not hold '_'")
         try:
             args = tuple(float(a) for a in args)
         except ValueError:
@@ -147,19 +150,12 @@ class Region:
 def region_mass(state, region, t=None):
     """Mass of the state inside the region at time t (default state.t).
 
-    Sharp node indicator against the grid's natural measure: line on
-    1D grids, spherical on radial grids.
+    Sharp node indicator against the grid's charge measure: line on 1D
+    grids, spherical on radial grids.
     """
-    if t is None:
-        t = state.t
     grid = state.grid
-    if isinstance(grid, RadialGrid):
-        mask = region.indicator(grid.r, t)
-        measure = "spherical"
-    else:
-        mask = region.indicator(grid.x, t)
-        measure = "line"
-    return float(quad(state.density() * mask, grid, measure))
+    mask = region.indicator(grid.nodes, state.t if t is None else t)
+    return float(quad(state.density() * mask, grid, grid.charge_measure))
 
 
 def parity_defect(state):

@@ -23,14 +23,14 @@ each then holds one resolved tuple: ``observables`` the checked names in
 ``_OBSERVABLES`` column order, ``identities`` the names the ``virials``
 table carries for the system, and ``regions`` one
 :class:`~diraclab.observables.Region` per spec, which parses and checks
-it; two specs that would write one trajectory column are refused. The
+it, so that distinct specs write distinct trajectory columns. The
 canonical text joins each tuple, every region spec as written.
 
 The bundled studies are data. Each row of ``_STUDIES`` lists the
 scenario texts a study runs and a pure post-processing function that
-turns one run's trajectory and summary into extra tables, metrics and
-checks; :func:`experiment` is the one driver that runs, writes and
-summarizes every study.
+turns one run's trajectory, summary and trajectory columns into extra
+tables, metrics and checks; :func:`experiment` is the one driver that
+runs, writes and summarizes every study.
 
 Everything written to disk (trajectory CSV, per-identity defect CSV,
 summary JSON) is formatted through %.17g, so reruns of the same config
@@ -48,16 +48,16 @@ from collections import namedtuple
 import numpy as np
 
 from . import nonlinearity, weights
-from .dynamics import (RadialSpinorState, SpinorState1D, integrate,
-                       step_count)
+from .dynamics import (_PIN, _SPONGE, RadialSpinorState, SpinorState1D,
+                       integrate, step_count)
 from .exact import (CALIBRATED_THIRRING_COUPLING, SolitonParams,
                     thirring_soliton)
 from .grids import Grid1D, RadialGrid, quad
 from .observables import (Region, charge, energy_psi, hamiltonian_1d,
                           momentum_1d, parity_defect, region_mass)
-from .virials import (ScalingTriple, coercivity_estimate, functional_H,
-                      functional_I, functionals_K_3d, identity_ids,
-                      origin_flux_radial, verify_identity, window_flux_1d)
+from .virials import (ScalingTriple, coercivity_estimate, functional_I,
+                      functionals_K_3d, identity_ids, origin_flux_radial,
+                      verify_identity, window_flux_1d)
 
 __all__ = [
     "ConfigError",
@@ -329,15 +329,6 @@ class ScenarioConfig:
             self.regions = tuple(Region(spec) for spec in specs)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        # float reads "1_0" as 10, so two specs can name one column
-        columns = {}
-        for spec in specs:
-            column = _column_name(spec)
-            if column in columns:
-                raise ConfigError(
-                    f"regions: {columns[column]} and {spec} share the "
-                    f"trajectory column {column}")
-            columns[column] = spec
 
         if self.out_dir is None:
             self.out_dir = self.name
@@ -361,10 +352,13 @@ class ScenarioConfig:
                 f"{self.n_samples}")
 
     def _check_buffer(self, grid):
-        """Refuse runs whose support estimate reaches the edge sponge."""
+        """Refuse runs whose support estimate reaches the nodes that
+        :func:`~diraclab.dynamics.integrate` pins or monitors at an
+        outflow edge."""
+        guard = (_PIN + _SPONGE) * grid.h
         if isinstance(grid, RadialGrid):
             reach = self.center + 3.0 * self.width + self.t_end
-            room = grid.r_max - 10.0 * grid.h
+            room = grid.r_max - guard
             if reach > room:
                 raise ConfigError(
                     f"support estimate {_fmt(reach)} exceeds "
@@ -378,7 +372,6 @@ class ScenarioConfig:
             gamma = float(np.sqrt(1.0 - self.omega ** 2))
             lo = self.center - 30.0 / gamma
             hi = self.center + 30.0 / gamma
-        guard = 10.0 * grid.h
         if lo < self.x_min + guard or hi > self.x_max - guard:
             raise ConfigError(
                 f"support estimate [{_fmt(lo)}, {_fmt(hi)}] leaves less "
@@ -427,9 +420,7 @@ class ScenarioConfig:
             params["arity"] = self.frame
         return nonlinearity.builtin(self.model, **params)
 
-    def build_initial(self, grid=None):
-        if grid is None:
-            grid = self.build_grid()
+    def build_initial(self, grid):
         if self.initial == "soliton":
             params = SolitonParams(self.omega, x0=-self.center,
                                    alpha=self.phase)
@@ -688,9 +679,9 @@ def integrate_scenario(config):
 
 
 def _run(config, out_root=None):
-    """Integrate one scenario and write its tables; returns
-    (summary, trajectory, out_dir) so experiments can post-process
-    samples."""
+    """Integrate one scenario and write its tables; returns (summary,
+    trajectory, series, out_dir), ``series`` the trajectory columns by
+    name, so experiments can post-process samples."""
     if isinstance(config, (str, os.PathLike)):
         config = ScenarioConfig.from_file(config)
     t_start = time.perf_counter()
@@ -726,7 +717,7 @@ def _run(config, out_root=None):
         files=files,
         wall_time=time.perf_counter() - t_start,
     )
-    return summary, traj, out_dir
+    return summary, traj, series, out_dir
 
 
 def run_scenario(config, out_root=None):
@@ -737,7 +728,7 @@ def run_scenario(config, out_root=None):
     the DIRACLAB_OUT environment variable, or the working directory,
     in that order of preference.
     """
-    summary, _, out_dir = _run(config, out_root)
+    summary, _, _, out_dir = _run(config, out_root)
     summary.write(out_dir)
     return summary
 
@@ -844,7 +835,7 @@ def _growth_final_quarter(t, cumulative):
     return float((final - at_cut) / final)
 
 
-def _post_t1(config, traj, summary):
+def _post_t1(config, traj, summary, series):
     """Probes the 1D massless statement: a global solution tends to zero
     in the window |x| <= t / log^2 t. Hypotheses: n = 1, m = 0, a global
     solution; no smallness and no particular power, so the data is a
@@ -852,15 +843,14 @@ def _post_t1(config, traj, summary):
     decreases at t = 10, 20, 40, 80 and stays resolved, and that the
     window's cumulative flux settles.
     """
-    window = Region("log_window")
+    column = series[_column_name("log_window")]
     probes = [10.0, 20.0, 40.0, 80.0]
     window_mass = {}
     for t_probe in probes:
         k = int(np.argmin(np.abs(traj.times - t_probe)))
         if abs(traj.times[k] - t_probe) > 1e-9:
             raise RuntimeError(f"no sample at t = {t_probe}")
-        window_mass[f"t{int(t_probe)}"] = region_mass(
-            traj.states[k], window)
+        window_mass[f"t{int(t_probe)}"] = float(column[k])
     seq = [window_mass[f"t{int(t)}"] for t in probes]
 
     log_sc = ScalingTriple.log_window()
@@ -886,7 +876,7 @@ def _post_t1(config, traj, summary):
          "cumulative_growth_below_5pct": growth < 0.05})
 
 
-def _post_t2(config, traj, summary):
+def _post_t2(config, traj, summary, series):
     """Probes the 1D massive statement: small odd solutions tend to zero
     on compact sets. Hypotheses: n = 1, m > 0, a "holomorphic" odd
     nonlinearity, small odd data, a global solution. parity = odd makes
@@ -896,12 +886,13 @@ def _post_t2(config, traj, summary):
     invariance, not the stepper. Checks that the sech-weighted mass
     halves and that the window Hessian is coercive.
     """
-    h_series = np.array([functional_H(st) for st in traj.states])
     sech = weights.sech_1d()
     sech_mass = np.array([
         float(quad(sech.phi(st.grid.x) * st.density(), st.grid))
         for st in traj.states])
-    par = np.array([parity_defect(st) for st in traj.states])
+    # functional_H, the sech window with its factor 1/2
+    h_series = 0.5 * sech_mass
+    par = series["parity_defect"]
     ratio = float(sech_mass[-1] / sech_mass[0])
     # odd-sector coercivity of the window Hessian at the unit scale of
     # the sech and tanh windows above: the positivity the decay rests on
@@ -920,7 +911,7 @@ def _post_t2(config, traj, summary):
          "window_hessian_coercive": coercivity > 0.0})
 
 
-def _post_t3(config, traj, summary):
+def _post_t3(config, traj, summary, series):
     """Probes the 3D statement: solutions tend to zero on compact sets.
     Hypotheses: n = 3, a nonlinearity of the same class (Soler here), a
     global solution whose H^1 norm stays bounded; no parity condition.
@@ -957,7 +948,7 @@ def _post_t3(config, traj, summary):
          "ball1_mass_ratio_below_half": ratio is not None and ratio < 0.5})
 
 
-def _post_t5(config, traj, summary):
+def _post_t5(config, traj, summary, series):
     """Probes the exterior statement: the L^2 mass in |x| >= (1 + b) t
     tends to zero. Hypotheses: any n >= 1, a global solution, b > 0; no
     smallness, any mass (runs at m = 0 and 1). Checks, at b = 0.5 and 1,
@@ -981,10 +972,10 @@ def _post_t5(config, traj, summary):
         rises = np.diff(ivals)
         worst_rise = float(rises.max()) if rises.size else 0.0
         scale = float(np.max(np.abs(ivals)))
-        ext_mass = region_mass(traj.states[-1], Region(f"exterior:{b:g}"))
+        ext_mass = float(series[_column_name(f"exterior:{b:g}")][-1])
         metrics[tag] = {
-            "exterior_mass_final": float(ext_mass),
-            "exterior_mass_over_charge": float(ext_mass / q0),
+            "exterior_mass_final": ext_mass,
+            "exterior_mass_over_charge": ext_mass / q0,
             "functional_initial": float(ivals[0]),
             "functional_final": float(ivals[-1]),
             "worst_rise": worst_rise,
@@ -998,9 +989,10 @@ def _post_t5(config, traj, summary):
 # The bundled studies, one row each: its runs and its post-processing.
 # A run is (run name, name of a module-level scenario text, fields to
 # format into it); the text is read when the study runs, so it can be
-# swapped for a shorter one. ``post(config, trajectory, summary)``
-# returns (tables, metrics, checks) and writes nothing; a table is
-# (file name, header, columns).
+# swapped for a shorter one. ``post(config, trajectory, summary,
+# series)``, with the run's trajectory columns by name, returns (tables,
+# metrics, checks) and writes nothing; a table is (file name, header,
+# columns).
 _STUDIES = {
     "T1_massless": ([("T1_massless", "_T1_TEXT", {})], _post_t1),
     "T2_massive_odd": ([("T2_massive_odd", "_T2_TEXT", {})], _post_t2),
@@ -1028,8 +1020,9 @@ def experiment(theorem_id, out_root=None):
     for name, text, fields in runs:
         config = ScenarioConfig.from_text(globals()[text].format(**fields),
                                           name=name)
-        summary, traj, out_dir = _run(config, out_root)
-        tables, run_metrics, run_checks = post(config, traj, summary)
+        summary, traj, series, out_dir = _run(config, out_root)
+        tables, run_metrics, run_checks = post(config, traj, summary,
+                                               series)
         for fname, header, columns in tables:
             _write_csv(os.path.join(out_dir, fname), header, columns)
             summary.files.append(fname)

@@ -244,25 +244,19 @@ class _Sample:
     def table(self, weight, name):
         key = (weight, name)
         if key not in self.tables:
-            st = self.state
-            x = st.grid.r if isinstance(st, RadialSpinorState) else st.grid.x
-            self.tables[key] = weight.at(name, x)
+            self.tables[key] = weight.at(name, self.state.grid.nodes)
         return self.tables[key]
 
     @_once
     def quartet(self):
         """(p, d): the real (4, n) block (p11, p12, p21, p22) and its
-        derivative, from one stacked ``deriv1`` pass that radially gives
-        the rows their parities (even, even, odd, odd)."""
+        derivative, from one stacked ``deriv1`` pass that gives the rows
+        the state's ``row_parity``."""
         st = self.state
-        if isinstance(st, RadialSpinorState):
-            p, parity = st.fields, st.parity
-        else:
-            psi = st.fields
-            p = np.vstack([psi[0].real, psi[0].imag,
-                           psi[1].real, psi[1].imag])
-            parity = "none"
-        return p, deriv1(p, st.grid, parity)
+        p = st.fields
+        if not isinstance(st, RadialSpinorState):
+            p = np.vstack([p[0].real, p[0].imag, p[1].real, p[1].imag])
+        return p, deriv1(p, st.grid, st.row_parity)
 
     @_once
     def w_rows(self, model):
@@ -271,8 +265,7 @@ class _Sample:
         diagonal couplings preserve them."""
         st = self.state
         w = np.asarray(model.w_fields(*self.quartet()[0]))
-        parity = st.parity if isinstance(st, RadialSpinorState) else "none"
-        return w, deriv1(w, st.grid, parity)
+        return w, deriv1(w, st.grid, st.row_parity)
 
     @_once
     def grad(self, model):
@@ -540,7 +533,7 @@ def rhs_J_combined_1d(state, weight, m=1.0, model=None, *, _sample=None):
 
 def _require_radial_weight(weight, who):
     for key in ("phi_over_r", "phi_over_r3", "dphi_over_r"):
-        if weight.singular is None or key not in weight.singular:
+        if key not in weight.singular:
             raise ValueError(
                 f"{who} needs weight {weight.name!r} to carry the "
                 f"closed-form quotient {key!r}")
@@ -693,8 +686,12 @@ _Args = namedtuple("_Args", "weight scaling m model")
 
 # systems that carry the identity; default weight factory, or None for a
 # fixed weight; whether the scaling triple is read; functional and rate,
-# each called as fn(args, sample, t) on the _Sample of time t
-_Identity = namedtuple("_Identity", "systems weight scaling functional rate")
+# each called as fn(args, sample, t) on the _Sample of time t; and for an
+# identity that reads one sample's quartet vectors, their names: a pass
+# that needs one identity of such a family evaluates all of it
+_Identity = namedtuple("_Identity",
+                       "systems weight scaling functional rate family",
+                       defaults=(None,))
 
 
 def _quartet(name, pick):
@@ -703,9 +700,11 @@ def _quartet(name, pick):
     return lambda a, s, t: pick(s.vector(name, a.weight, a.m, a.model))
 
 
-def _slot(family, idx):
-    """Functional and rate entries of one component of a quartet."""
-    return tuple(_quartet(name, itemgetter(idx)) for name in family)
+def _member(systems, weight, family, idx):
+    """Row of component ``idx`` of the quartet vectors ``family``."""
+    return _Identity(systems, weight, False,
+                     *(_quartet(name, itemgetter(idx)) for name in family),
+                     family)
 
 
 def _combined_j(j):
@@ -737,35 +736,32 @@ _IDENTITIES = {
         lambda a, s, t: rhs_J_1d(s.state, a.weight, float(a.scaling.lam(t)),
                                  a.m, float(a.scaling.lam_dot(t)),
                                  model=a.model, _sample=s)),
-    "J1": _Identity(_PSI, tanh_1d, False, *_slot(_J, 0)),
-    "J2": _Identity(_PSI, tanh_1d, False, *_slot(_J, 1)),
-    "J3": _Identity(_PSI, tanh_1d, False, *_slot(_J, 2)),
-    "J4": _Identity(_PSI, tanh_1d, False, *_slot(_J, 3)),
+    "J1": _member(_PSI, tanh_1d, _J, 0),
+    "J2": _member(_PSI, tanh_1d, _J, 1),
+    "J3": _member(_PSI, tanh_1d, _J, 2),
+    "J4": _member(_PSI, tanh_1d, _J, 3),
     "J_quartet_combined": _Identity(
         _PSI, tanh_1d, False, _quartet(_J[0], _combined_j),
         lambda a, s, t: rhs_J_combined_1d(s.state, a.weight, a.m, a.model,
-                                          _sample=s)),
-    "K1_3d": _Identity(_RADIAL, r32_weight, False, *_slot(_K, 0)),
-    "tK1_3d": _Identity(_RADIAL, r32_weight, False, *_slot(_K, 1)),
-    "K2_3d": _Identity(_RADIAL, r32_weight, False, *_slot(_K, 2)),
-    "tK2_3d": _Identity(_RADIAL, r32_weight, False, *_slot(_K, 3)),
+                                          _sample=s), _J),
+    "K1_3d": _member(_RADIAL, r32_weight, _K, 0),
+    "tK1_3d": _member(_RADIAL, r32_weight, _K, 1),
+    "K2_3d": _member(_RADIAL, r32_weight, _K, 2),
+    "tK2_3d": _member(_RADIAL, r32_weight, _K, 3),
     "K_combined_3d": _Identity(
         _RADIAL, r32_weight, False, _quartet(_K[0], _combined_k),
-        _quartet(_K[1], _combined_k)),
+        _quartet(_K[1], _combined_k), _K),
     "H_sech_1d": _Identity(_PSI, None, False, *_H),
     "H_radial_r2": _Identity(_RADIAL, None, False, *_H),
 }
 
 
-# identities that read one sample's quartet fields: a pass that needs
-# one of a family evaluates all of it
-_FAMILIES = (("J1", "J2", "J3", "J4", "J_quartet_combined"),
-             ("K1_3d", "tK1_3d", "K2_3d", "tK2_3d", "K_combined_3d"))
-
-
 def _family(name):
     """The names evaluated together with identity ``name``."""
-    return next((f for f in _FAMILIES if name in f), (name,))
+    family = _IDENTITIES[name].family
+    if family is None:
+        return (name,)
+    return tuple(n for n, row in _IDENTITIES.items() if row.family == family)
 
 
 def identity_ids(system=None):
@@ -773,13 +769,6 @@ def identity_ids(system=None):
     those defined on it."""
     return tuple(sorted(name for name, row in _IDENTITIES.items()
                         if system is None or system in row.systems))
-
-
-def _system(state):
-    """System name of a sampled state, as the table spells it."""
-    if isinstance(state, RadialSpinorState):
-        return "radial_3d"
-    return "lab_1d" if state.kind == "lab_uv" else "spinor_1d"
 
 
 def verify_identity(trajectory, identities, weight=None, scaling=None,
@@ -804,8 +793,8 @@ def verify_identity(trajectory, identities, weight=None, scaling=None,
     Each sample's derived fields (see ``_Sample``) are computed once,
     shared between the identities and dropped after the sample; weight
     tables on the grid nodes are evaluated once per call. An identity of
-    a quartet family (``_FAMILIES``) brings the whole family into the
-    pass, and the family's series are kept on the trajectory per
+    a quartet family (its row's ``family``) brings the whole family into
+    the pass, and the family's series are kept on the trajectory per
     (weight, mass, model), so that its five identities cost one pass
     whether they are asked for together or one by one. Mutating a
     sampled state in place after it was verified is unsupported: later
@@ -825,7 +814,7 @@ def verify_identity(trajectory, identities, weight=None, scaling=None,
     trajectory.sample_step("verify_identity")
     times = trajectory.times
     states = trajectory.states
-    system = _system(states[0])
+    system = states[0].system
     for name in names:
         if system not in _IDENTITIES[name].systems:
             raise ValueError(f"{name} is not defined on system {system!r}")
@@ -856,7 +845,7 @@ def verify_identity(trajectory, identities, weight=None, scaling=None,
                 rhs[i, k - 1] = row.rate(a, sample, t)
     series = dict(zip(todo, zip(f_vals, rhs)))
     kept.update((name, fr) for name, fr in series.items()
-                if len(_family(name)) > 1)
+                if _IDENTITIES[name].family)
     reports = []
     for name in names:
         f, r = series.get(name) or kept[name]

@@ -12,7 +12,7 @@ import pytest
 import diraclab
 from diraclab import cli, nonlinearity
 from diraclab.dynamics import integrate
-from diraclab.scenarios import ScenarioConfig
+from diraclab.scenarios import ScenarioConfig, bundled_config_path
 from diraclab.virials import verify_identity
 
 _TINY = """\
@@ -123,6 +123,15 @@ def test_malformed_scenario_exits_two(tmp_path, capsys):
     assert "unknown keys: seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("token", ["soliton_rest",
+                                   "elsewhere/soliton_rest.cfg"])
+def test_bundled_name_resolves_to_the_shipped_file(tmp_path, monkeypatch,
+                                                   token):
+    monkeypatch.chdir(tmp_path)
+    assert cli._resolve_scenario(token) == \
+        bundled_config_path("soliton_rest")
+
+
 def test_non_finite_region_exits_two_before_any_output(tmp_path, capsys):
     path = _scenario(tmp_path, extra="regions = ball:nan\n")
     out = tmp_path / "out"
@@ -138,10 +147,10 @@ def test_regions_sharing_a_column_exit_two_before_any_output(tmp_path,
                      extra="regions = interval:1_0:2_0, interval:1:0_2_0\n")
     out = tmp_path / "out"
     assert cli.main(["run", "--scenario", path, "--out", str(out)]) == 2
+    # float reads "1_0" as 10, so both specs would write one column
     assert capsys.readouterr().err == (
-        "configuration error: regions: interval:1_0:2_0 and "
-        "interval:1:0_2_0 share the trajectory column "
-        "mass_interval_1_0_2_0\n")
+        "configuration error: region 'interval:1_0:2_0': numbers may not "
+        "hold '_'\n")
     assert not out.exists()
 
 
@@ -260,6 +269,7 @@ def test_verify_virial_writes_only_the_requested_identity(tmp_path,
     (["--model", "thirring", "--expected-power", "4"], 1),
     (["--model", "cubic_focusing"], 2),
     (["--model", "power_diag"], 2),
+    (["--model", "nope"], 2),
 ])
 def test_check_nonlinearity_exit_codes(argv, code, capsys):
     assert cli.main(["check-nonlinearity"] + argv) == code
@@ -269,6 +279,14 @@ def test_check_nonlinearity_exit_codes(argv, code, capsys):
         assert report["growth_ok"] is (code == 0)
     else:
         assert "unknown nonlinearity" in capsys.readouterr().err
+
+
+def test_emit_exact_omega_outside_the_band_exits_two(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["emit-exact", "--omega", "1.5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "configuration error: omega = 1.5 is outside (-1, 1)\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

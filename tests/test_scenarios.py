@@ -1,4 +1,5 @@
 import json
+import re
 from collections import Counter
 
 import numpy as np
@@ -6,9 +7,10 @@ import pytest
 from scipy.integrate import cumulative_trapezoid
 
 from diraclab import scenarios, virials
+from diraclab.exact import SolitonParams, thirring_soliton
 from diraclab.scenarios import (ConfigError, ScenarioConfig, _write_csv,
                                 bundled_config_path, experiment,
-                                run_scenario)
+                                integrate_scenario, run_scenario)
 from diraclab.virials import identity_ids
 
 _LAB = {
@@ -57,6 +59,14 @@ def _text(base, **changes):
     return "".join(f"{k} = {v}\n" for k, v in fields.items())
 
 
+def _without(base, *keys):
+    return {k: v for k, v in base.items() if k not in keys}
+
+
+def _exact(message):
+    return f"^{re.escape(message)}$"
+
+
 def test_base_configs_parse():
     for base in (_LAB, _SPINOR, _RADIAL):
         ScenarioConfig.from_text(_text(base))
@@ -102,6 +112,34 @@ def test_base_configs_parse():
      "^observables not defined for this setup: momentum$"),
     (_text(_LAB, x_max="30", n_points="251", observables="parity_defect"),
      "^observables not defined for this setup: parity_defect$"),
+    (_text(_LAB) + "colour\n",
+     _exact("line 12: expected 'key = value', got 'colour'")),
+    (_text(_LAB) + "mass = 2\n", _exact("line 12: duplicate key 'mass'")),
+    (_text(_LAB, n_points="many"),
+     _exact("key 'n_points': cannot read 'many' as int")),
+    (_text(_without(_LAB, "t_end")), _exact("missing required key 't_end'")),
+    (_text(_without(_LAB, "amplitude")), _exact("bump needs an amplitude")),
+    (_text(_LAB, amplitude="0"),
+     _exact("amplitude must be positive and finite")),
+    (_text(_RADIAL, parity="odd"),
+     _exact("radial bumps fix the parity class per component; leave "
+            "parity unset")),
+    (_text(_RADIAL, center="-1"), _exact("radial center must be >= 0")),
+    (_text(_LAB, parity="odd", center="1"),
+     _exact("parity-restricted bumps must sit at center = 0")),
+    (_text(_without(_RADIAL, "amplitude", "width"), initial="soliton"),
+     _exact("the standing wave lives on the line")),
+    (_text(_LAB, sample_stride="3"),
+     _exact("sample_stride = 3 does not divide the 10 steps")),
+    # h = 1/16: the support estimate 3 + 13 passes r_max - 12 h
+    (_text(_RADIAL, r_max="16", n_cells="256", t_end="13"),
+     _exact("support estimate 16 exceeds r_max minus the sponge (15.25)")),
+    # h = 1/8: the support estimate ends 11 h from the right edge, inside
+    # the 4 pinned and 8 monitored nodes that integrate keeps there
+    (_text(_LAB, x_min="-16", x_max="16", n_points="257", dt="0.05",
+           center="10.625"),
+     _exact("support estimate [6.625, 14.625] leaves less than 1.5 of "
+            "boundary buffer")),
 ], ids=["unknown_key", "seed", "radial_key_on_line", "omega_on_bump",
         "dt_over_half_h", "buffer", "soliton_coupling",
         "chiral_balance_on_spinor", "window_charge_on_spinor",
@@ -110,7 +148,12 @@ def test_base_configs_parse():
         "system_planar", "initial_kink", "parity_twisted",
         "line_key_on_radial", "amplitude_on_soliton", "phase_on_bump",
         "observable_colour", "energy_on_lab", "momentum_on_radial",
-        "parity_defect_on_asymmetric_grid"])
+        "parity_defect_on_asymmetric_grid", "malformed_line",
+        "duplicate_key", "unreadable_value", "missing_required_key",
+        "bump_without_amplitude", "amplitude_zero", "radial_parity",
+        "radial_center_negative", "parity_bump_off_center",
+        "radial_soliton", "stride_not_dividing_steps", "radial_buffer",
+        "buffer_inside_sponge"])
 def test_config_rejections(text, match):
     with pytest.raises(ConfigError, match=match):
         ScenarioConfig.from_text(text)
@@ -149,13 +192,13 @@ def test_repeated_list_items_are_refused(key, items):
 
 def test_regions_sharing_a_column_are_refused():
     # "_" maps ":" in a column name and float reads "1_0" as 10: the
-    # intervals [10, 20] and [1, 20] would both write one column
+    # intervals [10, 20] and [1, 20] would both write one column, so a
+    # region number may not hold "_"
     with pytest.raises(ConfigError) as exc:
         ScenarioConfig.from_text(_text(
             _LAB, regions="ball:1, interval:1_0:2_0, interval:1:0_2_0"))
-    assert str(exc.value) == (
-        "regions: interval:1_0:2_0 and interval:1:0_2_0 share the "
-        "trajectory column mass_interval_1_0_2_0")
+    assert str(exc.value) == \
+        "region 'interval:1_0:2_0': numbers may not hold '_'"
 
 
 def test_list_keys_hold_resolved_tuples():
@@ -167,6 +210,24 @@ def test_list_keys_hold_resolved_tuples():
     assert config.identities == ("J2", "J1")
     assert [r.spec for r in config.regions] == ["interval:-1e0:5", "ball:5"]
     assert "regions = interval:-1e0:5, ball:5\n" in config.canonical()
+
+
+def test_standing_wave_scenario_runs_the_exact_wave(tmp_path):
+    with open(bundled_config_path("soliton_rest")) as fh:
+        text = fh.read()
+    short = text.replace("t_end = 20", "t_end = 1")
+    assert short != text
+    config = ScenarioConfig.from_text(short, name="rest")
+    _, traj = integrate_scenario(config)
+    wave = thirring_soliton(SolitonParams(0.5), config.build_grid())
+    assert np.array_equal(traj.states[0].fields, wave.fields)
+    assert traj.states[0].t == wave.t == 0.0
+    assert run_scenario(config, out_root=tmp_path).passed
+    # the wave sits at x = center: SolitonParams takes x0 = -center
+    moved = ScenarioConfig.from_text(short + "center = 3\n")
+    grid = moved.build_grid()
+    peak = grid.x[np.argmax(moved.build_initial(grid).density())]
+    assert abs(peak - 3.0) < 0.5 * grid.h
 
 
 def test_bundled_config_hash_is_pinned():

@@ -19,6 +19,7 @@ from diraclab.virials import (
     functional_H,
     functional_I,
     functionals_J1_to_J4,
+    functionals_K_3d,
     identity_ids,
     origin_flux_radial,
     rhs_H,
@@ -653,6 +654,16 @@ def test_radial_identities_soler(radial_soler_traj):
     for ident in RADIAL_IDS:
         rep = verify_identity(radial_soler_traj, ident, m=1.0, model=model)
         assert rep.passed, ident
+
+
+def test_k_functions_refuse_a_weight_without_radial_quotients():
+    st = annular_state(RadialGrid(20.0, 200))
+    for fn in (functionals_K_3d, rhs_K_3d):
+        with pytest.raises(ValueError) as exc:
+            fn(st, weights.tanh_1d())
+        assert str(exc.value) == (
+            f"{fn.__name__} needs weight 'tanh' to carry the closed-form "
+            "quotient 'phi_over_r'")
 
 
 def test_radial_k1_origin_active_meets_stated_tolerance():
