@@ -5,10 +5,15 @@ runs, the bundled experiments, the algebra and nonlinearity checkers,
 identity verification along a trajectory, the second-order residual
 monitor, and exact-solution tables.
 
+``run`` parses every scenario before it runs any. One scenario runs in
+this process; N run in a pool of min(N, os.cpu_count()) worker
+processes, with the same outputs and verdicts.
+
 Exit codes: 0 when everything requested passed, 1 when a run completed
 but a check failed or a run aborted mid-way (non-finite fields, mass at
 the boundary, an invalid sample), 2 when the request itself was
-malformed (unknown keys, incompatible frames, missing files).
+malformed (unknown keys, incompatible frames, unreadable or missing
+files, an output root that is not a directory).
 """
 
 import argparse
@@ -23,9 +28,8 @@ from .dynamics import RunAborted
 from .exact import SolitonParams, thirring_soliton
 from .grids import Grid1D
 from .scenarios import (EXPERIMENT_IDS, ConfigError, ScenarioConfig,
-                        _ensure_dir, _verify_and_write, _write_csv,
                         bundled_config_path, experiment, integrate_scenario,
-                        run_scenario)
+                        run_scenario, verify_and_write, write_table)
 from .virials import identity_ids
 
 __all__ = ["main"]
@@ -39,29 +43,24 @@ def _resolve_scenario(token):
     return bundled_config_path(base)
 
 
-def _print(line):
-    sys.stdout.write(line + "\n")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 def _cmd_run(args):
-    paths = [_resolve_scenario(tok) for tok in args.scenario]
-    if args.jobs > 1 and len(paths) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(run_scenario, p, args.out)
-                       for p in paths]
-            summaries = [f.result() for f in futures]
+    configs = [ScenarioConfig.from_file(_resolve_scenario(tok))
+               for tok in args.scenario]
+    workers = min(len(configs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            summaries = list(pool.map(run_scenario, configs,
+                                      [args.out] * len(configs)))
     else:
-        summaries = [run_scenario(p, args.out) for p in paths]
-    ok = True
+        summaries = [run_scenario(c, args.out) for c in configs]
     for s in summaries:
         tag = "pass" if s.passed else "FAIL"
-        _print(f"{tag}  {s.name}  hash={s.scenario_hash}  "
-               f"samples={s.n_samples}  wall={s.wall_time:.2f}s")
-        ok = ok and s.passed
-    return 0 if ok else 1
+        print(f"{tag}  {s.name}  hash={s.scenario_hash}  "
+              f"samples={s.n_samples}  wall={s.wall_time:.2f}s")
+    return 0 if all(s.passed for s in summaries) else 1
 
 
 def _cmd_experiment(args):
@@ -69,7 +68,7 @@ def _cmd_experiment(args):
     for ident in args.id:
         summary = experiment(ident, args.out)
         for name, verdict in sorted(summary.checks.items()):
-            _print(f"{'pass' if verdict else 'FAIL'}  {ident}:{name}")
+            print(f"{'pass' if verdict else 'FAIL'}  {ident}:{name}")
         ok = ok and summary.passed
     return 0 if ok else 1
 
@@ -78,11 +77,11 @@ def _cmd_check_algebra(args):
     ok = True
     for n in args.n:
         report = algebra.check_clifford(n)
-        _print(f"n = {n}: {len(report.relations)} relations, "
-               f"max defect {report.max_defect:g}")
+        print(f"n = {n}: {len(report.relations)} relations, "
+              f"max defect {report.max_defect:g}")
         if args.verbose:
             for line in report.lines():
-                _print("  " + line)
+                print("  " + line)
         ok = ok and report.passed
     return 0 if ok else 1
 
@@ -94,7 +93,7 @@ def _cmd_check_nonlinearity(args):
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from None
     report = nonlinearity.check_all(model, p_expected=args.expected_power)
-    _print(json.dumps(report, indent=2, sort_keys=True))
+    print(json.dumps(report, indent=2, sort_keys=True))
     # gauge, symmetry, harmonic and (b,d)-dependence classify a model
     # (the catalog ships models that fail gauge, harmonic and (b,d)); only
     # a non-polynomial gradient or too slow a growth is a defect
@@ -105,12 +104,11 @@ def _cmd_verify_virial(args):
     config = ScenarioConfig.from_file(_resolve_scenario(args.scenario))
     config.require_identities([args.identity])
     model, traj = integrate_scenario(config)
-    out_dir = _ensure_dir(args.out, config.out_dir)
-    rep, fname = _verify_and_write(traj, args.identity, config, model,
-                                   out_dir)
+    rep, path = verify_and_write(traj, args.identity, config, model,
+                                 args.out)
     payload = rep.to_dict()
-    payload["csv"] = os.path.join(out_dir, fname)
-    _print(json.dumps(payload, indent=2, sort_keys=True))
+    payload["csv"] = path
+    print(json.dumps(payload, indent=2, sort_keys=True))
     return 0 if rep.passed else 1
 
 
@@ -124,10 +122,10 @@ def _cmd_nlkg_check(args):
         series = gronwall_monitor(traj, model, m=config.mass)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    out_dir = _ensure_dir(args.out, config.out_dir)
-    _write_csv(os.path.join(out_dir, "residuals.csv"),
-               ["t", "M", "nlkg_1", "nlkg_2"],
-               [series.times, series.values, series.nlkg_1, series.nlkg_2])
+    path = write_table(args.out, config.out_dir, "residuals.csv",
+                       ["t", "M", "nlkg_1", "nlkg_2"],
+                       [series.times, series.values, series.nlkg_1,
+                        series.nlkg_2])
     quotient = series.m_max / max(series.m_first, 1e-300)
     # the second-order lines are reported, not gated: the quotient of
     # the first-order quantity is the one verdict
@@ -140,9 +138,9 @@ def _cmd_nlkg_check(args):
         "quotient": float(quotient),
         "n_samples": int(len(series.times)),
         "passed": passed,
-        "csv": os.path.join(out_dir, "residuals.csv"),
+        "csv": path,
     }
-    _print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps(payload, indent=2, sort_keys=True))
     return 0 if passed else 1
 
 
@@ -154,11 +152,10 @@ def _cmd_emit_exact(args):
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from None
     u, v = state.fields
-    out_dir = _ensure_dir(args.out, ".")
-    path = os.path.join(out_dir, args.file)
-    _write_csv(path, ["x", "u_re", "u_im", "v_re", "v_im"],
-               [grid.x, u.real, u.imag, v.real, v.imag])
-    _print(path)
+    path = write_table(args.out, ".", args.file,
+                       ["x", "u_re", "u_im", "v_re", "v_im"],
+                       [grid.x, u.real, u.imag, v.real, v.imag])
+    print(path)
     return 0
 
 
@@ -171,14 +168,15 @@ def _build_parser():
         description="run and interrogate semi-discrete spinor systems")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("run", help="run one or more scenario files")
+    p = sub.add_parser(
+        "run", help="run one or more scenario files",
+        description="Parse every scenario, then run one in this process "
+                    "or N in min(N, CPU count) worker processes.")
     p.add_argument("--scenario", action="append", required=True,
                    help="path to a scenario file, or a bundled name; "
                         "repeatable")
     p.add_argument("--out", default=None,
                    help="output root (default: $DIRACLAB_OUT or .)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers across scenarios")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("experiment", help="run a bundled study")

@@ -331,16 +331,12 @@ def _wrap(template, fields, t):
 
 def _zone_mass(fields, grid):
     """Mass sitting in the sponge zone next to the pinned edge nodes."""
-    if np.iscomplexobj(fields):
-        dens = np.sum(np.abs(fields) ** 2, axis=0)
-    else:
-        dens = np.sum(fields ** 2, axis=0)
+    zone = slice(-(_PIN + _SPONGE), -_PIN)
+    right = np.sum(np.abs(fields[:, zone]) ** 2, axis=0)
     if isinstance(grid, RadialGrid):
-        sl = dens[-(_PIN + _SPONGE):-_PIN]
-        rr = grid.r[-(_PIN + _SPONGE):-_PIN]
-        return 4.0 * np.pi * grid.h * float(np.sum(rr * rr * sl))
-    left = dens[_PIN:_PIN + _SPONGE]
-    right = dens[-(_PIN + _SPONGE):-_PIN]
+        rr = grid.r[zone]
+        return 4.0 * np.pi * grid.h * float(np.sum(rr * rr * right))
+    left = np.sum(np.abs(fields[:, _PIN:_PIN + _SPONGE]) ** 2, axis=0)
     return grid.h * float(np.sum(left) + np.sum(right))
 
 

@@ -78,8 +78,9 @@ class Region:
     """Spatial region, possibly time-dependent, for mass bookkeeping.
 
     Built from the spec a scenario file names it by, which it keeps
-    verbatim as ``spec``. Every number must read as a finite float and
-    hold no ``_``, which float would take as a digit separator.
+    verbatim as ``spec``. A spec holds no whitespace, and every number
+    must read as a finite float and hold no ``_``, which float would
+    take as a digit separator.
 
     specs
     -----
@@ -98,6 +99,8 @@ class Region:
               "ball": "ball:R", "interval": "interval:LO:HI"}
 
     def __init__(self, spec):
+        if any(ch.isspace() for ch in spec):
+            raise ValueError(f"region {spec!r}: specs may not hold whitespace")
         kind, *args = spec.split(":")
         form = self._FORMS.get(kind)
         if form is None:

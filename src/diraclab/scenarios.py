@@ -23,8 +23,9 @@ each then holds one resolved tuple: ``observables`` the checked names in
 ``_OBSERVABLES`` column order, ``identities`` the names the ``virials``
 table carries for the system, and ``regions`` one
 :class:`~diraclab.observables.Region` per spec, which parses and checks
-it, so that distinct specs write distinct trajectory columns. The
-canonical text joins each tuple, every region spec as written.
+it, so that distinct specs write distinct trajectory columns; two specs
+that name one region, such as ``ball:5`` and ``ball:5.0``, are refused.
+The canonical text joins each tuple, every region spec as written.
 
 The bundled studies are data. Each row of ``_STUDIES`` lists the
 scenario texts a study runs and a pure post-processing function that
@@ -65,6 +66,8 @@ __all__ = [
     "ExperimentSummary",
     "integrate_scenario",
     "run_scenario",
+    "verify_and_write",
+    "write_table",
     "experiment",
     "EXPERIMENT_IDS",
     "bundled_config_path",
@@ -226,8 +229,15 @@ class ScenarioConfig:
     @classmethod
     def from_file(cls, path):
         path = os.fspath(path)
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read scenario {path!r}: "
+                              f"{exc.strerror or exc}") from None
+        except UnicodeDecodeError:
+            raise ConfigError(f"scenario {path!r} is not UTF-8 "
+                              f"text") from None
         stem = os.path.splitext(os.path.basename(path))[0]
         return cls.from_text(text, name=stem)
 
@@ -329,6 +339,12 @@ class ScenarioConfig:
             self.regions = tuple(Region(spec) for spec in specs)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        named = {}
+        for region in self.regions:
+            first = named.setdefault((region.kind, region.args), region.spec)
+            if first != region.spec:
+                raise ConfigError(f"regions: {first} and {region.spec} "
+                                  f"name one region")
 
         if self.out_dir is None:
             self.out_dir = self.name
@@ -567,7 +583,11 @@ def _ensure_dir(out_root, rel):
     root = out_root if out_root is not None else \
         os.environ.get(OUT_ROOT_ENV, ".")
     path = os.path.join(root, rel)
-    os.makedirs(path, exist_ok=True)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {path!r}: "
+                          f"{exc.strerror or exc}") from None
     return path
 
 
@@ -656,15 +676,23 @@ def _conservation(series):
     return out
 
 
-def _verify_and_write(traj, ident, config, model, out_dir):
-    """Verify one identity along ``traj`` and write virial_<ident>.csv;
-    returns the report and the file name."""
+def write_table(out_root, rel_dir, fname, header, columns):
+    """Write one CSV table to ``<root>/<rel_dir>/<fname>``, root resolved
+    as in :func:`run_scenario`; returns its path."""
+    path = os.path.join(_ensure_dir(out_root, rel_dir), fname)
+    _write_csv(path, header, columns)
+    return path
+
+
+def verify_and_write(traj, ident, config, model, out_root):
+    """Verify one identity along ``traj`` and write its defect table,
+    ``virial_<ident>.csv`` in the scenario's output directory; returns
+    the report and the table's path."""
     rep = verify_identity(traj, ident, m=config.mass, model=model)
-    fname = f"virial_{ident}.csv"
-    _write_csv(os.path.join(out_dir, fname),
-               ["t", "F", "FD", "RHS", "defect"],
-               [rep.times, rep.values, rep.fd, rep.rhs, rep.defect])
-    return rep, fname
+    path = write_table(out_root, config.out_dir, f"virial_{ident}.csv",
+                       ["t", "F", "FD", "RHS", "defect"],
+                       [rep.times, rep.values, rep.fd, rep.rhs, rep.defect])
+    return rep, path
 
 
 def integrate_scenario(config):
@@ -682,8 +710,6 @@ def _run(config, out_root=None):
     """Integrate one scenario and write its tables; returns (summary,
     trajectory, series, out_dir), ``series`` the trajectory columns by
     name, so experiments can post-process samples."""
-    if isinstance(config, (str, os.PathLike)):
-        config = ScenarioConfig.from_file(config)
     t_start = time.perf_counter()
     out_dir = _ensure_dir(out_root, config.out_dir)
     model, traj = integrate_scenario(config)
@@ -694,9 +720,9 @@ def _run(config, out_root=None):
 
     virials = {}
     for ident in config.identities:
-        rep, fname = _verify_and_write(traj, ident, config, model, out_dir)
+        rep, path = verify_and_write(traj, ident, config, model, out_root)
         virials[ident] = rep.to_dict()
-        files.append(fname)
+        files.append(os.path.basename(path))
 
     decay = {}
     for region in config.regions:
@@ -721,10 +747,9 @@ def _run(config, out_root=None):
 
 
 def run_scenario(config, out_root=None):
-    """Run one scenario end to end and write its summary.
+    """Run one :class:`ScenarioConfig` end to end and write its summary.
 
-    ``config`` is a :class:`ScenarioConfig` or a path to one. Output
-    lands in ``<root>/<out_dir>`` where root comes from ``out_root``,
+    Output lands in ``<root>/<out_dir>`` where root comes from ``out_root``,
     the DIRACLAB_OUT environment variable, or the working directory,
     in that order of preference.
     """

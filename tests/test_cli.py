@@ -1,16 +1,20 @@
+import ast
+import contextlib
 import importlib
+import inspect
 import json
 import os
 import pkgutil
 import subprocess
 import sys
+import types
 import warnings
 
 import numpy as np
 import pytest
 
 import diraclab
-from diraclab import cli, nonlinearity
+from diraclab import cli, nonlinearity, scenarios
 from diraclab.dynamics import integrate
 from diraclab.scenarios import ScenarioConfig, bundled_config_path
 from diraclab.virials import verify_identity
@@ -170,34 +174,125 @@ def test_identities_on_too_few_samples_exit_two(tmp_path, capsys):
             capsys.readouterr().err
 
 
-def test_run_jobs_does_not_change_outputs(tmp_path):
+def _tree(root):
+    """Every CSV's bytes and every summary without its wall time."""
+    out = {}
+    for path in sorted(root.rglob("*")):
+        if path.suffix == ".csv":
+            out[str(path.relative_to(root))] = path.read_bytes()
+        elif path.name == "summary.json":
+            summary = json.loads(path.read_text())
+            del summary["wall_time"]
+            out[str(path.relative_to(root))] = summary
+    return out
+
+
+def test_pooled_run_matches_separate_runs(tmp_path):
     paths = [_scenario(tmp_path, name="lab"),
              _scenario(tmp_path, system="spinor_1d", model="quartic_harmonic",
                        name="spinor",
                        extra="identities = J1, J_quartet_combined\n")]
-    roots, codes = {}, {}
-    for jobs in ("1", "2"):
-        roots[jobs] = tmp_path / f"jobs{jobs}"
-        argv = ["run", "--out", str(roots[jobs]), "--jobs", jobs]
-        for path in paths:
-            argv += ["--scenario", path]
-        codes[jobs] = cli.main(argv)
+    together, apart = tmp_path / "together", tmp_path / "apart"
+    # two scenarios in one call run in a pool wherever there are 2 CPUs
+    argv = ["run", "--out", str(together)]
+    for path in paths:
+        argv += ["--scenario", path]
+    code = cli.main(argv)
+    codes = [cli.main(["run", "--out", str(apart), "--scenario", path])
+             for path in paths]
     # the coarse spinor run fails its identity checks; the verdict, like
-    # every output byte, must not depend on --jobs
-    assert codes["1"] == codes["2"] == 1
-    for name in ("lab", "spinor"):
-        one, two = roots["1"] / name, roots["2"] / name
-        csvs = sorted(p.name for p in one.glob("*.csv"))
-        assert csvs == sorted(p.name for p in two.glob("*.csv"))
-        assert "trajectory.csv" in csvs
-        for fname in csvs:
-            assert (one / fname).read_bytes() == (two / fname).read_bytes()
-        summaries = [json.loads((d / "summary.json").read_text())
-                     for d in (one, two)]
-        for summary in summaries:
-            del summary["wall_time"]
-        assert summaries[0] == summaries[1]
-    assert (roots["2"] / "spinor" / "virial_J1.csv").exists()
+    # every output byte, must not depend on how the runs were spread
+    assert code == max(codes) == 1
+    tree = _tree(together)
+    assert "lab/trajectory.csv" in tree and "spinor/virial_J1.csv" in tree
+    assert tree == _tree(apart)
+
+
+@pytest.mark.parametrize("cpus, n_scenarios, sizes", [
+    (8, 1, []), (8, 3, [3]), (2, 3, [2]), (None, 3, [])])
+def test_run_pool_has_one_worker_per_scenario_up_to_the_cpus(
+        tmp_path, monkeypatch, capsys, cpus, n_scenarios, sizes):
+    # the stand-in pool records its size and runs every task inline
+    pools = []
+
+    def inline_pool(max_workers):
+        pools.append(max_workers)
+        return contextlib.nullcontext(types.SimpleNamespace(map=map))
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", inline_pool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    argv = ["run", "--out", str(tmp_path / "out")]
+    for k in range(n_scenarios):
+        argv += ["--scenario", _scenario(tmp_path, name=f"s{k}")]
+    assert cli.main(argv) == 0
+    assert pools == sizes
+    assert capsys.readouterr().out.count("pass  s") == n_scenarios
+
+
+def test_malformed_second_scenario_exits_two_before_the_first_runs(
+        tmp_path, capsys):
+    first = _scenario(tmp_path, name="first")
+    second = _scenario(tmp_path, name="second", extra="seed = 0\n")
+    out = tmp_path / "out"
+    argv = ["run", "--scenario", first, "--scenario", second,
+            "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == \
+        "configuration error: unknown keys: seed\n"
+    assert not out.exists()
+
+
+def test_run_jobs_option_is_an_argparse_error(tmp_path):
+    # the worker count follows the scenario count; there is no flag for it
+    path = _scenario(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--jobs", "2", "--scenario", path,
+                  "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+
+
+def test_cli_imports_no_private_name():
+    tree = ast.parse(inspect.getsource(cli))
+    private = [(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or node.module.startswith("diraclab"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
+
+
+def _unreadable_scenario(tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(_TINY.format(system="lab_1d", model="thirring",
+                                  name="latin1", dt="0.1", t_end="1")
+                     .encode() + "# caf\xe9\n".encode("latin-1"))
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["directory", "not_utf8", "out_is_a_file",
+                                  "emit_exact_out_is_a_file"])
+def test_unreadable_input_or_output_exits_two(tmp_path, capsys, case):
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    argv, named = {
+        "directory": (["run", "--scenario", str(tmp_path)],
+                      f"cannot read scenario {str(tmp_path)!r}: "
+                      f"Is a directory"),
+        "not_utf8": (["run", "--scenario", _unreadable_scenario(tmp_path)],
+                     f"scenario {str(tmp_path / 'latin1.cfg')!r} is not "
+                     f"UTF-8 text"),
+        "out_is_a_file": (["run", "--scenario", _scenario(tmp_path),
+                           "--out", str(a_file)],
+                          f"cannot make output directory "
+                          f"{str(a_file / 'tiny')!r}: Not a directory"),
+        "emit_exact_out_is_a_file": (
+            ["emit-exact", "--omega", "0.5", "--out", str(a_file)],
+            f"cannot make output directory "
+            f"{os.path.join(str(a_file), '.')!r}: Not a directory"),
+    }[case]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"configuration error: {named}\n"
 
 
 def test_verify_virial_with_identity_the_system_lacks_exits_two(
@@ -466,6 +561,19 @@ def test_experiment_t5_exits_zero(tmp_path, capsys):
     assert "m1/summary.json" in joint["files"]
     for name in joint["files"]:
         assert (out / name).is_file(), name
+
+
+def test_experiment_exits_one_when_a_check_fails(tmp_path, monkeypatch,
+                                                 capsys):
+    # in one time unit the sech-weighted mass cannot halve
+    short = scenarios._T2_TEXT.replace("t_end = 40", "t_end = 1")
+    assert short != scenarios._T2_TEXT
+    monkeypatch.setattr(scenarios, "_T2_TEXT", short)
+    argv = ["experiment", "--id", "T2_massive_odd", "--out", str(tmp_path)]
+    assert cli.main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "FAIL  T2_massive_odd:sech_mass_ratio_below_half" in lines
+    assert "pass  T2_massive_odd:window_hessian_coercive" in lines
 
 
 def test_removed_subcommand_is_an_argparse_error(tmp_path):

@@ -816,3 +816,32 @@ def test_floor_keeps_the_window_out_of_the_precursor(monkeypatch):
     assert truncated[0] < g.n_points
     assert untruncated[0] == truncated[0]
     assert untruncated[-1] > truncated[-1]
+
+
+def _full_grid_zone_mass(fields, grid):
+    """The sponge-zone mass read off the density of the whole field."""
+    pin, sponge = dynamics._PIN, dynamics._SPONGE
+    if np.iscomplexobj(fields):
+        dens = np.sum(np.abs(fields) ** 2, axis=0)
+    else:
+        dens = np.sum(fields ** 2, axis=0)
+    if isinstance(grid, RadialGrid):
+        sl = dens[-(pin + sponge):-pin]
+        rr = grid.r[-(pin + sponge):-pin]
+        return 4.0 * np.pi * grid.h * float(np.sum(rr * rr * sl))
+    left = dens[pin:pin + sponge]
+    right = dens[-(pin + sponge):-pin]
+    return grid.h * float(np.sum(left) + np.sum(right))
+
+
+def test_zone_mass_squares_only_the_zone_bit_for_bit():
+    rng = np.random.default_rng(11)
+    line, radial = Grid1D(-20.0, 20.0, 401), RadialGrid(20.0, 400)
+    for _ in range(50):
+        z = rng.normal(size=(2, 401)) + 1j * rng.normal(size=(2, 401))
+        r = rng.normal(size=(4, 401)) * rng.uniform(1e-8, 10.0)
+        for fields in (z.real, z.imag, r):
+            fields[rng.random(fields.shape) < 0.2] = -0.0
+        for fields, grid in ((z, line), (r, radial)):
+            assert dynamics._zone_mass(fields, grid).hex() == \
+                _full_grid_zone_mass(fields, grid).hex()

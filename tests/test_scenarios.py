@@ -140,6 +140,13 @@ def test_base_configs_parse():
            center="10.625"),
      _exact("support estimate [6.625, 14.625] leaves less than 1.5 of "
             "boundary buffer")),
+    # float(" 5") is 5, and the column would be named "mass_ball_ 5"
+    (_text(_LAB, regions="ball: 5"),
+     _exact("region 'ball: 5': specs may not hold whitespace")),
+    (_text(_LAB, regions="ball:5, ball:5.0"),
+     _exact("regions: ball:5 and ball:5.0 name one region")),
+    (_text(_LAB, regions="interval:-1:2, ball:1e0, ball:1"),
+     _exact("regions: ball:1e0 and ball:1 name one region")),
 ], ids=["unknown_key", "seed", "radial_key_on_line", "omega_on_bump",
         "dt_over_half_h", "buffer", "soliton_coupling",
         "chiral_balance_on_spinor", "window_charge_on_spinor",
@@ -153,7 +160,8 @@ def test_base_configs_parse():
         "bump_without_amplitude", "amplitude_zero", "radial_parity",
         "radial_center_negative", "parity_bump_off_center",
         "radial_soliton", "stride_not_dividing_steps", "radial_buffer",
-        "buffer_inside_sponge"])
+        "buffer_inside_sponge", "region_with_whitespace",
+        "regions_naming_one_region", "regions_naming_one_region_exponent"])
 def test_config_rejections(text, match):
     with pytest.raises(ConfigError, match=match):
         ScenarioConfig.from_text(text)
