@@ -19,7 +19,7 @@ import numpy as np
 
 from .dynamics import require_line
 from .grids import deriv1, quad
-from .nonlinearity import check_harmonic
+from .nonlinearity import require_harmonic
 
 __all__ = ["GronwallSeries", "gronwall_monitor"]
 
@@ -99,13 +99,7 @@ def gronwall_monitor(trajectory, model, m=1.0):
     if model is None:
         raise ValueError("gronwall_monitor needs the model the run was "
                          "generated with")
-    report = check_harmonic(model)
-    if not report.ok:
-        raise ValueError(
-            f"gronwall_monitor: model {model.name!r} fails the "
-            f"mixed-gradient cancellation conditions (defect "
-            f"{report.defect:.3e}); the second-order reformulation "
-            "only closes when they hold")
+    require_harmonic(model, "gronwall_monitor")
     m = float(m)
     states = trajectory.states
     interior = range(1, len(states) - 1)

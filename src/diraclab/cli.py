@@ -12,8 +12,11 @@ processes, with the same outputs and verdicts.
 Exit codes: 0 when everything requested passed, 1 when a run completed
 but a check failed or a run aborted mid-way (non-finite fields, mass at
 the boundary, an invalid sample), 2 when the request itself was
-malformed (unknown keys, incompatible frames, unreadable or missing
-files, an output root that is not a directory).
+malformed (unknown keys, incompatible frames, a model the second-order
+monitor cannot use, unreadable or missing files, an ``--file`` that is
+not a bare file name, an output root that is not a directory). Every
+scenario command makes its output directory once, after the refusals it
+can make from the request alone and before it steps.
 """
 
 import argparse
@@ -29,8 +32,8 @@ from .exact import SolitonParams, thirring_soliton
 from .grids import Grid1D
 from .scenarios import (EXPERIMENT_IDS, ConfigError, ScenarioConfig,
                         bundled_config_path, experiment, integrate_scenario,
-                        run_scenario, verify_and_write, write_table)
-from .virials import identity_ids
+                        output_dir, run_scenario, virial_table, write_tables)
+from .virials import identity_ids, verify_identity
 
 __all__ = ["main"]
 
@@ -103,9 +106,10 @@ def _cmd_check_nonlinearity(args):
 def _cmd_verify_virial(args):
     config = ScenarioConfig.from_file(_resolve_scenario(args.scenario))
     config.require_identities([args.identity])
+    out_dir = output_dir(args.out, config.out_dir)
     model, traj = integrate_scenario(config)
-    rep, path = verify_and_write(traj, args.identity, config, model,
-                                 args.out)
+    rep = verify_identity(traj, args.identity, m=config.mass, model=model)
+    [path] = write_tables(out_dir, [virial_table(rep)])
     payload = rep.to_dict()
     payload["csv"] = path
     print(json.dumps(payload, indent=2, sort_keys=True))
@@ -117,15 +121,20 @@ def _cmd_nlkg_check(args):
     if config.system != "spinor_1d":
         raise ConfigError("the second-order residual monitor needs a "
                           "spinor_1d scenario")
+    try:
+        nonlinearity.require_harmonic(config.build_model(),
+                                      "gronwall_monitor")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    out_dir = output_dir(args.out, config.out_dir)
     model, traj = integrate_scenario(config)
     try:
         series = gronwall_monitor(traj, model, m=config.mass)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    path = write_table(args.out, config.out_dir, "residuals.csv",
-                       ["t", "M", "nlkg_1", "nlkg_2"],
-                       [series.times, series.values, series.nlkg_1,
-                        series.nlkg_2])
+    [path] = write_tables(out_dir, [(
+        "residuals.csv", ["t", "M", "nlkg_1", "nlkg_2"],
+        [series.times, series.values, series.nlkg_1, series.nlkg_2])])
     quotient = series.m_max / max(series.m_first, 1e-300)
     # the second-order lines are reported, not gated: the quotient of
     # the first-order quantity is the one verdict
@@ -145,6 +154,9 @@ def _cmd_nlkg_check(args):
 
 
 def _cmd_emit_exact(args):
+    name = args.file
+    if name in ("", ".", "..") or os.path.basename(name) != name:
+        raise ConfigError(f"--file must be a bare file name, got {name!r}")
     try:
         grid = Grid1D(args.x_min, args.x_max, args.n_points)
         params = SolitonParams(args.omega, t=args.time)
@@ -152,9 +164,9 @@ def _cmd_emit_exact(args):
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from None
     u, v = state.fields
-    path = write_table(args.out, ".", args.file,
-                       ["x", "u_re", "u_im", "v_re", "v_im"],
-                       [grid.x, u.real, u.imag, v.real, v.imag])
+    [path] = write_tables(output_dir(args.out, "."), [(
+        name, ["x", "u_re", "u_im", "v_re", "v_im"],
+        [grid.x, u.real, u.imag, v.real, v.imag])])
     print(path)
     return 0
 
@@ -233,7 +245,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return 2
     except RunAborted as exc:

@@ -54,8 +54,8 @@ def to_lab_frame(state):
 class SolitonParams:
     """Parameters of the standing wave: frequency, shift, phase, instant.
 
-    omega must satisfy |omega| < 1 strictly; gamma = sqrt(1 - omega^2)
-    is the spatial decay rate.
+    omega must satisfy |omega| < 1 strictly and the others must be
+    finite; gamma = sqrt(1 - omega^2) is the spatial decay rate.
     """
 
     def __init__(self, omega, x0=0.0, alpha=0.0, t=0.0):
@@ -66,6 +66,8 @@ class SolitonParams:
         self.x0 = float(x0)
         self.alpha = float(alpha)
         self.t = float(t)
+        if not np.isfinite([self.x0, self.alpha, self.t]).all():
+            raise ValueError("x0, alpha and t must be finite")
 
     @property
     def gamma(self):

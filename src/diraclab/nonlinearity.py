@@ -25,6 +25,7 @@ __all__ = [
     "zero_model",
     "require_frame",
     "require_zero_at_rest",
+    "require_harmonic",
     "sample_states",
     "check_gauge_symmetry",
     "check_harmonic",
@@ -65,6 +66,17 @@ def require_zero_at_rest(model, who):
         raise ValueError(
             f"{who}: model {model.name!r} has a nonzero gradient at the "
             "zero state")
+
+
+def require_harmonic(model, who):
+    """Raise ValueError unless ``model`` passes :func:`check_harmonic`;
+    ``who`` names the caller in the message."""
+    report = check_harmonic(model)
+    if not report.ok:
+        raise ValueError(
+            f"{who}: model {model.name!r} fails the mixed-gradient "
+            f"cancellation conditions (defect {report.defect:.3e}); the "
+            "second-order reformulation only closes when they hold")
 
 
 class NonlinearityModel:

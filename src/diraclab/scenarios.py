@@ -33,11 +33,13 @@ turns one run's trajectory, summary and trajectory columns into extra
 tables, metrics and checks; :func:`experiment` is the one driver that
 runs, writes and summarizes every study.
 
-Everything written to disk (trajectory CSV, per-identity defect CSV,
-summary JSON) is formatted through %.17g, so reruns of the same config
-on the same build are byte-identical. Wall time is recorded in the
-summary but excluded from :meth:`ExperimentSummary.to_dict` when
-``include_wall_time=False``; comparisons should use that form.
+Every CSV table is one shape, ``(file name, header, columns)``, with one
+writer, :func:`write_tables`, into a directory :func:`output_dir` made
+before any stepping. Tables and summary JSON format numbers through
+%.17g, so reruns of the same config on the same build are byte-identical.
+Wall time is recorded in the summary but excluded from
+:meth:`ExperimentSummary.to_dict` when ``include_wall_time=False``;
+comparisons should use that form.
 """
 
 import hashlib
@@ -66,8 +68,9 @@ __all__ = [
     "ExperimentSummary",
     "integrate_scenario",
     "run_scenario",
-    "verify_and_write",
-    "write_table",
+    "output_dir",
+    "write_tables",
+    "virial_table",
     "experiment",
     "EXPERIMENT_IDS",
     "bundled_config_path",
@@ -579,10 +582,12 @@ class ExperimentSummary:
                 f"samples={self.n_samples}, t_final={self.t_final:g})")
 
 
-def _ensure_dir(out_root, rel):
+def output_dir(out_root, rel_dir):
+    """Make ``<root>/<rel_dir>`` and return its path; root is ``out_root``,
+    else the DIRACLAB_OUT environment variable, else the working directory."""
     root = out_root if out_root is not None else \
         os.environ.get(OUT_ROOT_ENV, ".")
-    path = os.path.join(root, rel)
+    path = os.path.join(root, rel_dir)
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
@@ -597,6 +602,23 @@ def _write_csv(path, header, columns):
         fh.write(",".join(header) + "\n")
         for i in range(rows):
             fh.write(",".join(_fmt(col[i]) for col in columns) + "\n")
+
+
+def write_tables(directory, tables):
+    """Write each ``(file name, header, columns)`` table into
+    ``directory``, made by :func:`output_dir`; returns the paths."""
+    paths = [os.path.join(directory, fname) for fname, _, _ in tables]
+    for path, (_, header, columns) in zip(paths, tables):
+        _write_csv(path, header, columns)
+    return paths
+
+
+def virial_table(report):
+    """The defect table of one identity's verification report."""
+    return (f"virial_{report.identity}.csv",
+            ["t", "F", "FD", "RHS", "defect"],
+            [report.times, report.values, report.fd, report.rhs,
+             report.defect])
 
 
 def _downsample(times, values, n_max=17):
@@ -644,10 +666,10 @@ def _region_masses(config, states):
     return out
 
 
-def _observable_columns(config, traj, model):
-    """(header, columns) for the trajectory table, plus its series by
-    column name; the charge series "Q" is there even when unselected,
-    for conservation bookkeeping."""
+def _trajectory_table(config, traj, model):
+    """The trajectory table, plus its series by column name; the charge
+    series "Q" is there even when unselected, for conservation
+    bookkeeping."""
     series = {}
     for name, row in _OBSERVABLES.items():
         if name == "parity_defect":
@@ -655,11 +677,10 @@ def _observable_columns(config, traj, model):
         if name in config.observables:
             series[row.column] = np.array(
                 [row.evaluate(st, config, model) for st in traj.states])
-    header = ["t", *series]
-    columns = [traj.times, *series.values()]
+    table = ("trajectory.csv", ["t", *series], [traj.times, *series.values()])
     if "Q" not in series:
         series["Q"] = np.array([charge(st) for st in traj.states])
-    return header, columns, series
+    return table, series
 
 
 def _conservation(series):
@@ -676,25 +697,6 @@ def _conservation(series):
     return out
 
 
-def write_table(out_root, rel_dir, fname, header, columns):
-    """Write one CSV table to ``<root>/<rel_dir>/<fname>``, root resolved
-    as in :func:`run_scenario`; returns its path."""
-    path = os.path.join(_ensure_dir(out_root, rel_dir), fname)
-    _write_csv(path, header, columns)
-    return path
-
-
-def verify_and_write(traj, ident, config, model, out_root):
-    """Verify one identity along ``traj`` and write its defect table,
-    ``virial_<ident>.csv`` in the scenario's output directory; returns
-    the report and the table's path."""
-    rep = verify_identity(traj, ident, m=config.mass, model=model)
-    path = write_table(out_root, config.out_dir, f"virial_{ident}.csv",
-                       ["t", "F", "FD", "RHS", "defect"],
-                       [rep.times, rep.values, rep.fd, rep.rhs, rep.defect])
-    return rep, path
-
-
 def integrate_scenario(config):
     """Build one scenario's model and initial data and integrate them;
     returns (model, trajectory) without writing anything."""
@@ -706,23 +708,21 @@ def integrate_scenario(config):
     return model, traj
 
 
-def _run(config, out_root=None):
-    """Integrate one scenario and write its tables; returns (summary,
-    trajectory, series, out_dir), ``series`` the trajectory columns by
-    name, so experiments can post-process samples."""
+def _run(config, out_dir):
+    """Integrate one scenario and write its tables into ``out_dir``;
+    returns (summary, trajectory, series), ``series`` the trajectory
+    columns by name, so experiments can post-process samples."""
     t_start = time.perf_counter()
-    out_dir = _ensure_dir(out_root, config.out_dir)
     model, traj = integrate_scenario(config)
 
-    header, columns, series = _observable_columns(config, traj, model)
-    files = ["trajectory.csv"]
-    _write_csv(os.path.join(out_dir, "trajectory.csv"), header, columns)
-
+    table, series = _trajectory_table(config, traj, model)
+    tables = [table]
     virials = {}
     for ident in config.identities:
-        rep, path = verify_and_write(traj, ident, config, model, out_root)
+        rep = verify_identity(traj, ident, m=config.mass, model=model)
         virials[ident] = rep.to_dict()
-        files.append(os.path.basename(path))
+        tables.append(virial_table(rep))
+    write_tables(out_dir, tables)
 
     decay = {}
     for region in config.regions:
@@ -740,20 +740,17 @@ def _run(config, out_root=None):
         decay=decay,
         metrics={},
         checks={},
-        files=files,
+        files=[fname for fname, _, _ in tables],
         wall_time=time.perf_counter() - t_start,
     )
-    return summary, traj, series, out_dir
+    return summary, traj, series
 
 
 def run_scenario(config, out_root=None):
-    """Run one :class:`ScenarioConfig` end to end and write its summary.
-
-    Output lands in ``<root>/<out_dir>`` where root comes from ``out_root``,
-    the DIRACLAB_OUT environment variable, or the working directory,
-    in that order of preference.
-    """
-    summary, _, _, out_dir = _run(config, out_root)
+    """Run one :class:`ScenarioConfig` end to end into ``<root>/<out_dir>``,
+    root as in :func:`output_dir`, and write its summary."""
+    out_dir = output_dir(out_root, config.out_dir)
+    summary, _, _ = _run(config, out_dir)
     summary.write(out_dir)
     return summary
 
@@ -1017,7 +1014,7 @@ def _post_t5(config, traj, summary, series):
 # swapped for a shorter one. ``post(config, trajectory, summary,
 # series)``, with the run's trajectory columns by name, returns (tables,
 # metrics, checks) and writes nothing; a table is (file name, header,
-# columns).
+# columns), the one shape :func:`write_tables` writes.
 _STUDIES = {
     "T1_massless": ([("T1_massless", "_T1_TEXT", {})], _post_t1),
     "T2_massive_odd": ([("T2_massive_odd", "_T2_TEXT", {})], _post_t2),
@@ -1041,16 +1038,18 @@ def experiment(theorem_id, out_root=None):
                           f"known: {', '.join(EXPERIMENT_IDS)}")
     runs, post = _STUDIES[theorem_id]
     t_start = time.perf_counter()
+    configs = [ScenarioConfig.from_text(globals()[text].format(**fields),
+                                        name=name)
+               for name, text, fields in runs]
+    out_dirs = [output_dir(out_root, config.out_dir) for config in configs]
+    joint_dir = output_dir(out_root, theorem_id) if len(runs) > 1 else None
     done, metrics, checks = [], {}, {}
-    for name, text, fields in runs:
-        config = ScenarioConfig.from_text(globals()[text].format(**fields),
-                                          name=name)
-        summary, traj, series, out_dir = _run(config, out_root)
+    for config, out_dir in zip(configs, out_dirs):
+        summary, traj, series = _run(config, out_dir)
         tables, run_metrics, run_checks = post(config, traj, summary,
                                                series)
-        for fname, header, columns in tables:
-            _write_csv(os.path.join(out_dir, fname), header, columns)
-            summary.files.append(fname)
+        write_tables(out_dir, tables)
+        summary.files += [fname for fname, _, _ in tables]
         metrics.update(run_metrics)
         checks.update(run_checks)
         if len(runs) == 1:
@@ -1059,11 +1058,11 @@ def experiment(theorem_id, out_root=None):
         done.append((config, summary))
     if len(runs) == 1:
         return summary
-    return _joint_summary(theorem_id, done, metrics, checks, out_root,
+    return _joint_summary(theorem_id, done, metrics, checks, joint_dir,
                           t_start)
 
 
-def _joint_summary(study, done, metrics, checks, out_root, t_start):
+def _joint_summary(study, done, metrics, checks, directory, t_start):
     """Write the summary of a study of several runs: the runs' hashes
     hashed together, their largest drifts and every run's files."""
     subs = [summary for _, summary in done]
@@ -1080,7 +1079,7 @@ def _joint_summary(study, done, metrics, checks, out_root, t_start):
         conservation=conservation, virials={}, decay={},
         metrics=metrics, checks=checks, files=files,
         wall_time=time.perf_counter() - t_start)
-    summary.write(_ensure_dir(out_root, study))
+    summary.write(directory)
     return summary
 
 

@@ -268,9 +268,26 @@ def _unreadable_scenario(tmp_path):
     return str(path)
 
 
+def _count_integrate_calls(monkeypatch):
+    calls = []
+    original = scenarios.integrate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "integrate", counting)
+    return calls
+
+
 @pytest.mark.parametrize("case", ["directory", "not_utf8", "out_is_a_file",
-                                  "emit_exact_out_is_a_file"])
-def test_unreadable_input_or_output_exits_two(tmp_path, capsys, case):
+                                  "emit_exact_out_is_a_file",
+                                  "verify_virial_out_is_a_file",
+                                  "nlkg_check_out_is_a_file"])
+def test_unreadable_input_or_output_exits_two(tmp_path, capsys, monkeypatch,
+                                              case):
+    # each is refused before any stepping
+    calls = _count_integrate_calls(monkeypatch)
     a_file = tmp_path / "a_file"
     a_file.write_text("")
     argv, named = {
@@ -288,11 +305,41 @@ def test_unreadable_input_or_output_exits_two(tmp_path, capsys, case):
             ["emit-exact", "--omega", "0.5", "--out", str(a_file)],
             f"cannot make output directory "
             f"{os.path.join(str(a_file), '.')!r}: Not a directory"),
+        "verify_virial_out_is_a_file": (
+            ["verify-virial", "--identity", "I_weighted_charge",
+             "--scenario", _scenario(tmp_path), "--out", str(a_file)],
+            f"cannot make output directory "
+            f"{str(a_file / 'tiny')!r}: Not a directory"),
+        "nlkg_check_out_is_a_file": (
+            ["nlkg-check", "--scenario",
+             _scenario(tmp_path, system="spinor_1d",
+                       model="quartic_harmonic"), "--out", str(a_file)],
+            f"cannot make output directory "
+            f"{str(a_file / 'tiny')!r}: Not a directory"),
     }[case]
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"configuration error: {named}\n"
+    assert calls == []
+
+
+@pytest.mark.parametrize("from_env", [True, False])
+def test_run_without_out_writes_under_the_default_root(tmp_path, monkeypatch,
+                                                        from_env):
+    # the root is $DIRACLAB_OUT when set, else the working directory
+    root = tmp_path / "env_root"
+    path = _scenario(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    if from_env:
+        monkeypatch.setenv("DIRACLAB_OUT", str(root))
+    else:
+        monkeypatch.delenv("DIRACLAB_OUT", raising=False)
+    assert cli.main(["run", "--scenario", path]) == 0
+    expected = (root if from_env else tmp_path) / "tiny"
+    assert sorted(p.name for p in expected.iterdir()) == \
+        ["summary.json", "trajectory.csv"]
+    assert root.exists() is from_env
 
 
 def test_verify_virial_with_identity_the_system_lacks_exits_two(
@@ -376,11 +423,19 @@ def test_check_nonlinearity_exit_codes(argv, code, capsys):
         assert "unknown nonlinearity" in capsys.readouterr().err
 
 
-def test_emit_exact_omega_outside_the_band_exits_two(tmp_path, capsys):
+@pytest.mark.parametrize("argv, why", [
+    (["--omega", "1.5"], "omega = 1.5 is outside (-1, 1)"),
+    (["--omega", "0.5", "--time", "nan"],
+     "x0, alpha and t must be finite"),
+    (["--omega", "0.5", "--file", "."],
+     "--file must be a bare file name, got '.'"),
+    (["--omega", "0.5", "--file", "sub/x.csv"],
+     "--file must be a bare file name, got 'sub/x.csv'"),
+], ids=["omega_outside_the_band", "time_nan", "file_dot", "file_in_subdir"])
+def test_emit_exact_malformed_request_exits_two(tmp_path, capsys, argv, why):
     out = tmp_path / "out"
-    assert cli.main(["emit-exact", "--omega", "1.5", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == \
-        "configuration error: omega = 1.5 is outside (-1, 1)\n"
+    assert cli.main(["emit-exact", *argv, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"configuration error: {why}\n")
     assert not out.exists()
 
 
@@ -444,17 +499,28 @@ def test_zero_model_scenario_builds_in_its_frame(tmp_path):
     ("spinor_1d", "quartic_harmonic", 0),
     ("lab_1d", "thirring", 2),
     ("spinor_1d", "soler", 2),
+    ("spinor_1d", "thirring_psi", 2),
 ])
-def test_nlkg_check_exit_codes(tmp_path, capsys, system, model, code):
+def test_nlkg_check_exit_codes(tmp_path, capsys, monkeypatch, system, model,
+                               code):
+    # a model the second-order lines do not hold for is refused before
+    # any stepping, and before the output directory is made
+    calls = _count_integrate_calls(monkeypatch)
     path = _scenario(tmp_path, system=system, model=model)
     argv = ["nlkg-check", "--scenario", path, "--out", str(tmp_path / "out")]
     assert cli.main(argv) == code
+    assert len(calls) == (code == 0)
+    assert (tmp_path / "out").exists() is (code == 0)
     if code == 0:
         payload = json.loads(capsys.readouterr().out)
         assert payload["passed"] and payload["quotient"] <= 10.0
         assert np.isfinite(payload["nlkg_defect_max"])
         with open(payload["csv"], encoding="utf-8") as fh:
             assert fh.readline() == "t,M,nlkg_1,nlkg_2\n"
+    else:
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert err.count("\n") == 1
 
 
 def test_nlkg_check_refuses_a_radial_scenario(tmp_path, capsys):

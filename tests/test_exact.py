@@ -52,6 +52,9 @@ def test_soliton_params_validation():
         SolitonParams(omega=1.0)
     with pytest.raises(ValueError):
         SolitonParams(omega=-1.2)
+    for bad in ({"x0": np.nan}, {"alpha": np.inf}, {"t": -np.inf}):
+        with pytest.raises(ValueError, match="must be finite"):
+            SolitonParams(0.5, **bad)
     assert SolitonParams(omega=0.5).gamma == pytest.approx(np.sqrt(0.75))
 
 

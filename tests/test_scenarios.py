@@ -1,4 +1,5 @@
 import json
+import os
 import re
 from collections import Counter
 
@@ -8,9 +9,10 @@ from scipy.integrate import cumulative_trapezoid
 
 from diraclab import scenarios, virials
 from diraclab.exact import SolitonParams, thirring_soliton
-from diraclab.scenarios import (ConfigError, ScenarioConfig, _write_csv,
+from diraclab.scenarios import (ConfigError, ScenarioConfig,
                                 bundled_config_path, experiment,
-                                integrate_scenario, run_scenario)
+                                integrate_scenario, run_scenario,
+                                write_tables)
 from diraclab.virials import identity_ids
 
 _LAB = {
@@ -295,19 +297,27 @@ def test_runner_verifies_each_identity_in_one_call(tmp_path, monkeypatch,
                                                     identities):
     # a profiler times verification by wrapping this module attribute and
     # counts one call per identity; the quartet family still costs one
-    # pass, because verify_identity keeps its series on the trajectory
-    seen = []
+    # pass, because verify_identity keeps its series on the trajectory.
+    # The output directory is made once, however many tables it gets.
+    seen, made = [], []
     original = scenarios.verify_identity
+    makedirs = os.makedirs
 
     def counting(traj, name, **kwargs):
         seen.append(name)
         return original(traj, name, **kwargs)
 
+    def counting_makedirs(path, *args, **kwargs):
+        made.append(str(path))
+        return makedirs(path, *args, **kwargs)
+
     monkeypatch.setattr(scenarios, "verify_identity", counting)
+    monkeypatch.setattr(os, "makedirs", counting_makedirs)
     config = ScenarioConfig.from_text(
         _text(_SPINOR, parity="odd", identities=identities), name="one")
     summary = run_scenario(config, out_root=tmp_path)
     assert seen == list(config.identities)
+    assert made == [str(tmp_path / "one")]
     assert list(summary.virials) == list(config.identities)
     assert summary.files == (["trajectory.csv"]
                              + [f"virial_{i}.csv" for i in config.identities]
@@ -334,8 +344,9 @@ def test_summary_file_lists_itself(tmp_path, monkeypatch):
 def test_write_csv_roundtrip_is_lossless(tmp_path):
     x = np.linspace(-1.0, 1.0, 16)
     u = np.sin(x) * 1e-7
-    path = tmp_path / "table.csv"
-    _write_csv(path, ["x", "u", "v"], [x, u, np.cos(x)])
+    [path] = write_tables(tmp_path, [("table.csv", ["x", "u", "v"],
+                                      [x, u, np.cos(x)])])
+    assert path == str(tmp_path / "table.csv")
     with open(path) as fh:
         assert fh.readline().strip() == "x,u,v"
     data = np.loadtxt(path, delimiter=",", skiprows=1)
