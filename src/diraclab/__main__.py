@@ -1,0 +1,8 @@
+"""``python -m diraclab``: the command line of :mod:`diraclab.cli`."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

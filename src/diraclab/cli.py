@@ -13,8 +13,10 @@ Exit codes: 0 when everything requested passed, 1 when a run completed
 but a check failed or a run aborted mid-way (non-finite fields, mass at
 the boundary, an invalid sample), 2 when the request itself was
 malformed (unknown keys, incompatible frames, a model the second-order
-monitor cannot use, unreadable or missing files, an ``--file`` that is
-not a bare file name, an output root that is not a directory). Every
+monitor cannot use, too few samples for centered differences, unreadable
+or missing files, an ``--file`` that is not a bare file name, an output
+root that is not a directory, an output file name that is an existing
+directory). Every
 scenario command makes its output directory once, after the refusals it
 can make from the request alone and before it steps.
 """
@@ -32,7 +34,8 @@ from .exact import SolitonParams, thirring_soliton
 from .grids import Grid1D
 from .scenarios import (EXPERIMENT_IDS, ConfigError, ScenarioConfig,
                         bundled_config_path, experiment, integrate_scenario,
-                        output_dir, run_scenario, virial_table, write_tables)
+                        output_dir, run_scenario, virial_file, virial_table,
+                        write_tables)
 from .virials import identity_ids, verify_identity
 
 __all__ = ["main"]
@@ -106,7 +109,8 @@ def _cmd_check_nonlinearity(args):
 def _cmd_verify_virial(args):
     config = ScenarioConfig.from_file(_resolve_scenario(args.scenario))
     config.require_identities([args.identity])
-    out_dir = output_dir(args.out, config.out_dir)
+    out_dir = output_dir(args.out, config.out_dir,
+                         [virial_file(args.identity)])
     model, traj = integrate_scenario(config)
     rep = verify_identity(traj, args.identity, m=config.mass, model=model)
     [path] = write_tables(out_dir, [virial_table(rep)])
@@ -126,14 +130,13 @@ def _cmd_nlkg_check(args):
                                       "gronwall_monitor")
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    out_dir = output_dir(args.out, config.out_dir)
+    config.require_samples("gronwall_monitor needs")
+    name = "residuals.csv"
+    out_dir = output_dir(args.out, config.out_dir, [name])
     model, traj = integrate_scenario(config)
-    try:
-        series = gronwall_monitor(traj, model, m=config.mass)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    series = gronwall_monitor(traj, model, m=config.mass)
     [path] = write_tables(out_dir, [(
-        "residuals.csv", ["t", "M", "nlkg_1", "nlkg_2"],
+        name, ["t", "M", "nlkg_1", "nlkg_2"],
         [series.times, series.values, series.nlkg_1, series.nlkg_2])])
     quotient = series.m_max / max(series.m_first, 1e-300)
     # the second-order lines are reported, not gated: the quotient of
@@ -164,7 +167,7 @@ def _cmd_emit_exact(args):
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from None
     u, v = state.fields
-    [path] = write_tables(output_dir(args.out, "."), [(
+    [path] = write_tables(output_dir(args.out, ".", [name]), [(
         name, ["x", "u_re", "u_im", "v_re", "v_im"],
         [grid.x, u.real, u.imag, v.real, v.imag])])
     print(path)

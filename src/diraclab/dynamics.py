@@ -247,7 +247,7 @@ def _rhs_spinor_arrays(fields, grid, model, m):
 # counts its calls by this name.
 def _rhs_real4_arrays(fields, grid, model, m):
     p11, p12, p21, p22 = fields
-    w11, w12, w21, w22 = model.w_fields(p11, p12, p21, p22)
+    w11, w12, w21, w22 = model.w_fields(fields)
     d11, d12, d21, d22 = deriv1(fields, grid)
     return np.vstack([d22 + m * p12 - w12,
                       -d21 - m * p11 + w11,
@@ -261,36 +261,33 @@ def _rhs_real4_arrays(fields, grid, model, m):
 # multiplies and divides by r > 0), and the floor makes every stepped
 # zero +0.0, so integrate must match the complex route bit for bit.
 def _rhs_radial_arrays(fields, grid, model, m):
-    p11, p12, p21, p22 = fields
-    w11, w12, w21, w22 = model.w_fields(p11, p12, p21, p22)
+    w = model.w_fields(fields)
     # integrate passes the leading cells [0, b) of the grid
     r = grid.r[:fields.shape[-1]]
-    d11, d12, d21, d22 = deriv1(fields, grid, RadialSpinorState.row_parity)
-    # Each row is written in place, in the evaluation order of
+    d = deriv1(fields, grid, RadialSpinorState.row_parity)
+    # The rows are written in place, in the evaluation order of
     #   ((d22 + 2 p22 / r) + m p12) - w12,  ((-(d21 + 2 p21 / r)) - m p11) + w11,
     #   ((-d12) - m p22) + w22,             (d11 + m p21) - w21;
-    # the odd rows carry the 2/r transport term of the 3D operator. The
-    # order is kept on purpose: it makes the output bitwise that of the
-    # plain expressions, and reordering any sum would change the bits.
+    # the odd rows carry the 2/r transport term of the 3D operator, formed
+    # for both odd rows at once in rows 2 and 3 before those are written.
+    # The order is kept on purpose: it makes the output bitwise that of
+    # the plain expressions, and reordering any sum would change the bits.
     out = np.empty_like(fields)
-    mp = np.empty_like(p11)
-    o0, o1, o2, o3 = out
-    np.multiply(2.0, p22, out=o0)
-    o0 /= r
-    np.add(d22, o0, out=o0)
-    o0 += np.multiply(m, p12, out=mp)
-    np.multiply(2.0, p21, out=o1)
-    o1 /= r
-    np.add(d21, o1, out=o1)
-    np.negative(o1, out=o1)
-    o1 -= np.multiply(m, p11, out=mp)
-    np.negative(d12, out=o2)
-    o2 -= np.multiply(m, p22, out=mp)
-    np.add(d11, np.multiply(m, p21, out=mp), out=o3)
-    o0 -= w12
-    o1 += w11
-    o2 += w22
-    o3 -= w21
+    mp = m * fields
+    transport = out[2:]
+    np.multiply(2.0, fields[2:], out=transport)
+    transport /= r
+    transport += d[2:]
+    np.negative(transport[0], out=out[1])
+    np.add(transport[1], mp[1], out=out[0])
+    out[1] -= mp[0]
+    np.negative(d[1], out=out[2])
+    out[2] -= mp[3]
+    np.add(d[0], mp[2], out=out[3])
+    out[0] -= w[1]
+    out[1] += w[0]
+    out[2] += w[3]
+    out[3] -= w[2]
     return out
 
 
@@ -404,6 +401,15 @@ def integrate(initial, model, t_end, dt, m=1.0, sample_stride=1):
     starts at the origin, whose parity ghosts are the grid's own left
     edge. Pinning and every sampled quantity act on the full field.
 
+    The window is stepped as one C-contiguous block, never as a column
+    slice of the field: a ufunc over a slice of a wider array runs
+    several times slower than over contiguous memory. Each step copies
+    the window into a workspace sized to the grid, forms the three stage
+    inputs in a second one with ``out=``, adds the update and floors the
+    block in place, then copies it back. The update
+    ``k1 + 2 (k2 + k3) + k4`` is formed as ``((2 (k2 + k3)) + k1) + k4``,
+    which IEEE commutativity keeps bitwise, signed zeros included.
+
     Returns a :class:`Trajectory` sampled every ``sample_stride`` steps
     (first and last steps always included).
     """
@@ -439,26 +445,47 @@ def integrate(initial, model, t_end, dt, m=1.0, sample_stride=1):
 
     half = 0.5 * dt
     sixth = dt / 6.0
-    # the floor acts on the float view of y, with |y| and its mask
-    # kept in grid-sized workspaces
-    parts = y.view(float)
-    mag = np.empty_like(parts)
-    low = np.empty(parts.shape, dtype=bool)
+    # grid-sized flat workspaces, viewed per step as (rows, b - a)
+    # blocks: ``yw`` holds the window and then its update, ``stage`` each
+    # stage input, and ``mag`` and ``low`` the floor's |y| and mask on
+    # the float view of ``yw``
+    rows = len(y)
+    flat = np.empty(y.size, y.dtype)
+    stage_flat = np.empty(y.size, y.dtype)
+    mag = np.empty(y.view(float).size)
+    low = np.empty(mag.size, dtype=bool)
     # A blow-up overflows between samples; the finiteness check at the
     # next sample aborts the run, so numpy's warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, n_steps + 1):
             if a < b:
-                yw = y[:, a:b]
+                size = rows * (b - a)
+                yw = flat[:size].reshape(rows, b - a)
+                stage = stage_flat[:size].reshape(rows, b - a)
+                np.copyto(yw, y[:, a:b])
                 k1 = rhs(yw, grid, model, m)
-                k2 = rhs(yw + half * k1, grid, model, m)
-                k3 = rhs(yw + half * k2, grid, model, m)
-                k4 = rhs(yw + dt * k3, grid, model, m)
-                yw += sixth * (k1 + 2.0 * (k2 + k3) + k4)
-                cols = slice(w * a, w * b)
-                np.less(np.abs(parts[:, cols], out=mag[:, cols]), _FLOOR,
-                        out=low[:, cols])
-                np.copyto(parts[:, cols], 0.0, where=low[:, cols])
+                np.multiply(half, k1, out=stage)
+                stage += yw
+                k2 = rhs(stage, grid, model, m)
+                np.multiply(half, k2, out=stage)
+                stage += yw
+                k3 = rhs(stage, grid, model, m)
+                np.multiply(dt, k3, out=stage)
+                stage += yw
+                k4 = rhs(stage, grid, model, m)
+                # sixth * (k1 + 2.0 * (k2 + k3) + k4), each sum in its
+                # operands' order up to IEEE commutativity
+                ac = k2 + k3
+                ac *= 2.0
+                ac += k1
+                ac += k4
+                ac *= sixth
+                yw += ac
+                parts = flat[:size].view(float)
+                np.less(np.abs(parts, out=mag[:parts.size]), _FLOOR,
+                        out=low[:parts.size])
+                np.copyto(parts, 0.0, where=low[:parts.size])
+                y[:, a:b] = yw
             if radial:
                 y[:, -_PIN:] = 0.0
             else:

@@ -10,7 +10,9 @@ its float view (real and imaginary parts as a trailing axis of 2) and
 scaled by the reciprocal of 12h: the complex multiplies and the complex
 division by a real scalar that the written-out expressions would run
 cost several times more, and numpy's complex division by a real scalar
-multiplies by that reciprocal, so the values are the same.
+multiplies by that reciprocal, so the values are the same. The interior
+stencil runs once over a whole block of rows as one contiguous buffer
+of floats, and the closure rows then overwrite each row's ends.
 """
 
 import functools
@@ -82,31 +84,45 @@ class RadialGrid:
 # f[-1] = s f[0] and f[-2] = s f[1], which gives
 #   s (f[1], f[0]) - (8 s, 8) f[0] + 8 (f[1], f[2]) - (f[2], f[3]),
 # and its outer rows are the line grid's right rows.
-def _closure(rows, nodes, coefficients):
-    return (np.array(rows), np.array(nodes),
-            np.array(coefficients)[:, :, None])
-
-
-_LINE_CLOSURE = _closure(
-    [0, 1, -2, -1],
-    [[0, 1, 2, 3, 4], [0, 1, 2, 3, 4],
-     [-1, -2, -3, -4, -5], [-1, -2, -3, -4, -5]],
-    [[-25.0, 48.0, -36.0, 16.0, -3.0], [-3.0, -10.0, 18.0, -6.0, 1.0],
-     [3.0, 10.0, -18.0, 6.0, -1.0], [25.0, -48.0, 36.0, -16.0, 3.0]])
-_RADIAL_CLOSURES = {
-    parity: (_closure([0, 1], [[1, 0, 1, 2], [0, 0, 2, 3]],
-                      [[s, -8.0 * s, 8.0, -1.0], [s, -8.0, 8.0, -1.0]]),
-             tuple(table[2:] for table in _LINE_CLOSURE))
-    for parity, s in (("even", 1.0), ("odd", -1.0))}
+_LINE_ROWS = [0, 1, -2, -1]
+_LINE_NODES = [[0, 1, 2, 3, 4], [0, 1, 2, 3, 4],
+               [-1, -2, -3, -4, -5], [-1, -2, -3, -4, -5]]
+_LINE_COEFFICIENTS = [[-25.0, 48.0, -36.0, 16.0, -3.0],
+                      [-3.0, -10.0, 18.0, -6.0, 1.0],
+                      [3.0, 10.0, -18.0, 6.0, -1.0],
+                      [25.0, -48.0, 36.0, -16.0, 3.0]]
+_ORIGIN_ROWS, _ORIGIN_NODES = [0, 1], [[1, 0, 1, 2], [0, 0, 2, 3]]
+_ORIGIN_COEFFICIENTS = {parity: [[s, -8.0 * s, 8.0, -1.0],
+                                 [s, -8.0, 8.0, -1.0]]
+                        for parity, s in (("even", 1.0), ("odd", -1.0))}
 
 
 @functools.lru_cache(maxsize=None)
-def _per_row_closures(names, ndim):
-    # the origin coefficients of each leading row's parity, stacked
-    (rows, nodes, _), outer = _RADIAL_CLOSURES["even"]
-    coefficients = np.stack([_RADIAL_CLOSURES[p][0][2] for p in names])
-    shape = (len(names),) + (1,) * (ndim - 2) + coefficients.shape[1:]
-    return (rows, nodes, coefficients.reshape(shape)), outer
+def _closure_plan(parity, ndim, width):
+    """The closure tables of one row layout, as (output columns, input
+    columns, coefficients) on the rows' float view, ``width`` floats per
+    node. A column counts from the row's start (nodes 0, 1, ...) or,
+    negative, from its end (nodes -1, -2, ...), so no table depends on
+    the row length, and one plan serves every window of a run.
+    ``parity`` is "none", "even", "odd" or a tuple naming the rows on
+    the leading axis of an ``ndim``-dimensional array (0 otherwise)."""
+    part = np.arange(width)
+
+    def table(rows, nodes, coefficients):
+        coefficients = np.array(coefficients)[..., None]
+        return (np.add.outer(np.array(rows) * width, part),
+                np.add.outer(np.array(nodes) * width, part), coefficients)
+
+    if parity == "none":
+        return (table(_LINE_ROWS, _LINE_NODES, _LINE_COEFFICIENTS),)
+    if isinstance(parity, str):
+        coefficients = _ORIGIN_COEFFICIENTS[parity]
+    else:  # the origin coefficients of each leading row's parity, stacked
+        stacked = np.array([_ORIGIN_COEFFICIENTS[p] for p in parity])
+        coefficients = stacked.reshape(
+            (len(parity),) + (1,) * (ndim - 2) + stacked.shape[1:])
+    return (table(_ORIGIN_ROWS, _ORIGIN_NODES, coefficients),
+            table(_LINE_ROWS[2:], _LINE_NODES[2:], _LINE_COEFFICIENTS[2:]))
 
 
 def deriv1(f, grid, parity="none"):
@@ -132,6 +148,14 @@ def deriv1(f, grid, parity="none"):
     multiplying with its reciprocal. So every value equals that of the
     complex expressions, without the cost of complex multiplies and
     divisions; only the sign of an exact zero may differ.
+
+    The interior runs once over the whole block as one flat buffer of
+    floats, shifting by the floats of one node (1 real, 2 complex), so
+    every ufunc sees contiguous memory; a non-contiguous input (such as
+    a column window of a wider block) is first copied into one. The two
+    nodes at each end of a row then hold values read across the row
+    boundary, and the closure rows overwrite them, through tables
+    cached per row layout (see ``_closure_plan``).
     """
     v = np.asarray(f)
     if v.shape[-1] < 8:
@@ -139,44 +163,44 @@ def deriv1(f, grid, parity="none"):
     one = isinstance(parity, str)
     if isinstance(grid, RadialGrid):
         names = (parity,) if one else tuple(parity)
-        if not set(names) <= _RADIAL_CLOSURES.keys():
+        if not set(names) <= _ORIGIN_COEFFICIENTS.keys():
             raise ValueError("radial deriv1 requires parity 'even' or 'odd'"
                              f", got {parity!r}")
         if not one and (v.ndim < 2 or len(names) != len(v)):
             raise ValueError(f"per-row parity gives {len(names)} names for "
                              f"the rows of an array of shape {v.shape}")
-        closures = (_RADIAL_CLOSURES[parity] if one
-                    else _per_row_closures(names, v.ndim))
     elif not one or parity != "none":
         raise ValueError("parity reflection applies only to radial grids")
-    else:
-        closures = (_LINE_CLOSURE,)
+    key = (parity, 0) if one else (names, v.ndim)
 
-    # x, y: input and output with the nodes on axis -2 and a last axis of
-    # the real and imaginary parts (complex) or of length 1 (real)
+    # x, y: input and output as contiguous doubles, a row's nodes side by
+    # side with their real and imaginary parts (complex) or alone (real)
     if v.dtype.kind == "c":
-        out = np.empty_like(v)
-        x = v[..., None].view(v.real.dtype)
-        y = out[..., None].view(out.real.dtype)
+        out = np.empty(v.shape, complex)
+        x = np.ascontiguousarray(v, dtype=complex).view(float)
+        y = out.view(float)
     else:
-        out = np.empty_like(v, dtype=float)
-        x, y = v[..., None], out[..., None]
+        x = np.ascontiguousarray(v, dtype=float)
+        out = y = np.empty(v.shape)
+    w = x.shape[-1] // v.shape[-1]
 
     # interior: ((f[k-2] - 8 f[k-1]) + 8 f[k+1]) - f[k+2]
-    mid = y[..., 2:-2, :]
-    np.multiply(8.0, x[..., 1:-3, :], out=mid)
-    np.subtract(x[..., :-4, :], mid, out=mid)
-    mid += 8.0 * x[..., 3:-1, :]
-    mid -= x[..., 4:, :]
+    xf, yf = x.reshape(-1), y.reshape(-1)
+    mid = yf[2 * w:-2 * w]
+    np.multiply(8.0, xf[w:-3 * w], out=mid)
+    np.subtract(xf[:-4 * w], mid, out=mid)
+    mid += 8.0 * xf[3 * w:-w]
+    mid -= xf[4 * w:]
     # each closure row sums its terms left to right: accumulate adds in
     # sequence, where add.reduce would sum pairwise
-    for rows, nodes, coefficients in closures:
-        terms = x[..., nodes, :] * coefficients
-        y[..., rows, :] = np.add.accumulate(terms, axis=-2)[..., -1, :]
+    for rows, nodes, coefficients in _closure_plan(*key, w):
+        terms = x.take(nodes, axis=-1)
+        terms *= coefficients
+        y[..., rows] = np.add.accumulate(terms, axis=-2)[..., -1, :]
     if v.dtype.kind == "c":
-        y *= 1.0 / (12.0 * grid.h)
+        yf *= 1.0 / (12.0 * grid.h)
     else:
-        y /= 12.0 * grid.h
+        yf /= 12.0 * grid.h
     return out
 
 

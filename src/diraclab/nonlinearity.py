@@ -100,14 +100,15 @@ class NonlinearityModel:
     coupling : float
         Must be finite.
     real_split : callable or None
-        On-shell (p11, p12, p21, p22) -> fresh (4, ...) array of the rows
-        of :meth:`w_fields` in real arithmetic, used there in place of
-        ``grad``; the checkers keep differentiating ``eval_grad`` off
-        shell. Each row must equal ``grad``'s real or imaginary part
-        value for value (``==``). The sign of a zero may differ, except at
-        the zero state (+0.0 in every slot), where the constructor checks
-        that the rows are ``grad``'s bit for bit. The radial right-hand
-        side relies on the first rule; integrate's floor hides zero signs.
+        On-shell (4, ...) block of rows (p11, p12, p21, p22) -> fresh
+        (4, ...) block of the rows of :meth:`w_fields` in real
+        arithmetic, used there in place of ``grad``; the checkers keep
+        differentiating ``eval_grad`` off shell. Each row must equal
+        ``grad``'s real or imaginary part value for value (``==``). The
+        sign of a zero may differ, except at the zero state (+0.0 in
+        every slot), where the constructor checks that the rows are
+        ``grad``'s bit for bit. The radial right-hand side relies on the
+        first rule; integrate's floor hides zero signs.
     """
 
     def __init__(self, name, arity, p, eval_grad, eval_W=None, coupling=1.0,
@@ -124,10 +125,10 @@ class NonlinearityModel:
         self.coupling = float(coupling)
         self.real_split = real_split
         if real_split is not None:
-            rest = np.zeros(1)
-            w1, w2 = self.grad(rest + 1j * rest, rest + 1j * rest)
+            rest = np.zeros((4, 1))
+            w1, w2 = self.grad(rest[0] + 0j, rest[0] + 0j)
             want = np.array([w1.real, w1.imag, w2.real, w2.imag]).tobytes()
-            if np.array(real_split(rest, rest, rest, rest)).tobytes() != want:
+            if np.array(real_split(rest)).tobytes() != want:
                 raise ValueError(
                     f"model {name!r}: real_split differs from grad's parts "
                     "at the zero state")
@@ -138,18 +139,19 @@ class NonlinearityModel:
         z2 = np.asarray(z2, dtype=complex)
         return self.eval_grad(z1, np.conj(z1), z2, np.conj(z2))
 
-    def w_fields(self, p11, p12, p21, p22):
-        """Real rows (W11, W12, W21, W22), W_j = W_j1 + i W_j2, at the
-        state z1 = p11 + i p12, z2 = p21 + i p22 (float arrays of one
-        shape).
+    def w_fields(self, p):
+        """Real rows (W11, W12, W21, W22), W_j = W_j1 + i W_j2, as one
+        fresh (4, ...) block, at the state z1 = p11 + i p12,
+        z2 = p21 + i p22 given as the float block p = (p11, p12, p21, p22).
 
         Uses the model's ``real_split`` when it has one, else the real
         and imaginary parts of ``grad``.
         """
         if self.real_split is not None:
-            return self.real_split(p11, p12, p21, p22)
+            return self.real_split(p)
+        p11, p12, p21, p22 = p
         W1, W2 = self.grad(p11 + 1j * p12, p21 + 1j * p22)
-        return W1.real, W1.imag, W2.real, W2.imag
+        return np.array([W1.real, W1.imag, W2.real, W2.imag])
 
     def potential(self, z1, z2):
         """On-shell potential W at the state (z1, z2); the one refusal of
@@ -254,7 +256,8 @@ def soler(g_coeffs=(1.0,), coupling=1.0):
     The pair is not a joint Wirtinger gradient, so no eval_W is attached.
     The real split is grad's expression on shell in real arithmetic:
     s = ((2 p11)^2 + (2 p12)^2 - (2 p21)^2 - (2 p22)^2) / 4, then the rows
-    coupling * g(s) * p_jk, in grad's order of operations.
+    coupling * g(s) * p_jk, in grad's order of operations, each step one
+    call on the (4, ...) block or on its rows.
     """
     g = tuple(float(c) for c in g_coeffs)
     if not any(g):
@@ -274,23 +277,21 @@ def soler(g_coeffs=(1.0,), coupling=1.0):
         gs = co * g_of(s)
         return gs * a, gs * c
 
-    def real_split(p11, p12, p21, p22):
+    def real_split(p):
         # on shell a + b = 2 p11 and (a - b)^2 = -(2 p12)^2, so this is the
         # real part of grad's s, and of gs, term by term in grad's order
-        s, t = 2.0 * p11, 2.0 * p12
-        s *= s
-        s += np.multiply(t, t, out=t)
-        s -= np.square(np.multiply(p21, 2.0, out=t), out=t)
-        s -= np.square(np.multiply(p22, 2.0, out=t), out=t)
+        q = np.multiply(2.0, p)
+        np.square(q, out=q)
+        s = q[0] + q[1]
+        s -= q[2]
+        s -= q[3]
         s /= 4.0
         gs = s * (0.0 + g[-1])  # g_of's first step (0 + g_n) s
         for c in reversed(g[:-1]):
             gs += c
             gs *= s
         gs *= co
-        w = np.empty((4,) + s.shape)
-        for row, pjk in zip(w, (p11, p12, p21, p22)):
-            np.multiply(gs, pjk, out=row)
+        w = np.multiply(gs, p, out=q)
         # grad's imaginary parts end in a sum with a zero product, which
         # turns a -0.0 into +0.0 at the zero state
         w[1::2] += 0.0

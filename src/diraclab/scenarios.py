@@ -70,6 +70,7 @@ __all__ = [
     "run_scenario",
     "output_dir",
     "write_tables",
+    "virial_file",
     "virial_table",
     "experiment",
     "EXPERIMENT_IDS",
@@ -364,11 +365,24 @@ class ScenarioConfig:
             raise ConfigError(
                 f"identities not defined on system {self.system!r}: "
                 f"{', '.join(out_of_place)}")
-        if idents and self.n_samples < 3:
+        if idents:
+            self.require_samples("identities need")
+
+    def require_samples(self, subject):
+        """Refuse a run with fewer than the 3 samples that centered time
+        differences need; ``subject`` opens the message, such as
+        "identities need"."""
+        if self.n_samples < 3:
             raise ConfigError(
-                f"identities need at least 3 samples for centered "
+                f"{subject} at least 3 samples for centered "
                 f"differences; t_end / (dt * sample_stride) + 1 = "
                 f"{self.n_samples}")
+
+    @property
+    def files(self):
+        """The files a run of this scenario writes into its directory."""
+        return ["trajectory.csv", *map(virial_file, self.identities),
+                "summary.json"]
 
     def _check_buffer(self, grid):
         """Refuse runs whose support estimate reaches the nodes that
@@ -582,9 +596,11 @@ class ExperimentSummary:
                 f"samples={self.n_samples}, t_final={self.t_final:g})")
 
 
-def output_dir(out_root, rel_dir):
-    """Make ``<root>/<rel_dir>`` and return its path; root is ``out_root``,
-    else the DIRACLAB_OUT environment variable, else the working directory."""
+def output_dir(out_root, rel_dir, names):
+    """Make ``<root>/<rel_dir>`` for the files ``names`` and return its
+    path; root is ``out_root``, else the DIRACLAB_OUT environment
+    variable, else the working directory. A name that is an existing
+    directory there is refused, as a directory that cannot be made is."""
     root = out_root if out_root is not None else \
         os.environ.get(OUT_ROOT_ENV, ".")
     path = os.path.join(root, rel_dir)
@@ -593,6 +609,10 @@ def output_dir(out_root, rel_dir):
     except OSError as exc:
         raise ConfigError(f"cannot make output directory {path!r}: "
                           f"{exc.strerror or exc}") from None
+    for name in names:
+        if os.path.isdir(os.path.join(path, name)):
+            raise ConfigError(f"cannot write {os.path.join(path, name)!r}: "
+                              "Is a directory")
     return path
 
 
@@ -613,9 +633,14 @@ def write_tables(directory, tables):
     return paths
 
 
+def virial_file(ident):
+    """The file name of one identity's defect table."""
+    return f"virial_{ident}.csv"
+
+
 def virial_table(report):
     """The defect table of one identity's verification report."""
-    return (f"virial_{report.identity}.csv",
+    return (virial_file(report.identity),
             ["t", "F", "FD", "RHS", "defect"],
             [report.times, report.values, report.fd, report.rhs,
              report.defect])
@@ -749,7 +774,7 @@ def _run(config, out_dir):
 def run_scenario(config, out_root=None):
     """Run one :class:`ScenarioConfig` end to end into ``<root>/<out_dir>``,
     root as in :func:`output_dir`, and write its summary."""
-    out_dir = output_dir(out_root, config.out_dir)
+    out_dir = output_dir(out_root, config.out_dir, config.files)
     summary, _, _ = _run(config, out_dir)
     summary.write(out_dir)
     return summary
@@ -1041,8 +1066,10 @@ def experiment(theorem_id, out_root=None):
     configs = [ScenarioConfig.from_text(globals()[text].format(**fields),
                                         name=name)
                for name, text, fields in runs]
-    out_dirs = [output_dir(out_root, config.out_dir) for config in configs]
-    joint_dir = output_dir(out_root, theorem_id) if len(runs) > 1 else None
+    out_dirs = [output_dir(out_root, config.out_dir, config.files)
+                for config in configs]
+    joint_dir = (output_dir(out_root, theorem_id, ["summary.json"])
+                 if len(runs) > 1 else None)
     done, metrics, checks = [], {}, {}
     for config, out_dir in zip(configs, out_dirs):
         summary, traj, series = _run(config, out_dir)

@@ -264,7 +264,7 @@ class _Sample:
         derivative; the rows inherit the components' parities, because
         diagonal couplings preserve them."""
         st = self.state
-        w = np.asarray(model.w_fields(*self.quartet()[0]))
+        w = model.w_fields(self.quartet()[0])
         return w, deriv1(w, st.grid, st.row_parity)
 
     @_once

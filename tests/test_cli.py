@@ -104,6 +104,30 @@ def test_check_algebra_exits_zero(capsys):
     assert "n = 3" in capsys.readouterr().out
 
 
+def _python_m_diraclab(*argv):
+    """Run ``python -m diraclab`` from this checkout's source tree."""
+    src = os.path.dirname(os.path.dirname(diraclab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "diraclab", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_python_m_diraclab_runs_the_command_line(tmp_path):
+    done = _python_m_diraclab("check-algebra", "--n", "1")
+    assert done.returncode == 0
+    assert done.stdout.startswith("n = 1: ")
+    # a malformed request exits 2 with one line and no traceback
+    out = tmp_path / "out"
+    done = _python_m_diraclab("emit-exact", "--omega", "1.5", "--out",
+                              str(out))
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == \
+        "configuration error: omega = 1.5 is outside (-1, 1)\n"
+    assert not out.exists()
+
+
 def test_check_algebra_unknown_dimension_is_an_argparse_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["check-algebra", "--n", "4"])
@@ -322,6 +346,58 @@ def test_unreadable_input_or_output_exits_two(tmp_path, capsys, monkeypatch,
     assert captured.out == ""
     assert captured.err == f"configuration error: {named}\n"
     assert calls == []
+
+
+@pytest.mark.parametrize("command", ["emit_exact", "run", "run_identity",
+                                     "verify_virial", "nlkg_check"])
+def test_table_path_that_is_a_directory_exits_two_before_stepping(
+        tmp_path, capsys, monkeypatch, command):
+    # a file the command would write that is an existing directory is
+    # refused when the output directory is made: before any stepping,
+    # and with nothing written
+    calls = _count_integrate_calls(monkeypatch)
+    out = tmp_path / "out"
+    spinor = dict(system="spinor_1d", model="quartic_harmonic")
+    argv, blocked = {
+        "emit_exact": (["emit-exact", "--omega", "0.5", "--file", "sub"],
+                       os.path.join(out, ".", "sub")),
+        "run": (["run", "--scenario", _scenario(tmp_path, name="plain")],
+                out / "plain" / "trajectory.csv"),
+        "run_identity": (["run", "--scenario", _scenario(
+            tmp_path, name="ident", extra="identities = I_weighted_charge\n")],
+            out / "ident" / "virial_I_weighted_charge.csv"),
+        "verify_virial": (["verify-virial", "--identity", "J1", "--scenario",
+                           _scenario(tmp_path, name="verify", **spinor)],
+                          out / "verify" / "virial_J1.csv"),
+        "nlkg_check": (["nlkg-check", "--scenario",
+                        _scenario(tmp_path, name="nlkg", **spinor)],
+                       out / "nlkg" / "residuals.csv"),
+    }[command]
+    os.makedirs(blocked)
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", f"configuration error: cannot write {str(blocked)!r}: "
+            f"Is a directory\n")
+    assert calls == []
+    assert [p for p in out.rglob("*") if p.is_file()] == []
+
+
+def test_nlkg_check_on_too_few_samples_exits_two_before_stepping(
+        tmp_path, capsys, monkeypatch):
+    # one step sampled: centered differences need 3 samples, and the
+    # scenario says it has 2 before anything is stepped or made
+    calls = _count_integrate_calls(monkeypatch)
+    path = _scenario(tmp_path, system="spinor_1d", model="quartic_harmonic",
+                     name="few", dt="0.05", t_end="0.05")
+    out = tmp_path / "out"
+    assert cli.main(["nlkg-check", "--scenario", path, "--out",
+                     str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", "configuration error: gronwall_monitor needs at least 3 samples "
+            "for centered differences; t_end / (dt * sample_stride) + 1 = "
+            "2\n")
+    assert calls == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("from_env", [True, False])

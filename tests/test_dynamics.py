@@ -3,7 +3,8 @@ import sys
 import numpy as np
 import pytest
 
-from diraclab import bridge, dynamics, exact, observables, virials, weights
+from diraclab import (bridge, dynamics, exact, grids, observables, virials,
+                      weights)
 from diraclab.dynamics import (
     RadialSpinorState,
     SpinorState1D,
@@ -616,6 +617,38 @@ def test_window_steps_fewer_nodes_than_the_grid(monkeypatch):
     integrate(s0, thirring(coupling=1.0), t_end=2.0, dt=0.025, m=0.0)
     assert len(nodes) == 80 * 4  # steps * stages, one stacked call each
     assert sum(nodes) < 0.6 * len(nodes) * g.n_points
+
+
+@pytest.mark.parametrize("geometry", ["lab", "radial"])
+def test_closure_tables_do_not_grow_with_the_window(geometry, monkeypatch):
+    # deriv1 keys its closure tables by row layout, not by window width:
+    # a run whose window widens 20 times or more leaves the cache at the
+    # size a run that barely widens does
+    if geometry == "lab":
+        s0, model = _lab_bump(Grid1D(-40.0, 40.0, 1601), 0.0, 0.5, 0.5), \
+            thirring(coupling=1.0)
+    else:
+        # + 0.0 turns the far field's -0.0 into +0.0, outside the window
+        bump = _radial_bump(RadialGrid(40.0, 800), 0.05)
+        s0, model = RadialSpinorState(bump.grid, bump.fields + 0.0), soler()
+    stencil = dynamics.deriv1
+    widths = []
+
+    def recording_deriv1(f, grid, parity="none"):
+        widths.append(np.shape(f)[-1])
+        return stencil(f, grid, parity)
+
+    monkeypatch.setattr(dynamics, "deriv1", recording_deriv1)
+    runs = []
+    for t_end in (0.5, 12.0):
+        grids._closure_plan.cache_clear()
+        widths.clear()
+        integrate(s0, model, t_end=t_end, dt=0.025, m=1.0, sample_stride=20)
+        runs.append((len(set(widths)), grids._closure_plan.cache_info()))
+    (short_widths, short), (long_widths, long) = runs
+    assert short_widths <= 2 and long_widths >= 21
+    assert long.currsize == short.currsize == 1
+    assert long.misses == 1
 
 
 _LINE = Grid1D(-10.0, 10.0, 201)

@@ -235,7 +235,9 @@ def test_arity_validation():
 def test_w_fields_decomposition():
     m = builtin("gross_neveu")
     z1, z2 = sample_states(20, 5)
-    W11, W12, W21, W22 = m.w_fields(z1.real, z1.imag, z2.real, z2.imag)
+    block = m.w_fields(np.array([z1.real, z1.imag, z2.real, z2.imag]))
+    assert block.shape == (4, 20)
+    W11, W12, W21, W22 = block
     w1, w2 = m.grad(z1, z2)
     assert np.array_equal(W11 + 1j * W12, w1)
     assert np.array_equal(W21 + 1j * W22, w2)
@@ -268,21 +270,69 @@ def test_soler_real_split_equals_grad_value_for_value(g_coeffs, coupling):
         draws.append(p)
     for p in draws:
         w1, w2 = model.grad(p[0] + 1j * p[1], p[2] + 1j * p[3])
-        got = model.w_fields(*p)
+        got = model.w_fields(p)
         for row, want in zip(got, (w1.real, w1.imag, w2.real, w2.imag)):
             assert np.all(row == want)
     rest = np.zeros((4, 1))
     w1, w2 = model.grad(rest[0] + 1j * rest[1], rest[2] + 1j * rest[3])
-    assert (np.array(model.w_fields(*rest)).tobytes()
+    assert (model.w_fields(rest).tobytes()
             == np.array([w1.real, w1.imag, w2.real, w2.imag]).tobytes())
+
+
+def _soler_rows(g, co, p11, p12, p21, p22):
+    """soler's real split written row by row: s in grad's order, then
+    coupling * g(s) * p_jk for each row, and +0.0 on the imaginary rows."""
+    s = 2.0 * p11
+    s *= s
+    s += (2.0 * p12) * (2.0 * p12)
+    s -= (p21 * 2.0) ** 2
+    s -= (p22 * 2.0) ** 2
+    s /= 4.0
+    gs = s * (0.0 + g[-1])
+    for c in reversed(g[:-1]):
+        gs += c
+        gs *= s
+    gs *= co
+    return [gs * p11, gs * p12 + 0.0, gs * p21, gs * p22 + 0.0]
+
+
+@pytest.mark.parametrize("name, params", [
+    ("soler", {}), ("soler", {"g_coeffs": (1.0, -0.5, 0.2), "coupling": 50.0}),
+    ("soler", {"g_coeffs": (0.0, 1.0), "coupling": -1.0}),
+    ("quartic_harmonic", {}), ("thirring_psi", {"coupling": 2.0})])
+def test_w_fields_block_is_each_rows_value_bit_for_bit(name, params):
+    """The (4, n) block w_fields returns holds, bit for bit, each row's
+    value written out on its own: soler's split row by row, grad's real
+    and imaginary parts for a model without a split. Draws carry +0.0 and
+    -0.0 entries and subnormal magnitudes; the zero state is one of
+    them."""
+    model = builtin(name, **params)
+    rng = np.random.default_rng(11)
+    draws = [np.zeros((4, 7))]
+    for _ in range(4):
+        p = rng.normal(size=(4, 500)) * 10.0 ** rng.uniform(-320.0, 1.0,
+                                                            (4, 500))
+        p[rng.random((4, 500)) < 0.15] = 0.0
+        p[rng.random((4, 500)) < 0.15] *= -0.0
+        draws.append(p)
+    for p in draws:
+        got = model.w_fields(p)
+        assert got.shape == p.shape and got.flags.c_contiguous
+        if model.real_split is not None:
+            rows = _soler_rows(model.g_coeffs, model.coupling, *p)
+        else:
+            w1, w2 = model.grad(p[0] + 1j * p[1], p[2] + 1j * p[3])
+            rows = [w1.real, w1.imag, w2.real, w2.imag]
+        for row, want in zip(got, rows):
+            assert row.tobytes() == want.tobytes()
 
 
 def test_a_real_split_that_is_not_grad_at_the_zero_state_is_refused():
     base = NL.soler()
 
-    def negated(p11, p12, p21, p22):
+    def negated(p):
         # equal in value everywhere, but -0.0 where grad gives +0.0
-        return -np.array(base.w_fields(p11, p12, p21, p22))
+        return -base.w_fields(p)
 
     with pytest.raises(ValueError, match="zero state"):
         NonlinearityModel("negated", "spinor_psi", 3, base.eval_grad,
