@@ -2,7 +2,7 @@
 
 Submodules
 ----------
-algebra       Dirac/Pauli matrices, real-imaginary splitting, relation checks
+algebra       the Dirac matrices each kernel steps with, exact relation checks
 weights       analytic weight functions with derivatives and singular combos
 grids         1D and radial grids, derivatives, quadrature
 nonlinearity  nonlinearity catalog, Wirtinger gradients, admissibility checks

@@ -1,102 +1,78 @@
-"""Pauli and Dirac matrix families with exact integer entries.
-
-All matrices are built from small integers so the anticommutation checks
-below are exact equalities, not tolerance comparisons.
+"""The Dirac matrices (alpha, beta) of each stepped system, read off the
+kernel that :func:`diraclab.dynamics.integrate` steps it with, and the
+exact check of the algebra the virial identities rest on.
 """
 
 import numpy as np
 
-__all__ = [
-    "pauli",
-    "alpha_beta",
-    "split_alpha",
-    "check_clifford",
-    "AlphaSplit",
-    "ValidationReport",
-]
+from . import dynamics
+from .exact import t_transform
+from .grids import Grid1D, RadialGrid
+from .nonlinearity import zero_model
+
+__all__ = ["SYSTEMS", "kernel_matrices", "check_clifford",
+           "ValidationReport"]
+
+SYSTEMS = ("lab_1d", "spinor_1d", "radial_3d")
+_PROBE_NODE = 20
 
 
-def pauli(j):
-    """Return the 2x2 Pauli matrix sigma^j, j in {1,2,3}."""
-    if j == 1:
-        return np.array([[0, 1], [1, 0]], dtype=complex)
-    if j == 2:
-        return np.array([[0, -1j], [1j, 0]], dtype=complex)
-    if j == 3:
-        return np.array([[1, 0], [0, -1]], dtype=complex)
-    raise ValueError(f"pauli index must be 1, 2 or 3, got {j}")
+def _zero_state(system):
+    if system == "radial_3d":
+        return dynamics.RadialSpinorState(RadialGrid(16.0, 32),
+                                          np.zeros((4, 32)))
+    kinds = {"lab_1d": "lab_uv", "spinor_1d": "spinor_psi"}
+    if system not in kinds:
+        raise ValueError(f"unknown system {system!r}; known: "
+                         f"{', '.join(SYSTEMS)}")
+    return dynamics.SpinorState1D(Grid1D(-8.0, 8.0, 33), kinds[system],
+                                  np.zeros((2, 33)))
 
 
-def alpha_beta(n):
-    """Alpha and beta matrices for spatial dimension n.
+def kernel_matrices(system):
+    """The pair (alpha, beta), complex 2x2, of the kernel that
+    ``dynamics._select_rhs`` picks for ``system`` (one of ``SYSTEMS``):
+    d/dt Psi = -alpha Psi_x - i m beta Psi - i W, read at node k = 20 of
+    a zero state's grid under the zero model.
 
-    Returns
-    -------
-    alphas : list of ndarray
-        The n matrices alpha^1..alpha^n.
-    beta : ndarray
-
-    n=1 uses (alpha^1, beta) = (-sigma^2, sigma^3); n=2 uses
-    (sigma^1, sigma^2, sigma^3); n=3 uses the 4x4 block form
-    alpha^j = [[0, sigma^j], [sigma^j, 0]], beta = diag(I2, -I2).
+    Column c of alpha is minus the kernel on the ramp (x - x_k) e_c at
+    m = 0, which the stencil differentiates exactly on these grids of
+    spacing 1/2; column c of -i beta is the kernel on e_c at m = 1 less
+    that at m = 0. The radial 2 p / r term vanishes with the ramp at x_k
+    and cancels in the difference; the origin rows are not probed. So
+    every entry is an exact integer. Each of the radial kernel's four
+    real rows is probed, and the pair is the complex-linear part of that
+    real map, so a sign wrong in any row shows in it.
     """
-    if n == 1:
-        return [-pauli(2)], pauli(3)
-    if n == 2:
-        return [pauli(1), pauli(2)], pauli(3)
-    if n == 3:
-        alphas = []
-        for j in (1, 2, 3):
-            a = np.zeros((4, 4), dtype=complex)
-            a[:2, 2:] = pauli(j)
-            a[2:, :2] = pauli(j)
-            alphas.append(a)
-        beta = np.diag([1.0, 1.0, -1.0, -1.0]).astype(complex)
-        return alphas, beta
-    raise ValueError(f"unsupported dimension {n}; only n in {{1,2,3}}")
+    state = _zero_state(system)
+    grid, k = state.grid, _PROBE_NODE
+    model = zero_model(state.kind)
+    rhs = dynamics._select_rhs(state, model)
+    alpha = np.empty((len(state.fields),) * 2, state.fields.dtype)
+    mass = np.empty_like(alpha)
+    for c in range(len(alpha)):
+        e = np.zeros_like(state.fields)
+        e[c] = grid.nodes - grid.nodes[k]
+        alpha[:, c] = -rhs(e, grid, model, 0.0)[:, k]
+        e[c] = 1.0
+        mass[:, c] = (rhs(e, grid, model, 1.0)[:, k]
+                      - rhs(e, grid, model, 0.0)[:, k])
+    if system == "radial_3d":
+        alpha, mass = _complex_linear_part(alpha), _complex_linear_part(mass)
+    return alpha + 0.0, 1j * mass + 0.0  # + 0.0 turns -0.0 into +0.0
 
 
-class AlphaSplit:
-    """Entrywise real/imaginary decomposition alpha = alpha_r + i*alpha_i.
-
-    Each alpha matrix in the standard representations is purely real or
-    purely imaginary, so exactly one of the two parts is nonzero.
-    """
-
-    def __init__(self, alpha_r, alpha_i):
-        self.alpha_r = np.asarray(alpha_r, dtype=float)
-        self.alpha_i = np.asarray(alpha_i, dtype=float)
-
-    def __repr__(self):
-        kind = "real" if np.any(self.alpha_r) else "imaginary"
-        return f"AlphaSplit(n={self.alpha_r.shape[0]}, {kind})"
-
-
-def split_alpha(alpha):
-    """Split alpha into real and imaginary parts, enforcing purity.
-
-    Raises
-    ------
-    ValueError
-        If the matrix has both nonzero real and nonzero imaginary
-        entries (mixed matrices are outside the representation family).
-    """
-    alpha = np.asarray(alpha, dtype=complex)
-    a_r = alpha.real.copy()
-    a_i = alpha.imag.copy()
-    if np.any(a_r) and np.any(a_i):
-        raise ValueError(
-            "matrix mixes real and imaginary entries; expected purely "
-            "real or purely imaginary alpha"
-        )
-    return AlphaSplit(a_r, a_i)
+def _complex_linear_part(a):
+    # (L e_c - i L(i e_c)) / 2 of L on the rows (Re z1, Im z1, Re z2, Im z2)
+    z = a[0::2] + 1j * a[1::2]
+    return (z[:, 0::2] - 1j * z[:, 1::2]) / 2.0
 
 
 class ValidationReport:
     """Per-relation defect table; passes iff the worst defect is 0.0 exactly."""
 
-    def __init__(self, n, relations):
-        self.n = n
+    def __init__(self, system, relations):
+        self.system = system
         self.relations = relations  # list of (name, defect)
 
     @property
@@ -108,61 +84,38 @@ class ValidationReport:
         return self.max_defect == 0.0
 
     def lines(self):
-        out = []
-        for name, defect in self.relations:
-            status = "pass" if defect == 0.0 else "FAIL"
-            out.append(f"{status}  defect={defect:.3e}  {name}")
-        return out
-
-    def __repr__(self):
-        return (f"ValidationReport(n={self.n}, relations={len(self.relations)}, "
-                f"max_defect={self.max_defect}, passed={self.passed})")
+        return [f"{'pass' if defect == 0.0 else 'FAIL'}  "
+                f"defect={defect:.3e}  {name}"
+                for name, defect in self.relations]
 
 
 def _maxabs(m):
     return float(np.max(np.abs(m)))
 
 
-def check_clifford(n):
-    """Validate every anticommutation, involution and symmetry relation.
-
-    Covers the complex family (alpha^j alpha^k + alpha^k alpha^j = 2 delta_jk I,
-    alpha^j beta + beta alpha^j = 0, squares equal to I, Hermiticity) and the
-    real/imaginary split family (mixed anticommutators, difference of squares,
-    alpha_r symmetric / alpha_i antisymmetric). Entries are exact integers, so
-    a correct build reports defect exactly 0.
+def check_clifford(system):
+    """The relations of the pair :func:`kernel_matrices` reads, complex
+    and split alpha = a_r + i a_i; for "lab_1d" also that the change of
+    frame T of :func:`~diraclab.exact.t_transform` carries the lab pair
+    to the "spinor_1d" kernel's. A correct kernel has defect exactly 0.
     """
-    alphas, beta = alpha_beta(n)
-    N = beta.shape[0]
-    eye = np.eye(N)
-    rel = []
-
-    for j, aj in enumerate(alphas, start=1):
-        for k, ak in enumerate(alphas, start=1):
-            target = 2.0 * eye if j == k else 0.0
-            rel.append((f"alpha^{j} alpha^{k} + alpha^{k} alpha^{j} = 2 delta I",
-                        _maxabs(aj @ ak + ak @ aj - target)))
-        rel.append((f"alpha^{j} beta + beta alpha^{j} = 0",
-                    _maxabs(aj @ beta + beta @ aj)))
-        rel.append((f"(alpha^{j})^2 = I", _maxabs(aj @ aj - eye)))
-        rel.append((f"(alpha^{j})^dagger = alpha^{j}",
-                    _maxabs(aj.conj().T - aj)))
-    rel.append(("beta^2 = I", _maxabs(beta @ beta - eye)))
-
-    splits = [split_alpha(a) for a in alphas]
-    for j, sj in enumerate(splits, start=1):
-        for k, sk in enumerate(splits, start=1):
-            # mixed relation: {a_r^j, a_r^k} - {a_i^j, a_i^k} = 2 delta_jk I
-            lhs = (sj.alpha_r @ sk.alpha_r + sk.alpha_r @ sj.alpha_r
-                   - sj.alpha_i @ sk.alpha_i - sk.alpha_i @ sj.alpha_i)
-            target = 2.0 * eye if j == k else 0.0
-            rel.append((f"{{a_r^{j},a_r^{k}}} - {{a_i^{j},a_i^{k}}} = 2 delta I",
-                        _maxabs(lhs - target)))
-            rel.append((f"a_r^{j} a_i^{k} + a_i^{k} a_r^{j} = 0",
-                        _maxabs(sj.alpha_r @ sk.alpha_i + sk.alpha_i @ sj.alpha_r)))
-        rel.append((f"(a_r^{j})^2 - (a_i^{j})^2 = I",
-                    _maxabs(sj.alpha_r @ sj.alpha_r - sj.alpha_i @ sj.alpha_i - eye)))
-        rel.append((f"(a_r^{j})^T = a_r^{j}", _maxabs(sj.alpha_r.T - sj.alpha_r)))
-        rel.append((f"(a_i^{j})^T = -a_i^{j}", _maxabs(sj.alpha_i.T + sj.alpha_i)))
-
-    return ValidationReport(n, rel)
+    alpha, beta = kernel_matrices(system)
+    eye = np.eye(len(beta))
+    a_r, a_i = alpha.real, alpha.imag
+    rel = [
+        ("alpha^2 = I", _maxabs(alpha @ alpha - eye)),
+        ("beta^2 = I", _maxabs(beta @ beta - eye)),
+        ("alpha beta + beta alpha = 0", _maxabs(alpha @ beta + beta @ alpha)),
+        ("alpha^dagger = alpha", _maxabs(alpha.conj().T - alpha)),
+        ("a_r^2 - a_i^2 = I", _maxabs(a_r @ a_r - a_i @ a_i - eye)),
+        ("a_r a_i + a_i a_r = 0", _maxabs(a_r @ a_i + a_i @ a_r)),
+        ("a_r^T = a_r", _maxabs(a_r.T - a_r)),
+        ("a_i^T = -a_i", _maxabs(a_i.T + a_i)),
+    ]
+    if system == "lab_1d":
+        t = np.array(t_transform(*np.eye(2)))
+        alpha_psi, beta_psi = kernel_matrices("spinor_1d")
+        rel += [("T alpha_lab = alpha_psi T",
+                 _maxabs(t @ alpha - alpha_psi @ t)),
+                ("T beta_lab = beta_psi T", _maxabs(t @ beta - beta_psi @ t))]
+    return ValidationReport(system, rel)

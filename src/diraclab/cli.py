@@ -1,9 +1,10 @@
 """Command line front end.
 
 Subcommands map one-to-one onto the library's entry points: scenario
-runs, the bundled experiments, the algebra and nonlinearity checkers,
-identity verification along a trajectory, the second-order residual
-monitor, and exact-solution tables.
+runs, the bundled experiments, the check of the Dirac matrices that
+each system's kernel steps with, the nonlinearity checker, identity
+verification along a trajectory, the second-order residual monitor,
+and exact-solution tables.
 
 ``run`` parses every scenario before it runs any. One scenario runs in
 this process; N run in a pool of min(N, os.cpu_count()) worker
@@ -16,7 +17,7 @@ malformed (unknown keys, incompatible frames, a model the second-order
 monitor cannot use, too few samples for centered differences, unreadable
 or missing files, an ``--file`` that is not a bare file name, an output
 root that is not a directory, an output file name that is an existing
-directory). Every
+directory, two ``run`` scenarios that share an output directory). Every
 scenario command makes its output directory once, after the refusals it
 can make from the request alone and before it steps.
 """
@@ -55,6 +56,14 @@ def _resolve_scenario(token):
 def _cmd_run(args):
     configs = [ScenarioConfig.from_file(_resolve_scenario(tok))
                for tok in args.scenario]
+    # one run's files would overwrite, or in the pool mix with, another's
+    firsts = {}
+    for i, config in enumerate(configs):
+        j = firsts.setdefault(os.path.normpath(config.out_dir), i)
+        if j != i:
+            raise ConfigError(
+                f"scenarios {args.scenario[j]!r} and {args.scenario[i]!r} "
+                f"share the output directory {config.out_dir!r}")
     workers = min(len(configs), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -81,9 +90,9 @@ def _cmd_experiment(args):
 
 def _cmd_check_algebra(args):
     ok = True
-    for n in args.n:
-        report = algebra.check_clifford(n)
-        print(f"n = {n}: {len(report.relations)} relations, "
+    for system in algebra.SYSTEMS:
+        report = algebra.check_clifford(system)
+        print(f"{system}: {len(report.relations)} relations, "
               f"max defect {report.max_defect:g}")
         if args.verbose:
             for line in report.lines():
@@ -201,9 +210,8 @@ def _build_parser():
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("check-algebra",
-                       help="validate the matrix family relations")
-    p.add_argument("--n", type=int, nargs="+", default=[1, 2, 3],
-                   choices=(1, 2, 3))
+                       help="validate the Dirac matrices each kernel "
+                            "steps with")
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(func=_cmd_check_algebra)
 

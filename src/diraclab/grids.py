@@ -125,6 +125,7 @@ def _closure_plan(parity, ndim, width):
             table(_LINE_ROWS[2:], _LINE_NODES[2:], _LINE_COEFFICIENTS[2:]))
 
 
+@np.errstate(all="ignore")
 def deriv1(f, grid, parity="none"):
     """First derivative, 4th-order central in the interior.
 
@@ -156,6 +157,11 @@ def deriv1(f, grid, parity="none"):
     nodes at each end of a row then hold values read across the row
     boundary, and the closure rows overwrite them, through tables
     cached per row layout (see ``_closure_plan``).
+
+    deriv1 emits no floating-point warning: non-finite input shows in
+    its result, as inf or NaN. A warning could not tell a row's own
+    inf - inf from one at a stacked block's row junction, which the
+    closure rows overwrite.
     """
     v = np.asarray(f)
     if v.shape[-1] < 8:

@@ -28,10 +28,10 @@ that name one region, such as ``ball:5`` and ``ball:5.0``, are refused.
 The canonical text joins each tuple, every region spec as written.
 
 The bundled studies are data. Each row of ``_STUDIES`` lists the
-scenario texts a study runs and a pure post-processing function that
-turns one run's trajectory, summary and trajectory columns into extra
-tables, metrics and checks; :func:`experiment` is the one driver that
-runs, writes and summarizes every study.
+scenario texts a study runs, a pure post-processing function that turns
+one run's trajectory, summary and trajectory columns into a table,
+metrics and checks, and that table's file name; :func:`experiment` is
+the one driver that runs, writes and summarizes every study.
 
 Every CSV table is one shape, ``(file name, header, columns)``, with one
 writer, :func:`write_tables`, into a directory :func:`output_dir` made
@@ -912,8 +912,7 @@ def _post_t1(config, traj, summary, series):
     # probes would compare noise
     floor = 1e-20 * summary.conservation["charge_initial"]
     return (
-        [("cumulative.csv", ["t", "flux", "cumulative"],
-          [t_flux, flux, cum])],
+        (["t", "flux", "cumulative"], [t_flux, flux, cum]),
         {"window_mass": window_mass,
          "cumulative_final": float(cum[-1]),
          "cumulative_growth_final_quarter": growth},
@@ -945,8 +944,8 @@ def _post_t2(config, traj, summary, series):
     # the sech and tanh windows above: the positivity the decay rests on
     coercivity = coercivity_estimate(1.0)
     return (
-        [("h_series.csv", ["t", "H_window", "sech_mass", "parity_defect"],
-          [traj.times, h_series, sech_mass, par])],
+        (["t", "H_window", "sech_mass", "parity_defect"],
+         [traj.times, h_series, sech_mass, par]),
         {"h_window": {"initial": float(h_series[0]),
                       "final": float(h_series[-1])},
          "sech_mass_initial": float(sech_mass[0]),
@@ -979,10 +978,9 @@ def _post_t3(config, traj, summary, series):
     growth = _growth_final_quarter(traj.times, cum)
     ratio = summary.decay["mass_ball_1"]["ratio_last_first"]
     return (
-        [("k_series.csv",
-          ["t", "K1", "tK1", "K2", "tK2", "origin_flux", "cumulative"],
-          [traj.times, k_rows[:, 0], k_rows[:, 1], k_rows[:, 2],
-           k_rows[:, 3], flux, cum])],
+        (["t", "K1", "tK1", "K2", "tK2", "origin_flux", "cumulative"],
+         [traj.times, k_rows[:, 0], k_rows[:, 1], k_rows[:, 2],
+          k_rows[:, 3], flux, cum]),
         {"k_initial": [float(v) for v in k_rows[0]],
          "k_sup": k_sup,
          "k_sup_final_quarter": k_sup_final,
@@ -1030,22 +1028,25 @@ def _post_t5(config, traj, summary, series):
         checks[f"exterior_mass_small_{tag}"] = ext_mass <= 1e-6 * q0
         checks[f"functional_nonincreasing_{tag}"] = \
             worst_rise <= 1e-3 * scale
-    return [("i_series.csv", header, cols)], metrics, checks
+    return (header, cols), metrics, checks
 
 
-# The bundled studies, one row each: its runs and its post-processing.
-# A run is (run name, name of a module-level scenario text, fields to
-# format into it); the text is read when the study runs, so it can be
-# swapped for a shorter one. ``post(config, trajectory, summary,
-# series)``, with the run's trajectory columns by name, returns (tables,
-# metrics, checks) and writes nothing; a table is (file name, header,
-# columns), the one shape :func:`write_tables` writes.
+# The bundled studies, one row each: its runs, its post-processing and
+# the file name of the post's table in each run's directory. A run is
+# (run name, name of a module-level scenario text, fields to format into
+# it); the text is read when the study runs, so it can be swapped for a
+# shorter one. ``post(config, trajectory, summary, series)``, with the
+# run's trajectory columns by name, returns ((header, columns), metrics,
+# checks) and writes nothing.
 _STUDIES = {
-    "T1_massless": ([("T1_massless", "_T1_TEXT", {})], _post_t1),
-    "T2_massive_odd": ([("T2_massive_odd", "_T2_TEXT", {})], _post_t2),
-    "T3_radial": ([("T3_radial", "_T3_TEXT", {})], _post_t3),
+    "T1_massless": ([("T1_massless", "_T1_TEXT", {})], _post_t1,
+                    "cumulative.csv"),
+    "T2_massive_odd": ([("T2_massive_odd", "_T2_TEXT", {})], _post_t2,
+                       "h_series.csv"),
+    "T3_radial": ([("T3_radial", "_T3_TEXT", {})], _post_t3, "k_series.csv"),
     "T5_exterior": ([("T5_m0", "_T5_TEXT", {"mass": 0}),
-                     ("T5_m1", "_T5_TEXT", {"mass": 1})], _post_t5),
+                     ("T5_m1", "_T5_TEXT", {"mass": 1})], _post_t5,
+                    "i_series.csv"),
 }
 
 EXPERIMENT_IDS = tuple(_STUDIES)
@@ -1054,29 +1055,31 @@ EXPERIMENT_IDS = tuple(_STUDIES)
 def experiment(theorem_id, out_root=None):
     """Run one of the bundled long-horizon studies by name.
 
-    Each run writes its scenario's tables, its post-processing's tables
-    and its summary. Returns the summary that holds the study's metrics
-    and checks: the run's, or for several runs the joint one.
+    Each run writes its scenario's tables, its post-processing's table
+    and its summary, every one of them named when its directory is made,
+    before any stepping. Returns the summary that holds the study's
+    metrics and checks: the run's, or for several runs the joint one.
     """
     if theorem_id not in _STUDIES:
         raise ConfigError(f"unknown experiment {theorem_id!r}; "
                           f"known: {', '.join(EXPERIMENT_IDS)}")
-    runs, post = _STUDIES[theorem_id]
+    runs, post, table_name = _STUDIES[theorem_id]
     t_start = time.perf_counter()
     configs = [ScenarioConfig.from_text(globals()[text].format(**fields),
                                         name=name)
                for name, text, fields in runs]
-    out_dirs = [output_dir(out_root, config.out_dir, config.files)
+    out_dirs = [output_dir(out_root, config.out_dir,
+                           config.files + [table_name])
                 for config in configs]
     joint_dir = (output_dir(out_root, theorem_id, ["summary.json"])
                  if len(runs) > 1 else None)
     done, metrics, checks = [], {}, {}
     for config, out_dir in zip(configs, out_dirs):
         summary, traj, series = _run(config, out_dir)
-        tables, run_metrics, run_checks = post(config, traj, summary,
-                                               series)
-        write_tables(out_dir, tables)
-        summary.files += [fname for fname, _, _ in tables]
+        (header, columns), run_metrics, run_checks = post(
+            config, traj, summary, series)
+        write_tables(out_dir, [(table_name, header, columns)])
+        summary.files.append(table_name)
         metrics.update(run_metrics)
         checks.update(run_checks)
         if len(runs) == 1:

@@ -101,7 +101,14 @@ def _scenario(tmp_path, system="lab_1d", model="thirring", extra="",
 
 def test_check_algebra_exits_zero(capsys):
     assert cli.main(["check-algebra"]) == 0
-    assert "n = 3" in capsys.readouterr().out
+    assert capsys.readouterr().out == (
+        "lab_1d: 10 relations, max defect 0\n"
+        "spinor_1d: 8 relations, max defect 0\n"
+        "radial_3d: 8 relations, max defect 0\n")
+    assert cli.main(["check-algebra", "--verbose"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 + 10 + 8 + 8
+    assert lines[1] == "  pass  defect=0.000e+00  alpha^2 = I"
 
 
 def _python_m_diraclab(*argv):
@@ -113,10 +120,17 @@ def _python_m_diraclab(*argv):
                           capture_output=True, text=True, timeout=120)
 
 
+def test_check_algebra_n_option_is_an_argparse_error():
+    # every system is checked every time; there is no flag to pick one
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check-algebra", "--n", "1"])
+    assert exc.value.code == 2
+
+
 def test_python_m_diraclab_runs_the_command_line(tmp_path):
-    done = _python_m_diraclab("check-algebra", "--n", "1")
+    done = _python_m_diraclab("check-algebra")
     assert done.returncode == 0
-    assert done.stdout.startswith("n = 1: ")
+    assert done.stdout.startswith("lab_1d: ")
     # a malformed request exits 2 with one line and no traceback
     out = tmp_path / "out"
     done = _python_m_diraclab("emit-exact", "--omega", "1.5", "--out",
@@ -126,15 +140,6 @@ def test_python_m_diraclab_runs_the_command_line(tmp_path):
     assert done.stderr == \
         "configuration error: omega = 1.5 is outside (-1, 1)\n"
     assert not out.exists()
-
-
-def test_check_algebra_unknown_dimension_is_an_argparse_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["check-algebra", "--n", "4"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "invalid choice: 4" in err
-    assert "Traceback" not in err
 
 
 def test_tiny_run_exits_zero(tmp_path):
@@ -266,6 +271,33 @@ def test_malformed_second_scenario_exits_two_before_the_first_runs(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["two_files", "one_file_twice"])
+def test_run_refuses_two_scenarios_that_share_an_output_directory(
+        tmp_path, capsys, monkeypatch, case):
+    # one run's files would overwrite the other's, or in the pool mix with
+    # them; refused before any directory is made or anything is stepped
+    calls = _count_integrate_calls(monkeypatch)
+    paths = []
+    for t_end, out_dir in (("1", "same"), ("2", "./same/")):
+        path = tmp_path / f"t{t_end}.cfg"
+        path.write_text(_TINY.format(system="spinor_1d",
+                                     model="quartic_harmonic", name=out_dir,
+                                     dt="0.1", t_end=t_end))
+        paths.append(str(path))
+    if case == "one_file_twice":
+        paths[1] = paths[0]
+    out = tmp_path / "out"
+    argv = ["run", "--scenario", paths[0], "--scenario", paths[1],
+            "--out", str(out)]
+    assert cli.main(argv) == 2
+    named = "same" if case == "one_file_twice" else "./same/"
+    assert capsys.readouterr() == (
+        "", f"configuration error: scenarios {paths[0]!r} and "
+            f"{paths[1]!r} share the output directory {named!r}\n")
+    assert calls == []
+    assert not out.exists()
+
+
 def test_run_jobs_option_is_an_argparse_error(tmp_path):
     # the worker count follows the scenario count; there is no flag for it
     path = _scenario(tmp_path)
@@ -349,7 +381,8 @@ def test_unreadable_input_or_output_exits_two(tmp_path, capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("command", ["emit_exact", "run", "run_identity",
-                                     "verify_virial", "nlkg_check"])
+                                     "verify_virial", "nlkg_check",
+                                     "study_table", "second_run_table"])
 def test_table_path_that_is_a_directory_exits_two_before_stepping(
         tmp_path, capsys, monkeypatch, command):
     # a file the command would write that is an existing directory is
@@ -372,6 +405,11 @@ def test_table_path_that_is_a_directory_exits_two_before_stepping(
         "nlkg_check": (["nlkg-check", "--scenario",
                         _scenario(tmp_path, name="nlkg", **spinor)],
                        out / "nlkg" / "residuals.csv"),
+        # a study post's own table, and one in a study's second run
+        "study_table": (["experiment", "--id", "T2_massive_odd"],
+                        out / "T2_massive_odd" / "h_series.csv"),
+        "second_run_table": (["experiment", "--id", "T5_exterior"],
+                             out / "T5_exterior" / "m1" / "i_series.csv"),
     }[command]
     os.makedirs(blocked)
     assert cli.main(argv + ["--out", str(out)]) == 2

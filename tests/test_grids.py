@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +123,39 @@ def test_deriv1_complex_passthrough():
     df = deriv1(f, g)
     assert df.dtype.kind == "c"
     assert np.max(np.abs(df - (-2.0 * g.x) * f)) < 1e-5
+
+
+def _quietly(*args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return deriv1(*args)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_deriv1_stacked_rows_with_infinities_at_the_junction(dtype):
+    # the flat interior reads inf - inf across the junction of the rows;
+    # the closure rows overwrite it, and no warning is emitted
+    g = Grid1D(-1.0, 1.0, 16)
+    f = np.linspace(0.0, 1.0, 32).reshape(2, 16).astype(dtype)
+    f[0, -1] = f[1, 0] = np.inf
+    stacked = _quietly(f, g)
+    assert stacked.tobytes() == np.array(
+        [_quietly(row, g) for row in f]).tobytes()
+    assert np.isinf(stacked[0, -1]) and np.isinf(stacked[1, 0])
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_deriv1_one_row_with_non_finite_values(dtype):
+    # inf - inf at node 5 and an overflowing 8 f at nodes 10 to 12 show
+    # in the result, as NaN and inf, without a warning
+    g = Grid1D(-1.0, 1.0, 16)
+    f = np.zeros(16, dtype)
+    f[3] = f[7] = np.inf
+    f[11] = 1e308
+    d = _quietly(f, g)
+    assert np.isnan(d[5])
+    assert np.isinf(d[10]) and np.isinf(d[12])
+    assert np.isfinite(d[13:15]).all()
 
 
 def test_quad_gaussian_line():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from diraclab import exact, nonlinearity, virials, weights
+from diraclab.algebra import kernel_matrices
 from diraclab.dynamics import (
     RadialSpinorState,
     SpinorState1D,
@@ -171,10 +172,9 @@ def test_scaling_rejects_bad_parameters():
         bad.check(0.0)
 
 
-# the frame's transport matrix: diag(1, -1) on the lab pair, and
-# [[0, i], [-i, 0]] on the spinor pair
-_ALPHA = {"lab_uv": np.diag([1.0, -1.0]),
-          "spinor_psi": np.array([[0.0, 1.0j], [-1.0j, 0.0]])}
+# the frame's transport matrix, as the kernel that steps it reads
+_ALPHA = {"lab_uv": kernel_matrices("lab_1d")[0],
+          "spinor_psi": kernel_matrices("spinor_1d")[0]}
 
 
 def _einsum_bracket(kind, fields):
