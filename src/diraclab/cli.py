@@ -6,9 +6,11 @@ each system's kernel steps with, the nonlinearity checker, identity
 verification along a trajectory, the second-order residual monitor,
 and exact-solution tables.
 
-``run`` parses every scenario before it runs any. One scenario runs in
-this process; N run in a pool of min(N, os.cpu_count()) worker
-processes, with the same outputs and verdicts.
+``run`` and ``experiment`` parse every scenario before they run any,
+and hand them to the one runner in :mod:`diraclab.scenarios`: one run
+steps in this process; N runs, scenarios or a study's runs, step in one
+pool of min(N, os.cpu_count()) worker processes, with the same outputs
+and verdicts.
 
 Exit codes: 0 when everything requested passed, 1 when a run completed
 but a check failed or a run aborted mid-way (non-finite fields, mass at
@@ -17,16 +19,16 @@ malformed (unknown keys, incompatible frames, a model the second-order
 monitor cannot use, too few samples for centered differences, unreadable
 or missing files, an ``--file`` that is not a bare file name, an output
 root that is not a directory, an output file name that is an existing
-directory, two ``run`` scenarios that share an output directory). Every
-scenario command makes its output directory once, after the refusals it
-can make from the request alone and before it steps.
+directory, two runs that share an output directory, such as a study
+given twice). Every scenario command makes its output directories once,
+after the refusals it can make from the request alone and before it
+steps.
 """
 
 import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import algebra, nonlinearity
 from .bridge import gronwall_monitor
@@ -35,7 +37,7 @@ from .exact import SolitonParams, thirring_soliton
 from .grids import Grid1D
 from .scenarios import (EXPERIMENT_IDS, ConfigError, ScenarioConfig,
                         bundled_config_path, experiment, integrate_scenario,
-                        output_dir, run_scenario, virial_file, virial_table,
+                        output_dir, run_scenarios, virial_file, virial_table,
                         write_tables)
 from .virials import identity_ids, verify_identity
 
@@ -56,21 +58,7 @@ def _resolve_scenario(token):
 def _cmd_run(args):
     configs = [ScenarioConfig.from_file(_resolve_scenario(tok))
                for tok in args.scenario]
-    # one run's files would overwrite, or in the pool mix with, another's
-    firsts = {}
-    for i, config in enumerate(configs):
-        j = firsts.setdefault(os.path.normpath(config.out_dir), i)
-        if j != i:
-            raise ConfigError(
-                f"scenarios {args.scenario[j]!r} and {args.scenario[i]!r} "
-                f"share the output directory {config.out_dir!r}")
-    workers = min(len(configs), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            summaries = list(pool.map(run_scenario, configs,
-                                      [args.out] * len(configs)))
-    else:
-        summaries = [run_scenario(c, args.out) for c in configs]
+    summaries = run_scenarios(zip(args.scenario, configs), args.out)
     for s in summaries:
         tag = "pass" if s.passed else "FAIL"
         print(f"{tag}  {s.name}  hash={s.scenario_hash}  "
@@ -79,13 +67,11 @@ def _cmd_run(args):
 
 
 def _cmd_experiment(args):
-    ok = True
-    for ident in args.id:
-        summary = experiment(ident, args.out)
+    summaries = experiment(*args.id, out_root=args.out)
+    for ident, summary in zip(args.id, summaries):
         for name, verdict in sorted(summary.checks.items()):
             print(f"{'pass' if verdict else 'FAIL'}  {ident}:{name}")
-        ok = ok and summary.passed
-    return 0 if ok else 1
+    return 0 if all(s.passed for s in summaries) else 1
 
 
 def _cmd_check_algebra(args):
@@ -203,7 +189,7 @@ def _build_parser():
                    help="output root (default: $DIRACLAB_OUT or .)")
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("experiment", help="run a bundled study")
+    p = sub.add_parser("experiment", help="run bundled studies in one pool")
     p.add_argument("--id", action="append", required=True,
                    choices=EXPERIMENT_IDS, help="repeatable")
     p.add_argument("--out", default=None)

@@ -27,11 +27,15 @@ it, so that distinct specs write distinct trajectory columns; two specs
 that name one region, such as ``ball:5`` and ``ball:5.0``, are refused.
 The canonical text joins each tuple, every region spec as written.
 
-The bundled studies are data. Each row of ``_STUDIES`` lists the
-scenario texts a study runs, a pure post-processing function that turns
+The bundled studies are data. Each row of ``_STUDIES`` names the
+bundled configs a study runs, a pure post-processing function that turns
 one run's trajectory, summary and trajectory columns into a table,
-metrics and checks, and that table's file name; :func:`experiment` is
-the one driver that runs, writes and summarizes every study.
+metrics and checks, and that table's file name. Scenarios and studies go
+through one runner, :func:`_run_requests`. With every config parsed, it
+refuses two runs that share an output directory, makes every directory,
+then steps one run in this process or N in a pool of min(N, CPU count)
+workers; each runs its study's post on the trajectory it holds and
+writes its files, and the parent writes the joint summaries.
 
 Every CSV table is one shape, ``(file name, header, columns)``, with one
 writer, :func:`write_tables`, into a directory :func:`output_dir` made
@@ -68,6 +72,7 @@ __all__ = [
     "ExperimentSummary",
     "integrate_scenario",
     "run_scenario",
+    "run_scenarios",
     "output_dir",
     "write_tables",
     "virial_file",
@@ -733,10 +738,13 @@ def integrate_scenario(config):
     return model, traj
 
 
-def _run(config, out_dir):
-    """Integrate one scenario and write its tables into ``out_dir``;
-    returns (summary, trajectory, series), ``series`` the trajectory
-    columns by name, so experiments can post-process samples."""
+def _run(job, out_dir):
+    """Step one job, ``(config, post, table_name, joint)``, where this is
+    called and write its files into ``out_dir``: the scenario's tables,
+    for a study's run its ``post``'s table, then the summary, which holds
+    the post's metrics and checks unless the study's ``joint`` summary
+    does. Returns (summary, metrics, checks); the trajectory stays here."""
+    config, post, table_name, joint = job
     t_start = time.perf_counter()
     model, traj = integrate_scenario(config)
 
@@ -768,97 +776,73 @@ def _run(config, out_dir):
         files=[fname for fname, _, _ in tables],
         wall_time=time.perf_counter() - t_start,
     )
-    return summary, traj, series
+    metrics, checks = {}, {}
+    if post is not None:
+        (header, columns), metrics, checks = post(config, traj, summary,
+                                                  series)
+        write_tables(out_dir, [(table_name, header, columns)])
+        summary.files.append(table_name)
+        if not joint:
+            summary.metrics, summary.checks = metrics, checks
+    summary.write(out_dir)
+    return summary, metrics, checks
+
+
+def _run_requests(requests, out_root):
+    """Run ``(label, configs, post, table)`` requests, each one scenario
+    without a post or one study, as the module docstring says. Returns a
+    summary per request: its run's, or for a study of several runs the
+    joint one, written into ``<root>/<label>``."""
+    t_start = time.perf_counter()
+    labels, jobs = [], []
+    for label, configs, post, table in requests:
+        for config in configs:
+            labels.append(label)
+            jobs.append((config, post, table, len(configs) > 1))
+    # one run's files would overwrite, or in the pool mix with, another's
+    firsts = {}
+    for i, (config, _, _, _) in enumerate(jobs):
+        j = firsts.setdefault(os.path.normpath(config.out_dir), i)
+        if j != i:
+            raise ConfigError(
+                f"scenarios {labels[j]!r} and {labels[i]!r} share the "
+                f"output directory {config.out_dir!r}")
+    out_dirs = [output_dir(out_root, config.out_dir,
+                           config.files + ([table] if post else []))
+                for config, post, table, _ in jobs]
+    joint_dirs = [output_dir(out_root, label, ["summary.json"])
+                  for label, configs, _, _ in requests if len(configs) > 1]
+
+    workers = min(len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_run, jobs, out_dirs))
+    else:
+        results = list(map(_run, jobs, out_dirs))
+    summaries = []
+    for label, configs, _, _ in requests:
+        done, results = results[:len(configs)], results[len(configs):]
+        summaries.append(done[0][0] if len(configs) == 1 else _joint_summary(
+            label, configs, done, joint_dirs.pop(0), t_start))
+    return summaries
 
 
 def run_scenario(config, out_root=None):
-    """Run one :class:`ScenarioConfig` end to end into ``<root>/<out_dir>``,
-    root as in :func:`output_dir`, and write its summary."""
-    out_dir = output_dir(out_root, config.out_dir, config.files)
-    summary, _, _ = _run(config, out_dir)
-    summary.write(out_dir)
-    return summary
+    """Run one :class:`ScenarioConfig` end to end, in this process, into
+    ``<root>/<out_dir>``, root as in :func:`output_dir`."""
+    return run_scenarios([(config.name, config)], out_root)[0]
+
+
+def run_scenarios(labelled, out_root=None):
+    """Run parsed scenarios, ``(label, config)`` pairs, as
+    :func:`run_scenario` runs one, in one pool; returns their summaries."""
+    return _run_requests([(label, [config], None, None)
+                          for label, config in labelled], out_root)
 
 
 # ---------------------------------------------------------------------------
 # bundled experiments
-
-_T1_TEXT = """
-system = lab_1d
-model = thirring
-coupling = 1.0
-mass = 0.0
-initial = bump
-amplitude = 0.3
-width = 20
-x_min = -200
-x_max = 200
-n_points = 8001
-dt = 0.02
-t_end = 90
-sample_stride = 25
-observables = charge, momentum
-regions = log_window
-out_dir = T1_massless
-"""
-
-_T2_TEXT = """
-system = spinor_1d
-model = quartic_harmonic
-coupling = 1.0
-mass = 1.0
-initial = bump
-amplitude = 0.05
-width = 2.0
-parity = odd
-x_min = -100
-x_max = 100
-n_points = 4001
-dt = 0.02
-t_end = 40
-sample_stride = 25
-observables = charge, parity_defect
-regions = ball:8
-out_dir = T2_massive_odd
-"""
-
-_T3_TEXT = """
-system = radial_3d
-model = soler
-coupling = 1.0
-mass = 1.0
-initial = bump
-amplitude = 0.05
-width = 2.0
-r_max = 100
-n_cells = 4000
-dt = 0.0125
-t_end = 40
-sample_stride = 80
-observables = charge
-regions = ball:1, ball:5
-out_dir = T3_radial
-"""
-
-_T5_TEXT = """
-system = lab_1d
-model = thirring
-coupling = 1.0
-mass = {mass}
-initial = bump
-amplitude = 0.3
-width = 1.0
-x_min = -60
-x_max = 60
-n_points = 2401
-dt = 0.02
-t_end = 10
-sample_stride = 25
-observables = charge, momentum
-regions = exterior:0.5, exterior:1
-out_dir = T5_exterior/m{mass}
-"""
-
 
 def _cumulative_trapezoid(y, x):
     """Running trapezoid integral of y over x, starting at 0.
@@ -1031,77 +1015,52 @@ def _post_t5(config, traj, summary, series):
     return (header, cols), metrics, checks
 
 
-# The bundled studies, one row each: its runs, its post-processing and
-# the file name of the post's table in each run's directory. A run is
-# (run name, name of a module-level scenario text, fields to format into
-# it); the text is read when the study runs, so it can be swapped for a
-# shorter one. ``post(config, trajectory, summary, series)``, with the
-# run's trajectory columns by name, returns ((header, columns), metrics,
-# checks) and writes nothing.
+# The bundled studies, one row each: the bundled configs it runs, read
+# through bundled_config_path when it runs, its post and the post's table
+# in each run's directory. ``post(config, trajectory, summary, series)``
+# returns ((header, columns), metrics, checks) and writes nothing.
 _STUDIES = {
-    "T1_massless": ([("T1_massless", "_T1_TEXT", {})], _post_t1,
-                    "cumulative.csv"),
-    "T2_massive_odd": ([("T2_massive_odd", "_T2_TEXT", {})], _post_t2,
-                       "h_series.csv"),
-    "T3_radial": ([("T3_radial", "_T3_TEXT", {})], _post_t3, "k_series.csv"),
-    "T5_exterior": ([("T5_m0", "_T5_TEXT", {"mass": 0}),
-                     ("T5_m1", "_T5_TEXT", {"mass": 1})], _post_t5,
-                    "i_series.csv"),
+    "T1_massless": (["T1_massless"], _post_t1, "cumulative.csv"),
+    "T2_massive_odd": (["T2_massive_odd"], _post_t2, "h_series.csv"),
+    "T3_radial": (["T3_radial"], _post_t3, "k_series.csv"),
+    "T5_exterior": (["T5_m0", "T5_m1"], _post_t5, "i_series.csv"),
 }
 
 EXPERIMENT_IDS = tuple(_STUDIES)
 
 
-def experiment(theorem_id, out_root=None):
-    """Run one of the bundled long-horizon studies by name.
+def experiment(*theorem_ids, out_root=None):
+    """Run bundled long-horizon studies by name, all their runs in one
+    pool as :func:`_run_requests` runs them; a study named twice is
+    refused. Returns, per study, the summary that holds its metrics and
+    checks: its run's, or for several runs the joint one."""
+    requests = []
+    for ident in theorem_ids:
+        if ident not in _STUDIES:
+            raise ConfigError(f"unknown experiment {ident!r}; "
+                              f"known: {', '.join(EXPERIMENT_IDS)}")
+        names, post, table = _STUDIES[ident]
+        requests.append((ident, [ScenarioConfig.from_file(
+            bundled_config_path(name)) for name in names], post, table))
+    return _run_requests(requests, out_root)
 
-    Each run writes its scenario's tables, its post-processing's table
-    and its summary, every one of them named when its directory is made,
-    before any stepping. Returns the summary that holds the study's
-    metrics and checks: the run's, or for several runs the joint one.
-    """
-    if theorem_id not in _STUDIES:
-        raise ConfigError(f"unknown experiment {theorem_id!r}; "
-                          f"known: {', '.join(EXPERIMENT_IDS)}")
-    runs, post, table_name = _STUDIES[theorem_id]
-    t_start = time.perf_counter()
-    configs = [ScenarioConfig.from_text(globals()[text].format(**fields),
-                                        name=name)
-               for name, text, fields in runs]
-    out_dirs = [output_dir(out_root, config.out_dir,
-                           config.files + [table_name])
-                for config in configs]
-    joint_dir = (output_dir(out_root, theorem_id, ["summary.json"])
-                 if len(runs) > 1 else None)
-    done, metrics, checks = [], {}, {}
-    for config, out_dir in zip(configs, out_dirs):
-        summary, traj, series = _run(config, out_dir)
-        (header, columns), run_metrics, run_checks = post(
-            config, traj, summary, series)
-        write_tables(out_dir, [(table_name, header, columns)])
-        summary.files.append(table_name)
+
+def _joint_summary(study, configs, done, directory, t_start):
+    """Write the summary of a study of several runs from each run's
+    (summary, metrics, checks): the runs' hashes hashed together, their
+    largest drifts, their posts' metrics and checks and every run's
+    files."""
+    subs = [summary for summary, _, _ in done]
+    metrics, checks = {}, {}
+    for _, run_metrics, run_checks in done:
         metrics.update(run_metrics)
         checks.update(run_checks)
-        if len(runs) == 1:
-            summary.metrics, summary.checks = metrics, checks
-        summary.write(out_dir)
-        done.append((config, summary))
-    if len(runs) == 1:
-        return summary
-    return _joint_summary(theorem_id, done, metrics, checks, joint_dir,
-                          t_start)
-
-
-def _joint_summary(study, done, metrics, checks, directory, t_start):
-    """Write the summary of a study of several runs: the runs' hashes
-    hashed together, their largest drifts and every run's files."""
-    subs = [summary for _, summary in done]
     joint_hash = hashlib.sha256(
         "".join(s.scenario_hash for s in subs).encode()).hexdigest()[:16]
     conservation = {key: max(s.conservation.get(key, 0.0) for s in subs)
                     for key in ("charge_drift_rel", "hamiltonian_drift_rel")}
     files = [os.path.relpath(config.out_dir, study) + "/" + f
-             for config, summary in done for f in summary.files]
+             for config, summary in zip(configs, subs) for f in summary.files]
     summary = ExperimentSummary(
         name=study, scenario_hash=joint_hash, system=subs[0].system,
         n_samples=sum(s.n_samples for s in subs),

@@ -1,4 +1,5 @@
 import ast
+import concurrent.futures
 import contextlib
 import importlib
 import inspect
@@ -237,25 +238,84 @@ def test_pooled_run_matches_separate_runs(tmp_path):
     assert tree == _tree(apart)
 
 
-@pytest.mark.parametrize("cpus, n_scenarios, sizes", [
-    (8, 1, []), (8, 3, [3]), (2, 3, [2]), (None, 3, [])])
-def test_run_pool_has_one_worker_per_scenario_up_to_the_cpus(
-        tmp_path, monkeypatch, capsys, cpus, n_scenarios, sizes):
-    # the stand-in pool records its size and runs every task inline
+def _inline_pools(monkeypatch, cpus):
+    """Stand in for the process pool on ``cpus`` CPUs: the returned list
+    records each pool's size, and every task runs inline."""
     pools = []
 
     def inline_pool(max_workers):
         pools.append(max_workers)
         return contextlib.nullcontext(types.SimpleNamespace(map=map))
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", inline_pool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        inline_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    return pools
+
+
+@pytest.mark.parametrize("cpus, n_scenarios, sizes", [
+    (8, 1, []), (8, 3, [3]), (2, 3, [2]), (None, 3, [])])
+def test_run_pool_has_one_worker_per_scenario_up_to_the_cpus(
+        tmp_path, monkeypatch, capsys, cpus, n_scenarios, sizes):
+    pools = _inline_pools(monkeypatch, cpus)
     argv = ["run", "--out", str(tmp_path / "out")]
     for k in range(n_scenarios):
         argv += ["--scenario", _scenario(tmp_path, name=f"s{k}")]
     assert cli.main(argv) == 0
     assert pools == sizes
     assert capsys.readouterr().out.count("pass  s") == n_scenarios
+
+
+# cuts that keep each study's runs short; T1 still passes its checks,
+# while T2, T3 and T5 each fail one
+_SHORT = {"T1_massless": [("n_points = 8001", "n_points = 801"),
+                          ("dt = 0.02", "dt = 0.25"),
+                          ("sample_stride = 25", "sample_stride = 4")],
+          "T2_massive_odd": [("t_end = 40", "t_end = 1")],
+          "T3_radial": [("t_end = 40", "t_end = 1")],
+          "T5_m0": [("t_end = 10", "t_end = 3")],
+          "T5_m1": [("t_end = 10", "t_end = 3")]}
+
+
+@pytest.mark.parametrize("ids, cpus, sizes", [
+    (["T5_exterior"], 8, [2]), (["T2_massive_odd"], 8, []),
+    (list(scenarios.EXPERIMENT_IDS), 2, [2])],
+    ids=["T5_on_8", "T2_on_8", "all_on_2"])
+def test_experiment_pool_has_one_worker_per_run_up_to_the_cpus(
+        tmp_path, monkeypatch, shorten, ids, cpus, sizes):
+    # every run of every requested study shares the one pool
+    for stem, cuts in _SHORT.items():
+        shorten(stem, *cuts)
+    pools = _inline_pools(monkeypatch, cpus)
+    argv = ["experiment", "--out", str(tmp_path / "out")]
+    for ident in ids:
+        argv += ["--id", ident]
+    assert cli.main(argv) == 1
+    assert pools == sizes
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == \
+        sorted(ids)
+
+
+def test_pooled_experiment_matches_separate_experiments(tmp_path, shorten):
+    for stem in ("T2_massive_odd", "T5_m0", "T5_m1"):
+        shorten(stem, *_SHORT[stem])
+    ids = ["T2_massive_odd", "T5_exterior"]
+    together, apart = tmp_path / "together", tmp_path / "apart"
+    # three runs in one call run in a pool wherever there are 2 CPUs
+    argv = ["experiment", "--out", str(together)]
+    for ident in ids:
+        argv += ["--id", ident]
+    code = cli.main(argv)
+    codes = [cli.main(["experiment", "--out", str(apart), "--id", ident])
+             for ident in ids]
+    # shortened, T2's sech mass cannot halve; the verdict, like every
+    # output byte, must not depend on how the runs were spread
+    assert code == max(codes) == 1
+    tree = _tree(together)
+    assert "T2_massive_odd/h_series.csv" in tree
+    assert "T5_exterior/m1/i_series.csv" in tree
+    assert "T5_exterior/summary.json" in tree
+    assert tree == _tree(apart)
 
 
 def test_malformed_second_scenario_exits_two_before_the_first_runs(
@@ -294,6 +354,21 @@ def test_run_refuses_two_scenarios_that_share_an_output_directory(
     assert capsys.readouterr() == (
         "", f"configuration error: scenarios {paths[0]!r} and "
             f"{paths[1]!r} share the output directory {named!r}\n")
+    assert calls == []
+    assert not out.exists()
+
+
+def test_experiment_refuses_a_study_given_twice(tmp_path, capsys,
+                                               monkeypatch):
+    # its runs would step twice into one directory, and race in the pool
+    calls = _count_integrate_calls(monkeypatch)
+    out = tmp_path / "out"
+    argv = ["experiment", "--id", "T5_exterior", "--id", "T2_massive_odd",
+            "--id", "T5_exterior", "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == (
+        "", "configuration error: scenarios 'T5_exterior' and "
+            "'T5_exterior' share the output directory 'T5_exterior/m0'\n")
     assert calls == []
     assert not out.exists()
 
@@ -381,6 +456,7 @@ def test_unreadable_input_or_output_exits_two(tmp_path, capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("command", ["emit_exact", "run", "run_identity",
+                                     "second_scenario_table",
                                      "verify_virial", "nlkg_check",
                                      "study_table", "second_run_table"])
 def test_table_path_that_is_a_directory_exits_two_before_stepping(
@@ -399,6 +475,11 @@ def test_table_path_that_is_a_directory_exits_two_before_stepping(
         "run_identity": (["run", "--scenario", _scenario(
             tmp_path, name="ident", extra="identities = I_weighted_charge\n")],
             out / "ident" / "virial_I_weighted_charge.csv"),
+        # every scenario's directory is made before the first one steps
+        "second_scenario_table": (
+            ["run", "--scenario", _scenario(tmp_path, name="a"),
+             "--scenario", _scenario(tmp_path, name="b")],
+            out / "b" / "trajectory.csv"),
         "verify_virial": (["verify-virial", "--identity", "J1", "--scenario",
                            _scenario(tmp_path, name="verify", **spinor)],
                           out / "verify" / "virial_J1.csv"),
@@ -743,12 +824,10 @@ def test_experiment_t5_exits_zero(tmp_path, capsys):
         assert (out / name).is_file(), name
 
 
-def test_experiment_exits_one_when_a_check_fails(tmp_path, monkeypatch,
+def test_experiment_exits_one_when_a_check_fails(tmp_path, shorten,
                                                  capsys):
     # in one time unit the sech-weighted mass cannot halve
-    short = scenarios._T2_TEXT.replace("t_end = 40", "t_end = 1")
-    assert short != scenarios._T2_TEXT
-    monkeypatch.setattr(scenarios, "_T2_TEXT", short)
+    shorten("T2_massive_odd", ("t_end = 40", "t_end = 1"))
     argv = ["experiment", "--id", "T2_massive_odd", "--out", str(tmp_path)]
     assert cli.main(argv) == 1
     lines = capsys.readouterr().out.splitlines()
@@ -805,12 +884,17 @@ def test_every_exported_name_resolves():
 
 
 def test_import_loads_no_scipy():
-    # scipy stays a lazy import: loading it costs every run ~0.5 s of setup
+    # scipy stays a lazy import: loading it costs every run ~0.5 s of
+    # setup; the process pool is imported where a pool is made, so a
+    # command that steps one run, or none, does not pay for it
     src = os.path.dirname(os.path.dirname(diraclab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, diraclab.cli, diraclab.scenarios; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    lazy = ("scipy", "multiprocessing", "concurrent.futures.process")
+    for module in ("diraclab.cli", "diraclab.scenarios"):
+        code = (f"import sys, {module}; print(sorted(m for m in "
+                f"sys.modules if m.startswith({lazy!r})))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             check=True, capture_output=True,
+                             text=True).stdout
+        assert out.strip() == "[]", module

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -243,14 +244,24 @@ def test_standing_wave_scenario_runs_the_exact_wave(tmp_path):
 def test_bundled_config_hash_is_pinned():
     cfg = ScenarioConfig.from_file(bundled_config_path("massless_thirring"))
     assert cfg.hash == "659ce2f432fb079e"
-    t1 = ScenarioConfig.from_text(scenarios._T1_TEXT, name="T1_massless")
-    assert t1.hash == "549c57dee8a71d83"
-    t2 = ScenarioConfig.from_text(scenarios._T2_TEXT, name="T2_massive_odd")
-    assert t2.hash == "a13af1aa23373218"
-    t3 = ScenarioConfig.from_text(scenarios._T3_TEXT, name="T3_radial")
-    assert t3.hash == "c4cc5ab737254046"
     rest = ScenarioConfig.from_file(bundled_config_path("soliton_rest"))
     assert rest.hash == "5e4e0f6671ce2f35"
+    # the study configs keep the hashes, names and directories they had
+    # as scenario texts inside the module
+    studies = {"T1_massless": ("549c57dee8a71d83", "T1_massless"),
+               "T2_massive_odd": ("a13af1aa23373218", "T2_massive_odd"),
+               "T3_radial": ("c4cc5ab737254046", "T3_radial"),
+               "T5_m0": ("104bd79080bd1d3d", "T5_exterior/m0"),
+               "T5_m1": ("76bc5a9ec3051cf1", "T5_exterior/m1")}
+    for name, (digest, out_dir) in studies.items():
+        config = ScenarioConfig.from_file(bundled_config_path(name))
+        assert (config.hash, config.name, config.out_dir) == \
+            (digest, name, out_dir)
+    joint = hashlib.sha256(
+        (studies["T5_m0"][0] + studies["T5_m1"][0]).encode()).hexdigest()
+    assert joint[:16] == "f5729a8009418e77"
+    assert [n for row in scenarios._STUDIES.values() for n in row[0]] == \
+        list(studies)
 
 
 @pytest.mark.parametrize("base, changes, header", [
@@ -324,17 +335,16 @@ def test_runner_verifies_each_identity_in_one_call(tmp_path, monkeypatch,
                              + ["summary.json"])
 
 
-def test_summary_file_lists_itself(tmp_path, monkeypatch):
+def test_summary_file_lists_itself(tmp_path, shorten):
     summary = run_scenario(ScenarioConfig.from_text(_text(_LAB),
                                                     name="tiny"),
                            out_root=tmp_path)
     on_disk = json.loads((tmp_path / "tiny" / "summary.json").read_text())
     assert on_disk["files"] == summary.to_dict()["files"] == \
         ["trajectory.csv", "summary.json"]
-    short = scenarios._T5_TEXT.replace("t_end = 10", "t_end = 3")
-    assert short != scenarios._T5_TEXT
-    monkeypatch.setattr(scenarios, "_T5_TEXT", short)
-    joint = experiment("T5_exterior", out_root=tmp_path)
+    for stem in ("T5_m0", "T5_m1"):
+        shorten(stem, ("t_end = 10", "t_end = 3"))
+    [joint] = experiment("T5_exterior", out_root=tmp_path)
     on_disk = json.loads(
         (tmp_path / "T5_exterior" / "summary.json").read_text())
     assert on_disk["files"] == joint.to_dict()["files"]
@@ -355,11 +365,9 @@ def test_write_csv_roundtrip_is_lossless(tmp_path):
     assert np.array_equal(data[:, 2], np.cos(x))
 
 
-def test_t3_summary_is_json_with_boolean_checks(tmp_path, monkeypatch):
+def test_t3_summary_is_json_with_boolean_checks(tmp_path, shorten):
     # 80 steps instead of 3200: drives the post-processing and writers
-    short = scenarios._T3_TEXT.replace("t_end = 40", "t_end = 1")
-    assert short != scenarios._T3_TEXT
-    monkeypatch.setattr(scenarios, "_T3_TEXT", short)
+    shorten("T3_radial", ("t_end = 40", "t_end = 1"))
     experiment("T3_radial", out_root=tmp_path)
     out = tmp_path / "T3_radial"
     summary = json.loads((out / "summary.json").read_text())
@@ -373,11 +381,9 @@ def test_t3_summary_is_json_with_boolean_checks(tmp_path, monkeypatch):
     assert np.array_equal(rows[:, 6], expected)
 
 
-def test_t2_summary_is_json_with_boolean_checks(tmp_path, monkeypatch):
+def test_t2_summary_is_json_with_boolean_checks(tmp_path, shorten):
     # 50 steps sampled every 25th: 3 samples instead of 81
-    short = scenarios._T2_TEXT.replace("t_end = 40", "t_end = 1")
-    assert short != scenarios._T2_TEXT
-    monkeypatch.setattr(scenarios, "_T2_TEXT", short)
+    shorten("T2_massive_odd", ("t_end = 40", "t_end = 1"))
     experiment("T2_massive_odd", out_root=tmp_path)
     out = tmp_path / "T2_massive_odd"
     summary = json.loads((out / "summary.json").read_text())
@@ -388,14 +394,13 @@ def test_t2_summary_is_json_with_boolean_checks(tmp_path, monkeypatch):
         assert len(fh.readlines()) == 3
 
 
-def test_t1_probes_are_resolved_and_decreasing(tmp_path, monkeypatch):
+def test_t1_probes_are_resolved_and_decreasing(tmp_path, shorten):
     # a 10x coarser grid at the stability bound: 360 steps instead of
     # 4500, with the probes at t = 10, 20, 40, 80 still sampled
-    short = (scenarios._T1_TEXT.replace("n_points = 8001", "n_points = 801")
-             .replace("dt = 0.02", "dt = 0.25")
-             .replace("sample_stride = 25", "sample_stride = 4"))
-    monkeypatch.setattr(scenarios, "_T1_TEXT", short)
-    summary = experiment("T1_massless", out_root=tmp_path)
+    shorten("T1_massless", ("n_points = 8001", "n_points = 801"),
+            ("dt = 0.02", "dt = 0.25"),
+            ("sample_stride = 25", "sample_stride = 4"))
+    [summary] = experiment("T1_massless", out_root=tmp_path)
     assert summary.checks == {"window_mass_strictly_decreasing": True,
                               "window_mass_resolved": True,
                               "cumulative_growth_below_5pct": True}
