@@ -18,11 +18,11 @@ the boundary, an invalid sample), 2 when the request itself was
 malformed (unknown keys, incompatible frames, a model the second-order
 monitor cannot use, too few samples for centered differences, unreadable
 or missing files, an ``--file`` that is not a bare file name, an output
-root that is not a directory, an output file name that is an existing
-directory, two runs that share an output directory, such as a study
-given twice). Every scenario command makes its output directories once,
-after the refusals it can make from the request alone and before it
-steps.
+root that is not a directory, an ``out_dir`` outside it, an output file
+name that is an existing directory, two runs that share an output
+directory, such as a study given twice). Every scenario command makes
+its output directories once, after the refusals it can make from the
+request alone and before it steps.
 """
 
 import argparse
@@ -37,7 +37,7 @@ from .exact import SolitonParams, thirring_soliton
 from .grids import Grid1D
 from .scenarios import (EXPERIMENT_IDS, ConfigError, ScenarioConfig,
                         bundled_config_path, experiment, integrate_scenario,
-                        output_dir, run_scenarios, virial_file, virial_table,
+                        output_dirs, run_scenarios, virial_file, virial_table,
                         write_tables)
 from .virials import identity_ids, verify_identity
 
@@ -93,7 +93,7 @@ def _cmd_check_nonlinearity(args):
         model = nonlinearity.builtin(args.model, **params)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from None
-    report = nonlinearity.check_all(model, p_expected=args.expected_power)
+    report = nonlinearity.check_all(model)
     print(json.dumps(report, indent=2, sort_keys=True))
     # gauge, symmetry, harmonic and (b,d)-dependence classify a model
     # (the catalog ships models that fail gauge, harmonic and (b,d)); only
@@ -104,8 +104,8 @@ def _cmd_check_nonlinearity(args):
 def _cmd_verify_virial(args):
     config = ScenarioConfig.from_file(_resolve_scenario(args.scenario))
     config.require_identities([args.identity])
-    out_dir = output_dir(args.out, config.out_dir,
-                         [virial_file(args.identity)])
+    [out_dir] = output_dirs(args.out,
+                            [(config.out_dir, [virial_file(args.identity)])])
     model, traj = integrate_scenario(config)
     rep = verify_identity(traj, args.identity, m=config.mass, model=model)
     [path] = write_tables(out_dir, [virial_table(rep)])
@@ -127,7 +127,7 @@ def _cmd_nlkg_check(args):
         raise ConfigError(str(exc)) from None
     config.require_samples("gronwall_monitor needs")
     name = "residuals.csv"
-    out_dir = output_dir(args.out, config.out_dir, [name])
+    [out_dir] = output_dirs(args.out, [(config.out_dir, [name])])
     model, traj = integrate_scenario(config)
     series = gronwall_monitor(traj, model, m=config.mass)
     [path] = write_tables(out_dir, [(
@@ -162,7 +162,7 @@ def _cmd_emit_exact(args):
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from None
     u, v = state.fields
-    [path] = write_tables(output_dir(args.out, ".", [name]), [(
+    [path] = write_tables(output_dirs(args.out, [(".", [name])])[0], [(
         name, ["x", "u_re", "u_im", "v_re", "v_im"],
         [grid.x, u.real, u.imag, v.real, v.imag])])
     print(path)
@@ -206,7 +206,6 @@ def _build_parser():
     p.add_argument("--model", required=True)
     p.add_argument("--coupling", type=float, default=None,
                    help="passed to the model's factory when given")
-    p.add_argument("--expected-power", type=int, default=None)
     p.set_defaults(func=_cmd_check_nonlinearity)
 
     p = sub.add_parser("verify-virial",

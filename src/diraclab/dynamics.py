@@ -93,9 +93,6 @@ class SpinorState1D:
         value doubles under the map to the spinor frame."""
         return np.sum(np.abs(self.fields) ** 2, axis=0)
 
-    def copy(self):
-        return SpinorState1D(self.grid, self.kind, self.fields.copy(), self.t)
-
 
 class RadialSpinorState:
     """Four real fields on a cell-centered radial grid.
@@ -141,9 +138,6 @@ class RadialSpinorState:
     @property
     def psi2(self):
         return self.fields[2] + 1j * self.fields[3]
-
-    def copy(self):
-        return RadialSpinorState(self.grid, self.fields.copy(), self.t)
 
 
 _FRAME_NAMES = {"lab_uv": "lab", "spinor_psi": "spinor"}
@@ -194,9 +188,6 @@ class Trajectory:
 
     def __len__(self):
         return len(self.states)
-
-    def final(self):
-        return self.states[-1]
 
     def sample_step(self, who):
         """The uniform sample spacing that centered time differences need.
@@ -345,7 +336,8 @@ class RunAborted(RuntimeError):
 def step_count(grid, t_end, dt, sample_stride=1):
     """Steps of a run to ``t_end``. Raises ValueError unless dt is finite
     and in (0, h/2], the transport stability bound, t_end is a positive
-    integer multiple of dt and sample_stride >= 1."""
+    integer multiple of dt, and sample_stride >= 1 divides the steps, so
+    that the samples are uniformly spaced and the last step is sampled."""
     if not 0.0 < dt < np.inf:
         raise ValueError("dt must be positive and finite")
     if dt > 0.5 * grid.h + 1e-14:
@@ -359,6 +351,9 @@ def step_count(grid, t_end, dt, sample_stride=1):
         raise ValueError("t_end must be an integer multiple of dt")
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
+    if n_steps % sample_stride != 0:
+        raise ValueError(f"sample_stride = {sample_stride} does not divide "
+                         f"the {n_steps} steps")
     return n_steps
 
 
@@ -410,8 +405,8 @@ def integrate(initial, model, t_end, dt, m=1.0, sample_stride=1):
     ``k1 + 2 (k2 + k3) + k4`` is formed as ``((2 (k2 + k3)) + k1) + k4``,
     which IEEE commutativity keeps bitwise, signed zeros included.
 
-    Returns a :class:`Trajectory` sampled every ``sample_stride`` steps
-    (first and last steps always included).
+    Returns a :class:`Trajectory` sampled at t0 and every ``sample_stride``
+    steps: whole strides only, so the last sample is at ``t_end``.
     """
     grid = initial.grid
     dt = float(dt)
@@ -496,7 +491,7 @@ def integrate(initial, model, t_end, dt, m=1.0, sample_stride=1):
             if b < n and bits[:, w * (b - _MARGIN):w * b].any():
                 b = min(b + _SPREAD, n)
 
-            if step % stride == 0 or step == n_steps:
+            if step % stride == 0:
                 t = t0 + step * dt
                 if not np.all(np.isfinite(y)):
                     raise RunAborted(f"non-finite field values at t = {t:g}")

@@ -98,14 +98,13 @@ _ORIGIN_COEFFICIENTS = {parity: [[s, -8.0 * s, 8.0, -1.0],
 
 
 @functools.lru_cache(maxsize=None)
-def _closure_plan(parity, ndim, width):
+def _closure_plan(parity, width):
     """The closure tables of one row layout, as (output columns, input
     columns, coefficients) on the rows' float view, ``width`` floats per
     node. A column counts from the row's start (nodes 0, 1, ...) or,
     negative, from its end (nodes -1, -2, ...), so no table depends on
     the row length, and one plan serves every window of a run.
-    ``parity`` is "none", "even", "odd" or a tuple naming the rows on
-    the leading axis of an ``ndim``-dimensional array (0 otherwise)."""
+    ``parity`` is "none" or a tuple naming the parity of each row."""
     part = np.arange(width)
 
     def table(rows, nodes, coefficients):
@@ -115,12 +114,8 @@ def _closure_plan(parity, ndim, width):
 
     if parity == "none":
         return (table(_LINE_ROWS, _LINE_NODES, _LINE_COEFFICIENTS),)
-    if isinstance(parity, str):
-        coefficients = _ORIGIN_COEFFICIENTS[parity]
-    else:  # the origin coefficients of each leading row's parity, stacked
-        stacked = np.array([_ORIGIN_COEFFICIENTS[p] for p in parity])
-        coefficients = stacked.reshape(
-            (len(parity),) + (1,) * (ndim - 2) + stacked.shape[1:])
+    # the origin coefficients of each row's parity, stacked
+    coefficients = [_ORIGIN_COEFFICIENTS[p] for p in parity]
     return (table(_ORIGIN_ROWS, _ORIGIN_NODES, coefficients),
             table(_LINE_ROWS[2:], _LINE_NODES[2:], _LINE_COEFFICIENTS[2:]))
 
@@ -135,11 +130,11 @@ def deriv1(f, grid, parity="none"):
         Nodes along the last axis; leading axes are independent rows, and
         a stacked call gives every row bitwise the result of its own call.
     grid : Grid1D or RadialGrid
-    parity : {"none", "even", "odd"} or sequence of {"even", "odd"}
-        Grid1D accepts only "none". RadialGrid requires "even" or "odd";
-        ghost values across r = 0 are the parity reflection
-        f(-r) = +f(r) (even) or f(-r) = -f(r) (odd). A sequence names
-        each row on the leading axis, bitwise as per-row calls would.
+    parity : "none" or sequence of {"even", "odd"}
+        Grid1D accepts only "none". RadialGrid requires a 2-D block of
+        rows and one name per row: ghost values across r = 0 are the
+        parity reflection f(-r) = +f(r) (even) or f(-r) = -f(r) (odd).
+        Every row gets bitwise the result of its own 1-row block.
 
     Real input is summed term by term in the order of the written-out
     stencil and divided by 12h. Complex input is differentiated on its
@@ -166,18 +161,17 @@ def deriv1(f, grid, parity="none"):
     v = np.asarray(f)
     if v.shape[-1] < 8:
         raise ValueError("need at least 8 nodes")
-    one = isinstance(parity, str)
     if isinstance(grid, RadialGrid):
-        names = (parity,) if one else tuple(parity)
-        if not set(names) <= _ORIGIN_COEFFICIENTS.keys():
-            raise ValueError("radial deriv1 requires parity 'even' or 'odd'"
-                             f", got {parity!r}")
-        if not one and (v.ndim < 2 or len(names) != len(v)):
-            raise ValueError(f"per-row parity gives {len(names)} names for "
+        if isinstance(parity, str) or \
+                not set(parity) <= _ORIGIN_COEFFICIENTS.keys():
+            raise ValueError("radial deriv1 requires parity 'even' or 'odd' "
+                             f"per row, got {parity!r}")
+        parity = tuple(parity)
+        if v.ndim != 2 or len(parity) != len(v):
+            raise ValueError(f"per-row parity gives {len(parity)} names for "
                              f"the rows of an array of shape {v.shape}")
-    elif not one or parity != "none":
+    elif parity != "none":
         raise ValueError("parity reflection applies only to radial grids")
-    key = (parity, 0) if one else (names, v.ndim)
 
     # x, y: input and output as contiguous doubles, a row's nodes side by
     # side with their real and imaginary parts (complex) or alone (real)
@@ -199,7 +193,7 @@ def deriv1(f, grid, parity="none"):
     mid -= xf[4 * w:]
     # each closure row sums its terms left to right: accumulate adds in
     # sequence, where add.reduce would sum pairwise
-    for rows, nodes, coefficients in _closure_plan(*key, w):
+    for rows, nodes, coefficients in _closure_plan(parity, w):
         terms = x.take(nodes, axis=-1)
         terms *= coefficients
         y[..., rows] = np.add.accumulate(terms, axis=-2)[..., -1, :]

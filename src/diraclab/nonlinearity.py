@@ -303,17 +303,12 @@ def soler(g_coeffs=(1.0,), coupling=1.0):
     return model
 
 
-def isotropic_pair(m=3, n=3, a=(1.0, 1j), b=(1.0, 1j)):
-    """Null-direction power pair; harmonic but not (b,d)-only.
-
-    Requires a1^2 + a2^2 = 0 and b1^2 + b2^2 = 0, m and n odd.
-    """
-    a1, a2 = complex(a[0]), complex(a[1])
-    b1, b2 = complex(b[0]), complex(b[1])
-    if abs(a1 * a1 + a2 * a2) > 1e-14 or abs(b1 * b1 + b2 * b2) > 1e-14:
-        raise ValueError("need a1^2+a2^2 = 0 and b1^2+b2^2 = 0")
-    if m % 2 == 0 or n % 2 == 0 or m < 1 or n < 1:
-        raise ValueError("m and n must be odd positive integers")
+def isotropic_pair():
+    """Null-direction power pair; harmonic but not (b,d)-only: the powers
+    m = n = 3 are odd and a = b = (1, i) are null, a1^2 + a2^2 = 0."""
+    m = n = 3
+    a1 = b1 = 1.0 + 0j
+    a2 = b2 = 1j
 
     def grad(aa, bb, cc, dd):
         hol = (a1 * aa + a2 * cc) ** m
@@ -492,13 +487,13 @@ def check_bd_dependence(model):
     return CheckResult(defect <= 1e-12, defect)
 
 
-def check_growth(model, p_expected=None):
-    """Log-log slope of |W1|+|W2| along 5 rays s * state, s in [2^-8, 1].
+def check_growth(model):
+    """Log-log slope of |W1|+|W2| along 5 rays s * state, s in [2^-8, 1],
+    against the power ``model.p`` the model declares.
 
     The defect and `slope` are the smallest slope; `slope` is None when
     the gradient vanishes identically.
     """
-    p_expected = model.p if p_expected is None else p_expected
     s = 2.0 ** np.arange(-8, 1).astype(float)
     z1, z2 = sample_states(5, _SEED + 3)
     slopes = []
@@ -509,12 +504,12 @@ def check_growth(model, p_expected=None):
         if np.max(mag) < 1e-300:
             continue  # identically zero along the ray
         slopes.append(np.polyfit(np.log(s), np.log(mag), 1)[0])
-        constants.append(np.max(mag / s ** p_expected))
+        constants.append(np.max(mag / s ** model.p))
     if not slopes:
         return CheckResult(True, 0.0, slope=None)
     slope = min(slopes)
     constant = max(constants)
-    ok = slope >= p_expected - 0.1 and np.isfinite(constant)
+    ok = slope >= model.p - 0.1 and np.isfinite(constant)
     return CheckResult(ok, slope, slope=slope)
 
 
@@ -552,7 +547,7 @@ def check_phase_separable(model):
     return CheckResult(defect <= 1e-12, defect)
 
 
-def check_all(model, p_expected=None):
+def check_all(model):
     """Run every checker and return the JSON-ready report.
 
     gauge_ok, symmetry_ok and phase_separable_ok are None, and their
@@ -575,7 +570,7 @@ def check_all(model, p_expected=None):
     for key, result in checks:
         report[f"{key}_ok"] = result.ok
         defects[key] = result.defect
-    growth = check_growth(model, p_expected)
+    growth = check_growth(model)
     report["growth_ok"] = growth.ok
     defects["growth_slope"] = growth.slope
     return report

@@ -150,14 +150,14 @@ class Region:
         return f"Region({self.spec!r})"
 
 
-def region_mass(state, region, t=None):
-    """Mass of the state inside the region at time t (default state.t).
+def region_mass(state, region):
+    """Mass of the state inside the region at the state's time ``state.t``.
 
     Sharp node indicator against the grid's charge measure: line on 1D
     grids, spherical on radial grids.
     """
     grid = state.grid
-    mask = region.indicator(grid.nodes, state.t if t is None else t)
+    mask = region.indicator(grid.nodes, state.t)
     return float(quad(state.density() * mask, grid, grid.charge_measure))
 
 

@@ -32,13 +32,14 @@ bundled configs a study runs, a pure post-processing function that turns
 one run's trajectory, summary and trajectory columns into a table,
 metrics and checks, and that table's file name. Scenarios and studies go
 through one runner, :func:`_run_requests`. With every config parsed, it
-refuses two runs that share an output directory, makes every directory,
-then steps one run in this process or N in a pool of min(N, CPU count)
-workers; each runs its study's post on the trajectory it holds and
-writes its files, and the parent writes the joint summaries.
+refuses two runs that share an output directory, makes every directory
+before it checks any file name, then steps one run in this process or N
+in a pool of min(N, CPU count) workers; each runs its study's post on
+the trajectory it holds and writes its files, and the parent writes the
+joint summaries.
 
 Every CSV table is one shape, ``(file name, header, columns)``, with one
-writer, :func:`write_tables`, into a directory :func:`output_dir` made
+writer, :func:`write_tables`, into a directory :func:`output_dirs` made
 before any stepping. Tables and summary JSON format numbers through
 %.17g, so reruns of the same config on the same build are byte-identical.
 Wall time is recorded in the summary but excluded from
@@ -73,7 +74,7 @@ __all__ = [
     "integrate_scenario",
     "run_scenario",
     "run_scenarios",
-    "output_dir",
+    "output_dirs",
     "write_tables",
     "virial_file",
     "virial_table",
@@ -316,10 +317,6 @@ class ScenarioConfig:
                 SolitonParams(self.omega)
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from None
-        if n_steps % self.sample_stride != 0:
-            raise ConfigError(
-                f"sample_stride = {self.sample_stride} does not divide "
-                f"the {n_steps} steps")
 
         self._check_buffer(grid)
 
@@ -357,6 +354,10 @@ class ScenarioConfig:
 
         if self.out_dir is None:
             self.out_dir = self.name
+        if os.path.isabs(self.out_dir) or \
+                os.path.normpath(self.out_dir).split(os.sep)[0] == os.pardir:
+            raise ConfigError(f"out_dir {self.out_dir!r} leaves the output "
+                              "root")
 
     def require_identities(self, idents):
         """Refuse identities that are not in the ``virials`` table, that
@@ -601,24 +602,28 @@ class ExperimentSummary:
                 f"samples={self.n_samples}, t_final={self.t_final:g})")
 
 
-def output_dir(out_root, rel_dir, names):
-    """Make ``<root>/<rel_dir>`` for the files ``names`` and return its
-    path; root is ``out_root``, else the DIRACLAB_OUT environment
-    variable, else the working directory. A name that is an existing
-    directory there is refused, as a directory that cannot be made is."""
+def output_dirs(out_root, wanted):
+    """Make ``<root>/<rel_dir>`` for the files ``names`` of each
+    ``(rel_dir, names)`` in ``wanted`` and return the paths; root is
+    ``out_root``, else the DIRACLAB_OUT environment variable, else the
+    working directory. A directory that cannot be made is refused, and
+    then, all made, a name that is a directory, such as another's."""
     root = out_root if out_root is not None else \
         os.environ.get(OUT_ROOT_ENV, ".")
-    path = os.path.join(root, rel_dir)
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot make output directory {path!r}: "
-                          f"{exc.strerror or exc}") from None
-    for name in names:
-        if os.path.isdir(os.path.join(path, name)):
-            raise ConfigError(f"cannot write {os.path.join(path, name)!r}: "
-                              "Is a directory")
-    return path
+    paths = [os.path.join(root, rel_dir) for rel_dir, _ in wanted]
+    for path in paths:
+        try:
+            os.makedirs(path, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make output directory {path!r}: "
+                              f"{exc.strerror or exc}") from None
+    for path, (_, names) in zip(paths, wanted):
+        for name in names:
+            if os.path.isdir(os.path.join(path, name)):
+                raise ConfigError(
+                    f"cannot write {os.path.join(path, name)!r}: "
+                    "Is a directory")
+    return paths
 
 
 def _write_csv(path, header, columns):
@@ -631,7 +636,7 @@ def _write_csv(path, header, columns):
 
 def write_tables(directory, tables):
     """Write each ``(file name, header, columns)`` table into
-    ``directory``, made by :func:`output_dir`; returns the paths."""
+    ``directory``, made by :func:`output_dirs`; returns the paths."""
     paths = [os.path.join(directory, fname) for fname, _, _ in tables]
     for path, (_, header, columns) in zip(paths, tables):
         _write_csv(path, header, columns)
@@ -807,11 +812,12 @@ def _run_requests(requests, out_root):
             raise ConfigError(
                 f"scenarios {labels[j]!r} and {labels[i]!r} share the "
                 f"output directory {config.out_dir!r}")
-    out_dirs = [output_dir(out_root, config.out_dir,
-                           config.files + ([table] if post else []))
-                for config, post, table, _ in jobs]
-    joint_dirs = [output_dir(out_root, label, ["summary.json"])
-                  for label, configs, _, _ in requests if len(configs) > 1]
+    wanted = [(config.out_dir, config.files + ([table] if post else []))
+              for config, post, table, _ in jobs]
+    wanted += [(label, ["summary.json"])
+               for label, configs, _, _ in requests if len(configs) > 1]
+    paths = output_dirs(out_root, wanted)
+    out_dirs, joint_dirs = paths[:len(jobs)], paths[len(jobs):]
 
     workers = min(len(jobs), os.cpu_count() or 1)
     if workers > 1:
@@ -830,7 +836,7 @@ def _run_requests(requests, out_root):
 
 def run_scenario(config, out_root=None):
     """Run one :class:`ScenarioConfig` end to end, in this process, into
-    ``<root>/<out_dir>``, root as in :func:`output_dir`."""
+    ``<root>/<out_dir>``, root as in :func:`output_dirs`."""
     return run_scenarios([(config.name, config)], out_root)[0]
 
 

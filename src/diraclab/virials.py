@@ -132,8 +132,8 @@ class ScalingTriple:
                              mu_dot=zero, lam_dot=lam_dot, rho_dot=zero)
 
     @staticmethod
-    def exterior(b, t0, lam=1.0):
-        """Half-amplitude window chasing the region x >= (1+b)t.
+    def exterior(b, t0):
+        """Half-amplitude window of width 1 chasing the region x >= (1+b)t.
 
         The center moves at speed -(1+b/2), strictly slower than the
         region edge -(1+b) it was launched from at t0, which is what
@@ -141,14 +141,13 @@ class ScalingTriple:
         """
         b = float(b)
         t0 = float(t0)
-        lam = _width(lam)
         if b <= 0.0:
             raise ValueError("b must be positive")
         theta = -(1.0 + b)
         theta_tilde = -(1.0 + 0.5 * b)
         zero = lambda t: 0.0
         return ScalingTriple(
-            mu=lambda t: 2.0, lam=lambda t: lam,
+            mu=lambda t: 2.0, lam=lambda t: 1.0,
             rho=lambda t: theta * t0 - theta_tilde * (t0 - t),
             mu_dot=zero, lam_dot=zero, rho_dot=lambda t: theta_tilde)
 

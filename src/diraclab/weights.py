@@ -39,18 +39,16 @@ class WeightSpec:
         self.d3phi = d3phi
         self.singular = dict(singular) if singular else {}
 
-    def sing(self, key, r):
-        if key not in self.singular:
-            raise KeyError(
-                f"weight '{self.name}' lacks singular combination '{key}'")
-        return self.singular[key](r)
-
     def at(self, name, x):
         """Weight function ``name`` (phi, dphi, d2phi, d3phi) or
-        singular quotient ``name`` (see ``sing``) at x."""
+        singular quotient ``name`` (a key of ``singular``) at x; an
+        unknown name raises KeyError."""
         if name in ("phi", "dphi", "d2phi", "d3phi"):
             return getattr(self, name)(x)
-        return self.sing(name, x)
+        if name not in self.singular:
+            raise KeyError(
+                f"weight '{self.name}' lacks singular combination '{name}'")
+        return self.singular[name](x)
 
     def __repr__(self):
         return f"WeightSpec({self.name!r})"

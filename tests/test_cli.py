@@ -1,3 +1,4 @@
+import argparse
 import ast
 import concurrent.futures
 import contextlib
@@ -19,6 +20,7 @@ from diraclab import cli, nonlinearity, scenarios
 from diraclab.dynamics import integrate
 from diraclab.scenarios import ScenarioConfig, bundled_config_path
 from diraclab.virials import verify_identity
+from test_nonlinearity import thirring_claiming_p4
 
 _TINY = """\
 system = {system}
@@ -501,6 +503,74 @@ def test_table_path_that_is_a_directory_exits_two_before_stepping(
     assert [p for p in out.rglob("*") if p.is_file()] == []
 
 
+def test_a_run_directory_that_takes_another_runs_file_name_exits_two(
+        tmp_path, capsys, monkeypatch):
+    # the second run's directory is the first run's trajectory table:
+    # every directory is made before any file name is checked, so this is
+    # refused before anything steps, not a traceback after both have run
+    calls = _count_integrate_calls(monkeypatch)
+    paths = []
+    for name, out_dir in (("p", "x"), ("q", "x/trajectory.csv")):
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(_TINY.format(system="lab_1d", model="thirring",
+                                     name=out_dir, dt="0.1", t_end="1"))
+        paths.append(str(path))
+    out = tmp_path / "nest"
+    argv = ["run", "--scenario", paths[0], "--scenario", paths[1],
+            "--out", str(out)]
+    assert cli.main(argv) == 2
+    blocked = out / "x" / "trajectory.csv"
+    assert capsys.readouterr() == (
+        "", f"configuration error: cannot write {str(blocked)!r}: "
+            f"Is a directory\n")
+    assert calls == []
+    assert [p for p in out.rglob("*") if p.is_file()] == []
+
+
+@pytest.mark.parametrize("case", ["climbing", "absolute"])
+def test_an_out_dir_outside_the_output_root_exits_two(tmp_path, capsys,
+                                                      monkeypatch, case):
+    # a run writes only under --out; refused when the scenario is parsed
+    calls = _count_integrate_calls(monkeypatch)
+    out_dir = {"climbing": "inner/../../climbed",
+               "absolute": str(tmp_path / "escaped")}[case]
+    path = tmp_path / "a.cfg"
+    path.write_text(_TINY.format(system="lab_1d", model="thirring",
+                                 name=out_dir, dt="0.1", t_end="1"))
+    argv = ["run", "--scenario", str(path), "--out", str(tmp_path / "root")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == (
+        "", f"configuration error: out_dir {out_dir!r} leaves the output "
+            f"root\n")
+    assert calls == []
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_the_option_inventory_is_pinned():
+    # every option of every subcommand; a new knob needs an edit here
+    parser = cli._build_parser()
+    [commands] = [action.choices for action in parser._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    inventory = {name: sorted(option for action in sub._actions
+                              for option in action.option_strings)
+                 for name, sub in commands.items()}
+    common = ["--help", "-h"]
+    assert inventory == {
+        "run": sorted(common + ["--scenario", "--out"]),
+        "experiment": sorted(common + ["--id", "--out"]),
+        "check-algebra": sorted(common + ["--verbose"]),
+        "check-nonlinearity": sorted(common + ["--model", "--coupling"]),
+        "verify-virial": sorted(common + ["--identity", "--scenario",
+                                          "--out"]),
+        "nlkg-check": sorted(common + ["--scenario", "--out"]),
+        "emit-exact": sorted(common + ["--omega", "--time", "--x-min",
+                                       "--x-max", "--n-points", "--file",
+                                       "--out"]),
+    }
+    assert sorted(option for action in parser._actions
+                  for option in action.option_strings) == common
+
+
 def test_nlkg_check_on_too_few_samples_exits_two_before_stepping(
         tmp_path, capsys, monkeypatch):
     # one step sampled: centered differences need 3 samples, and the
@@ -603,12 +673,16 @@ def test_verify_virial_writes_only_the_requested_identity(tmp_path,
 @pytest.mark.parametrize("argv, code", [
     (["--model", "quartic_harmonic"], 0),
     (["--model", "zero"], 0),
-    (["--model", "thirring", "--expected-power", "4"], 1),
+    (["--model", "thirring_claiming_p4"], 1),
     (["--model", "cubic_focusing"], 2),
     (["--model", "power_diag"], 2),
     (["--model", "nope"], 2),
 ])
-def test_check_nonlinearity_exit_codes(argv, code, capsys):
+def test_check_nonlinearity_exit_codes(argv, code, capsys, monkeypatch):
+    # the growth check tests the power a model declares; a catalog entry
+    # that declares more than its gradient carries fails it
+    monkeypatch.setitem(nonlinearity._BUILTINS, "thirring_claiming_p4",
+                        thirring_claiming_p4)
     assert cli.main(["check-nonlinearity"] + argv) == code
     if code != 2:
         report = json.loads(capsys.readouterr().out)
@@ -616,6 +690,14 @@ def test_check_nonlinearity_exit_codes(argv, code, capsys):
         assert report["growth_ok"] is (code == 0)
     else:
         assert "unknown nonlinearity" in capsys.readouterr().err
+
+
+def test_check_nonlinearity_expected_power_option_is_an_argparse_error():
+    # the growth check reads the power the model declares
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check-nonlinearity", "--model", "thirring",
+                  "--expected-power", "4"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("argv, why", [

@@ -83,6 +83,20 @@ def test_integrate_step_validation():
         integrate(s0, model, t_end=1.0, dt=0.02, sample_stride=0)
 
 
+def test_a_stride_that_does_not_divide_the_steps_is_refused():
+    # a last sample off the stride would leave the samples unevenly
+    # spaced, which every centered time difference refuses
+    g = Grid1D(-10.0, 10.0, 401)
+    s0 = SpinorState1D(g, "spinor_psi", _smooth_pair(g, width=4.0))
+    message = "^sample_stride = 20 does not divide the 50 steps$"
+    with pytest.raises(ValueError, match=message):
+        dynamics.step_count(g, 1.0, 0.02, 20)
+    with pytest.raises(ValueError, match=message):
+        integrate(s0, zero_model(arity="spinor_psi"), t_end=1.0, dt=0.02,
+                  sample_stride=20)
+    assert dynamics.step_count(g, 1.0, 0.02, 25) == 50
+
+
 def test_trajectory_sampling_includes_endpoints():
     g = Grid1D(-10.0, 10.0, 401)
     s0 = SpinorState1D(g, "spinor_psi", _smooth_pair(g, width=4.0))
@@ -91,7 +105,6 @@ def test_trajectory_sampling_includes_endpoints():
     assert tr.times[0] == 0.0
     assert tr.times[-1] == pytest.approx(1.0, abs=1e-12)
     assert len(tr.times) == len(tr.states) == 6
-    assert tr.final() is tr.states[-1]
     assert isinstance(tr, Trajectory)
 
 
@@ -100,7 +113,7 @@ def test_integrate_pins_outer_nodes():
     s0 = SpinorState1D(g, "spinor_psi", _smooth_pair(g, width=4.0))
     tr = integrate(s0, zero_model(arity="spinor_psi"), t_end=0.1, dt=0.02,
                    m=1.0)
-    f = tr.final().fields
+    f = tr.states[-1].fields
     assert np.all(f[:, :4] == 0.0)
     assert np.all(f[:, -4:] == 0.0)
 
@@ -150,7 +163,7 @@ def test_odd_parity_is_broken_by_the_transport_term():
                   zero_model(arity="spinor_psi")):
         tr = integrate(s0, model, t_end=1.0, dt=0.02, m=1.0,
                        sample_stride=50)
-        assert parity_defect(tr.final()) >= 1e-3
+        assert parity_defect(tr.states[-1]) >= 1e-3
 
 
 def test_radial_state_validation():
@@ -180,7 +193,7 @@ def test_an_odd_row_left_at_round_off_is_not_a_parity_violation():
     s0 = RadialSpinorState(rg, np.vstack([zero, even, zero, zero]))
     tr = integrate(s0, zero_model(arity="spinor_psi"), t_end=1.0,
                    dt=0.025, sample_stride=5)
-    p22 = np.abs(tr.final().fields[3])
+    p22 = np.abs(tr.states[-1].fields[3])
     assert 0.0 < np.max(p22) < 1e-15
 
 
@@ -268,7 +281,7 @@ def test_radial_charge_conservation():
     tr = integrate(s0, model, t_end=2.0, dt=0.0125, m=1.0, sample_stride=40)
     qs = [charge(s) for s in tr.states]
     assert max(abs(q - qs[0]) for q in qs) / qs[0] <= 1e-7
-    assert np.all(np.isfinite(tr.final().fields))
+    assert np.all(np.isfinite(tr.states[-1].fields))
 
 
 def test_radial_rhs_arity():
@@ -283,17 +296,21 @@ def test_radial_rhs_arity():
 
 def reference_rhs_radial(fields, grid, model, m):
     """The radial right-hand side through grad's complex arithmetic, one
-    stencil call per row and plain row expressions: the kernel whose
-    values dynamics._rhs_radial_arrays must reproduce, and whose runs
-    integrate must reproduce bit for bit."""
+    stencil call per row (a 1-row block) and plain row expressions: the
+    kernel whose values dynamics._rhs_radial_arrays must reproduce, and
+    whose runs integrate must reproduce bit for bit."""
     p11, p12, p21, p22 = fields
     w1, w2 = model.grad(p11 + 1j * p12, p21 + 1j * p22)
     w11, w12, w21, w22 = w1.real, w1.imag, w2.real, w2.imag
     r = grid.r[:fields.shape[-1]]
-    t22 = deriv1(p22, grid, parity="odd") + 2.0 * p22 / r
-    t21 = deriv1(p21, grid, parity="odd") + 2.0 * p21 / r
-    d11 = deriv1(p11, grid, parity="even")
-    d12 = deriv1(p12, grid, parity="even")
+
+    def d(row, parity):
+        return deriv1(row[None], grid, (parity,))[0]
+
+    t22 = d(p22, "odd") + 2.0 * p22 / r
+    t21 = d(p21, "odd") + 2.0 * p21 / r
+    d11 = d(p11, "even")
+    d12 = d(p12, "even")
     return np.vstack([t22 + m * p12 - w12,
                       -t21 - m * p11 + w11,
                       -d12 - m * p22 + w22,
@@ -338,7 +355,7 @@ def reference_integrate(initial, model, t_end, dt, m=1.0, sample_stride=1,
         else:
             y[:, :pin] = 0.0
             y[:, -pin:] = 0.0
-        if step % sample_stride == 0 or step == n_steps:
+        if step % sample_stride == 0:
             t = t0 + step * dt
             if not np.all(np.isfinite(y)):
                 raise RuntimeError(f"non-finite field values at t = {t:g}")
@@ -392,7 +409,7 @@ def test_window_matches_full_grid_as_the_live_span_grows():
     tr = integrate(s0, model, t_end=4.0, dt=0.025, m=0.0, sample_stride=20)
     assert_bitwise_equal(tr, reference_integrate(s0, model, 4.0, 0.025,
                                                  m=0.0, sample_stride=20))
-    assert _live_count(tr.final().fields) > _live_count(s0.fields)
+    assert _live_count(tr.states[-1].fields) > _live_count(s0.fields)
 
 
 def test_window_keeps_up_with_a_sharp_edge():
@@ -433,7 +450,7 @@ def test_window_matches_full_grid_on_a_radial_bump_at_the_origin():
                                                  sample_stride=16))
     # exp(-r^2) is sub-floor past r ~ 18.8, and stepping truncates that
     # tail: the packet spreads past the nodes it held above the floor
-    assert _live_count(tr.final().fields) > _above_floor_count(s0.fields)
+    assert _live_count(tr.states[-1].fields) > _above_floor_count(s0.fields)
 
 
 def _radial_bump(rg, amplitude, center=0.0, width=0.5):
@@ -552,7 +569,7 @@ def test_window_clamped_at_a_pinned_edge_matches_full_grid():
     tr = integrate(s0, model, t_end=0.5, dt=0.025, m=1.0, sample_stride=4)
     assert_bitwise_equal(tr, reference_integrate(s0, model, 0.5, 0.025,
                                                  m=1.0, sample_stride=4))
-    assert np.all(tr.final().fields[:, -dynamics._PIN:] == 0.0)
+    assert np.all(tr.states[-1].fields[:, -dynamics._PIN:] == 0.0)
 
 
 @pytest.mark.parametrize("radial", [False, True])
@@ -567,7 +584,7 @@ def test_window_on_an_all_zero_state(radial):
         model = thirring(coupling=1.0)
     tr = integrate(s0, model, t_end=0.2, dt=0.025)
     assert_bitwise_equal(tr, reference_integrate(s0, model, 0.2, 0.025))
-    assert not np.signbit(tr.final().fields.view(float)).any()
+    assert not np.signbit(tr.states[-1].fields.view(float)).any()
 
 
 def _abort_message(stepper, *args, **kwargs):
@@ -790,11 +807,11 @@ def test_stepped_sub_floor_values_and_negative_zeros_become_plus_zero():
     tr = integrate(s0, zero_model(arity="lab_uv"), t_end=0.025, dt=0.025,
                    m=0.0)
     assert tr.states[0].fields.tobytes() == fields.tobytes()
-    u, v = tr.final().fields
+    u, v = tr.states[-1].fields
     assert np.all(u[160:240].real == dynamics._FLOOR)
     assert u[160:240].imag.tobytes() == np.zeros(80).tobytes()
     assert v.tobytes() == np.zeros(g.n_points, complex).tobytes()
-    parts = tr.final().fields.view(float)
+    parts = tr.states[-1].fields.view(float)
     assert np.all((np.abs(parts) >= dynamics._FLOOR)
                   | ((parts == 0.0) & ~np.signbit(parts)))
 

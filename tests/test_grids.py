@@ -54,7 +54,7 @@ def test_deriv1_radial_parity_ghosts():
         errs = []
         for n in (128, 256, 512):
             g = RadialGrid(8.0, n)
-            errs.append(np.max(np.abs(deriv1(f_of(g.r), g, parity=parity)
+            errs.append(np.max(np.abs(deriv1(f_of(g.r)[None], g, (parity,))
                                       - df_of(g.r))))
         assert np.log2(errs[0] / errs[1]) > 3.5
         assert np.log2(errs[1] / errs[2]) > 3.5
@@ -68,6 +68,10 @@ def test_deriv1_parity_argument_rules():
         deriv1(f1, g1, parity="even")
     with pytest.raises(ValueError):
         deriv1(f1, gr)  # radial grids must declare a parity
+    with pytest.raises(ValueError, match=re.escape(
+            "radial deriv1 requires parity 'even' or 'odd' per row, "
+            "got 'even'")):
+        deriv1(f1[None], gr, "even")  # one name per row, not one name
 
 
 def test_deriv1_per_row_parity_refusals():
@@ -79,8 +83,10 @@ def test_deriv1_per_row_parity_refusals():
             (quartet[0], ("even",), "per-row parity gives 1 names for the "
              "rows of an array of shape (64,)"),
             (quartet, ("even", "none", "odd", "odd"), "radial deriv1 "
-             "requires parity 'even' or 'odd', got ('even', 'none', 'odd', "
-             "'odd')")):
+             "requires parity 'even' or 'odd' per row, got ('even', 'none', "
+             "'odd', 'odd')"),
+            (np.ones((1, 4, 64)), ("even",), "per-row parity gives 1 names "
+             "for the rows of an array of shape (1, 4, 64)")):
         with pytest.raises(ValueError, match=re.escape(message)):
             deriv1(f, gr, names)
     for names in (("even",) * 4, ("none",) * 4):

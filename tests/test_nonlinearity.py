@@ -39,6 +39,14 @@ def square_modulus(coupling=1.0):
     return NonlinearityModel("square_modulus", "spinor_psi", 3, grad, W, co)
 
 
+def thirring_claiming_p4():
+    """The growth check's negative control: Thirring's cubic gradient
+    under a model that declares the power p = 4."""
+    cubic = builtin("thirring")
+    return NonlinearityModel("thirring_claiming_p4", "lab_uv", 4,
+                             cubic.eval_grad, cubic.eval_W, cubic.coupling)
+
+
 def model_named(name):
     """The catalog model ``name``, or the negative control."""
     return square_modulus() if name == "square_modulus" else builtin(name)
@@ -163,8 +171,8 @@ def test_growth_slopes():
     # quintic soler: g(s) = s^2
     assert check_growth(NL.soler(g_coeffs=(0.0, 1.0))).slope == pytest.approx(
         5.0, abs=1e-6)
-    # demanding a higher power than the model carries must fail
-    assert not check_growth(builtin("thirring"), p_expected=4)
+    # declaring a higher power than the gradient carries must fail
+    assert not check_growth(thirring_claiming_p4())
     # zero model passes vacuously
     assert check_growth(builtin("zero")).ok
 
@@ -211,13 +219,6 @@ def test_soler_equals_diagonal_form():
 def test_soler_g_validation():
     with pytest.raises(ValueError):
         NL.soler(g_coeffs=(0.0, 0.0))
-
-
-def test_isotropic_pair_validation():
-    with pytest.raises(ValueError):
-        NL.isotropic_pair(a=(1.0, 1.0))
-    with pytest.raises(ValueError):
-        NL.isotropic_pair(m=2)
 
 
 def test_builtin_unknown_name():

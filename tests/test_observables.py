@@ -137,8 +137,8 @@ def test_log_window_excludes_separated_humps():
 def test_exterior_mass_matches_quadrature():
     om = 0.5
     g2 = 1.0 - om * om
-    s0 = thirring_soliton(SolitonParams(om), Grid1D(-60.0, 60.0, 2401))
-    got = region_mass(s0, Region("exterior:0.1"), t=3.0)
+    s0 = thirring_soliton(SolitonParams(om, t=3.0), Grid1D(-60.0, 60.0, 2401))
+    got = region_mass(s0, Region("exterior:0.1"))
     edge = 1.1 * 3.0
     ref = 2.0 * quad(
         lambda x: 2.0 * g2 / (np.cosh(2.0 * np.sqrt(g2) * x) + om),

@@ -142,6 +142,30 @@ def test_windowed_integrate_is_the_full_grid_step(center, width, amplitude,
         reference_integrate(s0, model, 1.5, 0.05, sample_stride=10))
 
 
+@settings(max_examples=40, deadline=None)
+@given(stride=st.integers(1, 8), strides=st.integers(1, 6),
+       extra=st.integers(0, 7))
+def test_every_trajectory_is_uniformly_sampled(stride, strides, extra):
+    # integrate samples on whole strides only, so every trajectory it
+    # returns passes the spacing check of centered time differences, and
+    # a stride that does not divide the steps is refused
+    n_steps = stride * strides + extra % stride
+    bump = np.exp(-_GRID.x ** 2) * (1.0 + 0.5j)
+    s0 = SpinorState1D(_GRID, "spinor_psi", np.vstack([bump, -bump]))
+    run = dict(t_end=n_steps * 0.05, dt=0.05, sample_stride=stride)
+    model = builtin("zero", arity="spinor_psi")
+    if n_steps % stride:
+        with pytest.raises(ValueError, match="does not divide"):
+            integrate(s0, model, **run)
+        return
+    tr = integrate(s0, model, **run)
+    assert len(tr) == n_steps // stride + 1
+    assert tr.times[-1] == pytest.approx(run["t_end"], abs=1e-12)
+    if len(tr) >= 3:
+        assert tr.sample_step("test") == pytest.approx(stride * 0.05,
+                                                       abs=1e-12)
+
+
 # Charge conservation for the gauge-invariant models: W = g psi with g
 # real (soler), or a gradient of a phase-invariant potential (the lab
 # models). quartic_harmonic does not conserve charge. The
@@ -235,17 +259,17 @@ def test_psi_run_with_the_image_model_is_the_mapped_lab_run(
     if name == "thirring":
         images.append(builtin("thirring_psi", coupling=coupling))
     run = dict(t_end=1.0, dt=0.5 * _GRID.h, m=m, sample_stride=20)
-    want = to_spinor_frame(integrate(s0, lab, **run).final()).fields
+    want = to_spinor_frame(integrate(s0, lab, **run).states[-1]).fields
     scale = 1.0 + float(np.max(np.abs(want)))
     for hat in images:
-        got = integrate(to_spinor_frame(s0), hat, **run).final().fields
+        got = integrate(to_spinor_frame(s0), hat, **run).states[-1].fields
         assert np.max(np.abs(got - want)) <= 1e-14 * scale, hat.name
 
 
 # the stencil's grids and node values: signed zeros, subnormals and
 # ordinary magnitudes, so that zero signs and gradual underflow show
-_STENCIL_GRIDS = {"none": Grid1D(-3.0, 5.0, 40), "even": RadialGrid(7.0, 40),
-                  "odd": RadialGrid(7.0, 40)}
+_STENCIL_GRIDS = {"line": Grid1D(-3.0, 5.0, 40),
+                  "radial": RadialGrid(7.0, 40)}
 _node_values = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-309]),
     st.floats(-1e6, 1e6))
@@ -267,33 +291,43 @@ def _stencil_blocks(draw):
     return tuple(blocks)
 
 
+def _written_out(f, grid, parity):
+    """reference_deriv1 on a line block, or row by row on a radial block,
+    each row with its own parity."""
+    if parity == "none":
+        return reference_deriv1(f, grid)
+    return np.stack([reference_deriv1(row, grid, name)
+                     for row, name in zip(f, parity)])
+
+
 @settings(max_examples=200, deadline=None)
-@given(block=_stencil_blocks(), parity=st.sampled_from(sorted(_STENCIL_GRIDS)),
+@given(block=_stencil_blocks(),
+       geometry=st.sampled_from(sorted(_STENCIL_GRIDS)),
        names=st.lists(st.sampled_from(["even", "odd"]), min_size=3,
                       max_size=3))
-def test_deriv1_is_the_written_out_stencil(block, parity, names):
-    grid = _STENCIL_GRIDS[parity]
+def test_deriv1_is_the_written_out_stencil(block, geometry, names):
+    grid = _STENCIL_GRIDS[geometry]
     re, im = block
+    parity = "none"
+    if geometry == "radial":
+        # a radial block is 2-D, one parity name per row
+        re, im = np.atleast_2d(re), np.atleast_2d(im)
+        parity = tuple(names[:len(re)])
     got = deriv1(re, grid, parity)
-    assert got.tobytes() == reference_deriv1(re, grid, parity).tobytes()
+    assert got.tobytes() == _written_out(re, grid, parity).tobytes()
     z = np.empty(re.shape, complex)
     z.real, z.imag = re, im
     got_z = deriv1(z, grid, parity)
-    ref_z = reference_deriv1(z, grid, parity)
+    ref_z = _written_out(z, grid, parity)
     assert np.array_equal(got_z.real, ref_z.real)
     assert np.array_equal(got_z.imag, ref_z.imag)
     # a complex column window of a wider block gives the same bytes
     wide = np.zeros(z.shape[:-1] + (z.shape[-1] + 3,), complex)
     wide[..., 1:-2] = z
     assert deriv1(wide[..., 1:-2], grid, parity).tobytes() == got_z.tobytes()
-    # each stacked row is bitwise its own call
+    # each stacked row is bitwise its own 1-row block, with its own name
     for f, stacked in ((re, got), (z, got_z)):
-        for row, out in zip(np.atleast_2d(f), np.atleast_2d(stacked)):
-            assert out.tobytes() == deriv1(row, grid, parity).tobytes()
-    # a radial block with mixed parities per row: each row is bitwise
-    # its own call with its own name
-    if parity != "none" and re.ndim == 2:
-        names = names[:len(re)]
-        for f in (re, z):
-            for row, out, name in zip(f, deriv1(f, grid, names), names):
-                assert out.tobytes() == deriv1(row, grid, name).tobytes()
+        for i, (row, out) in enumerate(zip(np.atleast_2d(f),
+                                           np.atleast_2d(stacked))):
+            own = parity if parity == "none" else parity[i:i + 1]
+            assert out.tobytes() == deriv1(row[None], grid, own).tobytes()

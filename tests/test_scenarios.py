@@ -150,6 +150,10 @@ def test_base_configs_parse():
      _exact("regions: ball:5 and ball:5.0 name one region")),
     (_text(_LAB, regions="interval:-1:2, ball:1e0, ball:1"),
      _exact("regions: ball:1e0 and ball:1 name one region")),
+    (_text(_LAB, out_dir="../climbed"),
+     _exact("out_dir '../climbed' leaves the output root")),
+    (_text(_LAB, out_dir="/srv/escaped"),
+     _exact("out_dir '/srv/escaped' leaves the output root")),
 ], ids=["unknown_key", "seed", "radial_key_on_line", "omega_on_bump",
         "dt_over_half_h", "buffer", "soliton_coupling",
         "chiral_balance_on_spinor", "window_charge_on_spinor",
@@ -164,7 +168,8 @@ def test_base_configs_parse():
         "radial_center_negative", "parity_bump_off_center",
         "radial_soliton", "stride_not_dividing_steps", "radial_buffer",
         "buffer_inside_sponge", "region_with_whitespace",
-        "regions_naming_one_region", "regions_naming_one_region_exponent"])
+        "regions_naming_one_region", "regions_naming_one_region_exponent",
+        "out_dir_climbing_out", "out_dir_absolute"])
 def test_config_rejections(text, match):
     with pytest.raises(ConfigError, match=match):
         ScenarioConfig.from_text(text)

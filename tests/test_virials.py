@@ -1,3 +1,4 @@
+import copy
 import sys
 import weakref
 from collections import Counter, namedtuple
@@ -366,7 +367,7 @@ QUARTETS = {
 
 
 def fresh_copy(tr):
-    return Trajectory(tr.times, [st.copy() for st in tr.states],
+    return Trajectory(tr.times, [copy.deepcopy(st) for st in tr.states],
                       tr.boundary_mass, tr.max_abs)
 
 
@@ -616,10 +617,10 @@ def test_stacked_deriv1_rows_equal_per_row_calls():
         assert np.array_equal(out, deriv1(row, G_PSI))
     rg = RadialGrid(10.0, 64)
     radial = rng.standard_normal((4, rg.n_cells))
-    for parity in ("even", "odd"):
-        stacked = deriv1(radial, rg, parity=parity)
-        for row, out in zip(radial, stacked):
-            assert np.array_equal(out, deriv1(row, rg, parity=parity))
+    names = ("even", "odd", "odd", "even")
+    stacked = deriv1(radial, rg, names)
+    for row, out, name in zip(radial, stacked, names):
+        assert np.array_equal(out, deriv1(row[None], rg, (name,))[0])
 
 
 def test_radial_quartet_fields_take_component_parity():
@@ -631,8 +632,8 @@ def test_radial_quartet_fields_take_component_parity():
     p, d = sample.quartet()
     w, e = sample.w_rows(nonlinearity.soler())
     for rows, parity in ((slice(0, 2), "even"), (slice(2, 4), "odd")):
-        assert np.array_equal(d[rows], deriv1(p[rows], rg, parity=parity))
-        assert np.array_equal(e[rows], deriv1(w[rows], rg, parity=parity))
+        assert np.array_equal(d[rows], deriv1(p[rows], rg, (parity,) * 2))
+        assert np.array_equal(e[rows], deriv1(w[rows], rg, (parity,) * 2))
 
 
 # ---------------------------------------------------------------------------
@@ -713,10 +714,10 @@ def _rhs_K_combined_closed(state, weight, m=1.0, model=None):
     dphi = weight.dphi(r)
     d2phi = weight.d2phi(r)
     d3phi = weight.d3phi(r)
-    phi_r = weight.sing("phi_over_r", r)
+    phi_r = weight.at("phi_over_r", r)
     phi_r2 = sing(weight, "phi_over_r2", r)
-    phi_r3 = weight.sing("phi_over_r3", r)
-    dphi_r = weight.sing("dphi_over_r", r)
+    phi_r3 = weight.at("phi_over_r3", r)
+    dphi_r = weight.at("dphi_over_r", r)
     dphi_r2 = sing(weight, "dphi_over_r2", r)
     d2phi_r = sing(weight, "d2phi_over_r", r)
 
@@ -964,7 +965,7 @@ SYSTEM_STATES = {
 
 def three_samples(system):
     st = SYSTEM_STATES[system]()
-    return Trajectory([0.0, 0.1, 0.2], [st.copy() for _ in range(3)],
+    return Trajectory([0.0, 0.1, 0.2], [copy.deepcopy(st) for _ in range(3)],
                       [0.0] * 3, [0.0] * 3)
 
 

@@ -52,11 +52,11 @@ TEST_QUOTIENTS = {
 
 
 def sing(spec, key, r):
-    """``spec.sing(key, r)``, or the tests' closed form of ``key``."""
+    """``spec.at(key, r)``, or the tests' closed form of ``key``."""
     quotients = TEST_QUOTIENTS.get(spec.name, {})
     if key in quotients:
         return quotients[key](r)
-    return spec.sing(key, r)
+    return spec.at(key, r)
 
 
 @pytest.mark.parametrize("spec", RADIAL_WEIGHTS, ids=lambda s: s.name)
@@ -96,9 +96,8 @@ def test_singular_combos_finite_at_small_r():
 def test_missing_singular_key_raises():
     sp = W.tanh_1d()
     assert not sp.singular
-    with pytest.raises(KeyError):
-        sp.sing("phi_over_r", np.array([1.0]))
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="weight 'tanh' lacks singular "
+                       "combination 'phi_over_r'"):
         sp.at("phi_over_r", np.array([1.0]))
 
 
@@ -108,7 +107,7 @@ def test_at_reads_derivatives_and_singular_quotients(spec):
     for name in ("phi", "dphi", "d2phi", "d3phi"):
         assert np.array_equal(spec.at(name, r), getattr(spec, name)(r))
     for key in spec.singular:
-        assert np.array_equal(spec.at(key, r), spec.sing(key, r))
+        assert np.array_equal(spec.at(key, r), spec.singular[key](r))
 
 
 def test_half_tanh_partition_of_unity():
