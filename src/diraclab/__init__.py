@@ -11,7 +11,8 @@ dynamics      semi-discrete right-hand sides and the RK4 evolution loop
 observables   charge, energy, momentum, region masses, parity diagnostics
 virials       weighted functionals, exact d/dt laws, identity verification
 bridge        second-order reformulation residuals and the Gronwall monitor
-scenarios     config-driven runs and curated experiments
+scenarios     config-driven runs and the one runner
+studies       the bundled long-horizon studies: configs, posts, checks
 """
 
 from . import (algebra, bridge, dynamics, exact, grids, nonlinearity,

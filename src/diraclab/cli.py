@@ -1,10 +1,10 @@
 """Command line front end.
 
 Subcommands map one-to-one onto the library's entry points: scenario
-runs, the bundled experiments, the check of the Dirac matrices that
-each system's kernel steps with, the nonlinearity checker, identity
-verification along a trajectory, the second-order residual monitor,
-and exact-solution tables.
+runs, the bundled studies of :mod:`diraclab.studies`, the check of the
+Dirac matrices that each system's kernel steps with, the nonlinearity
+checker, identity verification along a trajectory, the second-order
+residual monitor, and exact-solution tables.
 
 ``run`` and ``experiment`` parse every scenario before they run any,
 and hand them to the one runner in :mod:`diraclab.scenarios`: one run
@@ -35,10 +35,10 @@ from .bridge import gronwall_monitor
 from .dynamics import RunAborted
 from .exact import SolitonParams, thirring_soliton
 from .grids import Grid1D
-from .scenarios import (EXPERIMENT_IDS, ConfigError, ScenarioConfig,
-                        bundled_config_path, experiment, integrate_scenario,
-                        output_dirs, run_scenarios, virial_file, virial_table,
-                        write_tables)
+from .scenarios import (ConfigError, ScenarioConfig, bundled_config_path,
+                        integrate_scenario, output_dirs, run_scenarios,
+                        virial_file, virial_table, write_tables)
+from .studies import EXPERIMENT_IDS, experiment
 from .virials import identity_ids, verify_identity
 
 __all__ = ["main"]

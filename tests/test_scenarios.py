@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -11,9 +13,10 @@ from scipy.integrate import cumulative_trapezoid
 from diraclab import scenarios, virials
 from diraclab.exact import SolitonParams, thirring_soliton
 from diraclab.scenarios import (ConfigError, ScenarioConfig,
-                                bundled_config_path, experiment,
-                                integrate_scenario, run_scenario,
-                                write_tables)
+                                bundled_config_path, integrate_scenario,
+                                run_scenario, write_tables)
+from diraclab.studies import (_STUDIES, EXPERIMENT_IDS,
+                              _cumulative_trapezoid, experiment)
 from diraclab.virials import identity_ids
 
 _LAB = {
@@ -265,7 +268,7 @@ def test_bundled_config_hash_is_pinned():
     joint = hashlib.sha256(
         (studies["T5_m0"][0] + studies["T5_m1"][0]).encode()).hexdigest()
     assert joint[:16] == "f5729a8009418e77"
-    assert [n for row in scenarios._STUDIES.values() for n in row[0]] == \
+    assert [n for row in _STUDIES.values() for n in row[0]] == \
         list(studies)
 
 
@@ -395,8 +398,32 @@ def test_t2_summary_is_json_with_boolean_checks(tmp_path, shorten):
     assert summary["checks"]
     assert all(type(v) is bool for v in summary["checks"].values())
     with open(out / "h_series.csv") as fh:
-        assert fh.readline().strip() == "t,H_window,sech_mass,parity_defect"
+        assert fh.readline().strip() == \
+            "t,sech_mass,cumulative,parity_defect"
         assert len(fh.readlines()) == 3
+    rows = np.loadtxt(out / "h_series.csv", delimiter=",", skiprows=1)
+    expected = cumulative_trapezoid(rows[:, 1], rows[:, 0], initial=0.0)
+    assert np.array_equal(rows[:, 2], expected)
+
+
+def test_t2_study_loads_no_scipy(tmp_path, shorten):
+    # every T2 check reads the run, so a fresh process that runs the
+    # study, post and all, never imports scipy
+    shorten("T2_massive_odd", ("t_end = 40", "t_end = 1"))
+    cut = scenarios.bundled_config_path("T2_massive_odd")
+    src = os.path.dirname(os.path.dirname(scenarios.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out_root = str(tmp_path)
+    code = ("import sys\n"
+            "from diraclab import scenarios, studies\n"
+            f"scenarios.bundled_config_path = lambda name: {cut!r}\n"
+            f"studies.experiment('T2_massive_odd', out_root={out_root!r})\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+    assert (tmp_path / "T2_massive_odd" / "h_series.csv").is_file()
 
 
 def test_t1_probes_are_resolved_and_decreasing(tmp_path, shorten):
@@ -414,7 +441,7 @@ def test_t1_probes_are_resolved_and_decreasing(tmp_path, shorten):
 
 
 def test_experiment_ids_are_the_study_table():
-    assert scenarios.EXPERIMENT_IDS == tuple(scenarios._STUDIES)
+    assert EXPERIMENT_IDS == tuple(_STUDIES)
     with pytest.raises(ConfigError, match="unknown experiment"):
         experiment("T4_missing")
 
@@ -424,7 +451,7 @@ def test_cumulative_trapezoid_matches_scipy_bitwise(n):
     rng = np.random.default_rng(n)
     x = np.cumsum(rng.uniform(0.01, 1.0, n))
     y = rng.normal(size=n)
-    assert np.array_equal(scenarios._cumulative_trapezoid(y, x),
+    assert np.array_equal(_cumulative_trapezoid(y, x),
                           cumulative_trapezoid(y, x, initial=0.0))
 
 

@@ -17,7 +17,6 @@ from diraclab.dynamics import (
 from diraclab.grids import Grid1D, RadialGrid, deriv1, quad
 from diraclab.virials import (
     ScalingTriple,
-    coercivity_estimate,
     functional_H,
     functional_I,
     functionals_J1_to_J4,
@@ -822,6 +821,56 @@ def test_defect_shrinks_under_refinement():
 
 # ---------------------------------------------------------------------------
 # coercivity of the window Hessian
+
+def coercivity_estimate(L, grid=None):
+    """Minimal odd-sector Rayleigh quotient of the window Hessian.
+
+    The lemma the 1D massive decay rests on, for the sech window at
+    scale L; a fixed fact, so it is checked here once rather than in a
+    run. The Hessian form is int z'^2 - int sech^2(x/L) z^2 / (2 L^2);
+    the reference form is int z'^2 + int sech^4(x/L) z^2 / L.
+    Discretizes both quadratic forms on the right half line with the odd
+    boundary condition z(0)=0 (odd functions are determined there) as
+    tridiagonal sparse matrices A (Hessian) and B (reference). Since
+    A = B - D with D = diag(well + bump) >= 0, the minimal eigenvalue of
+    the pencil (A, B) is 1 - mu_max, where mu_max is the largest
+    eigenvalue of (D, B), found by a sparse Lanczos solve. (A shift-invert
+    solve at 0 would return the eigenvalue nearest 0, which is not the
+    minimum once the pencil turns negative.) A positive return certifies
+    coercivity at this resolution; the quotient is bounded by 1 from
+    above since the reference form dominates the Hessian.
+    """
+    from scipy.sparse import diags
+    from scipy.sparse.linalg import eigsh
+
+    L = float(L)
+    if L <= 0.0:
+        raise ValueError("L must be positive")
+    if grid is None:
+        grid = Grid1D(-25.0 * L, 25.0 * L, 4001)
+    if not grid.is_symmetric():
+        raise ValueError("coercivity_estimate needs a symmetric grid")
+    h = grid.h
+    xr = grid.x[grid.x > 0.5 * h]
+    n = xr.size
+    if n < 8:
+        raise ValueError("grid too coarse for the eigensolve")
+    # first-difference kinetic form on [0, x_max] with z(0) = 0 pinned
+    # and a free right end; the mirror image doubles everything, which
+    # cancels in the quotient
+    main = np.full(n, 2.0 / h)
+    main[-1] = 1.0 / h
+    off = np.full(n - 1, -1.0 / h)
+    well = h / np.cosh(xr / L) ** 2 / (2.0 * L * L)
+    bump = h / np.cosh(xr / L) ** 4 / L
+    b_mat = diags([off, main + bump, off], [-1, 0, 1], format="csc")
+    # a fixed start vector: the default random one moves the result in
+    # its last digits from call to call
+    mu_max = eigsh(diags(well + bump, format="csc"), k=1, M=b_mat,
+                   which="LA", v0=np.ones(n),
+                   return_eigenvectors=False)[0]
+    return float(1.0 - mu_max)
+
 
 def test_coercivity_estimate_positive():
     for L, lo in [(1.0, 0.6), (5.0, 0.35), (20.0, 0.14)]:
