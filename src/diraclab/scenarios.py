@@ -43,9 +43,13 @@ before any stepping. Tables and summary JSON format numbers through
 Wall time is recorded in the summary but excluded from
 :meth:`ExperimentSummary.to_dict` when ``include_wall_time=False``;
 comparisons should use that form.
+
+Scenario hashes, and a study's joint hash of its runs' hashes, are
+SHA-256 from the interpreter's built-in module (``_sha2`` or
+``_sha256``), so a run maps no OpenSSL; :mod:`hashlib` is the fallback
+only where neither is built in.
 """
 
-import hashlib
 import json
 import os
 import time
@@ -62,6 +66,17 @@ from .grids import Grid1D, RadialGrid
 from .observables import (Region, charge, energy_psi, hamiltonian_1d,
                           momentum_1d, parity_defect, region_mass)
 from .virials import identity_ids, verify_identity
+
+# hashlib loads OpenSSL (_hashlib and libcrypto, which hold about 3.3 MB
+# resident) when it is imported; the interpreter's built-in module is the
+# same SHA-256 and maps nothing, so a run pays no memory for its hash
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 __all__ = [
     "ConfigError",
@@ -434,7 +449,9 @@ class ScenarioConfig:
 
     @property
     def hash(self):
-        digest = hashlib.sha256(self.canonical().encode("utf-8"))
+        """The first 16 hex digits of the SHA-256 of :meth:`canonical`,
+        from the interpreter's built-in module, so a run maps no OpenSSL."""
+        digest = sha256(self.canonical().encode("utf-8"))
         return digest.hexdigest()[:16]
 
     # -- builders -----------------------------------------------------
@@ -851,7 +868,7 @@ def _joint_summary(study, configs, done, directory, t_start):
     for _, run_metrics, run_checks in done:
         metrics.update(run_metrics)
         checks.update(run_checks)
-    joint_hash = hashlib.sha256(
+    joint_hash = sha256(
         "".join(s.scenario_hash for s in subs).encode()).hexdigest()[:16]
     conservation = {key: max(s.conservation.get(key, 0.0) for s in subs)
                     for key in ("charge_drift_rel", "hamiltonian_drift_rel")}

@@ -970,11 +970,14 @@ def test_every_exported_name_resolves():
 def test_import_loads_no_scipy():
     # scipy is a test-only dependency, so no import of the package may
     # load it; the process pool is imported where a pool is made, so a
-    # command that steps one run, or none, does not pay for it
+    # command that steps one run, or none, does not pay for it; and the
+    # scenario hash is the built-in SHA-256, so OpenSSL's _hashlib stays
+    # out
     src = os.path.dirname(os.path.dirname(diraclab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    lazy = ("scipy", "multiprocessing", "concurrent.futures.process")
+    lazy = ("scipy", "multiprocessing", "concurrent.futures.process",
+            "_hashlib")
     for module in ("diraclab.cli", "diraclab.scenarios", "diraclab.studies"):
         code = (f"import sys, {module}; print(sorted(m for m in "
                 f"sys.modules if m.startswith({lazy!r})))")

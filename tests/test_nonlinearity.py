@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,38 @@ def test_quartic_harmonic_reference_values():
     W1, W2 = m.grad(np.array([1.0 + 0j]), np.array([1j]))
     assert W1[0] == pytest.approx(16.0 + 0j)
     assert W2[0] == pytest.approx(16.0j)
+
+
+def _exact_quartic_gradient(b, d):
+    """4 b^3 - 12 b d^2 in exact rational arithmetic, as (re, im), and
+    the size |4 b^3| + |12 b d^2| that scales its round-off."""
+    def mul(p, q):
+        return (p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0])
+
+    bb, dd = (Fraction(b.real), Fraction(b.imag)), \
+        (Fraction(d.real), Fraction(d.imag))
+    cube, cross = mul(mul(bb, bb), bb), mul(bb, mul(dd, dd))
+    exact = (4 * cube[0] - 12 * cross[0], 4 * cube[1] - 12 * cross[1])
+    return exact, 4.0 * abs(b) ** 3 + 12.0 * abs(b) * abs(d) ** 2
+
+
+def test_quartic_gradient_is_exact_to_round_off():
+    # the product form and the complex power it replaced both stay
+    # within 8 eps of the terms' size of the exact value, component by
+    # component, so the change between them is round-off
+    z1, z2 = sample_states(200, 0)
+    b, d = np.conj(z1), np.conj(z2)
+    W1, W2 = builtin("quartic_harmonic").grad(z1, z2)
+    power = (4.0 * b ** 3 - 12.0 * b * d * d,
+             4.0 * d ** 3 - 12.0 * b * b * d)
+    eps = np.finfo(float).eps
+    for k in range(len(z1)):
+        for pair, (x, y) in ((0, (b[k], d[k])), (1, (d[k], b[k]))):
+            exact, size = _exact_quartic_gradient(x, y)
+            bound = 8.0 * eps * size
+            for w in ((W1, W2)[pair][k], power[pair][k]):
+                assert abs(Fraction(w.real) - exact[0]) <= bound, (k, pair)
+                assert abs(Fraction(w.imag) - exact[1]) <= bound, (k, pair)
 
 
 def test_all_models_vanish_at_origin():

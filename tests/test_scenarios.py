@@ -1,10 +1,13 @@
 import hashlib
+import importlib.util
 import json
 import os
 import re
 import subprocess
 import sys
+import types
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -408,7 +411,7 @@ def test_t2_summary_is_json_with_boolean_checks(tmp_path, shorten):
 
 def test_t2_study_loads_no_scipy(tmp_path, shorten):
     # every T2 check reads the run, so a fresh process that runs the
-    # study, post and all, never imports scipy
+    # study, post and all, never imports scipy, nor OpenSSL's _hashlib
     shorten("T2_massive_odd", ("t_end = 40", "t_end = 1"))
     cut = scenarios.bundled_config_path("T2_massive_odd")
     src = os.path.dirname(os.path.dirname(scenarios.__file__))
@@ -419,11 +422,80 @@ def test_t2_study_loads_no_scipy(tmp_path, shorten):
             "from diraclab import scenarios, studies\n"
             f"scenarios.bundled_config_path = lambda name: {cut!r}\n"
             f"studies.experiment('T2_massive_odd', out_root={out_root!r})\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith(('scipy', '_hashlib'))))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
     assert (tmp_path / "T2_massive_odd" / "h_series.csv").is_file()
+
+
+@pytest.mark.skipif(not any(importlib.util.find_spec(m)
+                            for m in ("_sha2", "_sha256")),
+                    reason="no built-in SHA-256 module")
+def test_a_run_maps_no_openssl(tmp_path):
+    # the scenario hash comes from the interpreter's SHA-256, so a run
+    # of each system leaves _hashlib unimported and libcrypto unmapped
+    src = os.path.dirname(os.path.dirname(scenarios.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    texts = [(name, _text(base)) for name, base in
+             (("lab", _LAB), ("spinor", _SPINOR), ("radial", _RADIAL))]
+    code = ("import os, sys\n"
+            "from diraclab.scenarios import ScenarioConfig, run_scenario\n"
+            f"for name, text in {texts!r}:\n"
+            "    config = ScenarioConfig.from_text(text, name=name)\n"
+            f"    run_scenario(config, out_root={str(tmp_path)!r})\n"
+            "    maps = ''\n"
+            "    if sys.platform.startswith('linux'):\n"
+            "        with open('/proc/self/maps') as fh:\n"
+            "            maps = fh.read()\n"
+            "    print(name, '_hashlib' in sys.modules, 'libcrypto' in maps)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split("\n")[:-1] == [f"{name} False False"
+                                    for name, _ in texts]
+    for name, _ in texts:
+        assert (tmp_path / name / "summary.json").is_file()
+
+
+def _workload_texts(seed):
+    """Each benchmark workload's scenario text at ``seed``, read from
+    ``perfbench/workloads.py`` without writing anything next to it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    module = types.ModuleType("perfbench_workloads")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
+         vars(module))
+    return {name: module.scenario_text(name, seed)
+            for name in module.WORKLOADS}
+
+
+def test_hashes_are_hashlib_sha256(tmp_path):
+    # the built-in SHA-256 is hashlib's function, digit for digit
+    def reference(text):
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+    shipped = Path(scenarios.__file__).parent / "configs"
+    configs = {path.stem: ScenarioConfig.from_file(str(path))
+               for path in sorted(shipped.glob("*.cfg"))}
+    configs.update((name, ScenarioConfig.from_text(text, name=name))
+                   for name, text in _workload_texts(13).items())
+    for name, config in configs.items():
+        assert config.hash == reference(config.canonical()), name
+    joint_studies = [(study, names) for study, (names, *_) in
+                     _STUDIES.items() if len(names) > 1]
+    assert joint_studies
+    for study, names in joint_studies:
+        runs = [configs[name] for name in names]
+        done = [(scenarios.ExperimentSummary(
+            name=c.name, scenario_hash=c.hash, system=c.system, n_samples=1,
+            t_final=0.0, conservation={}, virials={}, decay={}, metrics={},
+            checks={}, files=[], wall_time=0.0), {}, {}) for c in runs]
+        os.makedirs(tmp_path / study)
+        joint = scenarios._joint_summary(study, runs, done,
+                                         str(tmp_path / study), 0.0)
+        assert joint.scenario_hash == \
+            reference("".join(c.hash for c in runs)), study
 
 
 def test_t1_probes_are_resolved_and_decreasing(tmp_path, shorten):
