@@ -6,6 +6,7 @@ exact check of the algebra the virial identities rest on.
 import numpy as np
 
 from . import dynamics
+from .dynamics import SYSTEMS
 from .exact import t_transform
 from .grids import Grid1D, RadialGrid
 from .nonlinearity import zero_model
@@ -13,19 +14,17 @@ from .nonlinearity import zero_model
 __all__ = ["SYSTEMS", "kernel_matrices", "check_clifford",
            "ValidationReport"]
 
-SYSTEMS = ("lab_1d", "spinor_1d", "radial_3d")
 _PROBE_NODE = 20
 
 
 def _zero_state(system):
+    if system not in SYSTEMS:
+        raise ValueError(f"unknown system {system!r}; known: "
+                         f"{', '.join(SYSTEMS)}")
     if system == "radial_3d":
         return dynamics.RadialSpinorState(RadialGrid(16.0, 32),
                                           np.zeros((4, 32)))
-    kinds = {"lab_1d": "lab_uv", "spinor_1d": "spinor_psi"}
-    if system not in kinds:
-        raise ValueError(f"unknown system {system!r}; known: "
-                         f"{', '.join(SYSTEMS)}")
-    return dynamics.SpinorState1D(Grid1D(-8.0, 8.0, 33), kinds[system],
+    return dynamics.SpinorState1D(Grid1D(-8.0, 8.0, 33), SYSTEMS[system],
                                   np.zeros((2, 33)))
 
 

@@ -17,9 +17,10 @@ pair in one of two frames:
 The radial container is in the spinor frame. It holds the four real
 fields (p11, p12, p21, p22), psi_j = p_j1 + i p_j2, on a cell-centered
 grid in r > 0, with (p11, p12) even-extendable and (p21, p22)
-odd-extendable through the origin. Each state names its ``system`` as
-the virial table and scenario files spell it, and in ``row_parity`` the
-parity argument :func:`~diraclab.grids.deriv1` takes for its rows.
+odd-extendable through the origin. Each state names its ``system``, a
+key of ``SYSTEMS``, the one table of the systems and their frames, and
+in ``row_parity`` the parity argument :func:`~diraclab.grids.deriv1`
+takes for its rows. :func:`charge` is the one conserved charge.
 
 A function that reads one geometry, or one frame of the line, refuses
 any other state through :func:`require_line` or :func:`require_radial`,
@@ -37,9 +38,12 @@ also turns -0.0 into +0.0: a zero's sign in a stage value never shows.
 import numpy as np
 
 from .grids import Grid1D, RadialGrid, deriv1, quad
-from .nonlinearity import require_frame, require_zero_at_rest
+from .nonlinearity import _FRAMES, require_frame, require_zero_at_rest
 
-_KINDS_1D = ("lab_uv", "spinor_psi")
+# system -> the frame (a state's ``kind``) its states are in
+SYSTEMS = {"lab_1d": "lab_uv", "spinor_1d": "spinor_psi",
+           "radial_3d": "spinor_psi"}
+_MIN_SAMPLES = 3  # the fewest samples that centered differences need
 
 
 class SpinorState1D:
@@ -50,8 +54,9 @@ class SpinorState1D:
     def __init__(self, grid, kind, fields, t=0.0):
         if not isinstance(grid, Grid1D):
             raise TypeError("SpinorState1D needs a Grid1D")
-        if kind not in _KINDS_1D:
-            raise ValueError(f"unknown kind {kind!r}, expected one of {_KINDS_1D}")
+        if kind not in _FRAMES:
+            raise ValueError(f"unknown kind {kind!r}, expected one of "
+                             f"{tuple(_FRAMES)}")
         fields = np.asarray(fields)
         if fields.shape != (2, grid.n_points):
             raise ValueError(
@@ -59,7 +64,7 @@ class SpinorState1D:
                 f"(2, {grid.n_points}) for kind {kind!r}")
         self.grid = grid
         self.kind = kind
-        self.system = "lab_1d" if kind == "lab_uv" else "spinor_1d"
+        self.system = _LINE_SYSTEMS[kind]
         self.fields = fields.astype(complex)
         self.t = float(t)
 
@@ -103,8 +108,8 @@ class RadialSpinorState:
     rejected here rather than silently differentiated wrong.
     """
 
-    kind = "spinor_psi"
     system = "radial_3d"
+    kind = SYSTEMS[system]
     row_parity = ("even", "even", "odd", "odd")  # deriv1's name for each row
 
     def __init__(self, grid, fields, t=0.0):
@@ -140,7 +145,8 @@ class RadialSpinorState:
         return self.fields[2] + 1j * self.fields[3]
 
 
-_FRAME_NAMES = {"lab_uv": "lab", "spinor_psi": "spinor"}
+_LINE_SYSTEMS = {kind: system for system, kind in SYSTEMS.items()
+                 if system != RadialSpinorState.system}
 
 
 def require_line(state, who, kind=None):
@@ -152,7 +158,7 @@ def require_line(state, who, kind=None):
     if not isinstance(state, SpinorState1D):
         raise TypeError(f"{who} needs a SpinorState1D")
     if kind is not None and state.kind != kind:
-        raise ValueError(f"{who} lives in the {_FRAME_NAMES[kind]} frame; "
+        raise ValueError(f"{who} lives in the {_FRAMES[kind]} frame; "
                          "map frames first")
 
 
@@ -161,6 +167,13 @@ def require_radial(state, who):
     radial state."""
     if not isinstance(state, RadialSpinorState):
         raise TypeError(f"{who} needs a RadialSpinorState")
+
+
+def charge(state):
+    """Total squared norm of the state in its grid's charge measure: the
+    line measure on the line, the spherical one on radial grids."""
+    return float(quad(state.density(), state.grid,
+                      state.grid.charge_measure))
 
 
 class Trajectory:
@@ -193,10 +206,10 @@ class Trajectory:
         """The uniform sample spacing that centered time differences need.
 
         Raises ValueError, naming the caller ``who``, when there are fewer
-        than 3 samples or the spacing is not uniform.
+        than ``_MIN_SAMPLES`` samples or the spacing is not uniform.
         """
-        if len(self.states) < 3:
-            raise ValueError(f"{who} needs at least 3 samples")
+        if len(self.states) < _MIN_SAMPLES:
+            raise ValueError(f"{who} needs at least {_MIN_SAMPLES} samples")
         steps = np.diff(self.times)
         if np.max(np.abs(steps - steps[0])) > 1e-9 * max(1.0, abs(steps[0])):
             raise ValueError("trajectory samples must be uniformly spaced")
@@ -418,7 +431,7 @@ def integrate(initial, model, t_end, dt, m=1.0, sample_stride=1):
     t0 = initial.t
     radial = isinstance(grid, RadialGrid)
 
-    q0 = float(quad(initial.density(), grid, grid.charge_measure))
+    q0 = charge(initial)
     mass_cap = _BOUNDARY_TOL * q0 if q0 > 0.0 else np.inf
 
     # +0.0 is the one float whose bits are all zero; bits shares memory

@@ -37,7 +37,8 @@ __all__ = [
 ]
 
 
-_FRAMES = ("lab_uv", "spinor_psi")
+# frame (a model's ``arity``, a state's ``kind``) -> its name in messages
+_FRAMES = {"lab_uv": "lab", "spinor_psi": "spinor"}
 
 
 def require_frame(model, kind, who):

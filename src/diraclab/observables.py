@@ -1,16 +1,16 @@
-"""Conserved quantities, region masses, and symmetry diagnostics."""
+"""Conserved quantities, region masses, and symmetry diagnostics; the
+charge is :mod:`diraclab.dynamics`' own, and :func:`log_window_width` is
+the one home of the paper's 1D massless window width t / log^2 t."""
 
 import numpy as np
 
-from .dynamics import require_line
+from .dynamics import charge, require_line
 from .grids import deriv1, quad
 
 
-def charge(state):
-    """Total squared norm of the state in its grid's charge measure: the
-    line measure on the line, the spherical one on radial grids."""
-    return float(quad(state.density(), state.grid,
-                      state.grid.charge_measure))
+def log_window_width(t):
+    """t / log^2 t, the width of the log window at time t."""
+    return t / np.log(t) ** 2
 
 
 def momentum_1d(state):
@@ -131,8 +131,7 @@ class Region:
             at = abs(float(t))
             if at < 10.0:
                 raise ValueError("log window is defined for |t| >= 10")
-            w = at / np.log(at) ** 2
-            return np.abs(coords) < w
+            return np.abs(coords) < log_window_width(at)
         if self.kind == "exterior":
             t = float(t)
             if t <= 2.0:

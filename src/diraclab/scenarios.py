@@ -58,8 +58,9 @@ from collections import namedtuple
 import numpy as np
 
 from . import nonlinearity
-from .dynamics import (_PIN, _SPONGE, RadialSpinorState, SpinorState1D,
-                       integrate, step_count)
+from .dynamics import (_MIN_SAMPLES, _PIN, _SPONGE, SYSTEMS,
+                       RadialSpinorState, SpinorState1D, integrate,
+                       step_count)
 from .exact import (CALIBRATED_THIRRING_COUPLING, SolitonParams,
                     thirring_soliton)
 from .grids import Grid1D, RadialGrid
@@ -114,7 +115,7 @@ _Key = namedtuple("_Key", "convert default allowed group",
 _REQUIRED = object()
 
 _SCHEMA = {
-    "system": _Key(str, _REQUIRED, ("lab_1d", "spinor_1d", "radial_3d")),
+    "system": _Key(str, _REQUIRED, tuple(SYSTEMS)),
     "model": _Key(str, _REQUIRED),
     "coupling": _Key(float, 1.0),
     "mass": _Key(float, 1.0),
@@ -384,20 +385,13 @@ class ScenarioConfig:
             self.require_samples("identities need")
 
     def require_samples(self, subject):
-        """Refuse a run with fewer than the 3 samples that centered time
-        differences need; ``subject`` opens the message, such as
-        "identities need"."""
-        if self.n_samples < 3:
+        """Refuse a run with fewer samples than centered time differences
+        need; ``subject`` opens the message, such as "identities need"."""
+        if self.n_samples < _MIN_SAMPLES:
             raise ConfigError(
-                f"{subject} at least 3 samples for centered "
+                f"{subject} at least {_MIN_SAMPLES} samples for centered "
                 f"differences; t_end / (dt * sample_stride) + 1 = "
                 f"{self.n_samples}")
-
-    @property
-    def files(self):
-        """The files a run of this scenario writes into its directory."""
-        return ["trajectory.csv", *map(virial_file, self.identities),
-                "summary.json"]
 
     def _check_buffer(self, grid):
         """Refuse runs whose support estimate reaches the nodes that
@@ -417,7 +411,7 @@ class ScenarioConfig:
             lo = self.center - 3.0 * self.width - self.t_end
             hi = self.center + 3.0 * self.width + self.t_end
         else:
-            gamma = float(np.sqrt(1.0 - self.omega ** 2))
+            gamma = float(SolitonParams(self.omega).gamma)
             lo = self.center - 30.0 / gamma
             hi = self.center + 30.0 / gamma
         if lo < self.x_min + guard or hi > self.x_max - guard:
@@ -445,7 +439,7 @@ class ScenarioConfig:
     @property
     def frame(self):
         """The frame (a state ``kind``) the system's states are in."""
-        return "lab_uv" if self.system == "lab_1d" else "spinor_psi"
+        return SYSTEMS[self.system]
 
     @property
     def hash(self):
@@ -580,28 +574,13 @@ class ExperimentSummary:
         return idents and all(self.checks.values())
 
     def to_dict(self, include_wall_time=True):
-        out = {
-            "name": self.name,
-            "scenario_hash": self.scenario_hash,
-            "system": self.system,
-            "n_samples": self.n_samples,
-            "t_final": self.t_final,
-            "conservation": self.conservation,
-            "virials": self.virials,
-            "decay": self.decay,
-            "metrics": self.metrics,
-            "checks": self.checks,
-            "passed": self.passed,
-            "files": self.files,
-        }
-        if include_wall_time:
-            out["wall_time"] = self.wall_time
+        out = dict(vars(self), passed=self.passed)
+        if not include_wall_time:
+            del out["wall_time"]
         return out
 
     def write(self, directory):
         path = os.path.join(directory, "summary.json")
-        if "summary.json" not in self.files:
-            self.files.append("summary.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -697,7 +676,9 @@ def _decay_entry(times, values):
 
 
 def _region_masses(config, states):
-    """Column name -> mass series of each configured region."""
+    """Column name -> mass series of each configured region; NaN where a
+    region is undefined (``log_window`` before |t| = 10, ``exterior:B``
+    up to t = 2), a whole column for a run that never leaves that span."""
     out = {}
     for region in config.regions:
         vals = []
@@ -705,8 +686,6 @@ def _region_masses(config, states):
             try:
                 vals.append(region_mass(st, region))
             except ValueError:
-                # region not defined at this instant (early log window
-                # or exterior region); the column records that honestly
                 vals.append(np.nan)
         out[_column_name(region.spec)] = np.array(vals)
     return out
@@ -754,12 +733,18 @@ def integrate_scenario(config):
     return model, traj
 
 
+def _run_files(config, table):
+    """The files a run of ``config`` writes into its directory, in
+    writing order; ``table`` names its study post's table, or is None."""
+    return ["trajectory.csv", *map(virial_file, config.identities),
+            *([table] if table else []), "summary.json"]
+
+
 def _run(job, out_dir):
     """Step one job, ``(config, post, table_name, joint)``, where this is
-    called and write its files into ``out_dir``: the scenario's tables,
-    for a study's run its ``post``'s table, then the summary, which holds
+    called and write :func:`_run_files` into ``out_dir``, the summary with
     the post's metrics and checks unless the study's ``joint`` summary
-    does. Returns (summary, metrics, checks); the trajectory stays here."""
+    has them. Returns (summary, metrics, checks); the trajectory stays."""
     config, post, table_name, joint = job
     t_start = time.perf_counter()
     model, traj = integrate_scenario(config)
@@ -789,7 +774,7 @@ def _run(job, out_dir):
         decay=decay,
         metrics={},
         checks={},
-        files=[fname for fname, _, _ in tables],
+        files=_run_files(config, table_name),
         wall_time=time.perf_counter() - t_start,
     )
     metrics, checks = {}, {}
@@ -797,7 +782,6 @@ def _run(job, out_dir):
         (header, columns), metrics, checks = post(config, traj, summary,
                                                   series)
         write_tables(out_dir, [(table_name, header, columns)])
-        summary.files.append(table_name)
         if not joint:
             summary.metrics, summary.checks = metrics, checks
     summary.write(out_dir)
@@ -823,8 +807,8 @@ def _run_requests(requests, out_root):
             raise ConfigError(
                 f"scenarios {labels[j]!r} and {labels[i]!r} share the "
                 f"output directory {config.out_dir!r}")
-    wanted = [(config.out_dir, config.files + ([table] if post else []))
-              for config, post, table, _ in jobs]
+    wanted = [(config.out_dir, _run_files(config, table))
+              for config, _, table, _ in jobs]
     wanted += [(label, ["summary.json"])
                for label, configs, _, _ in requests if len(configs) > 1]
     paths = output_dirs(out_root, wanted)
@@ -861,8 +845,8 @@ def run_scenarios(labelled, out_root=None):
 def _joint_summary(study, configs, done, directory, t_start):
     """Write the summary of a study of several runs from each run's
     (summary, metrics, checks): the runs' hashes hashed together, their
-    largest drifts, their posts' metrics and checks and every run's
-    files."""
+    largest drifts, their posts' metrics and checks, and every run's
+    files followed by its own."""
     subs = [summary for summary, _, _ in done]
     metrics, checks = {}, {}
     for _, run_metrics, run_checks in done:
@@ -879,7 +863,7 @@ def _joint_summary(study, configs, done, directory, t_start):
         n_samples=sum(s.n_samples for s in subs),
         t_final=max(s.t_final for s in subs),
         conservation=conservation, virials={}, decay={},
-        metrics=metrics, checks=checks, files=files,
+        metrics=metrics, checks=checks, files=files + ["summary.json"],
         wall_time=time.perf_counter() - t_start)
     summary.write(directory)
     return summary

@@ -6,16 +6,18 @@ summary and trajectory columns into a table, metrics and checks, and
 that table's file name. :func:`experiment` hands the rows it is asked
 for to the one runner, :func:`diraclab.scenarios._run_requests`, which
 knows no study: this module imports it, never the other way round.
+T1's window width is :func:`~diraclab.observables.log_window_width`,
+and T2's sech mass is 2 H_sech_1d, twice ``virials.functional_H``.
 """
 
 import numpy as np
 
 from . import scenarios, weights
-from .grids import quad
+from .observables import log_window_width
 from .scenarios import (ConfigError, ScenarioConfig, _column_name,
                         _run_requests)
-from .virials import (ScalingTriple, functional_I, functionals_K_3d,
-                      origin_flux_radial, window_flux_1d)
+from .virials import (ScalingTriple, functional_H, functional_I,
+                      functionals_K_3d, origin_flux_radial, window_flux_1d)
 
 __all__ = ["experiment", "EXPERIMENT_IDS"]
 
@@ -31,6 +33,11 @@ def _cumulative_trapezoid(y, x):
                                             / 2.0)))
 
 
+def _final_quarter(t):
+    """The time at which the last quarter of the span of t begins."""
+    return t[0] + 0.75 * (t[-1] - t[0])
+
+
 def _growth_final_quarter(t, cumulative):
     """Relative growth of a cumulative integral over its last quarter."""
     t = np.asarray(t, dtype=float)
@@ -38,8 +45,7 @@ def _growth_final_quarter(t, cumulative):
     final = c[-1]
     if final <= 0.0:
         return 0.0
-    cut = t[0] + 0.75 * (t[-1] - t[0])
-    at_cut = float(np.interp(cut, t, c))
+    at_cut = float(np.interp(_final_quarter(t), t, c))
     return float((final - at_cut) / final)
 
 
@@ -61,10 +67,9 @@ def _post_t1(config, traj, summary, series):
         window_mass[f"t{int(t_probe)}"] = float(column[k])
     seq = [window_mass[f"t{int(t)}"] for t in probes]
 
-    log_sc = ScalingTriple.log_window()
     keep = traj.times >= 10.0
     t_flux = traj.times[keep]
-    flux = np.array([window_flux_1d(st, log_sc.lam(st.t))
+    flux = np.array([window_flux_1d(st, log_window_width(st.t))
                      for st, k in zip(traj.states, keep) if k])
     cum = _cumulative_trapezoid(flux, t_flux)
     growth = _growth_final_quarter(t_flux, cum)
@@ -94,10 +99,7 @@ def _post_t2(config, traj, summary, series):
     halves and, as the integrated local decay the virial argument gives,
     that its time integral settles: ``cumulative_growth_below_5pct``.
     """
-    sech = weights.sech_1d()
-    sech_mass = np.array([
-        float(quad(sech.phi(st.grid.x) * st.density(), st.grid))
-        for st in traj.states])
+    sech_mass = np.array([2.0 * functional_H(st) for st in traj.states])
     cum = _cumulative_trapezoid(sech_mass, traj.times)
     growth = _growth_final_quarter(traj.times, cum)
     par = series["parity_defect"]
@@ -129,8 +131,7 @@ def _post_t3(config, traj, summary, series):
     cum = _cumulative_trapezoid(flux, traj.times)
 
     k_abs = np.abs(k_rows)
-    cut = traj.times >= traj.times[0] + 0.75 * (
-        traj.times[-1] - traj.times[0])
+    cut = traj.times >= _final_quarter(traj.times)
     k_sup = float(k_abs.max())
     k_sup_final = float(k_abs[cut].max())
     growth = _growth_final_quarter(traj.times, cum)
@@ -160,7 +161,7 @@ def _post_t5(config, traj, summary, series):
     no negative control: it would need data faster than light, and the
     scheme, of transport speed 1, cannot produce any.
     """
-    half = weights.half_tanh(side=+1)
+    half = weights.half_tanh()
     q0 = summary.conservation["charge_initial"]
     keep = traj.times >= 2.5
     states = [st for st, k in zip(traj.states, keep) if k]

@@ -57,6 +57,7 @@ import numpy as np
 from .dynamics import RadialSpinorState, require_line, require_radial
 from .grids import deriv1, quad
 from .nonlinearity import require_frame
+from .observables import log_window_width
 from .weights import r2_over_1pr4_weight, r32_weight, sech_1d, tanh_1d
 
 __all__ = [
@@ -120,7 +121,7 @@ class ScalingTriple:
         def lam(t):
             if t <= 1.0:
                 raise ValueError("log window needs t > 1")
-            return t / np.log(t) ** 2
+            return log_window_width(t)
 
         def lam_dot(t):
             ell = np.log(t)

@@ -74,26 +74,25 @@ def tanh_1d():
     return WeightSpec("tanh", phi, dphi, d2phi, d3phi)
 
 
-def half_tanh(side=+1):
-    """phi0(x) = (1 + side*tanh(x))/2, the one-sided cutoff pair."""
-    s = float(np.sign(side)) or 1.0
+def half_tanh():
+    """phi0(x) = (1 + tanh(x))/2, the cutoff from 0 on the left to 1 on
+    the right."""
 
     def phi(x):
-        return 0.5 * (1.0 + s * np.tanh(x))
+        return 0.5 * (1.0 + np.tanh(x))
 
     def dphi(x):
-        return 0.5 * s / np.cosh(x) ** 2
+        return 0.5 / np.cosh(x) ** 2
 
     def d2phi(x):
-        return -s * np.tanh(x) / np.cosh(x) ** 2
+        return -np.tanh(x) / np.cosh(x) ** 2
 
     def d3phi(x):
         c = 1.0 / np.cosh(x) ** 2
         t = np.tanh(x)
-        return s * (2.0 * c * t * t - c * c)
+        return 2.0 * c * t * t - c * c
 
-    label = "right" if s > 0 else "left"
-    return WeightSpec(f"half_tanh({label})", phi, dphi, d2phi, d3phi)
+    return WeightSpec("half_tanh(right)", phi, dphi, d2phi, d3phi)
 
 
 def sech_1d():

@@ -191,6 +191,26 @@ def test_regions_sharing_a_column_exit_two_before_any_output(tmp_path,
     assert not out.exists()
 
 
+def test_unknown_bundled_config_exits_two_naming_the_bundled_ones(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["run", "--scenario", "nosuch", "--out", "out"]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: no bundled config 'nosuch'; have: "
+        "T1_massless, T2_massive_odd, T3_radial, T5_m0, T5_m1, "
+        "massless_thirring, soliton_rest\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_infinite_t_end_exits_two_before_any_output(tmp_path, capsys):
+    path = _scenario(tmp_path, t_end="inf")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--scenario", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "configuration error: t_end must be positive and finite\n"
+    assert not out.exists()
+
+
 def test_identities_on_too_few_samples_exit_two(tmp_path, capsys):
     # 2 steps sampled every 2nd: 2 samples, no centered difference
     def short(name, extra=""):

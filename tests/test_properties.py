@@ -33,8 +33,7 @@ from test_nonlinearity import model_named  # noqa: E402
 _GRID = Grid1D(-30.0, 30.0, 601)
 
 _WEIGHTS = {"tanh": weights.tanh_1d(), "sech": weights.sech_1d(),
-            "half_tanh_right": weights.half_tanh(+1),
-            "half_tanh_left": weights.half_tanh(-1)}
+            "half_tanh": weights.half_tanh()}
 
 _packets = st.tuples(
     st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),   # complex amplitude

@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import inspect
 import json
 import os
 import re
@@ -19,7 +20,8 @@ from diraclab.scenarios import (ConfigError, ScenarioConfig,
                                 bundled_config_path, integrate_scenario,
                                 run_scenario, write_tables)
 from diraclab.studies import (_STUDIES, EXPERIMENT_IDS,
-                              _cumulative_trapezoid, experiment)
+                              _cumulative_trapezoid, _growth_final_quarter,
+                              experiment)
 from diraclab.virials import identity_ids
 
 _LAB = {
@@ -290,6 +292,22 @@ def test_default_trajectory_header(tmp_path, base, changes, header):
         assert fh.readline().strip() == header
 
 
+def test_charge_drift_is_reported_without_a_charge_column(tmp_path):
+    # the conservation record reads the charge even where the table
+    # leaves it out
+    runs = {}
+    for name, observables in (("without", "momentum"),
+                              ("with", "charge, momentum")):
+        config = ScenarioConfig.from_text(
+            _text(_LAB, observables=observables), name=name)
+        runs[name] = run_scenario(config, out_root=tmp_path)
+    with open(tmp_path / "without" / "trajectory.csv") as fh:
+        assert fh.readline().strip() == "t,P"
+    assert runs["without"].conservation == runs["with"].conservation
+    assert set(runs["without"].conservation) == {"charge_initial",
+                                                 "charge_drift_rel"}
+
+
 def test_observables_are_looked_up_at_call_time(tmp_path, monkeypatch):
     # a profiler wraps these module attributes; the observables table
     # must reach each call through them, one per sample and observable
@@ -360,6 +378,18 @@ def test_summary_file_lists_itself(tmp_path, shorten):
         (tmp_path / "T5_exterior" / "summary.json").read_text())
     assert on_disk["files"] == joint.to_dict()["files"]
     assert on_disk["files"][-1] == "summary.json"
+
+
+def test_summary_dict_holds_each_field_and_the_verdict(tmp_path):
+    summary = run_scenario(ScenarioConfig.from_text(_text(_LAB),
+                                                    name="tiny"),
+                           out_root=tmp_path)
+    full = summary.to_dict()
+    fields = inspect.signature(scenarios.ExperimentSummary).parameters
+    assert set(full) == set(fields) | {"passed"}
+    assert full["passed"] is summary.passed is True
+    del full["wall_time"]
+    assert summary.to_dict(include_wall_time=False) == full
 
 
 def test_write_csv_roundtrip_is_lossless(tmp_path):
@@ -525,6 +555,13 @@ def test_cumulative_trapezoid_matches_scipy_bitwise(n):
     y = rng.normal(size=n)
     assert np.array_equal(_cumulative_trapezoid(y, x),
                           cumulative_trapezoid(y, x, initial=0.0))
+
+
+def test_growth_of_a_cumulative_that_ends_nonpositive_is_zero():
+    t = [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert _growth_final_quarter(t, [0.0, 1.0, 2.0, 3.0, 8.0]) == 0.625
+    assert _growth_final_quarter(t, [0.0, -1.0, -2.0, -3.0, -4.0]) == 0.0
+    assert _growth_final_quarter(t, [0.0, 1.0, 0.5, 0.25, 0.0]) == 0.0
 
 
 def test_every_identity_is_reachable_from_a_scenario():

@@ -239,7 +239,7 @@ def test_stream_log_window_identity():
 def test_exterior_window_is_monotone_with_nonpositive_rate():
     g = Grid1D(-80.0, 80.0, 3201)
     tr = stream_traj(2.0, 4.0, 401, g)
-    half = weights.half_tanh(side=+1)
+    half = weights.half_tanh()
     ext = ScalingTriple.exterior(b=0.25, t0=4.0)
     rep = verify_identity(tr, "I_weighted_charge", weight=half, scaling=ext)
     assert rep.passed

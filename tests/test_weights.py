@@ -18,7 +18,7 @@ def _fd(fun, x, k, h):
     return g(x)
 
 
-LINE_WEIGHTS = [W.tanh_1d(), W.half_tanh(+1), W.half_tanh(-1), W.sech_1d()]
+LINE_WEIGHTS = [W.tanh_1d(), W.half_tanh(), W.sech_1d()]
 
 
 @pytest.mark.parametrize("spec", LINE_WEIGHTS, ids=lambda s: s.name)
@@ -111,11 +111,11 @@ def test_at_reads_derivatives_and_singular_quotients(spec):
 
 
 def test_half_tanh_partition_of_unity():
+    # the cutoff and its mirror image phi(-x) split unity
     x = np.linspace(-6.0, 6.0, 25)
-    right, left = W.half_tanh(+1), W.half_tanh(-1)
-    assert np.allclose(right.phi(x) + left.phi(x), 1.0, atol=1e-15)
-    assert np.all(np.diff(right.phi(x)) > 0)
-    assert np.all(np.diff(left.phi(x)) < 0)
+    phi = W.half_tanh().phi
+    assert np.allclose(phi(x) + phi(-x), 1.0, atol=1e-15)
+    assert np.all(np.diff(phi(x)) > 0)
 
 
 def test_r32_weight_profile():
