@@ -193,11 +193,6 @@ class Trajectory:
         self.states = list(states)
         self.boundary_mass = np.asarray(boundary_mass, dtype=float)
         self.max_abs = np.asarray(max_abs, dtype=float)
-        # per-identity series of the quartet families (J1..J4 and their
-        # combination on the line, K1..tK2 and theirs radially) that
-        # virials.verify_identity evaluates together and keeps; see its
-        # docstring
-        self._memo = {}
 
     def __len__(self):
         return len(self.states)

@@ -314,7 +314,7 @@ class ScenarioConfig:
                 "initial = soliton requires model = thirring, "
                 f"coupling = {CALIBRATED_THIRRING_COUPLING:g}, mass = 1")
 
-        # the grid, the model, the step schedule and the standing wave
+        # the grid, the model, the step schedule and the initial state
         # check their own arguments; their refusals are config errors
         try:
             grid = self.build_grid()
@@ -323,8 +323,7 @@ class ScenarioConfig:
                                        f"system {self.system!r}")
             n_steps = step_count(grid, self.t_end, self.dt,
                                  self.sample_stride)
-            if self.initial == "soliton":
-                SolitonParams(self.omega)
+            self.build_initial(grid)
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from None
 

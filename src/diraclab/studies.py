@@ -6,14 +6,13 @@ summary and trajectory columns into a table, metrics and checks, and
 that table's file name. :func:`experiment` hands the rows it is asked
 for to the one runner, :func:`diraclab.scenarios._run_requests`, which
 knows no study: this module imports it, never the other way round.
-T1's window width is :func:`~diraclab.observables.log_window_width`,
+T1's window is the scaling triple ``virials.ScalingTriple.log_window``,
 and T2's sech mass is 2 H_sech_1d, twice ``virials.functional_H``.
 """
 
 import numpy as np
 
 from . import scenarios, weights
-from .observables import log_window_width
 from .scenarios import (ConfigError, ScenarioConfig, _column_name,
                         _run_requests)
 from .virials import (ScalingTriple, functional_H, functional_I,
@@ -69,7 +68,8 @@ def _post_t1(config, traj, summary, series):
 
     keep = traj.times >= 10.0
     t_flux = traj.times[keep]
-    flux = np.array([window_flux_1d(st, log_window_width(st.t))
+    window = ScalingTriple.log_window()
+    flux = np.array([window_flux_1d(st, window)
                      for st, k in zip(traj.states, keep) if k])
     cum = _cumulative_trapezoid(flux, t_flux)
     growth = _growth_final_quarter(t_flux, cum)
@@ -135,7 +135,7 @@ def _post_t3(config, traj, summary, series):
     k_sup = float(k_abs.max())
     k_sup_final = float(k_abs[cut].max())
     growth = _growth_final_quarter(traj.times, cum)
-    ratio = summary.decay["mass_ball_1"]["ratio_last_first"]
+    ratio = summary.decay[_column_name("ball:1")]["ratio_last_first"]
     return (
         (["t", "K1", "tK1", "K2", "tK2", "origin_flux", "cumulative"],
          [traj.times, k_rows[:, 0], k_rows[:, 1], k_rows[:, 2],

@@ -10,7 +10,8 @@ Functionals on the line come in two frames. The frame-agnostic
 ``functional_I`` is the window charge: it carries a full scaling triple
 (amplitude, width, center), and the triple (1, lam, 0) gives the plain
 window of width lam. The lab-frame ``functional_J_1d`` weighs the chiral
-balance.
+balance in the triple's width. Every window functional reads its triple
+once, at the state's own time ``state.t``, and takes no time of its own.
 The quartet functionals pair first derivatives of the four real field
 components against transport brackets; their radial counterparts do the
 same on the half line with the geometric 2/r terms and singular weight
@@ -18,8 +19,8 @@ quotients kept in closed form.
 
 Each functional and rate refuses a state of another geometry or frame
 through :func:`diraclab.dynamics.require_line` and
-:func:`~diraclab.dynamics.require_radial`, and a window width that is
-not positive through one helper, ``_width``.
+:func:`~diraclab.dynamics.require_radial`, and a triple whose amplitude
+or width is not positive there through ``ScalingTriple.at``.
 
 Sign conventions for the analytic rates were fixed the only way that
 means anything: by driving the defect of the finite-difference check to
@@ -45,10 +46,11 @@ hands the sample to the public functions as their keyword-only
 ``_sample``; called without it, on a bare state, they derive their own
 fields with the same arithmetic and so bitwise the same values. The
 identities of a quartet family are evaluated together, and their series
-are kept on the trajectory, so that they share one pass also when they
-are verified one call at a time.
+are kept per trajectory in ``_KEPT``, so that they share one pass also
+when they are verified one call at a time.
 """
 
+import weakref
 from collections import namedtuple
 from operator import itemgetter
 
@@ -80,56 +82,51 @@ __all__ = [
     "origin_flux_radial",
 ]
 
+# a scaling triple's value at one time: (mu, lambda, rho) and their
+# analytic derivatives, as floats
+_Scaling = namedtuple("_Scaling", "mu lam rho mu_dot lam_dot rho_dot")
+
+
 class ScalingTriple:
     """Time maps (mu, lambda, rho) entering the weighted charge.
 
-    Each slot is a callable of t; the ``*_dot`` companions are their
-    analytic derivatives. mu scales the amplitude, lambda the window
-    width, rho the window center. mu and lambda must stay positive on
-    the run interval; ``check`` enforces that at each evaluation.
+    ``maps(t)`` returns (mu, lambda, rho, mu_dot, lambda_dot, rho_dot)
+    at t, the ``*_dot`` entries being the analytic derivatives. mu
+    scales the amplitude, lambda the window width, rho the window
+    center. A window functional reads the triple once, at the state's
+    own time, through ``at``, which refuses mu <= 0 or lambda <= 0.
     """
 
-    def __init__(self, mu, lam, rho, mu_dot, lam_dot, rho_dot):
-        self.mu = mu
-        self.lam = lam
-        self.rho = rho
-        self.mu_dot = mu_dot
-        self.lam_dot = lam_dot
-        self.rho_dot = rho_dot
+    def __init__(self, maps):
+        self.maps = maps
 
-    def check(self, t):
-        mu = float(self.mu(t))
-        lam = float(self.lam(t))
-        if mu <= 0.0 or lam <= 0.0:
-            raise ValueError(
-                f"scaling needs mu, lambda > 0, got ({mu}, {lam}) at t={t}")
-        return mu, lam
+    def at(self, t):
+        """The triple and its derivatives at t, as a ``_Scaling``."""
+        v = _Scaling(*map(float, self.maps(t)))
+        if v.mu <= 0.0 or v.lam <= 0.0:
+            raise ValueError(f"scaling needs mu, lambda > 0, got "
+                             f"({v.mu}, {v.lam}) at t={t}")
+        return v
 
     @staticmethod
     def constant(lam=1.0, theta=0.0):
         """Unit amplitude, fixed width, center drifting at speed theta."""
-        lam = _width(lam)
+        lam = float(lam)
+        if lam <= 0.0:
+            raise ValueError("lam must be positive")
         theta = float(theta)
-        return ScalingTriple(
-            mu=lambda t: 1.0, lam=lambda t: lam, rho=lambda t: theta * t,
-            mu_dot=lambda t: 0.0, lam_dot=lambda t: 0.0,
-            rho_dot=lambda t: theta)
+        return ScalingTriple(lambda t: (1.0, lam, theta * t, 0.0, 0.0, theta))
 
     @staticmethod
     def log_window():
         """Width lambda(t) = t/log^2 t, defined for t > 1 (used from t=10)."""
-        def lam(t):
+        def maps(t):
             if t <= 1.0:
                 raise ValueError("log window needs t > 1")
-            return log_window_width(t)
-
-        def lam_dot(t):
             ell = np.log(t)
-            return (1.0 - 2.0 / ell) / ell ** 2
-
-        zero = lambda t: 0.0
-        return ScalingTriple(mu=lambda t: 1.0, lam=lam, rho=zero,
-                             mu_dot=zero, lam_dot=lam_dot, rho_dot=zero)
+            return (1.0, log_window_width(t), 0.0,
+                    0.0, (1.0 - 2.0 / ell) / ell ** 2, 0.0)
+        return ScalingTriple(maps)
 
     @staticmethod
     def exterior(b, t0):
@@ -145,11 +142,9 @@ class ScalingTriple:
             raise ValueError("b must be positive")
         theta = -(1.0 + b)
         theta_tilde = -(1.0 + 0.5 * b)
-        zero = lambda t: 0.0
-        return ScalingTriple(
-            mu=lambda t: 2.0, lam=lambda t: 1.0,
-            rho=lambda t: theta * t0 - theta_tilde * (t0 - t),
-            mu_dot=zero, lam_dot=zero, rho_dot=lambda t: theta_tilde)
+        return ScalingTriple(lambda t: (
+            2.0, 1.0, theta * t0 - theta_tilde * (t0 - t),
+            0.0, 0.0, theta_tilde))
 
 
 class VirialReport:
@@ -198,14 +193,6 @@ class VirialReport:
         return (f"VirialReport({self.identity!r}, {tag}, "
                 f"max_defect={self.max_defect:.3e}, "
                 f"threshold={self.threshold:.3e})")
-
-
-def _width(lam):
-    """A window width as a float; refused unless positive."""
-    lam = float(lam)
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
-    return lam
 
 
 def _require_model(model, state, who):
@@ -335,17 +322,16 @@ def _transport_current(state):
     return 0.0 - 2.0 * (u1[0] * u2[1] - u1[1] * u2[0])
 
 
-def functional_I(state, weight, scaling, t=None, *, _sample=None):
+def functional_I(state, weight, scaling, *, _sample=None):
     """Weighted charge (1/mu) * integral of phi((x+rho)/lam) |psi|^2."""
     require_line(state, "functional_I")
-    t = state.t if t is None else float(t)
-    mu, lam = scaling.check(t)
-    s = (state.grid.x + scaling.rho(t)) / lam
+    sc = scaling.at(state.t)
+    s = (state.grid.x + sc.rho) / sc.lam
     dens = _fields(state, _sample).density()
-    return quad(weight.phi(s) * dens, state.grid) / mu
+    return quad(weight.phi(s) * dens, state.grid) / sc.mu
 
 
-def rhs_I(state, weight, scaling, t=None, model=None, *, _sample=None):
+def rhs_I(state, weight, scaling, model=None, *, _sample=None):
     """Analytic d/dt of ``functional_I`` along the flow.
 
     Four groups: amplitude drift, center drift, width drift, and the
@@ -356,18 +342,17 @@ def rhs_I(state, weight, scaling, t=None, model=None, *, _sample=None):
     """
     require_line(state, "rhs_I")
     _require_model(model, state, "rhs_I")
-    t = state.t if t is None else float(t)
-    mu, lam = scaling.check(t)
+    mu, lam, rho, mu_dot, lam_dot, rho_dot = scaling.at(state.t)
     g = state.grid
-    s = (g.x + scaling.rho(t)) / lam
+    s = (g.x + rho) / lam
     phi = weight.phi(s)
     dphi = weight.dphi(s)
     sample = _fields(state, _sample)
     dens = sample.density()
     bracket = _transport_current(state)
-    out = (-scaling.mu_dot(t) / mu ** 2 * quad(phi * dens, g)
-           + scaling.rho_dot(t) / (mu * lam) * quad(dphi * dens, g)
-           - scaling.lam_dot(t) / (mu * lam) * quad(dphi * s * dens, g)
+    out = (-mu_dot / mu ** 2 * quad(phi * dens, g)
+           + rho_dot / (mu * lam) * quad(dphi * dens, g)
+           - lam_dot / (mu * lam) * quad(dphi * s * dens, g)
            + quad(dphi * bracket, g) / (mu * lam))
     if model is not None:
         out += 2.0 / mu * quad(phi * _charge_flux(sample, model), g)
@@ -377,17 +362,15 @@ def rhs_I(state, weight, scaling, t=None, model=None, *, _sample=None):
 # ---------------------------------------------------------------------------
 # lab-frame window chiral balance
 
-def functional_J_1d(state, weight, lam=1.0):
+def functional_J_1d(state, weight, scaling):
     """Window chiral balance: integral of phi(x/lam) (|u|^2 - |v|^2)."""
     require_line(state, "functional_J_1d", "lab_uv")
-    lam = _width(lam)
-    s = state.grid.x / lam
+    s = state.grid.x / scaling.at(state.t).lam
     chi = np.abs(state.u) ** 2 - np.abs(state.v) ** 2
     return quad(weight.phi(s) * chi, state.grid)
 
 
-def rhs_J_1d(state, weight, lam=1.0, m=1.0, lam_dot=0.0, model=None, *,
-             _sample=None):
+def rhs_J_1d(state, weight, scaling, m=1.0, model=None, *, _sample=None):
     """d/dt of the window chiral balance.
 
     Three universal terms (window drift, advected total density, mass
@@ -398,16 +381,16 @@ def rhs_J_1d(state, weight, lam=1.0, m=1.0, lam_dot=0.0, model=None, *,
     """
     require_line(state, "rhs_J_1d", "lab_uv")
     _require_model(model, state, "rhs_J_1d")
-    lam = _width(lam)
+    sc = scaling.at(state.t)
     g = state.grid
-    s = g.x / lam
+    s = g.x / sc.lam
     phi = weight.phi(s)
     dphi = weight.dphi(s)
     sample = _fields(state, _sample)
     dens = sample.density()
     chi = np.abs(state.u) ** 2 - np.abs(state.v) ** 2
-    out = (-lam_dot / lam * quad(s * dphi * chi, g)
-           + quad(dphi * dens, g) / lam
+    out = (-sc.lam_dot / sc.lam * quad(s * dphi * chi, g)
+           + quad(dphi * dens, g) / sc.lam
            + 4.0 * m * quad(phi * (state.u * np.conj(state.v)).imag, g))
     if model is not None:
         w1, w2 = sample.grad(model)
@@ -685,9 +668,9 @@ _Args = namedtuple("_Args", "weight scaling m model")
 
 # systems that carry the identity; default weight factory, or None for a
 # fixed weight; whether the scaling triple is read; functional and rate,
-# each called as fn(args, sample, t) on the _Sample of time t; and for an
-# identity that reads one sample's quartet vectors, their names: a pass
-# that needs one identity of such a family evaluates all of it
+# each called as fn(args, sample) on a _Sample; and for an identity that
+# reads one sample's quartet vectors, their names: a pass that needs one
+# identity of such a family evaluates all of it
 _Identity = namedtuple("_Identity",
                        "systems weight scaling functional rate family",
                        defaults=(None,))
@@ -696,7 +679,7 @@ _Identity = namedtuple("_Identity",
 def _quartet(name, pick):
     """Row entry: ``pick`` of the sample's quartet vector ``name``, which
     the rows of its family share."""
-    return lambda a, s, t: pick(s.vector(name, a.weight, a.m, a.model))
+    return lambda a, s: pick(s.vector(name, a.weight, a.m, a.model))
 
 
 def _member(systems, weight, family, idx):
@@ -718,31 +701,28 @@ _J = ("functionals_J1_to_J4", "rhs_J1_to_J4")
 _K = ("functionals_K_3d", "rhs_K_3d")
 _PSI = ("spinor_1d",)
 _RADIAL = ("radial_3d",)
-_H = (lambda a, s, t: functional_H(s.state, _sample=s),
-      lambda a, s, t: rhs_H(s.state, model=a.model, _sample=s))
+_H = (lambda a, s: functional_H(s.state, _sample=s),
+      lambda a, s: rhs_H(s.state, model=a.model, _sample=s))
 
 _IDENTITIES = {
     "I_weighted_charge": _Identity(
         ("lab_1d", "spinor_1d"), tanh_1d, True,
-        lambda a, s, t: functional_I(s.state, a.weight, a.scaling, t,
-                                     _sample=s),
-        lambda a, s, t: rhs_I(s.state, a.weight, a.scaling, t,
-                              model=a.model, _sample=s)),
+        lambda a, s: functional_I(s.state, a.weight, a.scaling, _sample=s),
+        lambda a, s: rhs_I(s.state, a.weight, a.scaling, model=a.model,
+                           _sample=s)),
     "J_chiral_balance": _Identity(
         ("lab_1d",), tanh_1d, True,
-        lambda a, s, t: functional_J_1d(s.state, a.weight,
-                                        float(a.scaling.lam(t))),
-        lambda a, s, t: rhs_J_1d(s.state, a.weight, float(a.scaling.lam(t)),
-                                 a.m, float(a.scaling.lam_dot(t)),
-                                 model=a.model, _sample=s)),
+        lambda a, s: functional_J_1d(s.state, a.weight, a.scaling),
+        lambda a, s: rhs_J_1d(s.state, a.weight, a.scaling, a.m,
+                              model=a.model, _sample=s)),
     "J1": _member(_PSI, tanh_1d, _J, 0),
     "J2": _member(_PSI, tanh_1d, _J, 1),
     "J3": _member(_PSI, tanh_1d, _J, 2),
     "J4": _member(_PSI, tanh_1d, _J, 3),
     "J_quartet_combined": _Identity(
         _PSI, tanh_1d, False, _quartet(_J[0], _combined_j),
-        lambda a, s, t: rhs_J_combined_1d(s.state, a.weight, a.m, a.model,
-                                          _sample=s), _J),
+        lambda a, s: rhs_J_combined_1d(s.state, a.weight, a.m, a.model,
+                                       _sample=s), _J),
     "K1_3d": _member(_RADIAL, r32_weight, _K, 0),
     "tK1_3d": _member(_RADIAL, r32_weight, _K, 1),
     "K2_3d": _member(_RADIAL, r32_weight, _K, 2),
@@ -753,6 +733,12 @@ _IDENTITIES = {
     "H_sech_1d": _Identity(_PSI, None, False, *_H),
     "H_radial_r2": _Identity(_RADIAL, None, False, *_H),
 }
+
+
+# trajectory -> (weight, mass, model) -> identity -> (values, rates): the
+# quartet families' series that verify_identity keeps; an entry goes
+# with its trajectory
+_KEPT = weakref.WeakKeyDictionary()
 
 
 def _family(name):
@@ -784,7 +770,8 @@ def verify_identity(trajectory, identities, weight=None, scaling=None,
     mismatch. ``weight`` replaces each identity's default weight, and
     ``scaling`` (default ``ScalingTriple.constant()``) sets the window
     of the line window charge ``I_weighted_charge`` and the width of
-    ``J_chiral_balance``. Either one is refused for an identity that
+    ``J_chiral_balance``, read once per functional or rate call at the
+    sample's own time. Either one is refused for an identity that
     would not read it: the H identities have fixed weights, and only
     those two identities read a scaling.
 
@@ -793,7 +780,7 @@ def verify_identity(trajectory, identities, weight=None, scaling=None,
     shared between the identities and dropped after the sample; weight
     tables on the grid nodes are evaluated once per call. An identity of
     a quartet family (its row's ``family``) brings the whole family into
-    the pass, and the family's series are kept on the trajectory per
+    the pass, and the family's series are kept per trajectory and
     (weight, mass, model), so that its five identities cost one pass
     whether they are asked for together or one by one. Mutating a
     sampled state in place after it was verified is unsupported: later
@@ -818,7 +805,8 @@ def verify_identity(trajectory, identities, weight=None, scaling=None,
         if system not in _IDENTITIES[name].systems:
             raise ValueError(f"{name} is not defined on system {system!r}")
     m = float(m)
-    kept = trajectory._memo.setdefault((weight, m, model), {})
+    kept = _KEPT.setdefault(trajectory, {}).setdefault((weight, m, model),
+                                                       {})
     todo = []
     for name in names:
         for member in _family(name):
@@ -836,12 +824,12 @@ def verify_identity(trajectory, identities, weight=None, scaling=None,
     f_vals = np.empty((len(rows), n))
     rhs = np.empty((len(rows), n - 2))
     tables = {}
-    for k, (t, state) in enumerate(zip(times, states)):
+    for k, state in enumerate(states):
         sample = _Sample(state, tables)
         for i, (row, a) in enumerate(zip(rows, args)):
-            f_vals[i, k] = row.functional(a, sample, t)
+            f_vals[i, k] = row.functional(a, sample)
             if 0 < k < n - 1:
-                rhs[i, k - 1] = row.rate(a, sample, t)
+                rhs[i, k - 1] = row.rate(a, sample)
     series = dict(zip(todo, zip(f_vals, rhs)))
     kept.update((name, fr) for name, fr in series.items()
                 if _IDENTITIES[name].family)
@@ -856,10 +844,11 @@ def verify_identity(trajectory, identities, weight=None, scaling=None,
 # ---------------------------------------------------------------------------
 # dispersion integrands for cumulative monitors
 
-def window_flux_1d(state, lam):
-    """(1/lam) * integral of sech^2(x/lam) |state|^2 on the line."""
+def window_flux_1d(state, scaling):
+    """(1/lam) * integral of sech^2(x/lam) |state|^2 on the line, lam the
+    scaling triple's width at the state's time."""
     require_line(state, "window_flux_1d")
-    lam = _width(lam)
+    lam = scaling.at(state.t).lam
     s = state.grid.x / lam
     window = 1.0 / np.cosh(s) ** 2
     return quad(window * state.density(), state.grid) / lam

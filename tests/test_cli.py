@@ -211,6 +211,27 @@ def test_infinite_t_end_exits_two_before_any_output(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_bump_narrower_than_a_cell_exits_two_before_any_output(
+        tmp_path, capsys):
+    # the odd rows of a radial bump of width 0.01 on cells of 0.05 peak
+    # at the innermost cell; the state refuses that, and so must the
+    # config, before a directory is made
+    path = tmp_path / "tiny.cfg"
+    path.write_text("system = radial_3d\nmodel = soler\ninitial = bump\n"
+                    "amplitude = 0.05\nwidth = 0.01\nr_max = 20\n"
+                    "n_cells = 400\ndt = 0.025\nt_end = 0.5\n"
+                    "sample_stride = 5\n")
+    out = tmp_path / "out"
+    for argv in (["run", "--scenario", str(path)],
+                 ["verify-virial", "--identity", "H_radial_r2",
+                  "--scenario", str(path)]):
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", "configuration error: component 2 peaks at the innermost "
+                "cell; odd parity through the origin is violated\n")
+        assert not out.exists()
+
+
 def test_identities_on_too_few_samples_exit_two(tmp_path, capsys):
     # 2 steps sampled every 2nd: 2 samples, no centered difference
     def short(name, extra=""):

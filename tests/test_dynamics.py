@@ -212,9 +212,10 @@ _CONSUMERS = [
         st, _TANH, virials.ScalingTriple.constant()), ("line",)),
     ("rhs_I", lambda st: virials.rhs_I(
         st, _TANH, virials.ScalingTriple.constant()), ("line",)),
-    ("functional_J_1d", lambda st: virials.functional_J_1d(st, _TANH),
-     ("lab",)),
-    ("rhs_J_1d", lambda st: virials.rhs_J_1d(st, _TANH), ("lab",)),
+    ("functional_J_1d", lambda st: virials.functional_J_1d(
+        st, _TANH, virials.ScalingTriple.constant()), ("lab",)),
+    ("rhs_J_1d", lambda st: virials.rhs_J_1d(
+        st, _TANH, virials.ScalingTriple.constant()), ("lab",)),
     ("functionals_J1_to_J4",
      lambda st: virials.functionals_J1_to_J4(st, _TANH), ("spinor",)),
     ("rhs_J1_to_J4", lambda st: virials.rhs_J1_to_J4(st, _TANH),
@@ -226,8 +227,8 @@ _CONSUMERS = [
     ("rhs_K_3d", lambda st: virials.rhs_K_3d(st, _R32), ("radial",)),
     ("functional_H", virials.functional_H, ("spinor", "radial")),
     ("rhs_H", virials.rhs_H, ("spinor", "radial")),
-    ("window_flux_1d", lambda st: virials.window_flux_1d(st, 2.0),
-     ("line",)),
+    ("window_flux_1d", lambda st: virials.window_flux_1d(
+        st, virials.ScalingTriple.constant(2.0)), ("line",)),
     ("origin_flux_radial", virials.origin_flux_radial, ("radial",)),
     ("to_spinor_frame", exact.to_spinor_frame, ("lab",)),
     ("to_lab_frame", exact.to_lab_frame, ("spinor",)),
@@ -269,6 +270,22 @@ def test_a_state_of_the_wrong_kind_is_refused(name, call, given, error):
     # the message starts with the consumer's name
     with pytest.raises(error, match=f"^{name} "):
         call(_state_of(given))
+
+
+def test_a_state_refuses_the_other_geometry_and_frame_components():
+    rg, g = RadialGrid(10.0, 100), Grid1D(-10.0, 10.0, 201)
+    with pytest.raises(TypeError, match="^SpinorState1D needs a Grid1D$"):
+        SpinorState1D(rg, "lab_uv", np.zeros((2, 100)))
+    with pytest.raises(TypeError,
+                       match="^RadialSpinorState needs a RadialGrid$"):
+        RadialSpinorState(g, np.zeros((4, 201)))
+    for kind, absent in (("spinor_psi", ("u", "v")),
+                         ("lab_uv", ("psi1", "psi2"))):
+        st = _state_of("lab" if kind == "lab_uv" else "spinor")
+        for name in absent:
+            with pytest.raises(AttributeError, match=f"^{name} is only "
+                               "defined for kind "):
+                getattr(st, name)
 
 
 def test_radial_charge_conservation():

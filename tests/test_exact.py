@@ -16,7 +16,7 @@ from diraclab.exact import (
     to_lab_frame,
     to_spinor_frame,
 )
-from diraclab.grids import Grid1D
+from diraclab.grids import Grid1D, RadialGrid
 from diraclab.nonlinearity import (NonlinearityModel, sample_states,
                                    thirring, thirring_psi, zero_model)
 from diraclab.observables import charge, hamiltonian_1d
@@ -260,3 +260,14 @@ def test_massless_free_rejects_support_outside_grid():
     g = Grid1D(-20.0, 20.0, 801)
     with pytest.raises(ValueError):
         massless_free(_gauss_u, _gauss_v, 16.0, g)
+
+
+def test_exact_states_refuse_a_radial_grid_and_a_scalar_profile():
+    rg = RadialGrid(10.0, 100)
+    with pytest.raises(TypeError, match="^thirring_soliton needs a Grid1D$"):
+        thirring_soliton(SolitonParams(0.5), rg)
+    with pytest.raises(TypeError, match="^massless_free needs a Grid1D$"):
+        massless_free(_gauss_u, _gauss_v, 0.0, rg)
+    with pytest.raises(ValueError, match="^profiles must evaluate "
+                       "pointwise on the nodes$"):
+        massless_free(lambda x: 1.0, _gauss_v, 0.0, Grid1D(-5.0, 5.0, 64))

@@ -27,6 +27,8 @@ def test_radial_grid_staggering():
     assert np.allclose(np.diff(g.r), g.h)
     with pytest.raises(ValueError):
         RadialGrid(-1.0, 100)
+    with pytest.raises(ValueError, match="^need n_cells >= 16$"):
+        RadialGrid(10.0, 15)
 
 
 def test_deriv1_convergence_1d():
@@ -72,6 +74,8 @@ def test_deriv1_parity_argument_rules():
             "radial deriv1 requires parity 'even' or 'odd' per row, "
             "got 'even'")):
         deriv1(f1[None], gr, "even")  # one name per row, not one name
+    with pytest.raises(ValueError, match="^need at least 8 nodes$"):
+        deriv1(f1[:7], g1)  # the closure rows span 8 nodes
 
 
 def test_deriv1_per_row_parity_refusals():
@@ -186,6 +190,10 @@ def test_quad_radial_measures():
         np.sqrt(np.pi) / 2.0, rel=1e-6)
     with pytest.raises(ValueError):
         quad(np.exp(-g.r), g, measure="volume")
+    line = Grid1D(-5.0, 5.0, 64)
+    with pytest.raises(ValueError,
+                       match="^Grid1D supports only the line measure$"):
+        quad(np.ones(64), line, measure="spherical")
 
 
 @pytest.mark.parametrize("shape", [(), (4,), (2, 3)])

@@ -564,6 +564,14 @@ def test_growth_of_a_cumulative_that_ends_nonpositive_is_zero():
     assert _growth_final_quarter(t, [0.0, 1.0, 0.5, 0.25, 0.0]) == 0.0
 
 
+def test_t1_post_refuses_a_run_without_a_probe_sample():
+    # a T1 run must be sampled at t = 10, 20, 40 and 80
+    traj = types.SimpleNamespace(times=np.array([0.0, 5.0, 9.5, 20.0]))
+    series = {"mass_log_window": np.zeros(4)}
+    with pytest.raises(RuntimeError, match="^no sample at t = 10.0$"):
+        _STUDIES["T1_massless"][1](None, traj, None, series)
+
+
 def test_every_identity_is_reachable_from_a_scenario():
     # a misspelt system name in a row would leave its identity unreachable
     systems = scenarios._SCHEMA["system"].allowed

@@ -1,4 +1,5 @@
 import copy
+import inspect
 import sys
 import weakref
 from collections import Counter, namedtuple
@@ -133,31 +134,31 @@ def stream_traj(t_lo, t_hi, n_samp, grid):
 
 def test_constant_scaling_drift():
     sc = ScalingTriple.constant(lam=2.5, theta=0.7)
-    assert sc.check(3.0) == (1.0, 2.5)
-    assert sc.rho(2.0) == pytest.approx(1.4)
-    assert sc.rho_dot(11.0) == pytest.approx(0.7)
-    assert sc.lam_dot(5.0) == 0.0
+    assert sc.at(3.0)[:2] == (1.0, 2.5)
+    assert sc.at(2.0).rho == pytest.approx(1.4)
+    assert sc.at(11.0).rho_dot == pytest.approx(0.7)
+    assert sc.at(5.0).lam_dot == 0.0
 
 
 def test_log_window_scaling():
     sc = ScalingTriple.log_window()
     t = np.exp(2.0)
-    assert sc.lam(t) == pytest.approx(t / 4.0, rel=1e-14)
+    assert sc.at(t).lam == pytest.approx(t / 4.0, rel=1e-14)
     # derivative cross-checked by finite differences
     eps = 1e-6
-    fd = (sc.lam(t + eps) - sc.lam(t - eps)) / (2.0 * eps)
-    assert sc.lam_dot(t) == pytest.approx(fd, rel=1e-8)
+    fd = (sc.at(t + eps).lam - sc.at(t - eps).lam) / (2.0 * eps)
+    assert sc.at(t).lam_dot == pytest.approx(fd, rel=1e-8)
     with pytest.raises(ValueError):
-        sc.lam(0.5)
+        sc.at(0.5)
 
 
 def test_exterior_scaling_chases_slower_than_edge():
     sc = ScalingTriple.exterior(b=0.5, t0=4.0)
-    assert sc.check(2.0) == (2.0, 1.0)
-    assert sc.rho(4.0) == pytest.approx(-(1.0 + 0.5) * 4.0)
-    assert sc.rho_dot(3.0) == pytest.approx(-1.25)
+    assert sc.at(2.0)[:2] == (2.0, 1.0)
+    assert sc.at(4.0).rho == pytest.approx(-(1.0 + 0.5) * 4.0)
+    assert sc.at(3.0).rho_dot == pytest.approx(-1.25)
     # center speed strictly above the region-edge speed
-    assert sc.rho_dot(3.0) > -(1.0 + 0.5)
+    assert sc.at(3.0).rho_dot > -(1.0 + 0.5)
 
 
 def test_scaling_rejects_bad_parameters():
@@ -165,11 +166,54 @@ def test_scaling_rejects_bad_parameters():
         ScalingTriple.constant(lam=0.0)
     with pytest.raises(ValueError):
         ScalingTriple.exterior(b=-1.0, t0=4.0)
-    bad = ScalingTriple(mu=lambda t: -1.0, lam=lambda t: 1.0,
-                        rho=lambda t: 0.0, mu_dot=lambda t: 0.0,
-                        lam_dot=lambda t: 0.0, rho_dot=lambda t: 0.0)
+    bad = ScalingTriple(lambda t: (-1.0, 1.0, 0.0, 0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
-        bad.check(0.0)
+        bad.at(0.0)
+
+
+def test_the_window_signatures_are_pinned():
+    # a window functional reads its triple at the state's own time; a
+    # time, width or rate knob next to it needs an edit here
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(functional_I) == ["state", "weight", "scaling", "_sample"]
+    assert params(rhs_I) == ["state", "weight", "scaling", "model",
+                             "_sample"]
+    assert params(virials.functional_J_1d) == ["state", "weight", "scaling"]
+    assert params(virials.rhs_J_1d) == ["state", "weight", "scaling", "m",
+                                        "model", "_sample"]
+    assert params(window_flux_1d) == ["state", "scaling"]
+    assert params(verify_identity) == ["trajectory", "identities", "weight",
+                                       "scaling", "m", "model"]
+    assert params(ScalingTriple.constant) == ["lam", "theta"]
+    assert params(ScalingTriple.log_window) == []
+    assert params(ScalingTriple.exterior) == ["b", "t0"]
+
+
+def test_the_triple_is_read_once_per_call_at_the_state_time():
+    tr = stream_traj(10.0, 12.0, 11, Grid1D(-80.0, 80.0, 3201))
+    read = []
+    window = ScalingTriple.log_window()
+
+    def maps(t):
+        read.append(t)
+        return window.maps(t)
+
+    verify_identity(tr, "I_weighted_charge", scaling=ScalingTriple(maps))
+    # each sample's functional, and each interior sample's rate after it
+    inner = [st.t for st in tr.states[1:-1] for _ in range(2)]
+    assert read == [tr.states[0].t, *inner, tr.states[-1].t]
+
+
+def test_kept_series_do_not_keep_their_trajectory():
+    q = QUARTETS["J"]
+    tr = q.traj()
+    verify_identity(tr, q.ids[0])
+    assert q.ids[0] in virials._KEPT[tr][(None, 1.0, None)]
+    ref = weakref.ref(tr)
+    del tr
+    assert ref() is None
 
 
 # the frame's transport matrix, as the kernel that steps it reads
@@ -499,10 +543,8 @@ def test_pass_derives_each_sample_field_once(monkeypatch, together, grads):
 def _drifting_scaling():
     # width and amplitude that move with t, so each sample reads its own
     # window and no weight table can be shared between samples
-    return ScalingTriple(
-        mu=lambda t: 1.0 + 0.1 * t, lam=lambda t: 2.0 + 0.5 * t,
-        rho=lambda t: 0.3 * t, mu_dot=lambda t: 0.1,
-        lam_dot=lambda t: 0.5, rho_dot=lambda t: 0.3)
+    return ScalingTriple(lambda t: (1.0 + 0.1 * t, 2.0 + 0.5 * t, 0.3 * t,
+                                    0.1, 0.5, 0.3))
 
 
 # system -> (trajectory, model, mass, identities, verifier keywords)
@@ -542,18 +584,15 @@ def test_batched_verification_equals_separate_calls(system):
 
 def _bare(ident, weight, sc, m, model):
     """(functional, rate) of a non-quartet identity as plain calls of
-    its public functions on a state at time t."""
+    its public functions on a state, which read it at its own time."""
     if ident.startswith("H_"):
-        return (lambda st, t: functional_H(st),
-                lambda st, t: rhs_H(st, model=model))
+        return (lambda st: functional_H(st),
+                lambda st: rhs_H(st, model=model))
     if ident == "I_weighted_charge":
-        return (lambda st, t: functional_I(st, weight, sc, t),
-                lambda st, t: rhs_I(st, weight, sc, t, model=model))
-    return (lambda st, t: virials.functional_J_1d(st, weight,
-                                                  float(sc.lam(t))),
-            lambda st, t: virials.rhs_J_1d(st, weight, float(sc.lam(t)), m,
-                                           float(sc.lam_dot(t)),
-                                           model=model))
+        return (lambda st: functional_I(st, weight, sc),
+                lambda st: rhs_I(st, weight, sc, model=model))
+    return (lambda st: virials.functional_J_1d(st, weight, sc),
+            lambda st: virials.rhs_J_1d(st, weight, sc, m, model=model))
 
 
 @pytest.mark.parametrize("system", sorted(_BATCHES))
@@ -569,9 +608,8 @@ def test_pass_is_bitwise_the_bare_public_functions(system):
             continue
         functional, rate = _bare(rep.identity, weights.tanh_1d(), sc, m,
                                  model)
-        f = np.array([functional(st, tk) for st, tk in zip(tr.states, t)])
-        r = np.array([rate(st, tk)
-                      for st, tk in zip(tr.states[1:-1], t[1:-1])])
+        f = np.array([functional(st) for st in tr.states])
+        r = np.array([rate(st) for st in tr.states[1:-1]])
         assert_same_report(rep, f[1:-1], (f[2:] - f[:-2]) / (t[2:] - t[:-2]),
                            r)
 
@@ -945,9 +983,11 @@ def test_window_flux_matches_direct_quadrature():
     lam = 3.0
     window = 1.0 / np.cosh(G_LAB.x / lam) ** 2
     direct = quad(window * st.density(), G_LAB) / lam
-    assert window_flux_1d(st, lam) == pytest.approx(direct, rel=1e-13)
+    assert (window_flux_1d(st, ScalingTriple.constant(lam))
+            == pytest.approx(direct, rel=1e-13))
     with pytest.raises(ValueError):
-        window_flux_1d(st, 0.0)
+        window_flux_1d(st, ScalingTriple(lambda t: (1.0, 0.0, 0.0,
+                                                    0.0, 0.0, 0.0)))
 
 
 def test_origin_flux_radial_frozen_value():
